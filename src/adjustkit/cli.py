@@ -16,12 +16,13 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .criterion import CriterionConfig, criterion_table
 from .dag_oracle import Dag, true_collection
-from .data_model import SubsetId, load_csv
+from .data_model import SubsetId, load_csv, mask_popcounts
 from .errors import (
     AdjustKitError,
     ContradictoryHints,
@@ -152,6 +153,89 @@ def _fmt_subset(s: SubsetId | None) -> str:
     return "{" + ", ".join(map(str, s.indices)) + "}"
 
 
+def _index_names(first: int, count: int) -> list[str]:
+    """names[j] = the 1-based indices of mask ``j << first``, joined by single
+    spaces, for every j below 2^count; built by doubling, one bit per pass."""
+    names = [""]
+    for i in range(first, first + count):
+        tok = str(i + 1)
+        names += [a + " " + tok if a else tok for a in names]
+    return names
+
+
+def _mask_namer(p: int) -> Callable[[list[int]], Iterator[str]]:
+    """A function giving the space-joined 1-based indices of each of a list of
+    masks, looked up in two tables of about 2^(p/2) names, for the low and
+    the high bits, instead of one of 2^p."""
+    k = p // 2
+    low, high = _index_names(0, k), _index_names(k, p - k)
+    low_bits = (1 << k) - 1
+
+    def names(masks: list[int]) -> Iterator[str]:
+        for m in masks:
+            lo, hi = low[m & low_bits], high[m >> k]
+            yield f"{lo} {hi}" if lo and hi else lo or hi
+
+    return names
+
+
+_ROWS = 4096
+
+
+def _write_selection(outdir: Path, header: dict, result) -> Path:
+    """Write one arm's ``selection_arm{t}.json``, ``criterion_arm{t}.csv`` and
+    ``scree_arm{t}.csv``.
+
+    The bytes are those of ``json.dumps(doc, indent=2)``, where ``doc`` is
+    ``header`` followed by ``selected_count``, ``selected_sets`` and
+    ``selected_masks_hex``, and of one ``f"{mask:#x},{indices},{value!r}"``
+    row per table entry.  The long lists are rendered here from plain ints
+    and strings (the indented ``json.dumps`` runs in pure Python), and the
+    CSVs are written ``_ROWS`` rows at a time, so no file is held in memory
+    whole.
+    """
+    t = header["arm"]
+    names = _mask_namer(result.p)
+    sel = result.order[result.tau:]
+    sel = sel[np.lexsort((sel, mask_popcounts(sel)))].tolist()
+    # the header's own closing "\n}" is cut off and written after the lists
+    head = json.dumps({**header, "selected_count": len(sel)}, indent=2)[:-2]
+    json_path = outdir / f"selection_arm{t}.json"
+    with open(json_path, "w", encoding="utf-8") as fh:
+        fh.write(f'{head},\n  "selected_sets": ')
+        _write_json_list(fh, (
+            "[\n      " + n.replace(" ", ",\n      ") + "\n    ]" if n else "[]"
+            for n in names(sel)
+        ))
+        fh.write(',\n  "selected_masks_hex": ')
+        _write_json_list(fh, (f'"{m:#x}"' for m in sel))
+        fh.write("\n}\n")
+    with (
+        open(outdir / f"criterion_arm{t}.csv", "w", encoding="utf-8") as fc,
+        open(outdir / f"scree_arm{t}.csv", "w", encoding="utf-8") as fs,
+    ):
+        fc.write("mask_hex,indices,f_value\n")
+        fs.write("k,f_value\n")
+        for lo in range(0, result.order.size, _ROWS):
+            masks = result.order[lo:lo + _ROWS].tolist()
+            values = list(map(repr, result.sorted_values[lo:lo + _ROWS].tolist()))
+            fc.writelines(f"{m:#x},{n},{v}\n" for m, n, v in zip(masks, names(masks), values))
+            fs.writelines(f"{k},{v}\n" for k, v in enumerate(values, start=lo + 1))
+    return json_path
+
+
+def _write_json_list(fh, items: Iterator[str]) -> None:
+    """Write rendered items as ``json.dumps(doc, indent=2)`` lays out a list
+    held by a key of ``doc``."""
+    first = next(items, None)
+    if first is None:
+        fh.write("[]")
+        return
+    fh.write("[\n    " + first)
+    fh.writelines(",\n    " + item for item in items)
+    fh.write("\n  ]")
+
+
 def cmd_select(cfg: RunConfig) -> int:
     d = load_csv(cfg.input_path)
     outdir = Path(cfg.output or ".")
@@ -170,8 +254,7 @@ def cmd_select(cfg: RunConfig) -> int:
         if not np.isfinite(table.values).any():
             raise SingularCovariance(f"arm {t}: every conditioning block is singular")
         result = select(table, sel_cfg)
-        sets = list(result.selected.subset_ids())
-        doc = {
+        header = {
             "arm": t,
             "n": d.n,
             "p": d.p,
@@ -184,28 +267,10 @@ def cmd_select(cfg: RunConfig) -> int:
             "subsets_evaluated": int(table.values.size),
             "singular_blocks": table.metadata.get("singular_blocks", 0),
             "tau": result.tau,
-            "selected_count": len(sets),
-            "selected_sets": [list(s.indices) for s in sets],
-            "selected_masks_hex": [f"{s.mask:#x}" for s in sets],
         }
-        json_path = outdir / f"selection_arm{t}.json"
-        json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-        crit_path = outdir / f"criterion_arm{t}.csv"
-        with open(crit_path, "w", encoding="utf-8") as fh:
-            fh.write("mask_hex,indices,f_value\n")
-            for mask, value in zip(result.order, result.sorted_values):
-                idx = " ".join(map(str, SubsetId(int(mask), d.p).indices))
-                fh.write(f"{int(mask):#x},{idx},{float(value)!r}\n")
-
-        scree_path = outdir / f"scree_arm{t}.csv"
-        with open(scree_path, "w", encoding="utf-8") as fh:
-            fh.write("k,f_value\n")
-            for k, value in enumerate(result.sorted_values, start=1):
-                fh.write(f"{k},{float(value)!r}\n")
-
+        json_path = _write_selection(outdir, header, result)
         print(
-            f"arm {t}: {len(sets)} of {table.values.size} subsets selected "
+            f"arm {t}: {len(result.selected)} of {table.values.size} subsets selected "
             f"(tau={result.tau}, cn={result.cn:.6g}) -> {json_path}"
         )
     return EXIT_OK

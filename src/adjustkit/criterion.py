@@ -60,7 +60,8 @@ class CriterionConfig:
     threads : int
         Worker threads for the subset sweep; results do not depend on it.
     masks : ndarray or None
-        Optional pruned universe; default all 2^p subsets.
+        Optional pruned universe: strictly ascending integer masks inside
+        0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
     """
 
     method_y: str = "sir"
@@ -113,6 +114,19 @@ class CriterionTable:
 
 def _as_mask(a) -> int:
     return a.mask if isinstance(a, SubsetId) else int(a)
+
+
+def _checked_masks(masks, p: int) -> np.ndarray:
+    """A caller-given universe as uint32; ValueError unless it is 1-D, integer,
+    strictly ascending (`CriterionTable.value` bisects it) and inside 0..2^p-1."""
+    arr = np.asarray(masks)
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("masks must be a 1-D integer array")
+    if np.any(arr[1:] <= arr[:-1]):
+        raise ValueError("masks must be strictly ascending")
+    if arr.size and (arr[0] < 0 or arr[-1] >= 1 << p):
+        raise ValueError(f"masks must lie in 0..2^{p}-1")
+    return arr.astype(np.uint32)
 
 
 def schur_complement(sigma: np.ndarray, a) -> np.ndarray:
@@ -269,12 +283,19 @@ def criterion_table(
         Deterministic given dataset and config; subsets whose
         conditioning block is singular carry +inf and are counted in
         metadata["singular_blocks"].
+
+    Raises
+    ------
+    ValueError
+        For an unknown variant or a malformed ``config.masks``.
     """
     cfg = config or CriterionConfig()
     try:
         variant = VARIANT_ALIASES[variant.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
+    p = d.p
+    masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
     if variant == "gaussian-copula":
         d = transform_dataset(d)
     g0, g1 = group_moments(d)
@@ -285,9 +306,6 @@ def criterion_table(
     m_t = treatment_candidate(d, cfg.method_t)
     inv_sigmas = tuple(np.linalg.inv(gm.sigma) for gm in (g0, g1))
 
-    p = d.p
-    masks = cfg.masks if cfg.masks is not None else enumerate_masks(p)
-    masks = np.asarray(masks, dtype=np.uint32)
     values = np.empty(masks.size, dtype=np.float64)
     sizes = mask_popcounts(masks)
     full = np.uint32((1 << p) - 1)

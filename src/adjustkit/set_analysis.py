@@ -125,15 +125,22 @@ def locally_minimal(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
     return tuple(SubsetId(m, c.p) for m in sorted(out, key=lambda m: (popcount(m), m)))
 
 
-def minimal_intersection(c: AdjustmentCollection) -> SubsetId | None:
-    """Intersection of all locally minimal members; None when empty collection."""
-    lm = locally_minimal(c)
+def _intersection_of(lm: tuple[SubsetId, ...], p: int) -> SubsetId | None:
     if not lm:
         return None
     inter = lm[0].mask
     for s in lm[1:]:
         inter &= s.mask
-    return SubsetId(inter, c.p)
+    return SubsetId(inter, p)
+
+
+def _unique_of(lm: tuple[SubsetId, ...]) -> SubsetId | None:
+    return lm[0] if len(lm) == 1 else None
+
+
+def minimal_intersection(c: AdjustmentCollection) -> SubsetId | None:
+    """Intersection of all locally minimal members; None when empty collection."""
+    return _intersection_of(locally_minimal(c), c.p)
 
 
 def unique_minimal(c: AdjustmentCollection) -> SubsetId | None:
@@ -143,10 +150,7 @@ def unique_minimal(c: AdjustmentCollection) -> SubsetId | None:
     is itself in the collection, which for a finite family is the same
     as there being a single locally minimal member.
     """
-    lm = locally_minimal(c)
-    if len(lm) == 1:
-        return lm[0]
-    return None
+    return _unique_of(locally_minimal(c))
 
 
 def upward_closed_members(c: AdjustmentCollection) -> AdjustmentCollection:
@@ -280,8 +284,6 @@ def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureRe
         # The full covariate set is sufficient whenever anything is.
         flags.append("full set not a member")
     lm = locally_minimal(c)
-    inter = minimal_intersection(c)
-    uniq = unique_minimal(c)
     nt = upward_closed_members(c)
     blocks = collider_blocks(c, max_block)
     nc = noncollider_indices(c)
@@ -295,8 +297,8 @@ def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureRe
         p=c.p,
         n_members=len(c.masks),
         locally_minimal=lm,
-        intersection=inter,
-        unique_minimal=uniq,
+        intersection=_intersection_of(lm, c.p),
+        unique_minimal=_unique_of(lm),
         n_upward_closed=len(nt),
         noncolliders=nc,
         collider_blocks=blocks,

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from adjustkit.cli import main
-from adjustkit.data_model import Dataset, save_csv
+from adjustkit.cli import _load_hint_masks, _write_selection, main
+from adjustkit.criterion import CriterionConfig, criterion_table
+from adjustkit.data_model import Dataset, SubsetId, load_csv, save_csv
+from adjustkit.selection import SelectorConfig, default_cn, select, select_tail
 from adjustkit.sim_bench import ModelSpec, generate_model
 
 UNIQUE_MIN_DAG = """\
@@ -119,6 +121,86 @@ class TestSelect:
                      "--arm", "0"]) == 0
         assert (out1 / "criterion_arm0.csv").read_bytes() == \
             (out2 / "criterion_arm0.csv").read_bytes()
+
+
+def _reference_files(header, result):
+    """The select outputs as first written: one SubsetId per member and per row."""
+    t = header["arm"]
+    sets = list(result.selected.subset_ids())
+    doc = {
+        **header,
+        "selected_count": len(sets),
+        "selected_sets": [list(s.indices) for s in sets],
+        "selected_masks_hex": [f"{s.mask:#x}" for s in sets],
+    }
+    crit = ["mask_hex,indices,f_value\n"]
+    for mask, value in zip(result.order, result.sorted_values):
+        idx = " ".join(map(str, SubsetId(int(mask), result.p).indices))
+        crit.append(f"{int(mask):#x},{idx},{float(value)!r}\n")
+    scree = ["k,f_value\n"]
+    for k, value in enumerate(result.sorted_values, start=1):
+        scree.append(f"{k},{float(value)!r}\n")
+    return {
+        f"selection_arm{t}.json": (json.dumps(doc, indent=2) + "\n").encode(),
+        f"criterion_arm{t}.csv": "".join(crit).encode(),
+        f"scree_arm{t}.csv": "".join(scree).encode(),
+    }
+
+
+class TestOutputBytes:
+    """The select writer renders its files from arrays; the bytes stay those of
+    the per-member formulation in `_reference_files`."""
+
+    def _assert_cli_matches_reference(self, csv_path, out, hints=None):
+        d = load_csv(csv_path)
+        masks = _load_hint_masks(str(hints), d.p) if hints else None
+        sel_cfg = SelectorConfig(cn=default_cn(d.n))
+        for t in (0, 1):
+            table = criterion_table(d, t, config=CriterionConfig(masks=masks))
+            result = select(table, sel_cfg)
+            header = {
+                "arm": t, "n": d.n, "p": d.p, "variant": "mn", "method_y": "sir",
+                "method_t": "sir", "h": 5, "c0": result.c0, "cn": result.cn,
+                "subsets_evaluated": int(table.values.size),
+                "singular_blocks": table.metadata["singular_blocks"], "tau": result.tau,
+            }
+            for name, expected in _reference_files(header, result).items():
+                assert (out / name).read_bytes() == expected, name
+
+    def test_model2_both_arms(self, tmp_path):
+        path = _model_csv(tmp_path, 2)
+        out = tmp_path / "run"
+        assert main(["select", "--input", str(path), "--output", str(out),
+                     "--arm", "both"]) == 0
+        self._assert_cli_matches_reference(path, out)
+
+    def test_hints_universe(self, tmp_path):
+        path = _model_csv(tmp_path, 1)
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps({"known_forks": [3], "pure_noncolliders": [7]}))
+        out = tmp_path / "run"
+        assert main(["select", "--input", str(path), "--output", str(out),
+                     "--hints", str(hints)]) == 0
+        self._assert_cli_matches_reference(path, out, hints)
+
+    def test_whole_universe_with_empty_set(self, tmp_path):
+        # odd p and more rows than the writer renders at once
+        p = 13
+        order = np.random.default_rng(3).permutation(1 << p).astype(np.uint32)
+        values = np.array([np.inf, 3.0, 0.1 + 0.2, 1e-300] + [0.0] * ((1 << p) - 4))
+        ratios = np.ones(1 << p)
+        ratios[0] = 0.5
+        result = select_tail(ratios, order, p, sorted_values=values, t=1,
+                             config=SelectorConfig(c0=0.5, cn=0.01))
+        assert result.tau == 0
+        header = {"arm": 1, "n": 50, "p": p, "variant": "gc", "method_y": "save",
+                  "method_t": "sir", "h": 3, "c0": result.c0, "cn": result.cn,
+                  "subsets_evaluated": 1 << p, "singular_blocks": 1, "tau": result.tau}
+        _write_selection(tmp_path, header, result)
+        expected = _reference_files(header, result)
+        assert b"    []," in expected["selection_arm1.json"]
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
 
 
 class TestOracle:

@@ -182,6 +182,28 @@ class TestCriterionTable:
         with pytest.raises(KeyError):
             pruned.value(0b000010)
 
+    def test_masks_outside_universe_rejected(self):
+        d = self._dataset(p=10)
+        masks = np.array([0, 3, 1 << 12])
+        with pytest.raises(ValueError, match="0..2"):
+            criterion_table(d, t=0, config=CriterionConfig(masks=masks))
+
+    def test_duplicate_masks_rejected(self):
+        d = self._dataset()
+        with pytest.raises(ValueError, match="ascending"):
+            criterion_table(d, t=0, config=CriterionConfig(masks=np.array([3, 3, 1])))
+
+    def test_unsorted_masks_rejected(self):
+        # the table bisects its masks, so [5, 3, 1] used to make value(5) a KeyError
+        d = self._dataset()
+        with pytest.raises(ValueError, match="ascending"):
+            criterion_table(d, t=0, config=CriterionConfig(masks=np.array([5, 3, 1])))
+
+    @pytest.mark.parametrize("masks", [np.array([[0, 1]]), np.array([0.0, 1.0]), [-1, 0]])
+    def test_malformed_masks_rejected(self, masks):
+        with pytest.raises(ValueError):
+            criterion_table(self._dataset(), t=0, config=CriterionConfig(masks=masks))
+
     def test_items_align_with_value(self):
         d = self._dataset(n=80, p=4)
         table = criterion_table(d, t=1)

@@ -190,6 +190,24 @@ class TestColliderCalls:
         assert d["colliders"] == [3]
         assert d["n_members"] == 7
 
+    def test_structure_report_finds_minimal_members_once(self, monkeypatch):
+        import adjustkit.set_analysis as sa
+
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return locally_minimal(c)
+
+        monkeypatch.setattr(sa, "locally_minimal", counted)
+        for g in reference_graphs().values():
+            c = true_collection(g)
+            calls.clear()
+            rep = structure_report(c)
+            assert len(calls) == 1
+            assert rep.intersection == minimal_intersection(c)
+            assert rep.unique_minimal == unique_minimal(c)
+
     def test_structure_report_flags(self):
         rep = structure_report(_coll(2, [1]))
         assert "full set not a member" in rep.flags

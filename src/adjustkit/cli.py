@@ -132,7 +132,8 @@ def _load_hint_masks(path: str, p: int) -> np.ndarray:
     def as_mask(key: str) -> int:
         mask = 0
         for idx in doc.get(key, []):
-            if not isinstance(idx, int) or not 1 <= idx <= p:
+            # bool is an int subclass: JSON true would be read as index 1
+            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= p:
                 raise ValueError(f"{key}: index {idx!r} outside 1..{p}")
             mask |= 1 << (idx - 1)
         return mask

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import transform_dataset
-from .data_model import Dataset, SubsetId, enumerate_masks, mask_popcounts
-from .errors import SingularBlock, SingularCovariance
+from .data_model import Dataset, SubsetId, enumerate_masks
+from .errors import SingularBlock
 from .inverse_regression import (
     CandidateMatrix,
+    check_covariance,
     group_moments,
     outcome_candidate,
     treatment_candidate,
@@ -35,7 +36,8 @@ __all__ = [
 ]
 
 MIN_EIGENVALUE = 1e-10
-CHUNK = 32768
+# Z entries per arm held at a subtree's leaves: 4096 subsets for SIR x SIR
+SUBTREE_CELLS = 48 * 1024
 
 VARIANT_ALIASES = {
     "normality": "normality",
@@ -58,7 +60,9 @@ class CriterionConfig:
     h : int
         Requested outcome slice count.
     threads : int
-        Worker threads for the subset sweep; results do not depend on it.
+        Worker threads for the subset sweep.  They split the pivot tree's
+        subtrees (4096 subsets each for SIR x SIR, one subtree below
+        p = 13); every value is bit-identical for any thread count.
     masks : ndarray or None
         Optional pruned universe: strictly ascending integer masks inside
         0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
@@ -221,44 +225,106 @@ def population_f(sigma0, sigma1, beta_y, beta_t, a) -> float:
     )
 
 
-def _sweep_group(
-    values: np.ndarray,
-    positions: np.ndarray,
-    rows_idx: np.ndarray,
-    inv_sigmas,
-    my: np.ndarray,
-    mt: np.ndarray,
-) -> int:
-    """Evaluate one complement-size group in place; returns singular count."""
-    singular = 0
-    k, c = rows_idx.shape
-    total = np.zeros(k)
-    bad = np.zeros(k, dtype=bool)
-    for inv in inv_sigmas:
-        blocks = inv[rows_idx[:, :, None], rows_idx[:, None, :]]
-        mt_stack = mt[rows_idx]
-        my_stack = my[rows_idx]
-        try:
-            sol = np.linalg.solve(blocks, mt_stack)
-            g = my_stack.transpose(0, 2, 1) @ sol
-            sv = np.linalg.svd(g, compute_uv=False)[:, 0]
-        except np.linalg.LinAlgError:
-            sv = np.empty(k)
-            for j in range(k):
-                try:
-                    sol_j = np.linalg.solve(blocks[j], mt_stack[j])
-                    sv[j] = np.linalg.svd(
-                        my_stack[j].T @ sol_j, compute_uv=False
-                    )[0]
-                except np.linalg.LinAlgError:
-                    sv[j] = np.inf
-                    bad[j] = True
-        total += sv
-    finite = np.isfinite(total) & ~bad
-    total[~finite] = np.inf
-    singular = int((~finite).sum())
-    values[positions] = total
-    return singular
+def _narrowed(m: np.ndarray) -> np.ndarray:
+    """A candidate matrix wider than p replaced by the p x p factor R' from
+    the QR of m'; R'R = m m', so every spectral norm of u' K m is unchanged."""
+    p, w = m.shape
+    return m if w <= p else np.linalg.qr(m.T, mode="r").T
+
+
+def _descend(aug: np.ndarray, floor: np.ndarray, hi: int, lo: int) -> np.ndarray:
+    """Decide indices hi-1 down to lo for every node of the batch.
+
+    ``aug`` has shape (2, h_y + k, h_t + k, B): per arm and node the block
+    [[Z, M_Y'], [M_T, S]] over the k undecided indices, the last row and
+    column being index k-1; the node axis is last so that every operation
+    runs along long contiguous rows.  A node either drops the index (bit 0)
+    or pivots on it (bit 1, a rank-1 update), so node j becomes nodes 2j and
+    2j+1.  A pivot at or below ``floor`` is replaced by NaN, which fills the
+    pivoted node and all of its subtree.  Elementwise arithmetic only: a
+    node's numbers do not depend on the batch it is computed in.
+    """
+    for i in range(hi - 1, lo - 1, -1):
+        two, r, c, b = aug.shape
+        d = aug[:, -1, -1]
+        d = np.where(d > floor[:, i, None], d, np.nan)
+        row = aug[:, -1, :-1] / d[:, None]
+        col = aug[:, :-1, -1]
+        kept = aug[:, :-1, :-1]
+        out = np.empty((two, r - 1, c - 1, b, 2))
+        out[..., 0] = kept
+        pivoted = out[..., 1]
+        np.multiply(col[:, :, None], row[:, None], out=pivoted)
+        np.subtract(kept, pivoted, out=pivoted)
+        aug = out.reshape(two, r - 1, c - 1, 2 * b)
+    return aug
+
+
+def _spectral_norms(z: np.ndarray) -> np.ndarray:
+    """Largest singular value of z[..., :, :, j] for each j, from its smaller
+    Gram matrix: closed form up to 2 x 2, eigvalsh above."""
+    if z.shape[-2] > z.shape[-3]:
+        z = z.swapaxes(-2, -3)
+    gram = z[..., 0, :, None, :] * z[..., 0, None, :, :]
+    for r in range(1, z.shape[-3]):
+        gram += z[..., r, :, None, :] * z[..., r, None, :, :]
+    w = gram.shape[-2]
+    if w == 1:
+        return np.sqrt(gram[..., 0, 0, :])
+    if w == 2:
+        a, b, c = gram[..., 0, 0, :], gram[..., 0, 1, :], gram[..., 1, 1, :]
+        half = (a - c) / 2
+        return np.sqrt((a + c) / 2 + np.sqrt(half * half + b * b))
+    gram = np.moveaxis(gram, -1, -3)
+    nan = np.isnan(gram[..., 0, 0])
+    gram[nan] = 0.0  # LAPACK may reject a NaN matrix
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    top[nan] = np.nan
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _lattice_values(
+    inv_sigmas: np.ndarray, my: np.ndarray, mt: np.ndarray, threads: int
+) -> np.ndarray:
+    """Criterion value of every subset mask 0..2^p-1, by one pivot tree.
+
+    The term of an arm for complement C is minus the Y x T block left after
+    pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  Indices
+    are decided top bit first and node j's children are 2j (skip) and 2j+1
+    (pivot), so a leaf's position is its complement mask.  The tree is cut
+    into subtrees whose leaves hold at most SUBTREE_CELLS entries of Z per
+    arm, which bounds memory; they run on ``threads`` workers.  A pivot
+    d on index i with d <= MIN_EIGENVALUE * Sigma^{-1}[i, i] (a scale-free
+    ratio) marks every subset below it singular: NaN in the tree, +inf in
+    the result.
+    """
+    p = inv_sigmas.shape[-1]
+    h_y, h_t = my.shape[1], mt.shape[1]
+    aug = np.zeros((2, h_y + p, h_t + p, 1))
+    aug[:, :h_y, h_t:, 0] = my.T
+    aug[:, h_y:, :h_t, 0] = mt
+    aug[:, h_y:, h_t:, 0] = inv_sigmas
+    floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
+    per_leaf = SUBTREE_CELLS // (h_y * h_t)
+    top = p - min(p, max(0, per_leaf.bit_length() - 1))
+    aug = _descend(aug, floor, p, p - top)
+    leaves = 1 << (p - top)
+    values = np.empty(1 << p)
+
+    def subtree(j: int) -> None:
+        norms = _spectral_norms(_descend(aug[..., j : j + 1], floor, p - top, 0))
+        v = norms[0] + norms[1]
+        v[np.isnan(v)] = np.inf
+        end = values.size - j * leaves
+        values[end - leaves : end] = v[::-1]
+
+    if threads == 1:  # a pool would start a thread per table
+        for j in range(1 << top):
+            subtree(j)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(subtree, range(1 << top)))
+    return values
 
 
 def criterion_table(
@@ -281,13 +347,16 @@ def criterion_table(
     -------
     CriterionTable
         Deterministic given dataset and config; subsets whose
-        conditioning block is singular carry +inf and are counted in
+        conditioning block is singular (a failed pivot, see
+        `_lattice_values`) carry +inf and are counted in
         metadata["singular_blocks"].
 
     Raises
     ------
     ValueError
         For an unknown variant or a malformed ``config.masks``.
+    SingularCovariance
+        If an arm covariance fails `check_covariance`.
     """
     cfg = config or CriterionConfig()
     try:
@@ -295,48 +364,21 @@ def criterion_table(
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
     p = d.p
-    masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
+    masks = None if cfg.masks is None else _checked_masks(cfg.masks, p)
     if variant == "gaussian-copula":
         d = transform_dataset(d)
     g0, g1 = group_moments(d)
     for s, gm in ((0, g0), (1, g1)):
-        if np.linalg.eigvalsh(gm.sigma)[0] <= MIN_EIGENVALUE:
-            raise SingularCovariance(f"arm {s} covariance is singular")
+        check_covariance(gm.sigma, f"arm {s} covariance")
     m_y = outcome_candidate(d, t, cfg.method_y, cfg.h)
     m_t = treatment_candidate(d, cfg.method_t)
-    inv_sigmas = tuple(np.linalg.inv(gm.sigma) for gm in (g0, g1))
-
-    values = np.empty(masks.size, dtype=np.float64)
-    sizes = mask_popcounts(masks)
-    full = np.uint32((1 << p) - 1)
-    values[masks == full] = 0.0
-
-    # group by complement size so each batch solves same-shape blocks
-    jobs = []
-    for c in range(1, p + 1):
-        group = np.flatnonzero(sizes == p - c)
-        if group.size == 0:
-            continue
-        comp = (~masks[group]) & full
-        bits = ((comp[:, None] >> np.arange(p, dtype=np.uint32)) & 1).astype(bool)
-        rows_idx = np.argsort(~bits, axis=1, kind="stable")[:, :c]
-        for lo in range(0, group.size, CHUNK):
-            hi = min(lo + CHUNK, group.size)
-            jobs.append((group[lo:hi], rows_idx[lo:hi]))
-
-    singular = 0
-    if cfg.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [
-                pool.submit(
-                    _sweep_group, values, pos, ridx, inv_sigmas, m_y.m, m_t.m
-                )
-                for pos, ridx in jobs
-            ]
-            singular = sum(f.result() for f in futures)
+    inv_sigmas = np.stack([np.linalg.inv(gm.sigma) for gm in (g0, g1)])
+    values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), cfg.threads)
+    if masks is None:
+        masks = enumerate_masks(p)
     else:
-        for pos, ridx in jobs:
-            singular += _sweep_group(values, pos, ridx, inv_sigmas, m_y.m, m_t.m)
+        values = values[masks]
+    singular = int(np.isinf(values).sum())
 
     meta = {
         "n": d.n,

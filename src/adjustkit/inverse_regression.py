@@ -33,6 +33,7 @@ __all__ = [
     "outcome_candidate",
     "treatment_candidate",
     "group_moments",
+    "check_covariance",
 ]
 
 DISCRETE_CUTOFF = 10
@@ -140,13 +141,21 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
     return SliceAssignment(labels=labels, h=n_eff, kind=kind)
 
 
-def _check_spd(sigma: np.ndarray) -> np.ndarray:
+def check_covariance(sigma, what: str = "covariance") -> np.ndarray:
+    """``sigma`` as a float array; SingularCovariance unless every variance is
+    positive and finite and the correlation matrix has its smallest eigenvalue
+    above MIN_EIGENVALUE, a test that rescaling a coordinate does not move."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
-    if np.linalg.eigvalsh(sigma)[0] <= MIN_EIGENVALUE:
+    var = np.diagonal(sigma)
+    if not np.all(np.isfinite(sigma)) or not np.all(var > 0):
+        raise SingularCovariance(f"{what} has a zero or non-finite variance")
+    scale = 1.0 / np.sqrt(var)
+    corr = sigma * scale[:, None] * scale[None, :]
+    if np.linalg.eigvalsh(corr)[0] <= MIN_EIGENVALUE:
         raise SingularCovariance(
-            f"covariance min eigenvalue below {MIN_EIGENVALUE}"
+            f"{what}: correlation min eigenvalue below {MIN_EIGENVALUE}"
         )
     return sigma
 
@@ -160,7 +169,7 @@ def sir_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidate
         Covariates already centered with respect to the relevant mean.
     slices : SliceAssignment
     sigma : ndarray, shape (p, p)
-        Covariance to whiten against; must have min eigenvalue > 1e-10.
+        Covariance to whiten against; see `check_covariance`.
 
     Returns
     -------
@@ -168,7 +177,7 @@ def sir_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidate
         Column h is sigma^{-1} times the mean of the centered rows in
         slice h; shape p x h.
     """
-    sigma = _check_spd(sigma)
+    sigma = check_covariance(sigma)
     x = np.asarray(x, dtype=np.float64)
     p = x.shape[1]
     cols = np.empty((p, slices.h))
@@ -200,7 +209,7 @@ def save_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidat
     SliceTooSmall
         If any slice holds fewer than 2 rows.
     """
-    sigma = _check_spd(sigma)
+    sigma = check_covariance(sigma)
     x = np.asarray(x, dtype=np.float64)
     p = x.shape[1]
     blocks = np.empty((p, p * slices.h))

@@ -111,6 +111,19 @@ class TestSelect:
         rc = main(["select", "--input", str(path), "--hints", str(hints)])
         assert rc == 2
 
+    def test_boolean_hint_index_rejected(self, tmp_path):
+        # JSON true is a Python int; it used to be read as covariate 1
+        rng = np.random.default_rng(5)
+        d = Dataset(x=rng.normal(size=(80, 5)), t=np.tile([0, 1], 40), y=rng.normal(size=80))
+        path = tmp_path / "p5.csv"
+        save_csv(d, path)
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps({"known_forks": [True]}))
+        out = tmp_path / "run"
+        rc = main(["select", "--input", str(path), "--output", str(out), "--hints", str(hints)])
+        assert rc == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_env_threads_equal_serial(self, tmp_path, monkeypatch):
         path = _model_csv(tmp_path, 2)
         out1, out2 = tmp_path / "serial", tmp_path / "pooled"

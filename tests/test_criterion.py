@@ -3,6 +3,9 @@ import pytest
 
 from adjustkit.criterion import (
     CriterionConfig,
+    _lattice_values,
+    _narrowed,
+    _pair_value,
     criterion_table,
     f_value,
     population_f,
@@ -10,7 +13,7 @@ from adjustkit.criterion import (
 )
 from adjustkit.dag_oracle import linear_sem_population, reference_graphs, true_collection
 from adjustkit.data_model import Dataset, SubsetId
-from adjustkit.errors import SingularBlock
+from adjustkit.errors import SingularBlock, SingularCovariance
 from adjustkit.inverse_regression import CandidateMatrix
 from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
@@ -118,6 +121,43 @@ class TestPopulationF:
                 assert val > 0.01, mask
 
 
+def _random_pd(rng, p):
+    g = rng.normal(size=(p, p))
+    return g @ g.T / p + np.eye(p)
+
+
+class TestPivotTree:
+    """The pivot tree against the per-subset Schur-complement reference."""
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("widths", ["sir", "sir-save", "save"])
+    def test_every_mask_matches_reference(self, p, widths):
+        rng = np.random.default_rng(100 + p)
+        w_y, w_t = {"sir": (5, 2), "sir-save": (5, 2 * p), "save": (2 * p, 2 * p)}[widths]
+        my = rng.normal(size=(p, w_y))
+        mt = rng.normal(size=(p, w_t))
+        sigmas = (_random_pd(rng, p), _random_pd(rng, p))
+        inv = np.stack([np.linalg.inv(s) for s in sigmas])
+        got = _lattice_values(inv, _narrowed(my), _narrowed(mt), threads=1)
+        ref = np.array([_pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
+        assert got[-1] == 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_failed_pivot_marks_subset_singular(self, width):
+        # X1 and X2 nearly collinear: after pivoting X2 the pivot on X1 is 1
+        # against P_00 ~ 5e11, so the subsets whose complement holds both,
+        # {} and {X3}, are singular
+        eps = 1e-12
+        sigma = np.eye(3)
+        sigma[0, 1] = sigma[1, 0] = 1.0 - eps
+        inv = np.stack([np.linalg.inv(sigma), np.eye(3)])
+        m = np.random.default_rng(3).normal(size=(3, width))
+        got = _lattice_values(inv, m, m, threads=1)
+        assert np.isinf(got[[0b000, 0b100]]).all()
+        assert np.isfinite(np.delete(got, [0b000, 0b100])).all()
+
+
 class TestCriterionTable:
     def _dataset(self, n=120, p=6, seed=21):
         rng = np.random.default_rng(seed)
@@ -138,11 +178,26 @@ class TestCriterionTable:
         assert np.all(finite >= 0.0)
 
     def test_thread_count_is_invisible(self):
+        d = self._dataset(n=200, p=14)  # four subtrees of 4096 SIR x SIR subsets
+        tables = [
+            criterion_table(d, t=0, config=CriterionConfig(threads=k)) for k in (1, 2, 4)
+        ]
+        for other in tables[1:]:
+            assert np.array_equal(tables[0].values, other.values)
+            assert np.array_equal(tables[0].masks, other.masks)
+
+    def test_rescaled_covariates_leave_table(self):
+        # an absolute eigenvalue floor used to reject sigma * 1e-10 as singular
         d = self._dataset()
-        one = criterion_table(d, t=0, config=CriterionConfig(threads=1))
-        four = criterion_table(d, t=0, config=CriterionConfig(threads=4))
-        assert np.array_equal(one.values, four.values)
-        assert np.array_equal(one.masks, four.masks)
+        scaled = criterion_table(d.with_x(d.x * 1e-5), t=0)
+        np.testing.assert_allclose(scaled.values, criterion_table(d, t=0).values, rtol=1e-9)
+
+    def test_constant_column_rejected(self):
+        d = self._dataset()
+        x = d.x.copy()
+        x[:, 2] = 3.0
+        with pytest.raises(SingularCovariance):
+            criterion_table(d.with_x(x), t=0)
 
     def test_copula_variant_rank_invariance(self):
         d = self._dataset(n=150)

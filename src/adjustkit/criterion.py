@@ -10,7 +10,6 @@ the ridge-ratio selector.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +35,9 @@ __all__ = [
 ]
 
 MIN_EIGENVALUE = 1e-10
-# Z entries per arm held at a subtree's leaves: 4096 subsets for SIR x SIR
-SUBTREE_CELLS = 48 * 1024
+# numbers in one level of the pivot tree's walk, both arms: 4096 subsets
+# for SIR x SIR at the leaves
+STATE_CELLS = 96 * 1024
 
 VARIANT_ALIASES = {
     "normality": "normality",
@@ -60,9 +60,10 @@ class CriterionConfig:
     h : int
         Requested outcome slice count.
     threads : int
-        Worker threads for the subset sweep.  They split the pivot tree's
-        subtrees (4096 subsets each for SIR x SIR, one subtree below
-        p = 13); every value is bit-identical for any thread count.
+        Upper bound on worker threads.  The pivot-tree sweep runs on the
+        calling thread whatever the bound (its steps are short numpy calls,
+        and a second worker was slower on a 2-core host), so every value is
+        bit-identical for any thread count.
     masks : ndarray or None
         Optional pruned universe: strictly ascending integer masks inside
         0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
@@ -150,7 +151,11 @@ def schur_complement(sigma: np.ndarray, a) -> np.ndarray:
     Raises
     ------
     SingularBlock
-        If the A-block has an eigenvalue at or below 1e-10.
+        If the A-block has an eigenvalue at or below 1e-10.  This absolute
+        floor is the reference's own rule: unlike `criterion_table`'s pivot
+        ratio it depends on the units of X, so on data scaled far below
+        unit variance (Sigma entries near 1e-10) it rejects blocks that the
+        table evaluates.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
@@ -232,32 +237,30 @@ def _narrowed(m: np.ndarray) -> np.ndarray:
     return m if w <= p else np.linalg.qr(m.T, mode="r").T
 
 
-def _descend(aug: np.ndarray, floor: np.ndarray, hi: int, lo: int) -> np.ndarray:
-    """Decide indices hi-1 down to lo for every node of the batch.
+def _pivot(aug: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Decide the last undecided index for every node of the batch.
 
     ``aug`` has shape (2, h_y + k, h_t + k, B): per arm and node the block
     [[Z, M_Y'], [M_T, S]] over the k undecided indices, the last row and
     column being index k-1; the node axis is last so that every operation
     runs along long contiguous rows.  A node either drops the index (bit 0)
     or pivots on it (bit 1, a rank-1 update), so node j becomes nodes 2j and
-    2j+1.  A pivot at or below ``floor`` is replaced by NaN, which fills the
-    pivoted node and all of its subtree.  Elementwise arithmetic only: a
-    node's numbers do not depend on the batch it is computed in.
+    2j+1.  A pivot at or below ``floor`` (per arm) is replaced by NaN, which
+    fills the pivoted node and all of its subtree.  Elementwise arithmetic
+    only: a node's numbers do not depend on the batch it is computed in.
     """
-    for i in range(hi - 1, lo - 1, -1):
-        two, r, c, b = aug.shape
-        d = aug[:, -1, -1]
-        d = np.where(d > floor[:, i, None], d, np.nan)
-        row = aug[:, -1, :-1] / d[:, None]
-        col = aug[:, :-1, -1]
-        kept = aug[:, :-1, :-1]
-        out = np.empty((two, r - 1, c - 1, b, 2))
-        out[..., 0] = kept
-        pivoted = out[..., 1]
-        np.multiply(col[:, :, None], row[:, None], out=pivoted)
-        np.subtract(kept, pivoted, out=pivoted)
-        aug = out.reshape(two, r - 1, c - 1, 2 * b)
-    return aug
+    two, r, c, b = aug.shape
+    d = aug[:, -1, -1]
+    d = np.where(d > floor[:, None], d, np.nan)
+    row = aug[:, -1, :-1] / d[:, None]
+    col = aug[:, :-1, -1]
+    kept = aug[:, :-1, :-1]
+    out = np.empty((two, r - 1, c - 1, b, 2))
+    out[..., 0] = kept
+    pivoted = out[..., 1]
+    np.multiply(col[:, :, None], row[:, None], out=pivoted)
+    np.subtract(kept, pivoted, out=pivoted)
+    return out.reshape(two, r - 1, c - 1, 2 * b)
 
 
 def _spectral_norms(z: np.ndarray) -> np.ndarray:
@@ -283,20 +286,37 @@ def _spectral_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(top, 0.0))
 
 
+def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
+    """Numbers, both arms, in the largest level of the pivot-tree walk
+    below ``b`` nodes with ``k`` undecided indices and ``leaves`` requested
+    leaves: the level with j undecided indices holds at most b * 2^(k-j)
+    nodes, and at most 2 * leaves before the unreached ones are dropped."""
+    return max(
+        2 * (h_y + j) * (h_t + j) * min(b << (k - j), 2 * leaves) for j in range(k + 1)
+    )
+
+
 def _lattice_values(
-    inv_sigmas: np.ndarray, my: np.ndarray, mt: np.ndarray, threads: int
+    inv_sigmas: np.ndarray, my: np.ndarray, mt: np.ndarray, masks: np.ndarray | None = None
 ) -> np.ndarray:
-    """Criterion value of every subset mask 0..2^p-1, by one pivot tree.
+    """Criterion values of ``masks`` (ascending; default every mask
+    0..2^p-1), by one pivot tree.
 
     The term of an arm for complement C is minus the Y x T block left after
     pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  Indices
     are decided top bit first and node j's children are 2j (skip) and 2j+1
-    (pivot), so a leaf's position is its complement mask.  The tree is cut
-    into subtrees whose leaves hold at most SUBTREE_CELLS entries of Z per
-    arm, which bounds memory; they run on ``threads`` workers.  A pivot
-    d on index i with d <= MIN_EIGENVALUE * Sigma^{-1}[i, i] (a scale-free
-    ratio) marks every subset below it singular: NaN in the tree, +inf in
-    the result.
+    (pivot), so a node at depth p - k holds the complements j*2^k ..
+    (j+1)*2^k - 1 and a leaf's number is its complement.  The tree is walked
+    breadth-first in batches of nodes, depth-first between batches: once a
+    node's whole subtree fits in STATE_CELLS numbers, batches of as many
+    nodes as fit are finished to their leaves; above that depth a batch is
+    halved when its next level would exceed STATE_CELLS.  No level then
+    holds more than STATE_CELLS numbers (a single node's next level aside),
+    for any p and candidate width.  With ``masks`` given, nodes under which
+    no requested complement lies are dropped before they are pivoted.
+    A pivot d on index i with d <= MIN_EIGENVALUE * Sigma^{-1}[i, i] (a
+    scale-free ratio) marks every subset below it singular: NaN in the
+    tree, +inf in the result.
     """
     p = inv_sigmas.shape[-1]
     h_y, h_t = my.shape[1], mt.shape[1]
@@ -305,26 +325,57 @@ def _lattice_values(
     aug[:, h_y:, :h_t, 0] = mt
     aug[:, h_y:, h_t:, 0] = inv_sigmas
     floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
-    per_leaf = SUBTREE_CELLS // (h_y * h_t)
-    top = p - min(p, max(0, per_leaf.bit_length() - 1))
-    aug = _descend(aug, floor, p, p - top)
-    leaves = 1 << (p - top)
-    values = np.empty(1 << p)
+    comps = None if masks is None else ((1 << p) - 1 - masks[::-1].astype(np.int64))
+    out = np.empty(1 << p if masks is None else masks.size)
 
-    def subtree(j: int) -> None:
-        norms = _spectral_norms(_descend(aug[..., j : j + 1], floor, p - top, 0))
+    def walk(aug: np.ndarray, ids, k: int) -> None:
+        # ids: the batch's node numbers, a range on the full lattice; once
+        # the batch's whole walk fits, so do those of its descendants
+        fits = False
+        while True:
+            if comps is None:
+                leaves = len(ids) << k
+            else:
+                lo = np.searchsorted(comps, ids << k)
+                hi = np.searchsorted(comps, (ids + 1) << k)
+                leaves = int((hi - lo).sum())
+                if not leaves:
+                    return
+                reached = lo < hi
+                if not reached.all():
+                    aug, ids = aug[..., reached], ids[reached]
+            if k == 0:
+                break
+            two, r, c, b = aug.shape
+            if not fits:
+                need = _walk_cells(h_y, h_t, k, b, leaves)
+                fits = need <= STATE_CELLS
+                # as many nodes as fit whole; above that depth, halve a
+                # batch whose next level would not fit
+                fit = b * STATE_CELLS // need
+                if not fit and two * (r - 1) * (c - 1) * 2 * b > STATE_CELLS:
+                    fit = b // 2
+                if 0 < fit < b:
+                    for s in range(0, b, fit):
+                        walk(aug[..., s : s + fit], ids[s : s + fit], k)
+                    return
+            aug = _pivot(aug, floor[:, k - 1])
+            if comps is None:
+                ids = range(2 * ids.start, 2 * ids.stop)
+            else:
+                ids = (2 * ids[:, None] + (0, 1)).ravel()
+            k -= 1
+        norms = _spectral_norms(aug)
         v = norms[0] + norms[1]
         v[np.isnan(v)] = np.inf
-        end = values.size - j * leaves
-        values[end - leaves : end] = v[::-1]
+        n = out.size  # complement c is mask n - 1 - c
+        if comps is None:
+            out[n - ids.stop : n - ids.start] = v[::-1]
+        else:
+            out[n - 1 - np.searchsorted(comps, ids)] = v
 
-    if threads == 1:  # a pool would start a thread per table
-        for j in range(1 << top):
-            subtree(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(subtree, range(1 << top)))
-    return values
+    walk(aug, range(1) if comps is None else np.zeros(1, dtype=np.int64), p)
+    return out
 
 
 def criterion_table(
@@ -373,11 +424,9 @@ def criterion_table(
     m_y = outcome_candidate(d, t, cfg.method_y, cfg.h)
     m_t = treatment_candidate(d, cfg.method_t)
     inv_sigmas = np.stack([np.linalg.inv(gm.sigma) for gm in (g0, g1)])
-    values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), cfg.threads)
+    values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), masks)
     if masks is None:
         masks = enumerate_masks(p)
-    else:
-        values = values[masks]
     singular = int(np.isinf(values).sum())
 
     meta = {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adjustkit import criterion
 from adjustkit.criterion import (
     CriterionConfig,
     _lattice_values,
@@ -14,7 +15,12 @@ from adjustkit.criterion import (
 from adjustkit.dag_oracle import linear_sem_population, reference_graphs, true_collection
 from adjustkit.data_model import Dataset, SubsetId
 from adjustkit.errors import SingularBlock, SingularCovariance
-from adjustkit.inverse_regression import CandidateMatrix
+from adjustkit.inverse_regression import (
+    CandidateMatrix,
+    group_moments,
+    outcome_candidate,
+    treatment_candidate,
+)
 from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
 
@@ -138,7 +144,7 @@ class TestPivotTree:
         mt = rng.normal(size=(p, w_t))
         sigmas = (_random_pd(rng, p), _random_pd(rng, p))
         inv = np.stack([np.linalg.inv(s) for s in sigmas])
-        got = _lattice_values(inv, _narrowed(my), _narrowed(mt), threads=1)
+        got = _lattice_values(inv, _narrowed(my), _narrowed(mt))
         ref = np.array([_pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
         assert got[-1] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
@@ -153,9 +159,67 @@ class TestPivotTree:
         sigma[0, 1] = sigma[1, 0] = 1.0 - eps
         inv = np.stack([np.linalg.inv(sigma), np.eye(3)])
         m = np.random.default_rng(3).normal(size=(3, width))
-        got = _lattice_values(inv, m, m, threads=1)
+        got = _lattice_values(inv, m, m)
         assert np.isinf(got[[0b000, 0b100]]).all()
         assert np.isfinite(np.delete(got, [0b000, 0b100])).all()
+
+    @staticmethod
+    def _problem(p, widths, seed=7):
+        rng = np.random.default_rng(seed)
+        w_y, w_t = {"sir": (5, 2), "save": (2 * p, 2 * p)}[widths]
+        my, mt = rng.normal(size=(p, w_y)), rng.normal(size=(p, w_t))
+        inv = np.stack([np.linalg.inv(_random_pd(rng, p)) for _ in range(2)])
+        return inv, _narrowed(my), _narrowed(mt)
+
+    @pytest.mark.parametrize("widths", ["sir", "save"])
+    @pytest.mark.parametrize("cells", [1, 700, 5000])
+    def test_walk_budget_is_invisible(self, monkeypatch, widths, cells):
+        # a smaller level budget splits the tree sooner, down to one node
+        # per batch at cells=1; every value must stay bit-identical
+        inv, my, mt = self._problem(9, widths)
+        full = _lattice_values(inv, my, mt)
+        monkeypatch.setattr(criterion, "STATE_CELLS", cells)
+        assert np.array_equal(_lattice_values(inv, my, mt), full)
+
+    @pytest.mark.parametrize("cells", [1, 700, 96 * 1024])
+    def test_pruned_masks_equal_full_entries(self, monkeypatch, cells):
+        inv, my, mt = self._problem(9, "sir")
+        full = _lattice_values(inv, my, mt)
+        monkeypatch.setattr(criterion, "STATE_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for masks in (
+            np.sort(rng.choice(1 << 9, size=37, replace=False)),
+            prune_hints(9, known_forks=0b100000001, pure_colliders=0b000010000),
+            np.array([0]),
+            np.array([(1 << 9) - 1]),
+            np.array([], dtype=np.int64),
+        ):
+            got = _lattice_values(inv, my, mt, masks.astype(np.uint32))
+            assert np.array_equal(got, full[masks])
+
+    @pytest.mark.filterwarnings("ignore:enumerating 2")
+    def test_pinned_bits_prune_the_walk(self, monkeypatch):
+        # ten pinned indices at p = 20 leave 1,024 subsets; the walk may pivot
+        # at most two children per reachable node and level, not 2^20 leaves
+        p = 20
+        inv, my, mt = self._problem(p, "sir")
+        masks = prune_hints(
+            p, known_forks=0b1010101010 << 10, pure_colliders=0b0101010101
+        )
+        assert masks.size == 1024
+        pivoted = []
+        step = criterion._pivot
+
+        def counting(aug, floor):
+            pivoted.append(aug.shape[-1])
+            return step(aug, floor)
+
+        monkeypatch.setattr(criterion, "_pivot", counting)
+        got = _lattice_values(inv, my, mt, masks.astype(np.uint32))
+        assert sum(pivoted) <= p * masks.size
+        sigmas = [np.linalg.inv(s) for s in inv]
+        ref = [_pair_value(my, mt, sigmas, int(m)) for m in masks[::97]]
+        np.testing.assert_allclose(got[::97], ref, rtol=1e-12, atol=0)
 
 
 class TestCriterionTable:
@@ -178,7 +242,7 @@ class TestCriterionTable:
         assert np.all(finite >= 0.0)
 
     def test_thread_count_is_invisible(self):
-        d = self._dataset(n=200, p=14)  # four subtrees of 4096 SIR x SIR subsets
+        d = self._dataset(n=200, p=14)  # the walk splits into 4096-subset batches
         tables = [
             criterion_table(d, t=0, config=CriterionConfig(threads=k)) for k in (1, 2, 4)
         ]
@@ -191,6 +255,30 @@ class TestCriterionTable:
         d = self._dataset()
         scaled = criterion_table(d.with_x(d.x * 1e-5), t=0)
         np.testing.assert_allclose(scaled.values, criterion_table(d, t=0).values, rtol=1e-9)
+
+    def test_reference_on_rescaled_covariates(self):
+        # the per-subset reference keeps an absolute eigenvalue floor: it
+        # agrees with the table at x * 1e-3 (Sigma ~ 1e-6) and rejects every
+        # non-empty block at x * 1e-5 (Sigma ~ 1e-10), where the table's
+        # scale-free pivot ratio still evaluates them
+        d = self._dataset()
+        for factor in (1e-3, 1e-5):
+            ds = d.with_x(d.x * factor)
+            table = criterion_table(ds, t=0)
+            g0, g1 = group_moments(ds)
+            m_y, m_t = outcome_candidate(ds, 0), treatment_candidate(ds)
+            assert f_value(m_y, m_t, g0.sigma, g1.sigma, 0) == pytest.approx(
+                table.value(0), rel=1e-9
+            )
+            for mask in (0b000001, 0b010110):
+                assert np.isfinite(table.value(mask))
+                if factor == 1e-3:
+                    assert f_value(m_y, m_t, g0.sigma, g1.sigma, mask) == pytest.approx(
+                        table.value(mask), rel=1e-9
+                    )
+                else:
+                    with pytest.raises(SingularBlock):
+                        f_value(m_y, m_t, g0.sigma, g1.sigma, mask)
 
     def test_constant_column_rejected(self):
         d = self._dataset()

@@ -280,8 +280,7 @@ def cmd_select(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     text = Path(cfg.dag_path).read_text(encoding="utf-8")
     g = Dag.from_text(text)
-    arm = 0 if cfg.arm == "both" else int(cfg.arm)
-    coll = true_collection(g, arm=arm)
+    coll = true_collection(g)
     rep = structure_report(coll)
     print(f"p = {g.p}, |collection| = {rep.n_members} of {1 << g.p}")
     if g.p <= 6:
@@ -349,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact collection of a DAG edge list")
     orc.add_argument("--dag", required=True, metavar="FILE", help="edge list, one 'A -> B' per line")
-    orc.add_argument("--arm", choices=("0", "1"), default="0")
     orc.add_argument("--output", default=None, metavar="FILE", help="also write the JSON report")
 
     sim = sub.add_parser("simulate", help="rerun the benchmark grid")
@@ -391,7 +389,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             threads=_resolve_threads(args.threads),
         )
     if args.command == "oracle":
-        return RunConfig(command="oracle", dag_path=args.dag, arm=args.arm, output=args.output)
+        return RunConfig(command="oracle", dag_path=args.dag, output=args.output)
     if args.command == "simulate":
         models = tuple(int(tok) for tok in args.models.split(",") if tok.strip())
         n_values = tuple(int(tok) for tok in args.n.split(",") if tok.strip())

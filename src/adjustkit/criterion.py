@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import transform_dataset
-from .data_model import Dataset, SubsetId, enumerate_masks
+from .data_model import Dataset, SubsetId, as_mask, enumerate_masks
 from .errors import SingularBlock
 from .inverse_regression import (
     CandidateMatrix,
@@ -106,7 +106,7 @@ class CriterionTable:
         return self.masks.size
 
     def value(self, a) -> float:
-        mask = a.mask if isinstance(a, SubsetId) else int(a)
+        mask = as_mask(a)
         idx = np.searchsorted(self.masks, mask)
         if idx >= self.masks.size or self.masks[idx] != mask:
             raise KeyError(f"subset mask {mask} not in table")
@@ -115,10 +115,6 @@ class CriterionTable:
     def items(self):
         for mask, val in zip(self.masks, self.values):
             yield SubsetId(int(mask), self.p), float(val)
-
-
-def _as_mask(a) -> int:
-    return a.mask if isinstance(a, SubsetId) else int(a)
 
 
 def _checked_masks(masks, p: int) -> np.ndarray:
@@ -159,7 +155,7 @@ def schur_complement(sigma: np.ndarray, a) -> np.ndarray:
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
-    mask = _as_mask(a)
+    mask = as_mask(a)
     if mask == 0:
         return sigma
     if mask == (1 << p) - 1:
@@ -208,7 +204,7 @@ def f_value(
     """
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     sigma1 = np.asarray(sigma1, dtype=np.float64)
-    return _pair_value(m_y.m, m_t.m, (sigma0, sigma1), _as_mask(a))
+    return _pair_value(m_y.m, m_t.m, (sigma0, sigma1), as_mask(a))
 
 
 def population_f(sigma0, sigma1, beta_y, beta_t, a) -> float:
@@ -226,7 +222,7 @@ def population_f(sigma0, sigma1, beta_y, beta_t, a) -> float:
     if beta_t.shape[0] != sigma0.shape[0]:
         beta_t = beta_t.T
     return _pair_value(
-        beta_y, beta_t, (sigma0, np.asarray(sigma1, dtype=np.float64)), _as_mask(a)
+        beta_y, beta_t, (sigma0, np.asarray(sigma1, dtype=np.float64)), as_mask(a)
     )
 
 

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .data_model import SubsetId, check_dimension, enumerate_masks
+from .data_model import SubsetId, as_mask, check_dimension, enumerate_masks
 from .errors import CyclicGraph, DimensionTooLarge, InvalidMechanism
 from .set_analysis import AdjustmentCollection
 
@@ -64,10 +64,8 @@ def _node_label(i: int) -> str:
 
 
 def _z_to_ids(z, p: int) -> set[int]:
-    if isinstance(z, SubsetId):
-        mask = z.mask
-    elif isinstance(z, (int, np.integer)):
-        mask = int(z)
+    if isinstance(z, (SubsetId, int, np.integer)):
+        mask = as_mask(z)
     else:
         mask = 0
         for k in z:
@@ -344,15 +342,12 @@ def _yt_paths(g: Dag) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def true_collection(g: Dag, arm: int = 0) -> AdjustmentCollection:
+def true_collection(g: Dag) -> AdjustmentCollection:
     """Exhaustive collection of subsets A with Y d-separated from T given X_A.
 
     Parameters
     ----------
     g : Dag
-    arm : int, optional
-        Label recorded in the result's source tag; the collection itself
-        is a property of the graph alone.
 
     Returns
     -------
@@ -376,7 +371,7 @@ def true_collection(g: Dag, arm: int = 0) -> AdjustmentCollection:
                 opened &= (masks & np.uint32(cl)) != 0
             blocked |= ~opened
         ok &= blocked
-    return AdjustmentCollection.from_member_array(ok, source=f"dag:arm{arm}")
+    return AdjustmentCollection(g.p, ok)
 
 
 def markov_boundary(g: Dag, node) -> SubsetId:

@@ -43,10 +43,6 @@ def check_dimension(p: int) -> None:
         )
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 @dataclass(frozen=True, order=True)
 class SubsetId:
     """Identifier of a covariate subset within a fixed universe of size p.
@@ -84,7 +80,7 @@ class SubsetId:
 
     @property
     def size(self) -> int:
-        return popcount(self.mask)
+        return int(self.mask).bit_count()
 
     def complement(self) -> "SubsetId":
         return SubsetId(~self.mask & ((1 << self.p) - 1), self.p)
@@ -107,6 +103,11 @@ class SubsetId:
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices)) + "}"
+
+
+def as_mask(a) -> int:
+    """The integer mask of a SubsetId or of a raw integer mask."""
+    return a.mask if isinstance(a, SubsetId) else int(a)
 
 
 def enumerate_subsets(p: int) -> Iterator[SubsetId]:
@@ -137,18 +138,6 @@ def mask_popcounts(masks: np.ndarray) -> np.ndarray:
         if not m.any():
             break
     return out
-
-
-def mask_to_indices(mask: int) -> tuple[int, ...]:
-    """1-based indices of the set bits, ascending."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -247,14 +236,14 @@ def subset_columns(m: np.ndarray, a) -> np.ndarray:
     an (n, 0) slice.  Square matrices can be restricted on both axes by
     calling this twice on the transpose; see ``principal_block``.
     """
-    mask = a.mask if isinstance(a, SubsetId) else int(a)
+    mask = as_mask(a)
     cols = [i for i in range(m.shape[-1]) if mask >> i & 1]
     return m[..., cols]
 
 
 def principal_block(sigma: np.ndarray, a) -> np.ndarray:
     """Principal submatrix sigma[A, A] for a subset A."""
-    mask = a.mask if isinstance(a, SubsetId) else int(a)
+    mask = as_mask(a)
     idx = [i for i in range(sigma.shape[0]) if mask >> i & 1]
     return sigma[np.ix_(idx, idx)]
 

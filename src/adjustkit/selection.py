@@ -155,7 +155,12 @@ def select_tail(
     ratios = np.asarray(ratios, dtype=np.float64)
     order = np.asarray(order, dtype=np.uint32)
     tau = int(np.argmin(ratios))
-    selected = AdjustmentCollection.from_masks(p, order[tau:], source="ridge-ratio")
+    tail = order[tau:]
+    if tail.size and int(tail.max()) >= 1 << p:
+        raise ValueError("mask outside the universe")
+    member = np.zeros(1 << p, dtype=bool)
+    member[tail] = True
+    selected = AdjustmentCollection(p, member)
     if sorted_values is None:
         sorted_values = np.empty(0)
     return SelectionResult(

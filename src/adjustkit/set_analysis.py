@@ -11,94 +11,104 @@ collections and to estimated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data_model import (
-    SubsetId,
-    check_dimension,
-    mask_popcounts,
-    mask_to_indices,
-    popcount,
-)
+from .data_model import SubsetId, as_mask, check_dimension, mask_popcounts
 from .errors import ContradictoryHints
 
 
-def _as_mask(a) -> int:
-    return a.mask if isinstance(a, SubsetId) else int(a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjustmentCollection:
-    """A family of covariate subsets over a universe of size p."""
+    """A family of covariate subsets over a universe of size p.
+
+    ``member_array`` is a read-only bool array of length 2^p whose entry m
+    says whether the subset with mask m is a member.  The constructor keeps
+    its own copy of the array it is given.
+    """
 
     p: int
-    masks: frozenset[int]
-    source: str = ""
+    member_array: np.ndarray
 
     def __post_init__(self):
-        if self.masks and (min(self.masks) < 0 or max(self.masks) >= 1 << self.p):
-            raise ValueError("mask outside the universe")
+        member = np.array(self.member_array, dtype=bool)
+        if member.shape != (1 << self.p,):
+            raise ValueError(f"member array must have length 2^{self.p}")
+        member.setflags(write=False)
+        object.__setattr__(self, "member_array", member)
 
     @classmethod
-    def from_masks(cls, p: int, masks: Iterable[int], source: str = "") -> "AdjustmentCollection":
-        return cls(p=p, masks=frozenset(int(m) for m in masks), source=source)
-
-    @classmethod
-    def from_member_array(cls, member: np.ndarray, source: str = "") -> "AdjustmentCollection":
-        p = int(member.shape[0]).bit_length() - 1
-        if 1 << p != member.shape[0]:
-            raise ValueError("member array length must be a power of two")
-        return cls(p=p, masks=frozenset(np.flatnonzero(member).tolist()), source=source)
-
-    @classmethod
-    def full_universe(cls, p: int, source: str = "universe") -> "AdjustmentCollection":
+    def from_masks(cls, p: int, masks: Iterable) -> "AdjustmentCollection":
+        """The collection of the given integer masks or SubsetIds; ValueError
+        for a mask outside 0..2^p-1."""
         check_dimension(p)
-        return cls(p=p, masks=frozenset(range(1 << p)), source=source)
+        arr = np.fromiter(map(as_mask, masks), dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
+            raise ValueError("mask outside the universe")
+        member = np.zeros(1 << p, dtype=bool)
+        member[arr] = True
+        return cls(p, member)
 
-    @cached_property
-    def member_array(self) -> np.ndarray:
-        """Dense membership indicator indexed by mask."""
-        arr = np.zeros(1 << self.p, dtype=bool)
-        if self.masks:
-            arr[np.fromiter(self.masks, dtype=np.int64, count=len(self.masks))] = True
-        arr.setflags(write=False)
-        return arr
+    @classmethod
+    def from_member_array(cls, member: np.ndarray) -> "AdjustmentCollection":
+        """The collection of a membership array whose length 2^p gives p."""
+        return cls(len(member).bit_length() - 1, member)
+
+    @classmethod
+    def full_universe(cls, p: int) -> "AdjustmentCollection":
+        check_dimension(p)
+        return cls(p, np.ones(1 << p, dtype=bool))
+
+    @property
+    def masks(self) -> frozenset[int]:
+        """Member masks as a frozenset, built on each access."""
+        return frozenset(self.sorted_masks())
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return int(np.count_nonzero(self.member_array))
 
     def __contains__(self, a) -> bool:
-        return _as_mask(a) in self.masks
+        m = as_mask(a)
+        return 0 <= m < self.member_array.size and bool(self.member_array[m])
 
     def subset_ids(self) -> Iterator[SubsetId]:
         """Members ordered by (cardinality, mask)."""
-        for m in sorted(self.masks, key=lambda m: (popcount(m), m)):
-            yield SubsetId(m, self.p)
+        return iter(_by_size(np.flatnonzero(self.member_array), self.p))
 
     def sorted_masks(self) -> list[int]:
-        return sorted(self.masks)
+        return np.flatnonzero(self.member_array).tolist()
+
+
+def _by_size(masks: np.ndarray, p: int) -> tuple[SubsetId, ...]:
+    """The subsets named by an integer mask array, ordered by (cardinality, mask)."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return tuple(
+        SubsetId(m, p) for m in masks[np.lexsort((masks, mask_popcounts(masks)))].tolist()
+    )
+
+
+def _halves(arr: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a mask-indexed array at the masks without and with bit i,
+    aligned so that equal positions hold m and m | (1 << i)."""
+    view = arr.reshape(-1, 2, 1 << i)
+    return view[:, 0, :], view[:, 1, :]
 
 
 def upward_closure(p: int, bases: Iterable) -> AdjustmentCollection:
     """All subsets containing at least one of the base sets."""
     check_dimension(p)
-    masks = np.arange(1 << p, dtype=np.int64)
-    member = np.zeros(1 << p, dtype=bool)
-    for b in bases:
-        bm = _as_mask(b)
-        member |= (masks & bm) == bm
-    return AdjustmentCollection.from_member_array(member, source="upward_closure")
+    seeds = AdjustmentCollection.from_masks(p, bases).member_array
+    return AdjustmentCollection(p, _subset_or_transform(seeds, p))
 
 
 def _subset_or_transform(member: np.ndarray, p: int) -> np.ndarray:
     """has[m] = any subset of m (including m) is a member."""
     has = member.copy()
     for i in range(p):
-        view = has.reshape(-1, 2, 1 << i)
-        view[:, 1, :] |= view[:, 0, :]
+        without, with_ = _halves(has, i)
+        with_ |= without
     return has
 
 
@@ -106,23 +116,21 @@ def _superset_and_transform(member: np.ndarray, p: int) -> np.ndarray:
     """allsup[m] = every superset of m (including m) is a member."""
     allsup = member.copy()
     for i in range(p):
-        view = allsup.reshape(-1, 2, 1 << i)
-        view[:, 0, :] &= view[:, 1, :]
+        without, with_ = _halves(allsup, i)
+        without &= with_
     return allsup
 
 
 def locally_minimal(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
     """Members with no proper subset in the collection, by (size, mask)."""
-    if not c.masks:
-        return ()
-    member = c.member_array
-    has_sub = _subset_or_transform(member, c.p)
-    out = []
-    for m in c.masks:
-        if any(has_sub[m ^ (1 << i)] for i in range(c.p) if m >> i & 1):
-            continue
-        out.append(m)
-    return tuple(SubsetId(m, c.p) for m in sorted(out, key=lambda m: (popcount(m), m)))
+    has_sub = _subset_or_transform(c.member_array, c.p)
+    # strict[m]: some proper subset of m is a member, i.e. has_sub[m ^ bit]
+    # for some bit of m
+    strict = np.zeros_like(has_sub)
+    for i in range(c.p):
+        with_ = _halves(strict, i)[1]
+        with_ |= _halves(has_sub, i)[0]
+    return _by_size(np.flatnonzero(c.member_array & ~strict), c.p)
 
 
 def _intersection_of(lm: tuple[SubsetId, ...], p: int) -> SubsetId | None:
@@ -155,9 +163,7 @@ def unique_minimal(c: AdjustmentCollection) -> SubsetId | None:
 
 def upward_closed_members(c: AdjustmentCollection) -> AdjustmentCollection:
     """Members all of whose supersets are also members."""
-    member = c.member_array
-    allsup = _superset_and_transform(member, c.p)
-    return AdjustmentCollection.from_member_array(allsup & member, source="upward_closed")
+    return AdjustmentCollection(c.p, _superset_and_transform(c.member_array, c.p))
 
 
 def noncollider_indices(c: AdjustmentCollection) -> SubsetId:
@@ -168,31 +174,41 @@ def noncollider_indices(c: AdjustmentCollection) -> SubsetId:
       (b) some upward-closed member A has A \\ {i} a member but not
           upward-closed.
     """
-    member = c.member_array
-    nt = _superset_and_transform(member, c.p) & member
-    members = np.fromiter(c.masks, dtype=np.int64, count=len(c.masks)) if c.masks else np.empty(0, np.int64)
+    # Rule (b) implies rule (a): if A \ {i} has a non-member superset D,
+    # then i is not in D (else D contains A and is a member), so D | {i}
+    # is a member containing i whose removal of i leaves the non-member D.
     out = 0
     for i in range(c.p):
-        bit = 1 << i
-        sel = members[(members & bit) != 0]
-        if sel.size == 0:
-            continue
-        drop = sel ^ bit
-        if np.any(~member[drop]):
-            out |= bit
-            continue
-        if np.any(nt[sel] & member[drop] & ~nt[drop]):
-            out |= bit
+        # equal positions of the two halves hold A \ {i} and A, with i in A
+        drop, keep = _halves(c.member_array, i)
+        if np.any(keep & ~drop):
+            out |= 1 << i
     return SubsetId(out, c.p)
 
 
-def _proper_submasks(mask: int) -> Iterator[int]:
-    sub = (mask - 1) & mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _is_collider_block(cube: np.ndarray, block: tuple[int, ...]) -> bool:
+    """Whether some A disjoint from the block has A | C in the collection for
+    every proper subset C of the block and A | block outside it.
+
+    ``cube`` is the member array viewed as one axis per index, bit p-1
+    first; over the A disjoint from the block, the members A | C form the
+    corner of the cube at which the block's axes read C.
+    """
+    p = cube.ndim
+
+    def corner(bits):
+        idx = [slice(None)] * p
+        for i, bit in zip(block, bits):
+            idx[p - 1 - i] = bit
+        return cube[tuple(idx)]
+
+    corners = list(product((0, 1), repeat=len(block)))
+    ok = corner(corners[0]) & ~corner(corners[-1])
+    for bits in corners[1:-1]:
+        if not ok.any():
+            return False
+        ok &= corner(bits)
+    return bool(ok.any())
 
 
 def collider_blocks(c: AdjustmentCollection, max_block: int = 3) -> tuple[SubsetId, ...]:
@@ -202,28 +218,24 @@ def collider_blocks(c: AdjustmentCollection, max_block: int = 3) -> tuple[Subset
     while A | C stays inside for every proper subset C of B.  Blocks are
     searched up to |B| = max_block and returned by (size, mask).
     """
-    if not c.masks:
-        return ()
-    member = c.member_array
-    members = np.fromiter(c.masks, dtype=np.int64, count=len(c.masks))
+    # Only A disjoint from B can qualify: if A meets B, then A | B = A | C for
+    # the proper subset C = B \ A.  And if A qualifies B, then A | {i}
+    # qualifies B \ {i} for each i in B, so a block is searched only when
+    # every block one index smaller qualified.
+    cube = c.member_array.reshape((2,) * c.p)
     found = []
-    from itertools import combinations
-
+    blocks = [(i,) for i in range(c.p)]
     for size in range(1, max_block + 1):
-        for combo in combinations(range(c.p), size):
-            b = 0
-            for i in combo:
-                b |= 1 << i
-            ok = ~member[members | b]
-            if not ok.any():
-                continue
-            for sub in _proper_submasks(b):
-                ok &= member[members | sub]
-                if not ok.any():
-                    break
-            if ok.any():
-                found.append(b)
-    return tuple(SubsetId(m, c.p) for m in sorted(found, key=lambda m: (popcount(m), m)))
+        qualified = [b for b in blocks if _is_collider_block(cube, b)]
+        found += [sum(1 << i for i in b) for b in qualified]
+        known = set(qualified)
+        blocks = [
+            b + (j,)
+            for b in qualified
+            for j in range(b[-1] + 1, c.p)
+            if all(sub in known for sub in combinations(b + (j,), size))
+        ]
+    return _by_size(found, c.p)
 
 
 def collider_indices(c: AdjustmentCollection, max_block: int = 3) -> SubsetId:
@@ -277,10 +289,10 @@ class StructureReport:
 def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureReport:
     """Build the full report.  Never raises on odd collections; flags them."""
     flags = []
-    if not c.masks:
+    n_members = len(c)
+    if not n_members:
         flags.append("empty collection")
-    full = (1 << c.p) - 1
-    if c.masks and full not in c.masks:
+    elif not c.member_array[-1]:
         # The full covariate set is sufficient whenever anything is.
         flags.append("full set not a member")
     lm = locally_minimal(c)
@@ -295,7 +307,7 @@ def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureRe
         flags.append("collider and non-collider evidence overlap")
     return StructureReport(
         p=c.p,
-        n_members=len(c.masks),
+        n_members=n_members,
         locally_minimal=lm,
         intersection=_intersection_of(lm, c.p),
         unique_minimal=_unique_of(lm),
@@ -322,9 +334,9 @@ def prune_hints(
     mask array to feed the criterion table.
     """
     check_dimension(p)
-    forks = _as_mask(known_forks)
-    cols = _as_mask(pure_colliders)
-    noncols = _as_mask(pure_noncolliders)
+    forks = as_mask(known_forks)
+    cols = as_mask(pure_colliders)
+    noncols = as_mask(pure_noncolliders)
     full = (1 << p) - 1
     for m in (forks, cols, noncols):
         if m & ~full:
@@ -335,16 +347,11 @@ def prune_hints(
         raise ContradictoryHints("an index cannot be both a pure collider and a pure non-collider")
     fixed_in = forks | noncols
     free = full & ~(fixed_in | cols)
-    free_bits = [i for i in range(p) if free >> i & 1]
-    k = len(free_bits)
-    out = np.empty(1 << k, dtype=np.int64)
-    for j in range(1 << k):
-        m = fixed_in
-        for b, i in enumerate(free_bits):
-            if j >> b & 1:
-                m |= 1 << i
-        out[j] = m
-    out.sort()
+    out = np.array([fixed_in], dtype=np.int64)
+    for i in range(p):
+        if free >> i & 1:
+            # every mask so far lies below fixed_in | bit i, so this stays ascending
+            out = np.concatenate((out, out | (1 << i)))
     return out
 
 
@@ -380,8 +387,8 @@ def estimate_ate(d, a0=0, a1=0) -> float:
     sd = np.where(sd > 0, sd, 1.0)
     z = (d.x - mu) / sd
 
-    m0 = _as_mask(a0)
-    m1 = _as_mask(a1)
+    m0 = as_mask(a0)
+    m1 = as_mask(a1)
     y0_hat = np.empty(d.n)
     y1_hat = np.empty(d.n)
     y0_hat[g0.rows] = d.y[g0.rows]

@@ -10,7 +10,6 @@ from adjustkit.data_model import (
     enumerate_subsets,
     load_csv,
     mask_popcounts,
-    mask_to_indices,
     principal_block,
     save_csv,
     split_by_treatment,
@@ -97,10 +96,6 @@ class TestEnumeration:
         arr = np.asarray(masks, dtype=np.uint32)
         got = mask_popcounts(arr)
         assert got.tolist() == [int(m).bit_count() for m in masks]
-
-    def test_mask_to_indices(self):
-        assert mask_to_indices(0) == ()
-        assert mask_to_indices(0b1011) == (1, 2, 4)
 
 
 class TestDataset:

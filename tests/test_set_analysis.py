@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit.data_model import Dataset, SubsetId
-from adjustkit.dag_oracle import linear_sem_population, reference_graphs, true_collection
+from adjustkit.dag_oracle import (
+    linear_sem_population,
+    random_design,
+    reference_graphs,
+    true_collection,
+)
 from adjustkit.errors import ContradictoryHints
 from adjustkit.set_analysis import (
     AdjustmentCollection,
@@ -42,6 +47,14 @@ class TestCollection:
         with pytest.raises(ValueError):
             _coll(2, [4])
 
+    def test_negative_masks(self):
+        with pytest.raises(ValueError):
+            _coll(2, [-1])
+        c = _full(2)
+        assert -1 not in c
+        assert 4 not in c
+        assert 3 in c
+
     def test_membership(self):
         c = _coll(3, [0b011])
         assert SubsetId(0b011, 3) in c
@@ -56,6 +69,87 @@ class TestCollection:
         c = _coll(3, [0, 5, 7])
         back = AdjustmentCollection.from_member_array(c.member_array)
         assert back.sorted_masks() == c.sorted_masks()
+
+
+def _by_size(masks):
+    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+
+
+def _subsets(m):
+    return [s for s in range(m + 1) if s & m == s]
+
+
+class TestAgainstDefinitions:
+    """Each analysis against its docstring definition, written over Python sets."""
+
+    @staticmethod
+    def _upward_closed(p, members):
+        full = (1 << p) - 1
+        return {
+            a for a in members
+            if all(a | s in members for s in _subsets(full & ~a))
+        }
+
+    @staticmethod
+    def _noncolliders(p, members, closed):
+        out = set()
+        for i in range(p):
+            bit = 1 << i
+            for a in members:
+                if a & bit and (
+                    a ^ bit not in members
+                    or (a in closed and a ^ bit in members and a ^ bit not in closed)
+                ):
+                    out.add(i + 1)
+        return tuple(sorted(out))
+
+    @staticmethod
+    def _collider_blocks(p, members, max_block):
+        found = []
+        for b in range(1, 1 << p):
+            if bin(b).count("1") > max_block:
+                continue
+            if any(
+                a | b not in members
+                and all(a | c in members for c in _subsets(b) if c != b)
+                for a in members
+            ):
+                found.append(b)
+        return _by_size(found)
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.one_of(
+                    st.lists(st.booleans(), min_size=1 << p, max_size=1 << p),
+                    st.integers(0, 2**32 - 1).map(
+                        lambda seed: true_collection(
+                            random_design(np.random.default_rng(seed), p)[0]
+                        ).member_array.tolist()
+                    ),
+                ),
+                st.integers(1, 3),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_analysis_matches_definitions(self, args):
+        p, bits, max_block = args
+        c = AdjustmentCollection.from_member_array(np.array(bits, dtype=bool))
+        members = {m for m, b in enumerate(bits) if b}
+        assert c.masks == members and len(c) == len(members)
+        assert [s.mask for s in c.subset_ids()] == _by_size(members)
+
+        minimal = [a for a in members if not any(s in members for s in _subsets(a) if s != a)]
+        assert [s.mask for s in locally_minimal(c)] == _by_size(minimal)
+
+        closed = self._upward_closed(p, members)
+        assert upward_closed_members(c).masks == closed
+        assert noncollider_indices(c).indices == self._noncolliders(p, members, closed)
+        assert [b.mask for b in collider_blocks(c, max_block)] == self._collider_blocks(
+            p, members, max_block
+        )
 
 
 class TestLocallyMinimal:
@@ -238,6 +332,18 @@ class TestPruneHints:
     def test_out_of_range_hint(self):
         with pytest.raises(ValueError):
             prune_hints(3, known_forks=0b1000)
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_hints(self, p, data):
+        role = data.draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
+        forks, cols, noncols = (
+            sum(1 << i for i, r in enumerate(role) if r == k) for k in (1, 2, 3)
+        )
+        keep = forks | noncols
+        want = [m for m in range(1 << p) if m & keep == keep and not m & cols]
+        got = prune_hints(p, known_forks=forks, pure_colliders=cols, pure_noncolliders=noncols)
+        assert got.tolist() == want
 
 
 class TestEstimateAte:

@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--arm", choices=("0", "1", "both"), default="both")
     sel.add_argument("--output", default=".", metavar="DIR")
     sel.add_argument("--hints", default=None, metavar="FILE", help="JSON pruning hints")
-    sel.add_argument("--threads", type=int, default=None)
+    sel.add_argument("--threads", type=int, default=None, help="accepted; no effect (runs on one thread)")
 
     orc = sub.add_parser("oracle", help="exact collection of a DAG edge list")
     orc.add_argument("--dag", required=True, metavar="FILE", help="edge list, one 'A -> B' per line")
@@ -357,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--output", default=None, metavar="FILE")
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=None, help="accepted; no effect (runs on one thread)")
 
     ate = sub.add_parser("ate", help="matching ATE for a pair of adjustment sets")
     ate.add_argument("--input", required=True, help="CSV with columns T, Y, X1..Xp")

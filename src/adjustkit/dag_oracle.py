@@ -63,7 +63,7 @@ def _node_label(i: int) -> str:
     return f"X{i - 1}"
 
 
-def _z_to_ids(z, p: int) -> set[int]:
+def _z_mask(z, p: int) -> int:
     if isinstance(z, (SubsetId, int, np.integer)):
         mask = as_mask(z)
     else:
@@ -75,7 +75,7 @@ def _z_to_ids(z, p: int) -> set[int]:
             mask |= 1 << (kk - 1)
     if mask >> p:
         raise ValueError("conditioning mask exceeds dimension")
-    return {k + 2 for k in range(p) if mask >> k & 1}
+    return mask
 
 
 class Dag:
@@ -101,7 +101,7 @@ class Dag:
     Instances are immutable after construction; all queries are pure.
     """
 
-    __slots__ = ("p", "_parents", "_children")
+    __slots__ = ("p", "_parents", "_children", "_order", "_below")
 
     def __init__(self, p: int, edges=()):
         check_dimension(p)
@@ -124,20 +124,28 @@ class Dag:
         # Kahn's algorithm; anything left over sits on a cycle.
         indeg = [len(parents[v]) for v in range(n)]
         queue = [v for v in range(n) if indeg[v] == 0]
-        done = 0
+        order = []
         while queue:
             v = queue.pop()
-            done += 1
+            order.append(v)
             for w in children[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     queue.append(w)
-        if done != n:
+        if len(order) != n:
             cyclic = sorted(_node_label(v) for v in range(n) if indeg[v] > 0)
             raise CyclicGraph(f"cycle through {{{', '.join(cyclic)}}}")
+        # X-descendant mask of each node, itself included, children first
+        below = [0] * n
+        for v in reversed(order):
+            below[v] = (1 << (v - 2) if v >= 2 else 0)
+            for w in children[v]:
+                below[v] |= below[w]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_parents", tuple(frozenset(s) for s in parents))
         object.__setattr__(self, "_children", tuple(frozenset(s) for s in children))
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_below", tuple(below))
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
@@ -209,28 +217,6 @@ class Dag:
         i = _node_id(node, self.p)
         return tuple(_node_label(j) for j in sorted(self._children[i]))
 
-    def _ancestral_closure(self, seed: set[int]) -> set[int]:
-        out = set(seed)
-        stack = list(seed)
-        while stack:
-            v = stack.pop()
-            for w in self._parents[v]:
-                if w not in out:
-                    out.add(w)
-                    stack.append(w)
-        return out
-
-    def _descendants(self, v: int) -> set[int]:
-        out = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self._children[u]:
-                if w not in out:
-                    out.add(w)
-                    stack.append(w)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Dag):
             return NotImplemented
@@ -241,6 +227,62 @@ class Dag:
 
     def __repr__(self):
         return f"Dag(p={self.p}, edges={len(self.edges())})"
+
+
+def _pack(flags: np.ndarray) -> int:
+    """A bool array as a Python int whose bit j is flags[j]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _reachable(g: Dag, source: int, masks: np.ndarray) -> list[int]:
+    """Bayes-ball from `source` under every conditioning set in `masks` at once.
+
+    Returns one Python-int bitset per node: bit j is set when the node is
+    d-connected to `source` given X_{masks[j]}.  A ball entered from a child
+    (`up`) passes on to parents and children when the node is free (not
+    conditioned on); a ball entered from a parent (`down`) passes on to
+    children when the node is free and bounces back to the parents when the
+    node or a descendant is conditioned on.  A trail enters a node at most
+    once from each side, so the sweeps reach a fixpoint.
+    """
+    n = g.p + 2
+    full = (1 << masks.size) - 1
+    free = [full] * n
+    opens = [0] * n
+    for v in range(n):
+        if not (g._parents[v] or g._children[v]):
+            continue
+        if v >= 2:
+            free[v] = _pack((masks & (1 << (v - 2))) == 0)
+        if g._below[v]:
+            opens[v] = _pack((masks & g._below[v]) != 0)
+    up = [0] * n
+    down = [0] * n
+    up[source] = full
+    # what each node sends to its children (as `down`) and parents (as `up`)
+    to_child = [0] * n
+    to_parent = [0] * n
+    while True:
+        # parents first: down[c] is final once every parent's is
+        for c in g._order:
+            ball = down[c]
+            for a in g._parents[c]:
+                ball |= to_child[a]
+            down[c] = ball
+            to_child[c] = (up[c] | ball) & free[c]
+        # children first; the down pass saw every up, so an unchanged up
+        # is the fixpoint
+        changed = False
+        for c in reversed(g._order):
+            ball = up[c]
+            for a in g._children[c]:
+                ball |= to_parent[a]
+            if ball != up[c]:
+                up[c] = ball
+                changed = True
+            to_parent[c] = (ball & free[c]) | (down[c] & opens[c])
+        if not changed:
+            return [u | d for u, d in zip(up, down)]
 
 
 def d_separated(g: Dag, u, v, z=0) -> bool:
@@ -263,83 +305,17 @@ def d_separated(g: Dag, u, v, z=0) -> bool:
 
     Notes
     -----
-    Implemented by reachability on the moralized ancestral subgraph of
-    {u, v} union z, which is equivalent to the path-blocking definition.
+    One Bayes-ball sweep (`_reachable`) over the single mask z.
     """
     p = g.p
     ui = _node_id(u, p)
     vi = _node_id(v, p)
     if ui == vi:
         raise ValueError("u and v must differ")
-    zids = _z_to_ids(z, p)
-    if ui in zids or vi in zids:
+    mask = _z_mask(z, p)
+    if (mask << 2) & (1 << ui | 1 << vi):
         raise ValueError("conditioning set must exclude u and v")
-    anc = g._ancestral_closure({ui, vi} | zids)
-    adj = [0] * (p + 2)
-    for w in anc:
-        par = [a for a in g._parents[w] if a in anc]
-        wbit = 1 << w
-        for a in par:
-            adj[a] |= wbit
-            adj[w] |= 1 << a
-        for a, b in itertools.combinations(par, 2):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    blocked = 0
-    for i in zids:
-        blocked |= 1 << i
-    target = 1 << vi
-    visited = 1 << ui
-    frontier = visited
-    while frontier:
-        reach = 0
-        f = frontier
-        while f:
-            low = f & -f
-            reach |= adj[low.bit_length() - 1]
-            f ^= low
-        reach &= ~visited & ~blocked
-        if reach & target:
-            return False
-        visited |= reach
-        frontier = reach
-    return True
-
-
-def _yt_paths(g: Dag) -> list[tuple[int, tuple[int, ...]]]:
-    """Enumerate simple Y..T paths as (noncollider X mask, collider closure masks)."""
-    und = [set(g._parents[v]) | set(g._children[v]) for v in range(g.p + 2)]
-    paths = []
-
-    def walk(node, visited, trail):
-        if node == _T:
-            paths.append(list(trail))
-            return
-        for nxt in und[node]:
-            if nxt not in visited:
-                visited.add(nxt)
-                trail.append(nxt)
-                walk(nxt, visited, trail)
-                trail.pop()
-                visited.remove(nxt)
-
-    walk(_Y, {_Y}, [_Y])
-    out = []
-    for trail in paths:
-        nc_mask = 0
-        closures = []
-        for k in range(1, len(trail) - 1):
-            prev, cur, nxt = trail[k - 1], trail[k], trail[k + 1]
-            if prev in g._parents[cur] and nxt in g._parents[cur]:
-                mask = 1 << (cur - 2)
-                for d in g._descendants(cur):
-                    if d >= 2:
-                        mask |= 1 << (d - 2)
-                closures.append(mask)
-            else:
-                nc_mask |= 1 << (cur - 2)
-        out.append((nc_mask, tuple(closures)))
-    return out
+    return not _reachable(g, ui, np.array([mask], dtype=np.uint32))[vi]
 
 
 def true_collection(g: Dag) -> AdjustmentCollection:
@@ -362,16 +338,10 @@ def true_collection(g: Dag) -> AdjustmentCollection:
     if g.p > 20:
         raise DimensionTooLarge(f"exhaustive enumeration capped at p=20, got {g.p}")
     masks = enumerate_masks(g.p)
-    ok = np.ones(masks.size, dtype=bool)
-    for nc_mask, closures in _yt_paths(g):
-        blocked = (masks & np.uint32(nc_mask)) != 0
-        if closures:
-            opened = np.ones(masks.size, dtype=bool)
-            for cl in closures:
-                opened &= (masks & np.uint32(cl)) != 0
-            blocked |= ~opened
-        ok &= blocked
-    return AdjustmentCollection(g.p, ok)
+    reach = _reachable(g, _Y, masks)[_T]
+    bits = np.frombuffer(reach.to_bytes((masks.size + 7) // 8, "little"), dtype=np.uint8)
+    connected = np.unpackbits(bits, count=masks.size, bitorder="little")
+    return AdjustmentCollection(g.p, connected == 0)
 
 
 def markov_boundary(g: Dag, node) -> SubsetId:
@@ -401,13 +371,16 @@ def markov_boundary(g: Dag, node) -> SubsetId:
     own = ni - 1 if ni >= 2 else None
     universe = [k for k in range(1, p + 1) if k != own]
 
-    def separates(cset):
-        zmask = 0
-        for k in cset:
-            zmask |= 1 << (k - 1)
-        return all(
-            d_separated(g, node, k, zmask) for k in universe if k not in cset
-        )
+    def separating(csets):
+        """Bitset over csets: bit j is set when csets[j] separates node from
+        every X outside it.  One sweep serves every candidate."""
+        masks = np.array([sum(1 << (k - 1) for k in c) for c in csets], dtype=np.uint32)
+        reach = _reachable(g, ni, masks)
+        connected = 0
+        for k in universe:
+            if reach[k + 1]:
+                connected |= reach[k + 1] & _pack((masks & (1 << (k - 1))) == 0)
+        return ~connected & ((1 << len(csets)) - 1)
 
     base = set(universe)
     changed = True
@@ -415,16 +388,17 @@ def markov_boundary(g: Dag, node) -> SubsetId:
         changed = False
         for k in sorted(base):
             trial = base - {k}
-            if separates(trial):
+            if separating([trial]):
                 base = trial
                 changed = True
     items = sorted(base)
     if len(items) > 14:
         return SubsetId.from_indices(p, items)
     for size in range(len(items) + 1):
-        for combo in itertools.combinations(items, size):
-            if separates(set(combo)):
-                return SubsetId.from_indices(p, combo)
+        combos = list(itertools.combinations(items, size))
+        ok = separating(combos)
+        if ok:
+            return SubsetId.from_indices(p, combos[(ok & -ok).bit_length() - 1])
     return SubsetId.from_indices(p, items)
 
 

@@ -130,14 +130,7 @@ def enumerate_masks(p: int) -> np.ndarray:
 
 def mask_popcounts(masks: np.ndarray) -> np.ndarray:
     """Vectorized popcount for arrays of masks."""
-    m = masks.astype(np.uint32)
-    out = np.zeros(m.shape, dtype=np.int8)
-    while True:
-        out += (m & 1).astype(np.int8)
-        m >>= 1
-        if not m.any():
-            break
-    return out
+    return np.bitwise_count(masks)
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,12 @@ class AdjustmentCollection:
     @classmethod
     def from_masks(cls, p: int, masks: Iterable) -> "AdjustmentCollection":
         """The collection of the given integer masks or SubsetIds; ValueError
-        for a mask outside 0..2^p-1."""
+        for a mask outside 0..2^p-1.  An integer ndarray is indexed as is."""
         check_dimension(p)
-        arr = np.fromiter(map(as_mask, masks), dtype=np.int64)
+        if isinstance(masks, np.ndarray) and np.issubdtype(masks.dtype, np.integer):
+            arr = masks.ravel()
+        else:
+            arr = np.fromiter(map(as_mask, masks), dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
             raise ValueError("mask outside the universe")
         member = np.zeros(1 << p, dtype=bool)

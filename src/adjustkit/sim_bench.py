@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,8 +353,9 @@ def run_benchmark(
         Replications per cell; each rep derives its generator from
         (seed, model, n, rep), so cells are reproducible independently.
     threads : int
-        Worker threads across replications; the averaged table is
-        bit-identical for any thread count.
+        Accepted for compatibility and has no effect: replications run on
+        the calling thread (a second worker was slower on a 2-core host),
+        so the averaged table is bit-identical for any thread count.
 
     Returns
     -------
@@ -377,15 +377,10 @@ def run_benchmark(
     failures = {}
     for model_id in model_ids:
         for n in n_values:
-            args = [
-                (model_id, n, p, variants, arms, seed, rep, h)
+            per_rep = [
+                _one_rep(model_id, n, p, variants, arms, seed, rep, h)
                 for rep in range(reps)
             ]
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    per_rep = list(pool.map(lambda a: _one_rep(*a), args))
-            else:
-                per_rep = [_one_rep(*a) for a in args]
             for variant in variants:
                 for arm in arms:
                     records = [r[(variant, arm)] for r in per_rep]

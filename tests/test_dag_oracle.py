@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjustkit.dag_oracle import (
     Dag,
@@ -72,6 +74,18 @@ def path_dsep(g, u, v, z_labels):
 
 def _labels(mask, p):
     return [f"X{i + 1}" for i in range(p) if mask >> i & 1]
+
+
+@st.composite
+def _random_dags(draw, max_p):
+    """A DAG with edges forward along a random order of all nodes, so Y may
+    have children and T parents, at an edge probability up to 0.9."""
+    p = draw(st.integers(1, max_p))
+    order = draw(st.permutations(["Y", "T"] + [f"X{k}" for k in range(1, p + 1)]))
+    prob = draw(st.floats(0.0, 0.9))
+    pairs = list(itertools.combinations(order, 2))
+    coins = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return Dag(p, [e for e, c in zip(pairs, coins) if c < prob])
 
 
 class TestDagBasics:
@@ -215,6 +229,19 @@ class TestTrueCollection:
             }
             assert set(true_collection(g).sorted_masks()) == expect, name
 
+    @settings(max_examples=60, deadline=None)
+    @given(_random_dags(max_p=6))
+    def test_matches_path_enumeration_random(self, g):
+        member = true_collection(g).member_array
+        expect = [path_dsep(g, "Y", "T", _labels(m, g.p)) for m in range(1 << g.p)]
+        assert member.tolist() == expect, g.edges()
+
+    def test_dense_design_member_count(self):
+        # 154 was counted with an independent per-mask d-separation loop;
+        # enumerating the Y-T paths of this graph does not finish in 44 s.
+        g, _, _ = random_design(np.random.default_rng(0), 12, x_edge_prob=0.7)
+        assert len(true_collection(g)) == 154
+
 
 class TestMarkovBoundary:
     def test_reference_boundaries(self):
@@ -229,6 +256,30 @@ class TestMarkovBoundary:
     def test_isolated_node(self):
         g = Dag(2, [("X1", "Y")])
         assert markov_boundary(g, "T").indices == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_dags(max_p=5), st.data())
+    def test_definition_by_brute_force(self, g, data):
+        # The boundary separates the node from every X outside it, and every
+        # X subset that does so contains it.
+        node = data.draw(st.sampled_from(["Y", "T"] + [f"X{k}" for k in range(1, g.p + 1)]))
+        universe = [k for k in range(1, g.p + 1) if f"X{k}" != node]
+
+        def separates(cset):
+            z = [f"X{k}" for k in cset]
+            return all(
+                path_dsep(g, node, f"X{k}", z) for k in universe if k not in cset
+            )
+
+        separating = [
+            set(c)
+            for size in range(len(universe) + 1)
+            for c in itertools.combinations(universe, size)
+            if separates(c)
+        ]
+        got = set(markov_boundary(g, node).indices)
+        assert got in separating
+        assert all(got <= c for c in separating), (g.edges(), node)
 
 
 class TestPopulationSpec:

@@ -42,14 +42,21 @@ class TestCollection:
         c = _coll(3, [5, 1, 5, 0])
         assert c.sorted_masks() == [0, 1, 5]
         assert len(c) == 3
+        for dtype in (np.int64, np.uint32, np.int8):
+            arr = _coll(3, np.array([5, 1, 5, 0], dtype=dtype))
+            assert arr.sorted_masks() == [0, 1, 5]
 
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             _coll(2, [4])
+        with pytest.raises(ValueError):
+            _coll(2, np.array([0, 4], dtype=np.uint32))
 
     def test_negative_masks(self):
         with pytest.raises(ValueError):
             _coll(2, [-1])
+        with pytest.raises(ValueError):
+            _coll(2, np.array([1, -1], dtype=np.int64))
         c = _full(2)
         assert -1 not in c
         assert 4 not in c

@@ -42,12 +42,9 @@ class AdjustmentCollection:
     @classmethod
     def from_masks(cls, p: int, masks: Iterable) -> "AdjustmentCollection":
         """The collection of the given integer masks or SubsetIds; ValueError
-        for a mask outside 0..2^p-1.  An integer ndarray is indexed as is."""
+        for a mask outside 0..2^p-1."""
         check_dimension(p)
-        if isinstance(masks, np.ndarray) and np.issubdtype(masks.dtype, np.integer):
-            arr = masks.ravel()
-        else:
-            arr = np.fromiter(map(as_mask, masks), dtype=np.int64)
+        arr = np.fromiter(map(as_mask, masks), dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
             raise ValueError("mask outside the universe")
         member = np.zeros(1 << p, dtype=bool)

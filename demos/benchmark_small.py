@@ -7,26 +7,18 @@ from adjustkit.sim_bench import run_benchmark
 
 def main():
     warnings.simplefilter("ignore")
-    res = run_benchmark(
+    grid = dict(
         model_ids=(1, 4),
         n_values=(400, 800),
         variants=("mn", "gc"),
         reps=25,
         seed=0,
-        threads=4,
         arms=(0,),
     )
+    res = run_benchmark(**grid)
     print(res.render())
-    again = run_benchmark(
-        model_ids=(1, 4),
-        n_values=(400, 800),
-        variants=("mn", "gc"),
-        reps=25,
-        seed=0,
-        threads=2,
-        arms=(0,),
-    )
-    print(f"rerun with different thread count identical: {res.to_csv() == again.to_csv()}")
+    again = run_benchmark(**grid)
+    print(f"rerun with the same seed identical: {res.to_csv() == again.to_csv()}")
 
 
 if __name__ == "__main__":

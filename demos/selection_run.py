@@ -10,7 +10,7 @@ from adjustkit.sim_bench import ModelSpec, compute_metrics, generate_model
 
 
 def run_arm(gm, variant, method_t="sir"):
-    cfg = CriterionConfig(method_t=method_t, h=5, threads=4)
+    cfg = CriterionConfig(method_t=method_t, h=5)
     table = criterion_table(gm.dataset, 0, variant, cfg)
     result = select(table)
     print(f"  scree head: {np.round(result.sorted_values[:4], 4)}")

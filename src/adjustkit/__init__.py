@@ -6,182 +6,9 @@ sufficient adjustment set for the arm-t potential outcome; a ridge-ratio
 threshold then separates the near-zero tail.  Structural summaries
 (locally minimal sets, collider indices) and a matching ATE estimator
 operate on the selected collection.
+
+Names are imported from the submodules, for example
+``from adjustkit.criterion import criterion_table``.
 """
 
-from .copula import CopulaTransform, fit_copula, normal_scores, pool_transforms, transform_dataset
-from .criterion import (
-    CriterionConfig,
-    CriterionTable,
-    criterion_table,
-    f_value,
-    population_f,
-    schur_complement,
-)
-from .dag_oracle import (
-    Dag,
-    PopulationSpec,
-    d_separated,
-    linear_sem_population,
-    markov_boundary,
-    random_design,
-    reference_graphs,
-    true_collection,
-)
-from .data_model import (
-    Dataset,
-    GroupView,
-    SubsetId,
-    enumerate_masks,
-    enumerate_subsets,
-    load_csv,
-    save_csv,
-    split_by_treatment,
-)
-from .errors import (
-    AdjustKitError,
-    ContradictoryHints,
-    CyclicGraph,
-    DegenerateData,
-    DegeneratePooling,
-    DegenerateResponse,
-    DimensionTooLarge,
-    EmptyGroup,
-    InvalidMechanism,
-    SchemaError,
-    SingularBlock,
-    SingularCovariance,
-    SliceTooSmall,
-    TooFewObservations,
-    UnknownModel,
-)
-from .inverse_regression import (
-    CandidateMatrix,
-    GroupMoments,
-    SliceAssignment,
-    group_moments,
-    outcome_candidate,
-    save_matrix,
-    sir_matrix,
-    slice_response,
-    treatment_candidate,
-)
-from .selection import (
-    SelectionResult,
-    SelectorConfig,
-    default_cn,
-    ridge_ratios,
-    select,
-    select_tail,
-    sort_table,
-)
-from .set_analysis import (
-    AdjustmentCollection,
-    StructureReport,
-    collider_blocks,
-    collider_indices,
-    estimate_ate,
-    locally_minimal,
-    minimal_intersection,
-    noncollider_indices,
-    prune_hints,
-    refined_collider_indices,
-    structure_report,
-    unique_minimal,
-    upward_closed_members,
-    upward_closure,
-)
-from .sim_bench import (
-    BenchmarkResult,
-    GeneratedModel,
-    MetricsRecord,
-    ModelSpec,
-    compute_metrics,
-    generate_model,
-    model_graph,
-    run_benchmark,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjustKitError",
-    "AdjustmentCollection",
-    "BenchmarkResult",
-    "CandidateMatrix",
-    "ContradictoryHints",
-    "CopulaTransform",
-    "CriterionConfig",
-    "CriterionTable",
-    "CyclicGraph",
-    "Dag",
-    "Dataset",
-    "DegenerateData",
-    "DegeneratePooling",
-    "DegenerateResponse",
-    "DimensionTooLarge",
-    "EmptyGroup",
-    "GeneratedModel",
-    "GroupMoments",
-    "GroupView",
-    "InvalidMechanism",
-    "MetricsRecord",
-    "ModelSpec",
-    "PopulationSpec",
-    "SchemaError",
-    "SelectionResult",
-    "SelectorConfig",
-    "SingularBlock",
-    "SingularCovariance",
-    "SliceAssignment",
-    "SliceTooSmall",
-    "StructureReport",
-    "SubsetId",
-    "TooFewObservations",
-    "UnknownModel",
-    "collider_blocks",
-    "collider_indices",
-    "compute_metrics",
-    "criterion_table",
-    "d_separated",
-    "default_cn",
-    "enumerate_masks",
-    "enumerate_subsets",
-    "estimate_ate",
-    "f_value",
-    "fit_copula",
-    "generate_model",
-    "group_moments",
-    "linear_sem_population",
-    "load_csv",
-    "locally_minimal",
-    "markov_boundary",
-    "minimal_intersection",
-    "model_graph",
-    "noncollider_indices",
-    "normal_scores",
-    "outcome_candidate",
-    "pool_transforms",
-    "population_f",
-    "prune_hints",
-    "random_design",
-    "reference_graphs",
-    "refined_collider_indices",
-    "ridge_ratios",
-    "run_benchmark",
-    "save_csv",
-    "save_matrix",
-    "schur_complement",
-    "select",
-    "select_tail",
-    "sir_matrix",
-    "slice_response",
-    "sort_table",
-    "split_by_treatment",
-    "structure_report",
-    "transform_dataset",
-    "treatment_candidate",
-    "true_collection",
-    "unique_minimal",
-    "upward_closed_members",
-    "upward_closure",
-]

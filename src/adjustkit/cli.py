@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -25,17 +23,11 @@ from .dag_oracle import Dag, true_collection
 from .data_model import SubsetId, load_csv, mask_popcounts
 from .errors import (
     AdjustKitError,
-    ContradictoryHints,
-    CyclicGraph,
-    DimensionTooLarge,
     EmptyGroup,
-    InvalidMechanism,
-    SchemaError,
     SingularBlock,
     SingularCovariance,
     SliceTooSmall,
     TooFewObservations,
-    UnknownModel,
 )
 from .selection import SelectorConfig, default_cn, select
 from .set_analysis import estimate_ate, prune_hints, structure_report
@@ -45,16 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_USAGE_ERRORS = (
-    SchemaError,
-    CyclicGraph,
-    DimensionTooLarge,
-    UnknownModel,
-    ContradictoryHints,
-    InvalidMechanism,
-    FileNotFoundError,
-    ValueError,
-)
 _NUMERICAL_ERRORS = (
     SingularCovariance,
     SingularBlock,
@@ -63,44 +45,16 @@ _NUMERICAL_ERRORS = (
     SliceTooSmall,
     np.linalg.LinAlgError,
 )
+# LinAlgError is a ValueError, so the numerical errors are caught first
+_USAGE_ERRORS = (AdjustKitError, FileNotFoundError, ValueError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle for one CLI invocation."""
-
-    command: str
-    input_path: str | None = None
-    dag_path: str | None = None
-    variant: str = "mn"
-    method_y: str = "sir"
-    method_t: str = "sir"
-    h: int = 5
-    c0: float = 0.6
-    cn: float | None = None
-    arm: str = "both"
-    seed: int = 0
-    output: str | None = None
-    hints_path: str | None = None
-    threads: int = 1
-    models: tuple[int, ...] = ()
-    n_values: tuple[int, ...] = ()
-    variants: tuple[str, ...] = ()
-    reps: int = 1
-    a0: str = ""
-    a1: str = ""
-
-    def arms(self) -> tuple[int, ...]:
-        return (0, 1) if self.arm == "both" else (int(self.arm),)
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is None:
-        env = os.environ.get("ADJUSTKIT_THREADS", "")
-        flag_value = int(env) if env.strip() else 1
-    if flag_value < 1:
-        raise ValueError("--threads must be a positive integer")
-    return flag_value
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _parse_index_list(text: str, p: int, what: str) -> int:
@@ -237,21 +191,17 @@ def _write_json_list(fh, items: Iterator[str]) -> None:
     fh.write("\n  ]")
 
 
-def cmd_select(cfg: RunConfig) -> int:
-    d = load_csv(cfg.input_path)
-    outdir = Path(cfg.output or ".")
+def cmd_select(args: argparse.Namespace) -> int:
+    d = load_csv(args.input)
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    masks = _load_hint_masks(cfg.hints_path, d.p) if cfg.hints_path else None
+    masks = _load_hint_masks(args.hints, d.p) if args.hints else None
     crit_cfg = CriterionConfig(
-        method_y=cfg.method_y,
-        method_t=cfg.method_t,
-        h=cfg.h,
-        threads=cfg.threads,
-        masks=masks,
+        method_y=args.method_y, method_t=args.method_t, h=args.slices, masks=masks
     )
-    sel_cfg = SelectorConfig(c0=cfg.c0, cn=cfg.cn if cfg.cn is not None else default_cn(d.n))
-    for t in cfg.arms():
-        table = criterion_table(d, t, variant=cfg.variant, config=crit_cfg)
+    sel_cfg = SelectorConfig(c0=args.c0, cn=args.cn if args.cn is not None else default_cn(d.n))
+    for t in (0, 1) if args.arm == "both" else (int(args.arm),):
+        table = criterion_table(d, t, variant=args.variant, config=crit_cfg)
         if not np.isfinite(table.values).any():
             raise SingularCovariance(f"arm {t}: every conditioning block is singular")
         result = select(table, sel_cfg)
@@ -259,10 +209,10 @@ def cmd_select(cfg: RunConfig) -> int:
             "arm": t,
             "n": d.n,
             "p": d.p,
-            "variant": cfg.variant,
-            "method_y": cfg.method_y,
-            "method_t": cfg.method_t,
-            "h": cfg.h,
+            "variant": args.variant,
+            "method_y": args.method_y,
+            "method_t": args.method_t,
+            "h": args.slices,
             "c0": result.c0,
             "cn": result.cn,
             "subsets_evaluated": int(table.values.size),
@@ -277,8 +227,8 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    text = Path(cfg.dag_path).read_text(encoding="utf-8")
+def cmd_oracle(args: argparse.Namespace) -> int:
+    text = Path(args.dag).read_text(encoding="utf-8")
     g = Dag.from_text(text)
     coll = true_collection(g)
     rep = structure_report(coll)
@@ -292,32 +242,28 @@ def cmd_oracle(cfg: RunConfig) -> int:
     print(f"refined collider indices: {_fmt_subset(rep.refined_colliders)}")
     for flag in rep.flags:
         print(f"note: {flag}")
-    if cfg.output:
-        Path(cfg.output).write_text(json.dumps(rep.to_dict(), indent=2) + "\n", encoding="utf-8")
-        print(f"report -> {cfg.output}")
+    if args.output:
+        Path(args.output).write_text(json.dumps(rep.to_dict(), indent=2) + "\n", encoding="utf-8")
+        print(f"report -> {args.output}")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     result = run_benchmark(
-        model_ids=cfg.models,
-        n_values=cfg.n_values,
-        variants=cfg.variants,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        threads=cfg.threads,
+        model_ids=args.models, n_values=args.n, variants=args.variants,
+        reps=args.reps, seed=args.seed,
     )
-    if cfg.output:
-        Path(cfg.output).write_text(result.to_csv(), encoding="utf-8")
-        print(f"csv -> {cfg.output}")
+    if args.output:
+        Path(args.output).write_text(result.to_csv(), encoding="utf-8")
+        print(f"csv -> {args.output}")
     print(result.render())
     return EXIT_OK
 
 
-def cmd_ate(cfg: RunConfig) -> int:
-    d = load_csv(cfg.input_path)
-    m0 = _parse_index_list(cfg.a0, d.p, "--a0")
-    m1 = _parse_index_list(cfg.a1, d.p, "--a1")
+def cmd_ate(args: argparse.Namespace) -> int:
+    d = load_csv(args.input)
+    m0 = _parse_index_list(args.a0, d.p, "--a0")
+    m1 = _parse_index_list(args.a1, d.p, "--a1")
     value = estimate_ate(d, m0, m1)
     print(
         f"matching ATE with a0={_fmt_subset(SubsetId(m0, d.p))}, "
@@ -344,20 +290,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--arm", choices=("0", "1", "both"), default="both")
     sel.add_argument("--output", default=".", metavar="DIR")
     sel.add_argument("--hints", default=None, metavar="FILE", help="JSON pruning hints")
-    sel.add_argument("--threads", type=int, default=None, help="accepted; no effect (runs on one thread)")
+    sel.add_argument("--threads", type=int, default=1, help="accepted and ignored (runs on one thread)")
 
     orc = sub.add_parser("oracle", help="exact collection of a DAG edge list")
     orc.add_argument("--dag", required=True, metavar="FILE", help="edge list, one 'A -> B' per line")
     orc.add_argument("--output", default=None, metavar="FILE", help="also write the JSON report")
 
     sim = sub.add_parser("simulate", help="rerun the benchmark grid")
-    sim.add_argument("--models", default="1", help="comma-separated ids in 1..5")
-    sim.add_argument("--n", default="400", help="comma-separated sample sizes")
-    sim.add_argument("--variants", default="mn", help="comma-separated from {mn,gc}")
+    sim.add_argument("--models", type=_int_list, default="1", help="comma-separated ids in 1..5")
+    sim.add_argument("--n", type=_int_list, default="400", help="comma-separated sample sizes")
+    sim.add_argument("--variants", type=_name_list, default="mn", help="comma-separated from {mn,gc}")
     sim.add_argument("--reps", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--output", default=None, metavar="FILE")
-    sim.add_argument("--threads", type=int, default=None, help="accepted; no effect (runs on one thread)")
 
     ate = sub.add_parser("ate", help="matching ATE for a pair of adjustment sets")
     ate.add_argument("--input", required=True, help="CSV with columns T, Y, X1..Xp")
@@ -366,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject flag values that parse but that the command cannot use."""
     if args.command == "select":
         if args.slices < 2:
             raise ValueError("--slices must be at least 2")
@@ -374,44 +320,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("--c0 must lie in (0, 1)")
         if args.cn is not None and args.cn <= 0:
             raise ValueError("--cn must be positive")
-        return RunConfig(
-            command="select",
-            input_path=args.input,
-            variant=args.variant,
-            method_y=args.method_y,
-            method_t=args.method_t,
-            h=args.slices,
-            c0=args.c0,
-            cn=args.cn,
-            arm=args.arm,
-            output=args.output,
-            hints_path=args.hints,
-            threads=_resolve_threads(args.threads),
-        )
-    if args.command == "oracle":
-        return RunConfig(command="oracle", dag_path=args.dag, output=args.output)
-    if args.command == "simulate":
-        models = tuple(int(tok) for tok in args.models.split(",") if tok.strip())
-        n_values = tuple(int(tok) for tok in args.n.split(",") if tok.strip())
-        variants = tuple(tok.strip() for tok in args.variants.split(",") if tok.strip())
+        if args.threads < 1:
+            raise ValueError("--threads must be a positive integer")
+    elif args.command == "simulate":
         if args.reps < 1:
             raise ValueError("--reps must be at least 1")
-        if not models or not n_values or not variants:
+        if not args.models or not args.n or not args.variants:
             raise ValueError("--models, --n, and --variants must be nonempty")
-        for v in variants:
+        for v in args.variants:
             if v not in ("mn", "gc"):
                 raise ValueError(f"unknown variant {v!r}")
-        return RunConfig(
-            command="simulate",
-            models=models,
-            n_values=n_values,
-            variants=variants,
-            reps=args.reps,
-            seed=args.seed,
-            output=args.output,
-            threads=_resolve_threads(args.threads),
-        )
-    return RunConfig(command="ate", input_path=args.input, a0=args.a0, a1=args.a1)
 
 
 _COMMANDS = {
@@ -426,15 +344,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check_flags(args)
+        return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"adjustkit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _USAGE_ERRORS as exc:
-        print(f"adjustkit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AdjustKitError as exc:
         print(f"adjustkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -59,11 +59,6 @@ class CriterionConfig:
         "sir" or "save" for the treatment candidate matrix.
     h : int
         Requested outcome slice count.
-    threads : int
-        Upper bound on worker threads.  The pivot-tree sweep runs on the
-        calling thread whatever the bound (its steps are short numpy calls,
-        and a second worker was slower on a 2-core host), so every value is
-        bit-identical for any thread count.
     masks : ndarray or None
         Optional pruned universe: strictly ascending integer masks inside
         0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
@@ -72,7 +67,6 @@ class CriterionConfig:
     method_y: str = "sir"
     method_t: str = "sir"
     h: int = 5
-    threads: int = 1
     masks: np.ndarray | None = None
 
 

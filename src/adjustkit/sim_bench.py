@@ -353,9 +353,7 @@ def run_benchmark(
         Replications per cell; each rep derives its generator from
         (seed, model, n, rep), so cells are reproducible independently.
     threads : int
-        Accepted for compatibility and has no effect: replications run on
-        the calling thread (a second worker was slower on a 2-core host),
-        so the averaged table is bit-identical for any thread count.
+        Accepted and ignored: replications run on the calling thread.
 
     Returns
     -------

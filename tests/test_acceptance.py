@@ -219,7 +219,7 @@ def test_criterion_05_cardinalities_and_selected_tail():
             seed = np.random.SeedSequence((0, 2, 800, rep))
             gm = generate_model(ModelSpec(2, 800, seed=seed))
             tab = criterion_table(
-                gm.dataset, 0, "mn", CriterionConfig(h=5, threads=THREADS)
+                gm.dataset, 0, "mn", CriterionConfig(h=5)
             )
             hits += len(select(tab).selected) == 448
     rate = hits / 200
@@ -238,7 +238,7 @@ def test_criterion_06_rate_of_convergence():
                 seed = np.random.SeedSequence((0, 1, n, rep))
                 gm = generate_model(ModelSpec(1, n, seed=seed))
                 tab = criterion_table(
-                    gm.dataset, 0, "mn", CriterionConfig(h=5, threads=THREADS)
+                    gm.dataset, 0, "mn", CriterionConfig(h=5)
                 )
                 per_rep.append(np.median(tab.values[truth_members]))
             means[n] = float(np.mean(per_rep))
@@ -313,7 +313,7 @@ def test_criterion_10_p20_table_feasibility():
         )
         start = time.perf_counter()
         tab = criterion_table(
-            gm.dataset, 0, "mn", CriterionConfig(h=5, threads=THREADS)
+            gm.dataset, 0, "mn", CriterionConfig(h=5)
         )
         elapsed = time.perf_counter() - start
     assert len(tab) == 1 << 20

@@ -124,16 +124,29 @@ class TestSelect:
         assert rc == 2
         assert not out.exists() or not any(out.iterdir())
 
-    def test_env_threads_equal_serial(self, tmp_path, monkeypatch):
+    def test_threads_flag_changes_no_byte(self, tmp_path):
         path = _model_csv(tmp_path, 2)
-        out1, out2 = tmp_path / "serial", tmp_path / "pooled"
+        out1, out2 = tmp_path / "plain", tmp_path / "threads"
         assert main(["select", "--input", str(path), "--output", str(out1),
-                     "--arm", "0", "--threads", "1"]) == 0
-        monkeypatch.setenv("ADJUSTKIT_THREADS", "4")
-        assert main(["select", "--input", str(path), "--output", str(out2),
                      "--arm", "0"]) == 0
-        assert (out1 / "criterion_arm0.csv").read_bytes() == \
-            (out2 / "criterion_arm0.csv").read_bytes()
+        assert main(["select", "--input", str(path), "--output", str(out2),
+                     "--arm", "0", "--threads", "2"]) == 0
+        for name in ("selection_arm0.json", "criterion_arm0.csv", "scree_arm0.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("case", ["constant_covariate", "one_treated_row"])
+    def test_numerical_failure_exits_3(self, tmp_path, case, capsys):
+        rng = np.random.default_rng(8)
+        x, t = rng.normal(size=(200, 4)), np.tile([0, 1], 100)
+        if case == "constant_covariate":
+            x[:, 2] = 1.0  # SingularCovariance
+        else:
+            t = np.zeros(200, dtype=np.int8)
+            t[0] = 1  # TooFewObservations
+        path = tmp_path / "data.csv"
+        save_csv(Dataset(x=x, t=t, y=rng.normal(size=200)), path)
+        assert main(["select", "--input", str(path), "--output", str(tmp_path / "run")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def _reference_files(header, result):

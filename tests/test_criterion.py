@@ -241,15 +241,6 @@ class TestCriterionTable:
         finite = table.values[np.isfinite(table.values)]
         assert np.all(finite >= 0.0)
 
-    def test_thread_count_is_invisible(self):
-        d = self._dataset(n=200, p=14)  # the walk splits into 4096-subset batches
-        tables = [
-            criterion_table(d, t=0, config=CriterionConfig(threads=k)) for k in (1, 2, 4)
-        ]
-        for other in tables[1:]:
-            assert np.array_equal(tables[0].values, other.values)
-            assert np.array_equal(tables[0].masks, other.masks)
-
     def test_rescaled_covariates_leave_table(self):
         # an absolute eigenvalue floor used to reject sigma * 1e-10 as singular
         d = self._dataset()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjustkit.criterion import CriterionConfig, criterion_table
+from adjustkit.criterion import criterion_table
 from adjustkit.selection import (
     SelectorConfig,
     default_cn,
@@ -196,8 +196,7 @@ class TestSelectTail:
 @pytest.fixture(scope="module")
 def model2_table():
     gm = generate_model(ModelSpec(2, n=800, seed=0))
-    cfg = CriterionConfig(threads=4)
-    return gm, criterion_table(gm.dataset, 0, "mn", cfg)
+    return gm, criterion_table(gm.dataset, 0, "mn")
 
 
 class TestSelectPipeline:
@@ -217,14 +216,6 @@ class TestSelectPipeline:
         assert set(res.order.tolist()) == set(tab.masks.tolist())
         assert res.selected.masks == set(res.order[res.tau:].tolist())
 
-    def test_thread_schedule_has_no_footprint(self, model2_table):
-        gm, tab1 = model2_table
-        tab8 = criterion_table(gm.dataset, 0, "mn", CriterionConfig(threads=8))
-        r1, r8 = select(tab1), select(tab8)
-        assert r1.tau == r8.tau
-        assert np.array_equal(r1.order, r8.order)
-        assert r1.selected.masks == r8.selected.masks
-
     def test_true_collection_fills_the_tail(self, model2_table):
         # the oracle members should own the bottom of the scree
         gm, tab = model2_table
@@ -236,6 +227,6 @@ class TestSelectPipeline:
         hits = 0
         for seed in range(11):
             gm = generate_model(ModelSpec(2, n=800, seed=seed))
-            tab = criterion_table(gm.dataset, 0, "mn", CriterionConfig(threads=8))
+            tab = criterion_table(gm.dataset, 0, "mn")
             hits += select(tab).selected.masks == gm.truth.masks
         assert hits >= 6

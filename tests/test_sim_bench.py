@@ -173,12 +173,6 @@ class TestRunBenchmark:
         with pytest.raises(UnknownModel):
             run_benchmark(model_ids=(9,), reps=1)
 
-    def test_thread_count_leaves_no_trace(self):
-        kw = dict(model_ids=(1,), n_values=(400,), variants=("mn",), reps=6, seed=0)
-        serial = run_benchmark(threads=1, **kw)
-        pooled = run_benchmark(threads=4, **kw)
-        assert serial.to_csv() == pooled.to_csv()
-
     def test_repeat_run_is_bit_identical(self):
         kw = dict(
             model_ids=(4,), n_values=(400,), variants=("gc",), reps=3, seed=2,

@@ -31,45 +31,43 @@ MIN_SURVIVORS = 10
 
 @dataclass(frozen=True)
 class CopulaTransform:
-    """Fitted per-coordinate score tables and pooling coefficients.
+    """Both arms' score functions at every observation, and the pooling.
 
     Attributes
     ----------
-    knots0, knots1 : tuple of ndarray
-        Sorted distinct values per coordinate, per arm.
-    scores0, scores1 : tuple of ndarray
-        Normal scores at the knots; nondecreasing in the value.
+    scores0, scores1 : ndarray of shape (n, p)
+        Each arm's normal-score step function evaluated at every
+        observation; nondecreasing in the value within a column.
     a, b : ndarray of shape (p,)
         Pooling coefficients mapping arm-1 scores onto the arm-0 scale.
     degenerate : ndarray of bool, shape (p,)
         True where pooling fell back to (1, 0).
-    q : float
-        Truncation threshold for the pooling fit.
     """
 
-    knots0: tuple
-    knots1: tuple
-    scores0: tuple
-    scores1: tuple
+    scores0: np.ndarray
+    scores1: np.ndarray
     a: np.ndarray
     b: np.ndarray
     degenerate: np.ndarray
-    q: float = TRUNCATION
 
 
-def _score_table(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and their midrank normal scores for one group."""
-    n_s = column.size
-    knots, counts = np.unique(column, return_counts=True)
-    below = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    midranks = below + (counts + 1) / 2.0
-    return knots, ndtri(midranks / (n_s + 1))
+def _arm_scores(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One arm's score function at every row of x, shape (n, p).
 
-
-def _lookup(knots: np.ndarray, scores: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Step-function evaluation: score of the largest knot <= value, clamped."""
-    idx = np.searchsorted(knots, values, side="right") - 1
-    return scores[np.clip(idx, 0, knots.size - 1)]
+    Each column of the arm is sorted once.  A value scores Phi^{-1} of the
+    midrank, over n_s + 1, of the largest arm value <= it (or of the minimum).
+    """
+    arm = np.sort(x[rows], axis=0)
+    n_s = arm.shape[0]
+    out = np.empty(x.shape)
+    for i in range(x.shape[1]):
+        col = arm[:, i]
+        below = np.searchsorted(col, col, "left")
+        counts = np.searchsorted(col, col, "right") - below
+        scores = ndtri((below + (counts + 1) / 2.0) / (n_s + 1))
+        idx = np.searchsorted(col, x[:, i], "right") - 1
+        out[:, i] = scores[np.maximum(idx, 0)]
+    return out
 
 
 def normal_scores(column, group: GroupView) -> np.ndarray:
@@ -89,11 +87,24 @@ def normal_scores(column, group: GroupView) -> np.ndarray:
         ordered as group.rows; ties share a score and all outputs are
         finite.
     """
-    col = np.asarray(column, dtype=np.float64).ravel()[group.rows]
-    if col.size < 2:
+    col = np.asarray(column, dtype=np.float64).ravel()
+    if group.rows.size < 2:
         raise ValueError(f"arm {group.arm} needs at least 2 rows")
-    knots, scores = _score_table(col)
-    return scores[np.searchsorted(knots, col)]
+    return _arm_scores(col[:, None], group.rows)[group.rows, 0]
+
+
+def _pool(s0: np.ndarray, s1: np.ndarray) -> tuple[float, float, str | None]:
+    """Truncated least-squares fit s0 ~ a * s1 + b; reason is set on fall-back."""
+    keep = (np.abs(s0) < TRUNCATION) & (np.abs(s1) < TRUNCATION)
+    if keep.sum() < MIN_SURVIVORS:
+        return 1.0, 0.0, f"only {int(keep.sum())} observations inside the truncation band"
+    u = s1[keep]
+    v = s0[keep]
+    var_u = np.var(u)
+    if var_u == 0.0:
+        return 1.0, 0.0, "pooling regressor has zero variance"
+    a = float(np.cov(u, v, ddof=0)[0, 1] / var_u)
+    return a, float(v.mean() - a * u.mean()), None
 
 
 def pool_transforms(scores0, scores1, column, t) -> tuple[float, float]:
@@ -126,59 +137,25 @@ def pool_transforms(scores0, scores1, column, t) -> tuple[float, float]:
         raise ValueError("scores, column, and t must share a length")
     if not (np.any(tv == 0) and np.any(tv == 1)):
         raise ValueError("both treatment arms must be nonempty")
-    keep = (np.abs(s0) < TRUNCATION) & (np.abs(s1) < TRUNCATION)
-    if keep.sum() < MIN_SURVIVORS:
-        warnings.warn(
-            f"only {int(keep.sum())} observations inside the truncation band",
-            DegeneratePooling,
-        )
-        return 1.0, 0.0
-    u = s1[keep]
-    v = s0[keep]
-    var_u = np.var(u)
-    if var_u == 0.0:
-        warnings.warn("pooling regressor has zero variance", DegeneratePooling)
-        return 1.0, 0.0
-    a = float(np.cov(u, v, ddof=0)[0, 1] / var_u)
-    b = float(v.mean() - a * u.mean())
+    a, b, reason = _pool(s0, s1)
+    if reason:
+        warnings.warn(reason, DegeneratePooling)
     return a, b
 
 
 def fit_copula(d: Dataset) -> CopulaTransform:
-    """Fit score tables and pooling coefficients on every coordinate."""
+    """Score both arms at every observation and pool every coordinate.
+
+    Issues one DegeneratePooling warning per coordinate that falls back.
+    """
     g0, g1 = split_by_treatment(d)
-    p = d.p
-    knots0, knots1, sc0, sc1 = [], [], [], []
-    a = np.empty(p)
-    b = np.empty(p)
-    degen = np.zeros(p, dtype=bool)
-    for i in range(p):
-        col = d.x[:, i]
-        k0, s0 = _score_table(col[g0.rows])
-        k1, s1 = _score_table(col[g1.rows])
-        knots0.append(k0)
-        knots1.append(k1)
-        sc0.append(s0)
-        sc1.append(s1)
-        eval0 = _lookup(k0, s0, col)
-        eval1 = _lookup(k1, s1, col)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DegeneratePooling)
-            a[i], b[i] = pool_transforms(eval0, eval1, col, d.t)
-        if caught:
-            degen[i] = True
-            warnings.warn(
-                f"coordinate {i + 1}: {caught[0].message}", DegeneratePooling
-            )
-    return CopulaTransform(
-        knots0=tuple(knots0),
-        knots1=tuple(knots1),
-        scores0=tuple(sc0),
-        scores1=tuple(sc1),
-        a=a,
-        b=b,
-        degenerate=degen,
-    )
+    s0, s1 = _arm_scores(d.x, g0.rows), _arm_scores(d.x, g1.rows)
+    a, b, reasons = zip(*(_pool(s0[:, i], s1[:, i]) for i in range(d.p)))
+    for i, reason in enumerate(reasons):
+        if reason:
+            warnings.warn(f"coordinate {i + 1}: {reason}", DegeneratePooling)
+    degenerate = np.array([reason is not None for reason in reasons])
+    return CopulaTransform(s0, s1, np.array(a), np.array(b), degenerate)
 
 
 def transform_dataset(d: Dataset) -> Dataset:
@@ -201,12 +178,4 @@ def transform_dataset(d: Dataset) -> Dataset:
     the data only through within-arm ranks.
     """
     tf = fit_copula(d)
-    g0, g1 = split_by_treatment(d)
-    new_x = np.empty_like(d.x)
-    for i in range(d.p):
-        col = d.x[:, i]
-        new_x[g0.rows, i] = _lookup(tf.knots0[i], tf.scores0[i], col[g0.rows])
-        new_x[g1.rows, i] = (
-            tf.a[i] * _lookup(tf.knots1[i], tf.scores1[i], col[g1.rows]) + tf.b[i]
-        )
-    return d.with_x(new_x)
+    return d.with_x(np.where(d.t[:, None] == 0, tf.scores0, tf.a * tf.scores1 + tf.b))

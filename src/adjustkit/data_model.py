@@ -246,19 +246,16 @@ def load_csv(path) -> Dataset:
 
     The header row is required.  T must be 0/1 integers, Y real, and the
     covariate columns must be named X1..Xp in ascending order.  Missing
-    or non-finite values are rejected, not imputed.
+    or non-finite values are rejected, not imputed; blank rows are skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: header row required") from None
-        header = [h.strip() for h in header]
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise SchemaError("empty file: header row required")
+        header = [h.strip() for h in next(csv.reader([first]))]
         if "T" not in header or "Y" not in header:
             raise SchemaError("header must contain columns T and Y")
-        t_col = header.index("T")
-        y_col = header.index("Y")
+        t_col, y_col = header.index("T"), header.index("Y")
         x_cols = [i for i in range(len(header)) if i not in (t_col, y_col)]
         expected = [f"X{k}" for k in range(1, len(x_cols) + 1)]
         got = [header[i] for i in x_cols]
@@ -268,33 +265,36 @@ def load_csv(path) -> Dataset:
             )
         if not x_cols:
             raise SchemaError("no covariate columns found")
-        t_vals, y_vals, x_rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+        body, linenos = [], []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip(' \t\r\n",'):
                 continue
-            if len(row) != len(header):
+            if line.count(",") + 1 != len(header):
                 raise SchemaError(f"line {lineno}: expected {len(header)} fields")
-            try:
-                tv = float(row[t_col])
-                yv = float(row[y_col])
-                xv = [float(row[i]) for i in x_cols]
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
-            if tv not in (0.0, 1.0):
-                raise SchemaError(f"line {lineno}: T must be 0 or 1, got {row[t_col]}")
-            if not np.isfinite(yv) or not all(np.isfinite(v) for v in xv):
-                raise SchemaError(f"line {lineno}: non-finite value")
-            t_vals.append(int(tv))
-            y_vals.append(yv)
-            x_rows.append(xv)
-    if len(x_rows) < 2:
+            body.append(line)
+            linenos.append(lineno)
+    if len(body) < 2:
         raise SchemaError("need at least two data rows")
-    return Dataset(
-        x=np.array(x_rows, dtype=np.float64),
-        t=np.array(t_vals, dtype=np.int8),
-        y=np.array(y_vals, dtype=np.float64),
-        column_names=tuple(expected),
-    )
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:  # re-read by line only to name the bad line
+        for lineno, line in zip(linenos, body):
+            try:
+                list(map(float, next(csv.reader([line]))))
+            except ValueError as bad:
+                raise SchemaError(f"line {lineno}: {bad}") from None
+        raise SchemaError(str(exc)) from None
+    t = data[:, t_col]
+    bad_t = ~np.isin(t, (0.0, 1.0))
+    if bad_t.any():
+        i = bad_t.argmax()
+        raise SchemaError(f"line {linenos[i]}: T must be 0 or 1, got {t[i]:g}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"line {linenos[finite.argmin()]}: non-finite value")
+    x = np.ascontiguousarray(data[:, x_cols])
+    return Dataset(x=x, t=t.astype(np.int8), y=data[:, y_col].copy(),
+                   column_names=tuple(expected))
 
 
 def save_csv(d: Dataset, path) -> None:

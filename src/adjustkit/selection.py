@@ -43,7 +43,7 @@ class SelectorConfig:
         Leading ratio in (0, 1); the cutoff never moves past index 0
         unless some empirical ratio drops below it.
     cn : float
-        Positive ridge added to numerator and denominator.
+        Finite positive ridge added to numerator and denominator.
     """
 
     c0: float = 0.6
@@ -52,8 +52,8 @@ class SelectorConfig:
     def __post_init__(self):
         if not 0.0 < self.c0 < 1.0:
             raise ValueError("c0 must lie in (0, 1)")
-        if not self.cn > 0.0:
-            raise ValueError("cn must be positive")
+        if not (math.isfinite(self.cn) and self.cn > 0.0):
+            raise ValueError("cn must be finite and positive")
 
     @classmethod
     def for_sample(cls, n: int, c0: float = 0.6) -> "SelectorConfig":

@@ -85,7 +85,8 @@ class TestSelect:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--c0", "1.5"], ["--cn", "0"], ["--slices", "1"], ["--threads", "0"]]
+        "flags",
+        [["--c0", "1.5"], ["--cn", "0"], ["--slices", "1"], ["--threads", "0"], ["--cn", "inf"]],
     )
     def test_flag_validation(self, tmp_path, flags):
         path = _model_csv(tmp_path, 1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -132,12 +134,27 @@ class TestFitCopula:
         assert np.all(out.x[:, 1] == 0.0)
 
     def test_scores_nondecreasing_at_knots(self):
+        # every observation is a knot of both arms' step functions
         rng = np.random.default_rng(8)
         d = _dataset(rng.normal(size=(80, 3)))
         tf = fit_copula(d)
         for i in range(3):
-            assert np.all(np.diff(tf.scores0[i]) >= 0)
-            assert np.all(np.diff(tf.scores1[i]) >= 0)
+            order = np.argsort(d.x[:, i])
+            assert np.all(np.diff(tf.scores0[order, i]) >= 0)
+            assert np.all(np.diff(tf.scores1[order, i]) >= 0)
+
+    def test_one_warning_per_degenerate_coordinate(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(60, 4))
+        x[:, 1] = 4.0
+        x[:, 3] = -1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tf = fit_copula(_dataset(x))
+        got = [str(w.message) for w in caught if w.category is DegeneratePooling]
+        assert len(got) == tf.degenerate.sum() == 2
+        assert got[0].startswith("coordinate 2: ")
+        assert got[1].startswith("coordinate 4: ")
 
 
 class TestTransformDataset:
@@ -182,3 +199,67 @@ class TestTransformDataset:
         out = transform_dataset(d)
         expect = tf.a[0] * normal_scores(d.x[:, 0], g1) + tf.b[0]
         assert np.allclose(out.x[g1.rows, 0], expect)
+
+
+def _knot_table_reference(d):
+    """Transform, a, b and degenerate flags from per-column knot tables.
+
+    Each arm's column is reduced to its distinct values (knots) with
+    midrank normal scores; every value is then looked up as the score of
+    the largest knot <= it, clamped to the first knot.
+    """
+
+    def table(column):
+        knots, counts = np.unique(column, return_counts=True)
+        below = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        return knots, ndtri((below + (counts + 1) / 2.0) / (column.size + 1))
+
+    def lookup(knots, scores, values):
+        idx = np.searchsorted(knots, values, side="right") - 1
+        return scores[np.clip(idx, 0, knots.size - 1)]
+
+    g0, g1 = split_by_treatment(d)
+    x = np.empty_like(d.x)
+    a, b = np.ones(d.p), np.zeros(d.p)
+    degenerate = np.zeros(d.p, dtype=bool)
+    for i in range(d.p):
+        col = d.x[:, i]
+        k0, s0 = table(col[g0.rows])
+        k1, s1 = table(col[g1.rows])
+        e0, e1 = lookup(k0, s0, col), lookup(k1, s1, col)
+        keep = (np.abs(e0) < TRUNCATION) & (np.abs(e1) < TRUNCATION)
+        u, v = e1[keep], e0[keep]
+        if keep.sum() < 10 or np.var(u) == 0.0:
+            degenerate[i] = True
+        else:
+            a[i] = float(np.cov(u, v, ddof=0)[0, 1] / np.var(u))
+            b[i] = float(v.mean() - a[i] * u.mean())
+        x[g0.rows, i] = lookup(k0, s0, col[g0.rows])
+        x[g1.rows, i] = a[i] * lookup(k1, s1, col[g1.rows]) + b[i]
+    return x, a, b, degenerate
+
+
+def _reference_inputs():
+    for model_id in range(1, 6):
+        yield generate_model(ModelSpec(model_id, n=400, seed=model_id)).dataset
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(90, 3))
+    x[:, 0] = np.round(x[:, 0], 1)  # tied values within and across arms
+    x[:, 1] = 2.5  # constant column
+    yield _dataset(x)
+    t = np.zeros(30, dtype=int)
+    t[[4, 17]] = 1  # a 2-row treated arm
+    yield _dataset(rng.normal(size=(30, 3)), t=t)
+
+
+@pytest.mark.parametrize("d", list(_reference_inputs()))
+def test_matches_knot_table_reference(d):
+    x, a, b, degenerate = _knot_table_reference(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePooling)
+        tf = fit_copula(d)
+        out = transform_dataset(d).x
+    assert np.array_equal(out, x)
+    assert np.array_equal(tf.a, a)
+    assert np.array_equal(tf.b, b)
+    assert np.array_equal(tf.degenerate, degenerate)

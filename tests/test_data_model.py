@@ -199,3 +199,40 @@ class TestCsv:
         path.write_text(body)
         with pytest.raises(SchemaError):
             load_csv(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("T,Y,X1\n0,1,2\n   \n,,\n1,3,4\n\n")
+        d = load_csv(path)
+        assert d.n == 2
+        assert np.array_equal(d.x[:, 0], [2.0, 4.0])
+
+    def test_crlf_and_quoted_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'T,Y,X1\r\n0,"1.5",2\r\n1,3,"-4e-3"\r\n')
+        d = load_csv(path)
+        assert np.array_equal(d.y, [1.5, 3.0])
+        assert np.array_equal(d.x[:, 0], [2.0, -4e-3])
+
+    def test_hash_in_field_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("T,Y,X1\n0,1,2#3\n1,3,4\n")
+        with pytest.raises(SchemaError):
+            load_csv(path)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("T,Y,X1\n0,1,2\n\n1,3\n0,5,6\n")
+        with pytest.raises(SchemaError, match="line 4"):
+            load_csv(path)
+
+    def test_repr_roundtrip_bit_exact_p17(self, tmp_path):
+        rng = np.random.default_rng(17)
+        x = rng.standard_t(3, size=(300, 17)) * 10.0 ** rng.integers(-12, 12, size=(300, 17))
+        d = Dataset(x=x, t=rng.integers(0, 2, 300), y=rng.normal(size=300) * 1e-7)
+        path = tmp_path / "p17.csv"
+        save_csv(d, path)
+        back = load_csv(path)
+        assert back.x.tobytes() == d.x.tobytes()
+        assert back.y.tobytes() == d.y.tobytes()
+        assert np.array_equal(back.t, d.t)

@@ -53,7 +53,7 @@ class TestSelectorConfig:
         with pytest.raises(ValueError):
             SelectorConfig(c0=c0)
 
-    @pytest.mark.parametrize("cn", [0.0, -0.01])
+    @pytest.mark.parametrize("cn", [0.0, -0.01, math.inf, math.nan])
     def test_cn_positive(self, cn):
         with pytest.raises(ValueError):
             SelectorConfig(cn=cn)

@@ -46,7 +46,7 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
 )
 # LinAlgError is a ValueError, so the numerical errors are caught first
-_USAGE_ERRORS = (AdjustKitError, FileNotFoundError, ValueError)
+_USAGE_ERRORS = (AdjustKitError, OSError, ValueError)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -59,19 +59,11 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 def _parse_index_list(text: str, p: int, what: str) -> int:
     """Comma-separated 1-based indices to a mask; empty string is the empty set."""
-    text = text.strip()
-    if not text:
-        return 0
-    mask = 0
-    for tok in text.split(","):
-        try:
-            idx = int(tok)
-        except ValueError:
-            raise ValueError(f"{what}: {tok!r} is not an integer index") from None
-        if not 1 <= idx <= p:
-            raise ValueError(f"{what}: index {idx} outside 1..{p}")
-        mask |= 1 << (idx - 1)
-    return mask
+    try:
+        indices = [int(tok) for tok in text.split(",")] if text.strip() else []
+        return SubsetId.from_indices(p, indices).mask
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _load_hint_masks(path: str, p: int) -> np.ndarray:
@@ -84,13 +76,14 @@ def _load_hint_masks(path: str, p: int) -> np.ndarray:
         raise ValueError(f"unknown hint keys: {sorted(known)}")
 
     def as_mask(key: str) -> int:
-        mask = 0
-        for idx in doc.get(key, []):
-            # bool is an int subclass: JSON true would be read as index 1
-            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= p:
-                raise ValueError(f"{key}: index {idx!r} outside 1..{p}")
-            mask |= 1 << (idx - 1)
-        return mask
+        indices = doc.get(key, [])
+        # not isinstance: bool is an int subclass, so JSON true would be index 1
+        if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+            raise ValueError(f"{key}: expected a list of integer indices")
+        try:
+            return SubsetId.from_indices(p, indices).mask
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
     return prune_hints(
         p,
@@ -192,14 +185,16 @@ def _write_json_list(fh, items: Iterator[str]) -> None:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    # the configs and hints are checked before the first table, and the
+    # output directory is made only when an arm is ready to write, so a
+    # rejected run leaves nothing behind
     d = load_csv(args.input)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     masks = _load_hint_masks(args.hints, d.p) if args.hints else None
     crit_cfg = CriterionConfig(
         method_y=args.method_y, method_t=args.method_t, h=args.slices, masks=masks
     )
     sel_cfg = SelectorConfig(c0=args.c0, cn=args.cn if args.cn is not None else default_cn(d.n))
+    outdir = Path(args.output)
     for t in (0, 1) if args.arm == "both" else (int(args.arm),):
         table = criterion_table(d, t, variant=args.variant, config=crit_cfg)
         if not np.isfinite(table.values).any():
@@ -219,6 +214,7 @@ def cmd_select(args: argparse.Namespace) -> int:
             "singular_blocks": table.metadata.get("singular_blocks", 0),
             "tau": result.tau,
         }
+        outdir.mkdir(parents=True, exist_ok=True)
         json_path = _write_selection(outdir, header, result)
         print(
             f"arm {t}: {len(result.selected)} of {table.values.size} subsets selected "
@@ -312,19 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject flag values that parse but that the command cannot use."""
+    """Reject flag values that parse, that the command cannot use and that no
+    library function checks: `SelectorConfig`, `CriterionConfig` and
+    `run_benchmark` refuse the other values before they do any work."""
     if args.command == "select":
-        if args.slices < 2:
-            raise ValueError("--slices must be at least 2")
-        if not 0.0 < args.c0 < 1.0:
-            raise ValueError("--c0 must lie in (0, 1)")
-        if args.cn is not None and args.cn <= 0:
-            raise ValueError("--cn must be positive")
         if args.threads < 1:
             raise ValueError("--threads must be a positive integer")
     elif args.command == "simulate":
-        if args.reps < 1:
-            raise ValueError("--reps must be at least 1")
         if not args.models or not args.n or not args.variants:
             raise ValueError("--models, --n, and --variants must be nonempty")
         for v in args.variants:

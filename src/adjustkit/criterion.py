@@ -58,7 +58,8 @@ class CriterionConfig:
     method_t : str
         "sir" or "save" for the treatment candidate matrix.
     h : int
-        Requested outcome slice count.
+        Requested outcome slice count, at least 2; checked here, so that a
+        table is refused before any work.
     masks : ndarray or None
         Optional pruned universe: strictly ascending integer masks inside
         0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
@@ -68,6 +69,10 @@ class CriterionConfig:
     method_t: str = "sir"
     h: int = 5
     masks: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.h < 2:
+            raise ValueError("h must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -287,10 +292,10 @@ def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
 
 
 def _lattice_values(
-    inv_sigmas: np.ndarray, my: np.ndarray, mt: np.ndarray, masks: np.ndarray | None = None
+    inv_sigmas: np.ndarray, my: np.ndarray, mt: np.ndarray, masks: np.ndarray
 ) -> np.ndarray:
-    """Criterion values of ``masks`` (ascending; default every mask
-    0..2^p-1), by one pivot tree.
+    """Criterion values of ``masks`` (strictly ascending, inside 0..2^p-1),
+    by one pivot tree.
 
     The term of an arm for complement C is minus the Y x T block left after
     pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  Indices
@@ -302,8 +307,9 @@ def _lattice_values(
     nodes as fit are finished to their leaves; above that depth a batch is
     halved when its next level would exceed STATE_CELLS.  No level then
     holds more than STATE_CELLS numbers (a single node's next level aside),
-    for any p and candidate width.  With ``masks`` given, nodes under which
-    no requested complement lies are dropped before they are pivoted.
+    for any p and candidate width.  When ``masks`` is not the whole lattice,
+    nodes under which no requested complement lies are dropped before they
+    are pivoted.
     A pivot d on index i with d <= MIN_EIGENVALUE * Sigma^{-1}[i, i] (a
     scale-free ratio) marks every subset below it singular: NaN in the
     tree, +inf in the result.
@@ -315,8 +321,8 @@ def _lattice_values(
     aug[:, h_y:, :h_t, 0] = mt
     aug[:, h_y:, h_t:, 0] = inv_sigmas
     floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
-    comps = None if masks is None else ((1 << p) - 1 - masks[::-1].astype(np.int64))
-    out = np.empty(1 << p if masks is None else masks.size)
+    comps = None if masks.size == 1 << p else (1 << p) - 1 - masks[::-1].astype(np.int64)
+    out = np.empty(masks.size)
 
     def walk(aug: np.ndarray, ids, k: int) -> None:
         # ids: the batch's node numbers, a range on the full lattice; once
@@ -396,6 +402,8 @@ def criterion_table(
     ------
     ValueError
         For an unknown variant or a malformed ``config.masks``.
+    DimensionTooLarge
+        Without ``config.masks``, for p > 24, before any work.
     SingularCovariance
         If an arm covariance fails `check_covariance`.
     """
@@ -405,7 +413,8 @@ def criterion_table(
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
     p = d.p
-    masks = None if cfg.masks is None else _checked_masks(cfg.masks, p)
+    # the universe first: the dimension cap must stop a run before the sweep
+    masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
     if variant == "gaussian-copula":
         d = transform_dataset(d)
     g0, g1 = group_moments(d)
@@ -415,8 +424,6 @@ def criterion_table(
     m_t = treatment_candidate(d, cfg.method_t)
     inv_sigmas = np.stack([np.linalg.inv(gm.sigma) for gm in (g0, g1)])
     values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), masks)
-    if masks is None:
-        masks = enumerate_masks(p)
     singular = int(np.isinf(values).sum())
 
     meta = {

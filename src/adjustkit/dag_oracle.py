@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .data_model import SubsetId, as_mask, check_dimension, enumerate_masks
-from .errors import CyclicGraph, DimensionTooLarge, InvalidMechanism
+from .errors import CyclicGraph, InvalidMechanism
 from .set_analysis import AdjustmentCollection
 
 __all__ = [
@@ -65,17 +65,8 @@ def _node_label(i: int) -> str:
 
 def _z_mask(z, p: int) -> int:
     if isinstance(z, (SubsetId, int, np.integer)):
-        mask = as_mask(z)
-    else:
-        mask = 0
-        for k in z:
-            kk = int(k)
-            if not 1 <= kk <= p:
-                raise ValueError(f"conditioning index {kk} outside 1..{p}")
-            mask |= 1 << (kk - 1)
-    if mask >> p:
-        raise ValueError("conditioning mask exceeds dimension")
-    return mask
+        return SubsetId(as_mask(z), p).mask
+    return SubsetId.from_indices(p, [int(k) for k in z]).mask
 
 
 class Dag:
@@ -328,15 +319,9 @@ def true_collection(g: Dag) -> AdjustmentCollection:
     Returns
     -------
     AdjustmentCollection
-        Membership over all 2**p subsets.
-
-    Raises
-    ------
-    DimensionTooLarge
-        If p > 20.
+        Membership over all 2**p subsets; `Dag` caps p at 24 when it is
+        built, so this raises nothing.
     """
-    if g.p > 20:
-        raise DimensionTooLarge(f"exhaustive enumeration capped at p=20, got {g.p}")
     masks = enumerate_masks(g.p)
     reach = _reachable(g, _Y, masks)[_T]
     bits = np.frombuffer(reach.to_bytes((masks.size + 7) // 8, "little"), dtype=np.uint8)
@@ -361,12 +346,10 @@ def markov_boundary(g: Dag, node) -> SubsetId:
 
     Raises
     ------
-    DimensionTooLarge
-        If p > 20.
+    ValueError
+        If `node` is not a node of g.
     """
     p = g.p
-    if p > 20:
-        raise DimensionTooLarge(f"boundary search capped at p=20, got {p}")
     ni = _node_id(node, p)
     own = ni - 1 if ni >= 2 else None
     universe = [k for k in range(1, p + 1) if k != own]

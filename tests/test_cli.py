@@ -77,8 +77,10 @@ class TestSelect:
         )
         path = tmp_path / "wide.csv"
         save_csv(d, path)
-        rc = main(["select", "--input", str(path), "--output", str(tmp_path)])
+        out = tmp_path / "run"
+        rc = main(["select", "--input", str(path), "--output", str(out)])
         assert rc == 2
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path):
         rc = main(["select", "--input", str(tmp_path / "absent.csv")])
@@ -90,8 +92,20 @@ class TestSelect:
     )
     def test_flag_validation(self, tmp_path, flags):
         path = _model_csv(tmp_path, 1)
-        rc = main(["select", "--input", str(path), *flags])
+        out = tmp_path / "new-dir"
+        rc = main(["select", "--input", str(path), "--output", str(out), *flags])
         assert rc == 2
+        assert not out.exists()
+
+    def test_slices_checked_before_the_covariance(self, tmp_path):
+        # a bad flag is reported as one (exit 2), not as the numerical failure
+        # (exit 3) that the data would have met further on
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(200, 4))
+        x[:, 2] = 1.0
+        path = tmp_path / "data.csv"
+        save_csv(Dataset(x=x, t=np.tile([0, 1], 100), y=rng.normal(size=200)), path)
+        assert main(["select", "--input", str(path), "--slices", "1"]) == 2
 
     def test_hints_restrict_the_universe(self, tmp_path):
         path = _model_csv(tmp_path, 1)
@@ -109,8 +123,10 @@ class TestSelect:
         path = _model_csv(tmp_path, 1)
         hints = tmp_path / "hints.json"
         hints.write_text(json.dumps({"known_forks": [3], "pure_colliders": [3]}))
-        rc = main(["select", "--input", str(path), "--hints", str(hints)])
+        out = tmp_path / "new-dir"
+        rc = main(["select", "--input", str(path), "--output", str(out), "--hints", str(hints)])
         assert rc == 2
+        assert not out.exists()
 
     def test_boolean_hint_index_rejected(self, tmp_path):
         # JSON true is a Python int; it used to be read as covariate 1
@@ -123,7 +139,14 @@ class TestSelect:
         out = tmp_path / "run"
         rc = main(["select", "--input", str(path), "--output", str(out), "--hints", str(hints)])
         assert rc == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [3, None, "12", [1.0], ["1"], [0], [6], [2, True]])
+    def test_malformed_hint_values_rejected(self, tmp_path, value):
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps({"pure_noncolliders": value}))
+        with pytest.raises(ValueError, match="pure_noncolliders"):
+            _load_hint_masks(str(hints), 5)
 
     def test_threads_flag_changes_no_byte(self, tmp_path):
         path = _model_csv(tmp_path, 2)
@@ -230,6 +253,20 @@ class TestOutputBytes:
             assert (tmp_path / name).read_bytes() == data, name
 
 
+@pytest.mark.parametrize("case", ["select --output file", "select --input dir", "oracle --dag dir"])
+def test_file_system_errors_exit_2(tmp_path, case, capsys):
+    command, flag, kind = case.split()
+    target = tmp_path / "target"
+    if kind == "file":
+        target.write_text("")
+        argv = ["--input", str(_model_csv(tmp_path, 1, n=200)), "--arm", "0"]
+    else:
+        target.mkdir()
+        argv = []
+    assert main([command, flag, str(target), *argv]) == 2
+    assert capsys.readouterr().err.startswith("adjustkit: ")
+
+
 class TestOracle:
     def test_unique_minimal_graph(self, tmp_path, capsys):
         dag = tmp_path / "dag.txt"
@@ -316,6 +353,16 @@ class TestAte:
     def test_non_integer_index(self, tmp_path):
         path, _ = self._effect_csv(tmp_path)
         assert main(["ate", "--input", str(path), "--a0", "x"]) == 2
+
+    @pytest.mark.parametrize("a1", ["0", "1,", "1.0", "1,,2"])
+    def test_malformed_index_list(self, tmp_path, a1):
+        path, _ = self._effect_csv(tmp_path)
+        assert main(["ate", "--input", str(path), "--a1", a1]) == 2
+
+    def test_spaced_index_list(self, tmp_path, capsys):
+        path, _ = self._effect_csv(tmp_path)
+        assert main(["ate", "--input", str(path), "--a0", " 3, 1 ", "--a1", " "]) == 0
+        assert "a0={1, 3}, a1={}" in capsys.readouterr().out
 
 
 class TestParser:

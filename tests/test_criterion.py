@@ -14,7 +14,7 @@ from adjustkit.criterion import (
 )
 from adjustkit.dag_oracle import linear_sem_population, reference_graphs, true_collection
 from adjustkit.data_model import Dataset, SubsetId
-from adjustkit.errors import SingularBlock, SingularCovariance
+from adjustkit.errors import DimensionTooLarge, SingularBlock, SingularCovariance
 from adjustkit.inverse_regression import (
     CandidateMatrix,
     group_moments,
@@ -23,6 +23,10 @@ from adjustkit.inverse_regression import (
 )
 from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
+
+
+def _every_mask(p):
+    return np.arange(1 << p, dtype=np.uint32)
 
 
 def _cand(m):
@@ -144,7 +148,7 @@ class TestPivotTree:
         mt = rng.normal(size=(p, w_t))
         sigmas = (_random_pd(rng, p), _random_pd(rng, p))
         inv = np.stack([np.linalg.inv(s) for s in sigmas])
-        got = _lattice_values(inv, _narrowed(my), _narrowed(mt))
+        got = _lattice_values(inv, _narrowed(my), _narrowed(mt), _every_mask(p))
         ref = np.array([_pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
         assert got[-1] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
@@ -159,7 +163,7 @@ class TestPivotTree:
         sigma[0, 1] = sigma[1, 0] = 1.0 - eps
         inv = np.stack([np.linalg.inv(sigma), np.eye(3)])
         m = np.random.default_rng(3).normal(size=(3, width))
-        got = _lattice_values(inv, m, m)
+        got = _lattice_values(inv, m, m, _every_mask(3))
         assert np.isinf(got[[0b000, 0b100]]).all()
         assert np.isfinite(np.delete(got, [0b000, 0b100])).all()
 
@@ -177,14 +181,14 @@ class TestPivotTree:
         # a smaller level budget splits the tree sooner, down to one node
         # per batch at cells=1; every value must stay bit-identical
         inv, my, mt = self._problem(9, widths)
-        full = _lattice_values(inv, my, mt)
+        full = _lattice_values(inv, my, mt, _every_mask(9))
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
-        assert np.array_equal(_lattice_values(inv, my, mt), full)
+        assert np.array_equal(_lattice_values(inv, my, mt, _every_mask(9)), full)
 
     @pytest.mark.parametrize("cells", [1, 700, 96 * 1024])
     def test_pruned_masks_equal_full_entries(self, monkeypatch, cells):
         inv, my, mt = self._problem(9, "sir")
-        full = _lattice_values(inv, my, mt)
+        full = _lattice_values(inv, my, mt, _every_mask(9))
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
         rng = np.random.default_rng(cells)
         for masks in (
@@ -299,6 +303,18 @@ class TestCriterionTable:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             criterion_table(self._dataset(), t=0, variant="bootstrap")
+
+    def test_dimension_cap_comes_before_the_sweep(self, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the 2^25-subset sweep was entered")
+
+        monkeypatch.setattr(criterion, "_lattice_values", sweep)
+        with pytest.raises(DimensionTooLarge):
+            criterion_table(self._dataset(p=25), t=0)
+
+    def test_slice_count_checked_by_config(self):
+        with pytest.raises(ValueError, match="h must be at least 2"):
+            CriterionConfig(h=1)
 
     def test_pruned_universe_consistent_with_full(self):
         d = self._dataset()

@@ -16,7 +16,9 @@ from adjustkit.dag_oracle import (
     true_collection,
 )
 from adjustkit.criterion import population_f
+from adjustkit.data_model import SubsetId
 from adjustkit.errors import CyclicGraph, DimensionTooLarge, InvalidMechanism
+from adjustkit.sim_bench import model_graph
 
 
 # Independent reference: literal path enumeration.  A path is blocked by Z
@@ -142,6 +144,11 @@ class TestDSeparation:
         g = reference_graphs()["triple_minimal"]
         assert d_separated(g, "Y", "T", 0b000001) == d_separated(g, "Y", "T", (1,))
 
+    @pytest.mark.parametrize("z", [(7,), (0,), 1 << 6, -1, SubsetId(1 << 6, 7)])
+    def test_z_outside_the_graph_rejected(self, z):
+        with pytest.raises(ValueError):
+            d_separated(reference_graphs()["triple_minimal"], "Y", "T", z)
+
     def test_agrees_with_path_enumeration_on_references(self):
         for g in reference_graphs().values():
             for mask in range(1 << g.p):
@@ -214,10 +221,22 @@ class TestTrueCollection:
         g = Dag(3)
         assert len(true_collection(g)) == 8
 
-    @pytest.mark.filterwarnings("ignore::adjustkit.errors.LargeDimension")
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
-            true_collection(Dag(21))
+            Dag(25)
+
+    @pytest.mark.filterwarnings("ignore::adjustkit.errors.LargeDimension")
+    def test_above_twenty_covariates(self):
+        # X7..X20 touch no edge, so the 92 of 128 settings of the other seven
+        # indices that separate Y from T each stand for 2^14 members
+        g = model_graph(3, 21)
+        coll = true_collection(g)
+        assert len(coll) == 736 << 11
+        rng = np.random.default_rng(21)
+        for mask in rng.integers(0, 1 << 21, size=40).tolist():
+            assert (mask in coll) == d_separated(g, "Y", "T", mask), mask
+        assert markov_boundary(g, "Y").indices == (1, 3, 6, 21)
+        assert markov_boundary(g, "T").indices == (2, 5)
 
     def test_matches_path_enumeration(self):
         for name in ("collider_child", "confounded_child", "deep_collider"):

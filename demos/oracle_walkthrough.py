@@ -1,8 +1,14 @@
-"""Walk a small graph from edges to its exact adjustment collection."""
+"""Walk a small graph from edges to its exact adjustment collection.
+
+Exits 1 when the population criterion's zero set differs from the oracle's
+collection.
+"""
+
+import sys
 
 import numpy as np
 
-from adjustkit.criterion import population_f
+from adjustkit.criterion import population_values
 from adjustkit.dag_oracle import Dag, linear_sem_population, true_collection
 from adjustkit.set_analysis import structure_report
 
@@ -31,16 +37,15 @@ def main():
     print(f"collider calls:  {set(rep.colliders.indices) or '{}'}")
 
     # the same collection falls out of the noise-free criterion: a linear
-    # SEM on g makes population_f vanish exactly on the members
+    # SEM on g makes the population criterion vanish exactly on the members
     spec = linear_sem_population(g)
-    values = np.array(
-        [population_f(spec.sigma0, spec.sigma1, spec.beta_y, spec.beta_t, m)
-         for m in range(1 << g.p)]
-    )
-    zero = {m for m in range(1 << g.p) if values[m] < 1e-10}
-    print(f"population criterion zero-set matches: {zero == coll.masks}")
+    values = population_values(spec)
+    zero = np.flatnonzero(values < 1e-10).tolist()
+    matches = zero == coll.sorted_masks()
+    print(f"population criterion zero-set matches: {matches}")
     print(f"smallest nonzero value: {values[values > 1e-10].min():.4f}")
+    return 0 if matches else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

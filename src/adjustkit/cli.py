@@ -24,7 +24,6 @@ from .data_model import SubsetId, load_csv, mask_popcounts
 from .errors import (
     AdjustKitError,
     EmptyGroup,
-    SingularBlock,
     SingularCovariance,
     SliceTooSmall,
     TooFewObservations,
@@ -39,7 +38,6 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     SingularCovariance,
-    SingularBlock,
     EmptyGroup,
     TooFewObservations,
     SliceTooSmall,
@@ -185,9 +183,9 @@ def _write_json_list(fh, items: Iterator[str]) -> None:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    # the configs and hints are checked before the first table, and the
-    # output directory is made only when an arm is ready to write, so a
-    # rejected run leaves nothing behind
+    # the configs, hints and output path are checked before the first table,
+    # and the output directory is made only when an arm is ready to write,
+    # so a rejected run leaves nothing behind
     d = load_csv(args.input)
     masks = _load_hint_masks(args.hints, d.p) if args.hints else None
     crit_cfg = CriterionConfig(
@@ -195,6 +193,10 @@ def cmd_select(args: argparse.Namespace) -> int:
     )
     sel_cfg = SelectorConfig(c0=args.c0, cn=args.cn if args.cn is not None else default_cn(d.n))
     outdir = Path(args.output)
+    # mkdir fails on a path that is, or lies under, an existing non-directory
+    existing = next(path for path in (outdir, *outdir.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--output: {existing} is not a directory")
     for t in (0, 1) if args.arm == "both" else (int(args.arm),):
         table = criterion_table(d, t, variant=args.variant, config=crit_cfg)
         if not np.isfinite(table.values).any():

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import transform_dataset
-from .data_model import Dataset, SubsetId, as_mask, enumerate_masks
-from .errors import SingularBlock
+from .data_model import Dataset, check_dimension, enumerate_masks
 from .inverse_regression import (
-    CandidateMatrix,
     check_covariance,
     group_moments,
     outcome_candidate,
@@ -28,10 +26,8 @@ from .inverse_regression import (
 __all__ = [
     "CriterionConfig",
     "CriterionTable",
-    "schur_complement",
-    "f_value",
-    "population_f",
     "criterion_table",
+    "population_values",
 ]
 
 MIN_EIGENVALUE = 1e-10
@@ -104,21 +100,12 @@ class CriterionTable:
     def __len__(self) -> int:
         return self.masks.size
 
-    def value(self, a) -> float:
-        mask = as_mask(a)
-        idx = np.searchsorted(self.masks, mask)
-        if idx >= self.masks.size or self.masks[idx] != mask:
-            raise KeyError(f"subset mask {mask} not in table")
-        return float(self.values[idx])
-
-    def items(self):
-        for mask, val in zip(self.masks, self.values):
-            yield SubsetId(int(mask), self.p), float(val)
-
 
 def _checked_masks(masks, p: int) -> np.ndarray:
-    """A caller-given universe as uint32; ValueError unless it is 1-D, integer,
-    strictly ascending (`CriterionTable.value` bisects it) and inside 0..2^p-1."""
+    """A caller-given universe as uint32; DimensionTooLarge for p > 24, and
+    ValueError unless it is 1-D, integer, strictly ascending (`_lattice_values`
+    bisects its complements) and inside 0..2^p-1."""
+    check_dimension(p)
     arr = np.asarray(masks)
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("masks must be a 1-D integer array")
@@ -127,102 +114,6 @@ def _checked_masks(masks, p: int) -> np.ndarray:
     if arr.size and (arr[0] < 0 or arr[-1] >= 1 << p):
         raise ValueError(f"masks must lie in 0..2^{p}-1")
     return arr.astype(np.uint32)
-
-
-def schur_complement(sigma: np.ndarray, a) -> np.ndarray:
-    """Conditional covariance of X_{-A} given X_A under normality.
-
-    Parameters
-    ----------
-    sigma : ndarray, shape (p, p)
-    a : SubsetId or int mask
-        Proper subset; the empty set returns sigma itself.
-
-    Returns
-    -------
-    ndarray
-        Sigma_{-A,-A} - Sigma_{-A,A} Sigma_{A,A}^{-1} Sigma_{A,-A}.
-
-    Raises
-    ------
-    SingularBlock
-        If the A-block has an eigenvalue at or below 1e-10.  This absolute
-        floor is the reference's own rule: unlike `criterion_table`'s pivot
-        ratio it depends on the units of X, so on data scaled far below
-        unit variance (Sigma entries near 1e-10) it rejects blocks that the
-        table evaluates.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    p = sigma.shape[0]
-    mask = as_mask(a)
-    if mask == 0:
-        return sigma
-    if mask == (1 << p) - 1:
-        raise ValueError("A must be a proper subset")
-    inside = [i for i in range(p) if mask >> i & 1]
-    outside = [i for i in range(p) if not mask >> i & 1]
-    saa = sigma[np.ix_(inside, inside)]
-    if np.linalg.eigvalsh(saa)[0] <= MIN_EIGENVALUE:
-        raise SingularBlock(f"block {inside} not invertible")
-    sca = sigma[np.ix_(outside, inside)]
-    scc = sigma[np.ix_(outside, outside)]
-    return scc - sca @ np.linalg.solve(saa, sca.T)
-
-
-def _pair_value(my: np.ndarray, mt: np.ndarray, sigmas, mask: int) -> float:
-    p = my.shape[0]
-    if mask == (1 << p) - 1:
-        return 0.0
-    outside = [i for i in range(p) if not mask >> i & 1]
-    total = 0.0
-    for sigma in sigmas:
-        cond = schur_complement(sigma, mask)
-        g = my[outside].T @ cond @ mt[outside]
-        total += float(np.linalg.svd(g, compute_uv=False)[0])
-    return total
-
-
-def f_value(
-    m_y: CandidateMatrix, m_t: CandidateMatrix, sigma0, sigma1, a
-) -> float:
-    """Criterion value for one subset from fitted candidate matrices.
-
-    Parameters
-    ----------
-    m_y, m_t : CandidateMatrix
-    sigma0, sigma1 : ndarray, shape (p, p)
-        Within-arm covariances.
-    a : SubsetId or int mask
-
-    Returns
-    -------
-    float
-        Sum over arms of the spectral norm of
-        M'_{Y,-A} SchurComplement(Sigma_s, A) M_{T,-A}; the full set
-        returns 0 by convention.
-    """
-    sigma0 = np.asarray(sigma0, dtype=np.float64)
-    sigma1 = np.asarray(sigma1, dtype=np.float64)
-    return _pair_value(m_y.m, m_t.m, (sigma0, sigma1), as_mask(a))
-
-
-def population_f(sigma0, sigma1, beta_y, beta_t, a) -> float:
-    """Noise-free criterion value from population directions.
-
-    Same sandwich as `f_value` with the central-subspace bases in place
-    of estimated candidate matrices; zero exactly on the sufficient
-    adjustment sets of any compatible linear-Gaussian design.
-    """
-    beta_y = np.atleast_2d(np.asarray(beta_y, dtype=np.float64))
-    beta_t = np.atleast_2d(np.asarray(beta_t, dtype=np.float64))
-    sigma0 = np.asarray(sigma0, dtype=np.float64)
-    if beta_y.shape[0] != sigma0.shape[0]:
-        beta_y = beta_y.T
-    if beta_t.shape[0] != sigma0.shape[0]:
-        beta_t = beta_t.T
-    return _pair_value(
-        beta_y, beta_t, (sigma0, np.asarray(sigma1, dtype=np.float64)), as_mask(a)
-    )
 
 
 def _narrowed(m: np.ndarray) -> np.ndarray:
@@ -374,6 +265,21 @@ def _lattice_values(
     return out
 
 
+def _sandwich(sigmas, candidates, masks: np.ndarray) -> np.ndarray:
+    """Criterion values of ``masks`` for the arm covariances ``sigmas`` (arm 0
+    first) and the outcome and treatment matrices that ``candidates()``
+    returns, by one pivot tree (`_lattice_values`).
+
+    Both covariances pass `check_covariance` before ``candidates`` is called,
+    so a singular arm is reported ahead of any error of the candidates.
+    """
+    for s, sigma in enumerate(sigmas):
+        check_covariance(sigma, f"arm {s} covariance")
+    m_y, m_t = candidates()
+    inv_sigmas = np.stack([np.linalg.inv(sigma) for sigma in sigmas])
+    return _lattice_values(inv_sigmas, _narrowed(m_y), _narrowed(m_t), masks)
+
+
 def criterion_table(
     d: Dataset, t: int, variant: str = "normality", config: CriterionConfig | None = None
 ) -> CriterionTable:
@@ -403,7 +309,7 @@ def criterion_table(
     ValueError
         For an unknown variant or a malformed ``config.masks``.
     DimensionTooLarge
-        Without ``config.masks``, for p > 24, before any work.
+        For p > 24, with or without ``config.masks``, before any work.
     SingularCovariance
         If an arm covariance fails `check_covariance`.
     """
@@ -418,12 +324,15 @@ def criterion_table(
     if variant == "gaussian-copula":
         d = transform_dataset(d)
     g0, g1 = group_moments(d)
-    for s, gm in ((0, g0), (1, g1)):
-        check_covariance(gm.sigma, f"arm {s} covariance")
-    m_y = outcome_candidate(d, t, cfg.method_y, cfg.h)
-    m_t = treatment_candidate(d, cfg.method_t)
-    inv_sigmas = np.stack([np.linalg.inv(gm.sigma) for gm in (g0, g1)])
-    values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), masks)
+    m_y = m_t = None
+
+    def candidates():
+        nonlocal m_y, m_t
+        m_y = outcome_candidate(d, t, cfg.method_y, cfg.h)
+        m_t = treatment_candidate(d, cfg.method_t)
+        return m_y.m, m_t.m
+
+    values = _sandwich((g0.sigma, g1.sigma), candidates, masks)
     singular = int(np.isinf(values).sum())
 
     meta = {
@@ -438,3 +347,12 @@ def criterion_table(
     return CriterionTable(
         p=p, masks=masks, values=values, t=t, variant=variant, metadata=meta
     )
+
+
+def population_values(spec) -> np.ndarray:
+    """Noise-free criterion value of every subset, entry m for mask m, from a
+    `PopulationSpec`: the table's sandwich and checks, with the bases
+    ``beta_y`` and ``beta_t`` as candidate matrices.  Zero exactly on the
+    sufficient adjustment sets of any compatible linear-Gaussian design."""
+    masks = enumerate_masks(spec.p)
+    return _sandwich((spec.sigma0, spec.sigma1), lambda: (spec.beta_y, spec.beta_t), masks)

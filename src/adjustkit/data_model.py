@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,18 +28,13 @@ WARN_SUBSET_DIM = 20
 
 
 def check_dimension(p: int) -> None:
-    """Validate a covariate count destined for exhaustive enumeration."""
+    """Validate a covariate count destined for exhaustive enumeration; only
+    `enumerate_masks`, which materializes the 2^p masks, warns."""
     if p < 1:
         raise ValueError(f"need at least one covariate, got p={p}")
     if p > MAX_SUBSET_DIM:
         raise DimensionTooLarge(
             f"p={p} would enumerate 2^{p} subsets; the cap is p={MAX_SUBSET_DIM}"
-        )
-    if p >= WARN_SUBSET_DIM:
-        warnings.warn(
-            f"enumerating 2^{p} subsets; expect heavy memory and runtime",
-            LargeDimension,
-            stacklevel=3,
         )
 
 
@@ -110,21 +105,16 @@ def as_mask(a) -> int:
     return a.mask if isinstance(a, SubsetId) else int(a)
 
 
-def enumerate_subsets(p: int) -> Iterator[SubsetId]:
-    """Yield every subset of {X_1..X_p} in ascending mask order.
-
-    Lazy: nothing is materialized, so p = 20 is iterable without holding
-    a million objects at once.  Raises ``DimensionTooLarge`` for p > 24
-    and warns from p = 20 upward.
-    """
-    check_dimension(p)
-    for mask in range(1 << p):
-        yield SubsetId(mask, p)
-
-
 def enumerate_masks(p: int) -> np.ndarray:
-    """Dense array of all 2^p masks, ascending. Internal fast path."""
+    """Dense array of all 2^p masks, ascending.  Raises ``DimensionTooLarge``
+    for p > 24 and warns ``LargeDimension`` from p = 20 upward."""
     check_dimension(p)
+    if p >= WARN_SUBSET_DIM:
+        warnings.warn(
+            f"enumerating 2^{p} subsets; expect heavy memory and runtime",
+            LargeDimension,
+            stacklevel=2,
+        )
     return np.arange(1 << p, dtype=np.uint32)
 
 
@@ -226,19 +216,11 @@ def subset_columns(m: np.ndarray, a) -> np.ndarray:
     """Columns of a matrix named by a subset, in ascending index order.
 
     ``a`` may be a SubsetId or a raw integer mask.  An empty subset yields
-    an (n, 0) slice.  Square matrices can be restricted on both axes by
-    calling this twice on the transpose; see ``principal_block``.
+    an (n, 0) slice.
     """
     mask = as_mask(a)
     cols = [i for i in range(m.shape[-1]) if mask >> i & 1]
     return m[..., cols]
-
-
-def principal_block(sigma: np.ndarray, a) -> np.ndarray:
-    """Principal submatrix sigma[A, A] for a subset A."""
-    mask = as_mask(a)
-    idx = [i for i in range(sigma.shape[0]) if mask >> i & 1]
-    return sigma[np.ix_(idx, idx)]
 
 
 def load_csv(path) -> Dataset:

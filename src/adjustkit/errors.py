@@ -21,10 +21,6 @@ class SingularCovariance(AdjustKitError):
     """A covariance matrix failed the minimum-eigenvalue guard."""
 
 
-class SingularBlock(AdjustKitError):
-    """A principal block required by a conditional covariance is singular."""
-
-
 class SliceTooSmall(AdjustKitError):
     """A response slice has fewer rows than the estimator requires."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import SubsetId, mask_popcounts
+from .data_model import mask_popcounts
 from .set_analysis import AdjustmentCollection
 
 __all__ = [
@@ -92,11 +92,6 @@ class SelectionResult:
     selected: AdjustmentCollection
     c0: float
     cn: float
-
-    def order_subsets(self):
-        """Iterate the sort order as SubsetId values."""
-        for mask in self.order:
-            yield SubsetId(int(mask), self.p)
 
 
 def sort_table(table) -> tuple[np.ndarray, np.ndarray]:

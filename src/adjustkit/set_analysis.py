@@ -98,7 +98,6 @@ def _halves(arr: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 def upward_closure(p: int, bases: Iterable) -> AdjustmentCollection:
     """All subsets containing at least one of the base sets."""
-    check_dimension(p)
     seeds = AdjustmentCollection.from_masks(p, bases).member_array
     return AdjustmentCollection(p, _subset_or_transform(seeds, p))
 
@@ -144,11 +143,6 @@ def _intersection_of(lm: tuple[SubsetId, ...], p: int) -> SubsetId | None:
 
 def _unique_of(lm: tuple[SubsetId, ...]) -> SubsetId | None:
     return lm[0] if len(lm) == 1 else None
-
-
-def minimal_intersection(c: AdjustmentCollection) -> SubsetId | None:
-    """Intersection of all locally minimal members; None when empty collection."""
-    return _intersection_of(locally_minimal(c), c.p)
 
 
 def unique_minimal(c: AdjustmentCollection) -> SubsetId | None:

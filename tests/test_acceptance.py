@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from adjustkit.cli import main as cli_main
-from adjustkit.criterion import CriterionConfig, criterion_table, population_f
+from adjustkit.criterion import CriterionConfig, criterion_table, population_values
 from adjustkit.dag_oracle import (
     linear_sem_population,
     random_design,
@@ -150,9 +150,10 @@ def test_criterion_02_population_zero_set_equivalence():
     min_excluded = np.inf
     for spec in designs:
         truth = {int(m) for m in true_collection(spec.provenance).sorted_masks()}
+        values = population_values(spec)
         zero = set()
         for m in range(1 << spec.p):
-            v = population_f(spec.sigma0, spec.sigma1, spec.beta_y, spec.beta_t, m)
+            v = values[m]
             if v < 1e-10:
                 zero.add(m)
             else:

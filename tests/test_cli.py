@@ -1,15 +1,21 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adjustkit
+from adjustkit import cli
 from adjustkit.cli import _load_hint_masks, _write_selection, main
 from adjustkit.criterion import CriterionConfig, criterion_table
 from adjustkit.data_model import Dataset, SubsetId, load_csv, save_csv
 from adjustkit.selection import SelectorConfig, default_cn, select, select_tail
-from adjustkit.sim_bench import ModelSpec, generate_model
+from adjustkit.sim_bench import ModelSpec, generate_model, model_graph
 
 UNIQUE_MIN_DAG = """\
 X1 -> T
@@ -267,7 +273,39 @@ def test_file_system_errors_exit_2(tmp_path, case, capsys):
     assert capsys.readouterr().err.startswith("adjustkit: ")
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_output_file_refused_before_the_sweep(tmp_path, monkeypatch, below, capsys):
+    def sweep(*args, **kwargs):
+        raise AssertionError("criterion_table was called")
+
+    monkeypatch.setattr(cli, "criterion_table", sweep)
+    data = _model_csv(tmp_path, 1, n=200)
+    target = tmp_path / "target"
+    target.write_text("")
+    out = target / below if below else target
+    assert main(["select", "--input", str(data), "--arm", "0", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("adjustkit: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "target"]
+    assert target.is_file()
+
+
 class TestOracle:
+    def test_large_dimension_warns_once(self, tmp_path):
+        # the warning comes from the one enumeration of 2^p masks, not also
+        # from building the graph
+        dag = tmp_path / "dag.txt"
+        dag.write_text("".join(f"{a} -> {b}\n" for a, b in model_graph(3, 21).edges()))
+        src = str(Path(adjustkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "adjustkit.cli", "oracle", "--dag", str(dag)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "p = 21," in run.stdout
+        assert sum("LargeDimension" in line for line in run.stderr.splitlines()) == 1
+
     def test_unique_minimal_graph(self, tmp_path, capsys):
         dag = tmp_path / "dag.txt"
         dag.write_text(UNIQUE_MIN_DAG)

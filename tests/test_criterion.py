@@ -6,32 +6,30 @@ from adjustkit.criterion import (
     CriterionConfig,
     _lattice_values,
     _narrowed,
-    _pair_value,
     criterion_table,
-    f_value,
-    population_f,
-    schur_complement,
+    population_values,
 )
-from adjustkit.dag_oracle import linear_sem_population, reference_graphs, true_collection
-from adjustkit.data_model import Dataset, SubsetId
-from adjustkit.errors import DimensionTooLarge, SingularBlock, SingularCovariance
-from adjustkit.inverse_regression import (
-    CandidateMatrix,
-    group_moments,
-    outcome_candidate,
-    treatment_candidate,
+from adjustkit.dag_oracle import (
+    PopulationSpec,
+    linear_sem_population,
+    reference_graphs,
+    true_collection,
 )
+from adjustkit.data_model import Dataset
+from adjustkit.errors import DimensionTooLarge, SingularCovariance
+from adjustkit.inverse_regression import group_moments, outcome_candidate, treatment_candidate
 from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
+from criterion_reference import SingularBlock, pair_value, schur_complement
 
 
 def _every_mask(p):
     return np.arange(1 << p, dtype=np.uint32)
 
 
-def _cand(m):
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    return CandidateMatrix(m=m, method="SIR", target="", h=m.shape[1])
+def _population(sigma, beta_y, beta_t):
+    """population_values with both arms' covariance ``sigma``."""
+    return population_values(PopulationSpec(sigma, sigma, beta_y, beta_t, None))
 
 
 CORR = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -40,6 +38,8 @@ E2 = np.array([[0.0], [1.0]])
 
 
 class TestSchurComplement:
+    """The test-side reference's own conditional covariance."""
+
     def test_identity_stays_identity(self):
         out = schur_complement(np.eye(3), 0b010)
         assert np.array_equal(out, np.eye(2))
@@ -73,62 +73,66 @@ class TestSchurComplement:
 
 
 class TestFValue:
+    """Hand values of the criterion, through the pivot tree."""
+
     def test_zero_outcome_matrix(self):
-        my = _cand(np.zeros((2, 1)))
-        for mask in (0b00, 0b01, 0b10, 0b11):
-            assert f_value(my, _cand(E2), np.eye(2), np.eye(2), mask) == 0.0
+        got = _population(np.eye(2), np.zeros((2, 1)), E2)
+        assert np.array_equal(got, np.zeros(4))
 
     def test_orthogonal_directions_identity_sigma(self):
-        for mask in (0b00, 0b01, 0b10):
-            got = f_value(_cand(E1), _cand(E2), np.eye(2), np.eye(2), mask)
-            assert got == pytest.approx(0.0, abs=1e-15)
+        got = _population(np.eye(2), E1, E2)
+        np.testing.assert_allclose(got[[0b00, 0b01, 0b10]], 0.0, rtol=0, atol=1e-15)
 
     def test_correlated_hand_values(self):
-        my = _cand(E1)
-        mt = _cand(E1)
-        assert f_value(my, mt, CORR, CORR, 0b00) == pytest.approx(2.0)
-        assert f_value(my, mt, CORR, CORR, 0b10) == pytest.approx(1.5)
-        assert f_value(my, mt, CORR, CORR, 0b01) == pytest.approx(0.0, abs=1e-15)
+        got = _population(CORR, E1, E1)
+        assert got[0b00] == pytest.approx(2.0)
+        assert got[0b10] == pytest.approx(1.5)
+        assert got[0b01] == pytest.approx(0.0, abs=1e-15)
 
     def test_full_set_zero_by_convention(self):
-        assert f_value(_cand(E1), _cand(E1), CORR, CORR, 0b11) == 0.0
+        assert _population(CORR, E1, E1)[0b11] == 0.0
 
     def test_singular_block_propagates(self):
+        # the reference's absolute floor; the tree's rule is scale-free
         sigma = np.diag([1e-12, 1.0])
         with pytest.raises(SingularBlock):
-            f_value(_cand(E1), _cand(E1), sigma, sigma, 0b01)
-
-    def test_accepts_subset_id(self):
-        a = SubsetId(0b10, 2)
-        got = f_value(_cand(E1), _cand(E1), CORR, CORR, a)
-        assert got == pytest.approx(1.5)
+            pair_value(E1, E1, (sigma, sigma), 0b01)
 
 
 class TestPopulationF:
     def test_orthogonal_betas_vanish_everywhere(self):
-        for mask in range(8):
-            got = population_f(
-                np.eye(3), np.eye(3), np.eye(3)[:, :1], np.eye(3)[:, 1:2], mask
-            )
-            assert got == pytest.approx(0.0, abs=1e-15)
+        got = _population(np.eye(3), np.eye(3)[:, :1], np.eye(3)[:, 1:2])
+        assert got.shape == (8,)
+        np.testing.assert_allclose(got, 0.0, rtol=0, atol=1e-15)
 
     def test_off_diagonal_picked_up(self):
-        assert population_f(CORR, CORR, E1, E2, 0b00) == pytest.approx(1.0)
-        assert population_f(CORR, CORR, E1, E2, 0b01) == pytest.approx(0.0, abs=1e-15)
-        assert population_f(CORR, CORR, E1, E2, 0b10) == pytest.approx(0.0, abs=1e-15)
+        got = _population(CORR, E1, E2)
+        assert got[0b00] == pytest.approx(1.0)
+        assert got[0b01] == pytest.approx(0.0, abs=1e-15)
+        assert got[0b10] == pytest.approx(0.0, abs=1e-15)
 
     def test_design_zero_set_matches_oracle(self):
         g = reference_graphs()["unique_minimal"]
         spec = linear_sem_population(g)
         members = set(true_collection(spec.provenance).sorted_masks())
-        for mask in range(1 << spec.p):
-            val = population_f(
-                spec.sigma0, spec.sigma1, spec.beta_y, spec.beta_t, mask
-            )
+        values = population_values(spec)
+        for mask, val in enumerate(values):
             if mask in members:
                 assert val < 1e-10, mask
             elif mask != (1 << spec.p) - 1:
                 assert val > 0.01, mask
+
+    def test_matches_reference(self):
+        g = reference_graphs()["unique_minimal"]
+        spec = linear_sem_population(g)
+        sigmas = (spec.sigma0, spec.sigma1)
+        ref = [pair_value(spec.beta_y, spec.beta_t, sigmas, m) for m in range(1 << spec.p)]
+        np.testing.assert_allclose(population_values(spec), ref, rtol=1e-12, atol=1e-14)
+
+    def test_singular_covariance_rejected(self):
+        sigma = np.ones((2, 2))
+        with pytest.raises(SingularCovariance):
+            _population(sigma, E1, E2)
 
 
 def _random_pd(rng, p):
@@ -149,7 +153,7 @@ class TestPivotTree:
         sigmas = (_random_pd(rng, p), _random_pd(rng, p))
         inv = np.stack([np.linalg.inv(s) for s in sigmas])
         got = _lattice_values(inv, _narrowed(my), _narrowed(mt), _every_mask(p))
-        ref = np.array([_pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
+        ref = np.array([pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
         assert got[-1] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
@@ -222,7 +226,7 @@ class TestPivotTree:
         got = _lattice_values(inv, my, mt, masks.astype(np.uint32))
         assert sum(pivoted) <= p * masks.size
         sigmas = [np.linalg.inv(s) for s in inv]
-        ref = [_pair_value(my, mt, sigmas, int(m)) for m in masks[::97]]
+        ref = [pair_value(my, mt, sigmas, int(m)) for m in masks[::97]]
         np.testing.assert_allclose(got[::97], ref, rtol=1e-12, atol=0)
 
 
@@ -241,7 +245,7 @@ class TestCriterionTable:
         assert len(table) == 1024
         assert table.p == 10
         full = (1 << 10) - 1
-        assert table.value(full) == 0.0
+        assert table.values[full] == 0.0
         finite = table.values[np.isfinite(table.values)]
         assert np.all(finite >= 0.0)
 
@@ -261,19 +265,18 @@ class TestCriterionTable:
             ds = d.with_x(d.x * factor)
             table = criterion_table(ds, t=0)
             g0, g1 = group_moments(ds)
-            m_y, m_t = outcome_candidate(ds, 0), treatment_candidate(ds)
-            assert f_value(m_y, m_t, g0.sigma, g1.sigma, 0) == pytest.approx(
-                table.value(0), rel=1e-9
-            )
+            m_y, m_t = outcome_candidate(ds, 0).m, treatment_candidate(ds).m
+            sigmas = (g0.sigma, g1.sigma)
+            assert pair_value(m_y, m_t, sigmas, 0) == pytest.approx(table.values[0], rel=1e-9)
             for mask in (0b000001, 0b010110):
-                assert np.isfinite(table.value(mask))
+                assert np.isfinite(table.values[mask])
                 if factor == 1e-3:
-                    assert f_value(m_y, m_t, g0.sigma, g1.sigma, mask) == pytest.approx(
-                        table.value(mask), rel=1e-9
+                    assert pair_value(m_y, m_t, sigmas, mask) == pytest.approx(
+                        table.values[mask], rel=1e-9
                     )
                 else:
                     with pytest.raises(SingularBlock):
-                        f_value(m_y, m_t, g0.sigma, g1.sigma, mask)
+                        pair_value(m_y, m_t, sigmas, mask)
 
     def test_constant_column_rejected(self):
         d = self._dataset()
@@ -322,15 +325,18 @@ class TestCriterionTable:
         masks = prune_hints(d.p, known_forks=0b000001)
         pruned = criterion_table(d, t=0, config=CriterionConfig(masks=masks))
         assert pruned.masks.tolist() == masks.tolist()
-        for m in masks:
-            assert pruned.value(int(m)) == full.value(int(m))
+        assert np.array_equal(pruned.values, full.values[masks])
 
-    def test_value_lookup_missing_mask(self):
-        d = self._dataset()
-        masks = prune_hints(d.p, known_forks=0b000001)
-        pruned = criterion_table(d, t=0, config=CriterionConfig(masks=masks))
-        with pytest.raises(KeyError):
-            pruned.value(0b000010)
+    def test_pruned_universe_above_the_cap_rejected(self, monkeypatch):
+        # the pruned universe gets the full lattice's cap, before any work;
+        # masks past bit 31 would not fit the table's uint32 masks
+        def sweep(*args):
+            raise AssertionError("the sweep was entered")
+
+        monkeypatch.setattr(criterion, "_lattice_values", sweep)
+        masks = [1, 2, 1 << 32, (1 << 32) | 1]
+        with pytest.raises(DimensionTooLarge):
+            criterion_table(self._dataset(p=33), t=0, config=CriterionConfig(masks=masks))
 
     def test_masks_outside_universe_rejected(self):
         d = self._dataset(p=10)
@@ -344,7 +350,7 @@ class TestCriterionTable:
             criterion_table(d, t=0, config=CriterionConfig(masks=np.array([3, 3, 1])))
 
     def test_unsorted_masks_rejected(self):
-        # the table bisects its masks, so [5, 3, 1] used to make value(5) a KeyError
+        # the pivot tree bisects the complements of an ascending universe
         d = self._dataset()
         with pytest.raises(ValueError, match="ascending"):
             criterion_table(d, t=0, config=CriterionConfig(masks=np.array([5, 3, 1])))
@@ -353,9 +359,3 @@ class TestCriterionTable:
     def test_malformed_masks_rejected(self, masks):
         with pytest.raises(ValueError):
             criterion_table(self._dataset(), t=0, config=CriterionConfig(masks=masks))
-
-    def test_items_align_with_value(self):
-        d = self._dataset(n=80, p=4)
-        table = criterion_table(d, t=1)
-        for sid, val in table.items():
-            assert table.value(sid) == val

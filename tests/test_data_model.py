@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,15 +9,13 @@ from adjustkit.data_model import (
     SubsetId,
     check_dimension,
     enumerate_masks,
-    enumerate_subsets,
     load_csv,
     mask_popcounts,
-    principal_block,
     save_csv,
     split_by_treatment,
     subset_columns,
 )
-from adjustkit.errors import DimensionTooLarge, EmptyGroup, SchemaError
+from adjustkit.errors import DimensionTooLarge, EmptyGroup, LargeDimension, SchemaError
 
 
 def small_dataset():
@@ -63,27 +63,31 @@ class TestSubsetId:
 
 class TestEnumeration:
     def test_p2_complete(self):
-        got = [s.indices for s in enumerate_subsets(2)]
+        got = [SubsetId(m, 2).indices for m in enumerate_masks(2).tolist()]
         assert got == [(), (1,), (2,), (1, 2)]
 
     def test_p10_length(self):
-        assert sum(1 for _ in enumerate_subsets(10)) == 1024
+        assert enumerate_masks(10).size == 1024
 
-    def test_p20_lazy_count(self):
-        import itertools
-
-        gen = enumerate_subsets(20)
-        head = list(itertools.islice(gen, 3))
-        assert [s.mask for s in head] == [0, 1, 2]
-        assert 3 + sum(1 for _ in gen) == 1 << 20
+    def test_p20_warns_once(self):
+        with pytest.warns(LargeDimension) as record:
+            masks = enumerate_masks(20)
+        assert len(record) == 1
+        assert masks.size == 1 << 20
+        assert masks[:3].tolist() == [0, 1, 2]
 
     def test_dimension_guard(self):
+        # check_dimension raises only; enumerate_masks, which materializes
+        # the 2^p masks, is the one that warns
         with pytest.raises(DimensionTooLarge):
             check_dimension(25)
         with pytest.raises(ValueError):
             check_dimension(0)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             check_dimension(21)
+        with pytest.warns(UserWarning):
+            enumerate_masks(21)
 
     def test_masks_ascending_uint32(self):
         m = enumerate_masks(6)
@@ -147,12 +151,6 @@ class TestColumnOps:
         a = SubsetId.from_indices(3, (1, 3))
         assert np.array_equal(subset_columns(m, a), m[:, [0, 2]])
         assert subset_columns(m, 0).shape == (2, 0)
-
-    def test_principal_block(self):
-        sigma = np.arange(16.0).reshape(4, 4)
-        a = SubsetId.from_indices(4, (2, 4))
-        got = principal_block(sigma, a)
-        assert np.array_equal(got, sigma[np.ix_([1, 3], [1, 3])])
 
     @given(
         st.integers(min_value=1, max_value=8),

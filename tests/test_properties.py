@@ -1,10 +1,12 @@
-"""Invariances of the criterion table under rescaling and relabelling covariates."""
+"""Invariances of the criterion under rescaling and relabelling covariates."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjustkit.criterion import criterion_table
+from adjustkit.criterion import criterion_table, population_values
+from adjustkit.dag_oracle import PopulationSpec, linear_sem_population, reference_graphs
 from adjustkit.data_model import Dataset
 
 
@@ -33,6 +35,25 @@ def test_mn_values_survive_rescaling(seed, p, t, data):
         criterion_table(d, t, "mn").values,
         rtol=1e-9,
     )
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-6])
+def test_population_values_survive_rescaling(scale):
+    # X -> DX takes Sigma to D Sigma D and beta to D^{-1} beta; the pivot
+    # tree's singular rule is a ratio, so no block turns singular, where an
+    # absolute eigenvalue floor rejects every block holding X_i at 1e-6
+    spec = linear_sem_population(reference_graphs()["unique_minimal"])
+    base = population_values(spec)
+    for i in range(spec.p):
+        d = np.ones(spec.p)
+        d[i] = scale
+        scaled = PopulationSpec(
+            spec.sigma0 * np.outer(d, d), spec.sigma1 * np.outer(d, d),
+            spec.beta_y / d[:, None], spec.beta_t / d[:, None], spec.provenance,
+        )
+        got = population_values(scaled)
+        np.testing.assert_allclose(got, base, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(got < 1e-10, base < 1e-10)
 
 
 @settings(max_examples=25, deadline=None)

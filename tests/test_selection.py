@@ -173,12 +173,6 @@ class TestSelectTail:
         res = select_tail(ridge_ratios(vals, cfg), order, p=4, config=cfg)
         assert res.selected.masks == set(order[res.tau:].tolist())
 
-    def test_order_subsets_respects_p(self):
-        res = select_tail(np.array([0.6, 0.9]), np.array([0b10, 0b01]), p=2)
-        ids = list(res.order_subsets())
-        assert [s.mask for s in ids] == [0b10, 0b01]
-        assert all(s.p == 2 for s in ids)
-
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=40, deadline=None)
     def test_joint_rescaling_keeps_the_cut(self, scale):

@@ -17,7 +17,6 @@ from adjustkit.set_analysis import (
     collider_indices,
     estimate_ate,
     locally_minimal,
-    minimal_intersection,
     noncollider_indices,
     prune_hints,
     refined_collider_indices,
@@ -163,12 +162,12 @@ class TestLocallyMinimal:
     def test_triple_minimal(self):
         c = true_collection(reference_graphs()["triple_minimal"])
         assert {s.indices for s in locally_minimal(c)} == {(1,), (2,), (3,)}
-        assert minimal_intersection(c).mask == 0
+        assert structure_report(c).intersection.mask == 0
 
     def test_unique_minimal_graph(self):
         c = true_collection(reference_graphs()["unique_minimal"])
         assert {s.indices for s in locally_minimal(c)} == {(1,)}
-        assert minimal_intersection(c).indices == (1,)
+        assert structure_report(c).intersection.indices == (1,)
 
     def test_empty_set_member(self):
         c = _coll(3, [0, 1, 3])
@@ -176,7 +175,28 @@ class TestLocallyMinimal:
 
     def test_empty_collection(self):
         assert locally_minimal(_coll(3, [])) == ()
-        assert minimal_intersection(_coll(3, [])) is None
+        assert structure_report(_coll(3, [])).intersection is None
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(3, 12),
+        edge_prob=st.floats(0.1, 0.7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_minimal_by_one_removal(self, seed, p, edge_prob):
+        # a d-separator from which no single node can be removed is minimal
+        # (Tian, Paz & Pearl 1998), so on an oracle collection the locally
+        # minimal members are those with no member one element smaller
+        g, _, _ = random_design(np.random.default_rng(seed), p, x_edge_prob=edge_prob)
+        c = true_collection(g)
+        member = c.member_array
+        masks = np.arange(member.size)
+        one_smaller = np.zeros_like(member)
+        for i in range(p):
+            has = (masks >> i & 1).astype(bool)
+            one_smaller[has] |= member[masks[has] ^ (1 << i)]
+        expected = np.flatnonzero(member & ~one_smaller)
+        assert sorted(s.mask for s in locally_minimal(c)) == expected.tolist()
 
     def test_pairwise_non_nested(self):
         for g in reference_graphs().values():
@@ -219,7 +239,7 @@ class TestUniqueMinimal:
         # unique minimal exists exactly when the intersection is a member
         for g in reference_graphs().values():
             c = true_collection(g)
-            inter = minimal_intersection(c)
+            inter = structure_report(c).intersection
             if inter in c:
                 assert unique_minimal(c) == inter
             else:
@@ -306,7 +326,10 @@ class TestColliderCalls:
             calls.clear()
             rep = structure_report(c)
             assert len(calls) == 1
-            assert rep.intersection == minimal_intersection(c)
+            inter = (1 << c.p) - 1
+            for s in locally_minimal(c):
+                inter &= s.mask
+            assert rep.intersection == SubsetId(inter, c.p)
             assert rep.unique_minimal == unique_minimal(c)
 
     def test_structure_report_flags(self):

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .data_model import Dataset, GroupView, split_by_treatment
+from .data_model import Dataset, split_by_treatment
 from .errors import DegeneratePooling
 
 __all__ = [
     "CopulaTransform",
-    "normal_scores",
-    "pool_transforms",
     "transform_dataset",
     "TRUNCATION",
 ]
@@ -70,29 +68,6 @@ def _arm_scores(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_scores(column, group: GroupView) -> np.ndarray:
-    """Within-group normal scores of one covariate column.
-
-    Parameters
-    ----------
-    column : array_like, shape (n,)
-        Full-sample covariate values.
-    group : GroupView
-        Rows of the arm to score.
-
-    Returns
-    -------
-    ndarray, shape (n_s,)
-        Phi^{-1} of the midrank empirical CDF scaled by n_s/(n_s+1),
-        ordered as group.rows; ties share a score and all outputs are
-        finite.
-    """
-    col = np.asarray(column, dtype=np.float64).ravel()
-    if group.rows.size < 2:
-        raise ValueError(f"arm {group.arm} needs at least 2 rows")
-    return _arm_scores(col[:, None], group.rows)[group.rows, 0]
-
-
 def _pool(s0: np.ndarray, s1: np.ndarray) -> tuple[float, float, str | None]:
     """Truncated least-squares fit s0 ~ a * s1 + b; reason is set on fall-back."""
     keep = (np.abs(s0) < TRUNCATION) & (np.abs(s1) < TRUNCATION)
@@ -107,49 +82,13 @@ def _pool(s0: np.ndarray, s1: np.ndarray) -> tuple[float, float, str | None]:
     return a, float(v.mean() - a * u.mean()), None
 
 
-def pool_transforms(scores0, scores1, column, t) -> tuple[float, float]:
-    """Truncated least-squares pooling of the two arms' score scales.
-
-    Parameters
-    ----------
-    scores0, scores1 : array_like, shape (n,)
-        The two arms' score functions evaluated at every observation.
-    column : array_like, shape (n,)
-        The raw covariate column (shape check only; the fit runs on the
-        scores).
-    t : array_like, shape (n,)
-        Treatment labels; both arms must be nonempty.
-
-    Returns
-    -------
-    (a, b)
-        Coefficients of the fit scores0 ~ a * scores1 + b over the
-        observations where both scores lie strictly inside the
-        truncation threshold.  Falls back to (1, 0) with a
-        DegeneratePooling warning when fewer than 10 observations
-        survive or the regressor has zero variance.
-    """
-    s0 = np.asarray(scores0, dtype=np.float64).ravel()
-    s1 = np.asarray(scores1, dtype=np.float64).ravel()
-    col = np.asarray(column, dtype=np.float64).ravel()
-    tv = np.asarray(t).ravel()
-    if not (s0.shape == s1.shape == col.shape == tv.shape):
-        raise ValueError("scores, column, and t must share a length")
-    if not (np.any(tv == 0) and np.any(tv == 1)):
-        raise ValueError("both treatment arms must be nonempty")
-    a, b, reason = _pool(s0, s1)
-    if reason:
-        warnings.warn(reason, DegeneratePooling)
-    return a, b
-
-
 def fit_copula(d: Dataset) -> CopulaTransform:
     """Score both arms at every observation and pool every coordinate.
 
     Issues one DegeneratePooling warning per coordinate that falls back.
     """
-    g0, g1 = split_by_treatment(d)
-    s0, s1 = _arm_scores(d.x, g0.rows), _arm_scores(d.x, g1.rows)
+    rows0, rows1 = split_by_treatment(d)
+    s0, s1 = _arm_scores(d.x, rows0), _arm_scores(d.x, rows1)
     a, b, reasons = zip(*(_pool(s0[:, i], s1[:, i]) for i in range(d.p)))
     for i, reason in enumerate(reasons):
         if reason:

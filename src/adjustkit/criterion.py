@@ -265,19 +265,13 @@ def _lattice_values(
     return out
 
 
-def _sandwich(sigmas, candidates, masks: np.ndarray) -> np.ndarray:
-    """Criterion values of ``masks`` for the arm covariances ``sigmas`` (arm 0
-    first) and the outcome and treatment matrices that ``candidates()``
-    returns, by one pivot tree (`_lattice_values`).
-
-    Both covariances pass `check_covariance` before ``candidates`` is called,
-    so a singular arm is reported ahead of any error of the candidates.
-    """
-    for s, sigma in enumerate(sigmas):
+def _inverses(sigma0, sigma1) -> np.ndarray:
+    """The two arm covariances, both checked by `check_covariance` first,
+    inverted and stacked arm 0 first; callers take this step before they
+    build candidates, so a singular arm is reported ahead of their errors."""
+    for s, sigma in enumerate((sigma0, sigma1)):
         check_covariance(sigma, f"arm {s} covariance")
-    m_y, m_t = candidates()
-    inv_sigmas = np.stack([np.linalg.inv(sigma) for sigma in sigmas])
-    return _lattice_values(inv_sigmas, _narrowed(m_y), _narrowed(m_t), masks)
+    return np.stack([np.linalg.inv(sigma0), np.linalg.inv(sigma1)])
 
 
 def criterion_table(
@@ -307,13 +301,16 @@ def criterion_table(
     Raises
     ------
     ValueError
-        For an unknown variant or a malformed ``config.masks``.
+        For t outside {0, 1}, an unknown variant or a malformed
+        ``config.masks``, before any work.
     DimensionTooLarge
         For p > 24, with or without ``config.masks``, before any work.
     SingularCovariance
         If an arm covariance fails `check_covariance`.
     """
     cfg = config or CriterionConfig()
+    if t not in (0, 1):
+        raise ValueError("t must be 0 or 1")
     try:
         variant = VARIANT_ALIASES[variant.strip().lower()]
     except KeyError:
@@ -323,16 +320,11 @@ def criterion_table(
     masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
     if variant == "gaussian-copula":
         d = transform_dataset(d)
-    g0, g1 = group_moments(d)
-    m_y = m_t = None
-
-    def candidates():
-        nonlocal m_y, m_t
-        m_y = outcome_candidate(d, t, cfg.method_y, cfg.h)
-        m_t = treatment_candidate(d, cfg.method_t)
-        return m_y.m, m_t.m
-
-    values = _sandwich((g0.sigma, g1.sigma), candidates, masks)
+    g0, g1, whole = group_moments(d)
+    inv_sigmas = _inverses(g0.sigma, g1.sigma)
+    m_y = outcome_candidate(d, (g0, g1)[t], cfg.method_y, cfg.h)
+    m_t = treatment_candidate(d, whole, cfg.method_t)
+    values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), masks)
     singular = int(np.isinf(values).sum())
 
     meta = {
@@ -351,8 +343,9 @@ def criterion_table(
 
 def population_values(spec) -> np.ndarray:
     """Noise-free criterion value of every subset, entry m for mask m, from a
-    `PopulationSpec`: the table's sandwich and checks, with the bases
+    `PopulationSpec`: the table's checks and pivot tree, with the bases
     ``beta_y`` and ``beta_t`` as candidate matrices.  Zero exactly on the
     sufficient adjustment sets of any compatible linear-Gaussian design."""
     masks = enumerate_masks(spec.p)
-    return _sandwich((spec.sigma0, spec.sigma1), lambda: (spec.beta_y, spec.beta_t), masks)
+    inv_sigmas = _inverses(spec.sigma0, spec.sigma1)
+    return _lattice_values(inv_sigmas, _narrowed(spec.beta_y), _narrowed(spec.beta_t), masks)

@@ -342,7 +342,9 @@ def markov_boundary(g: Dag, node) -> SubsetId:
     -------
     SubsetId
         The unique minimal C with d_separated(node, X_j, C) for every
-        X_j outside C (and distinct from node).
+        X_j outside C (and distinct from node).  d-separation is a graphoid
+        with intersection, so C is the set of X_k that are d-connected to
+        `node` given every other X (Pearl 1988), read off one sweep.
 
     Raises
     ------
@@ -351,38 +353,12 @@ def markov_boundary(g: Dag, node) -> SubsetId:
     """
     p = g.p
     ni = _node_id(node, p)
-    own = ni - 1 if ni >= 2 else None
-    universe = [k for k in range(1, p + 1) if k != own]
-
-    def separating(csets):
-        """Bitset over csets: bit j is set when csets[j] separates node from
-        every X outside it.  One sweep serves every candidate."""
-        masks = np.array([sum(1 << (k - 1) for k in c) for c in csets], dtype=np.uint32)
-        reach = _reachable(g, ni, masks)
-        connected = 0
-        for k in universe:
-            if reach[k + 1]:
-                connected |= reach[k + 1] & _pack((masks & (1 << (k - 1))) == 0)
-        return ~connected & ((1 << len(csets)) - 1)
-
-    base = set(universe)
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(base):
-            trial = base - {k}
-            if separating([trial]):
-                base = trial
-                changed = True
-    items = sorted(base)
-    if len(items) > 14:
-        return SubsetId.from_indices(p, items)
-    for size in range(len(items) + 1):
-        combos = list(itertools.combinations(items, size))
-        ok = separating(combos)
-        if ok:
-            return SubsetId.from_indices(p, combos[(ok & -ok).bit_length() - 1])
-    return SubsetId.from_indices(p, items)
+    # bit b of a mask is X_{b+1}, node id b + 2
+    others = [b for b in range(p) if b + 2 != ni]
+    universe = sum(1 << b for b in others)
+    masks = np.array([universe & ~(1 << b) for b in others], dtype=np.uint32)
+    reach = _reachable(g, ni, masks)
+    return SubsetId(sum(1 << b for j, b in enumerate(others) if reach[b + 2] >> j & 1), p)
 
 
 class PopulationSpec:

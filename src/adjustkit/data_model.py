@@ -186,30 +186,16 @@ class Dataset:
         return Dataset(x=x, t=self.t, y=self.y, column_names=self.column_names)
 
 
-@dataclass(frozen=True)
-class GroupView:
-    """Row selection for one treatment arm of a dataset."""
-
-    arm: int
-    rows: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-
-def split_by_treatment(d: Dataset) -> tuple[GroupView, GroupView]:
-    """Views of the control and treated rows, in that order.
+def split_by_treatment(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the control and treated arms, in that order.
 
     Raises ``EmptyGroup`` when either arm has no rows.
     """
-    views = []
+    rows = np.flatnonzero(d.t == 0), np.flatnonzero(d.t == 1)
     for arm in (0, 1):
-        rows = np.flatnonzero(d.t == arm)
-        if rows.size == 0:
+        if rows[arm].size == 0:
             raise EmptyGroup(f"treatment arm {arm} has no rows")
-        views.append(GroupView(arm=arm, rows=rows))
-    return views[0], views[1]
+    return rows
 
 
 def subset_columns(m: np.ndarray, a) -> np.ndarray:

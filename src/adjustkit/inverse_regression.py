@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, split_by_treatment
 from .errors import (
     DegenerateData,
     DegenerateResponse,
-    EmptyGroup,
     SingularCovariance,
     SliceTooSmall,
     TooFewObservations,
@@ -83,12 +82,11 @@ class CandidateMatrix:
 
 @dataclass(frozen=True)
 class GroupMoments:
-    """First and second moments of X within one treatment arm."""
+    """Mean and covariance (ddof=1) of the rows ``rows`` of X."""
 
+    rows: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-    sigma_marginal: np.ndarray
-    n_s: int
 
 
 def slice_response(values, h: int = 5) -> SliceAssignment:
@@ -224,45 +222,39 @@ def save_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidat
     )
 
 
-def group_moments(d: Dataset) -> tuple[GroupMoments, GroupMoments]:
-    """Per-arm means and covariances plus the shared marginal covariance.
+def _moments(x: np.ndarray, rows: np.ndarray) -> GroupMoments:
+    sub = x[rows]
+    sigma = np.atleast_2d(np.cov(sub, rowvar=False, ddof=1))
+    return GroupMoments(rows, sub.mean(axis=0), sigma)
+
+
+def group_moments(d: Dataset) -> tuple[GroupMoments, GroupMoments, GroupMoments]:
+    """Moments of X in arm 0, in arm 1 and over the whole sample, in that order.
 
     Raises ``EmptyGroup`` for an empty arm and ``TooFewObservations``
     when an arm has a single row (covariance undefined at ddof=1).
     """
-    sigma_marg = np.atleast_2d(np.cov(d.x, rowvar=False, ddof=1))
-    out = []
-    for arm in (0, 1):
-        rows = d.x[d.t == arm]
-        n_s = rows.shape[0]
-        if n_s == 0:
-            raise EmptyGroup(f"treatment arm {arm} has no rows")
-        if n_s < 2:
+    arms = []
+    for arm, rows in enumerate(split_by_treatment(d)):
+        if rows.size < 2:
             raise TooFewObservations(f"arm {arm} has a single row")
-        sigma = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-        if not np.any(sigma):
+        g = _moments(d.x, rows)
+        if not np.any(g.sigma):
             warnings.warn(f"arm {arm} rows are identical", DegenerateData)
-        out.append(
-            GroupMoments(
-                mu=rows.mean(axis=0),
-                sigma=sigma,
-                sigma_marginal=sigma_marg,
-                n_s=n_s,
-            )
-        )
-    return out[0], out[1]
+        arms.append(g)
+    return arms[0], arms[1], _moments(d.x, np.arange(d.n))
 
 
 def outcome_candidate(
-    d: Dataset, t: int, method: str = "sir", h: int = 5
+    d: Dataset, arm: GroupMoments, method: str = "sir", h: int = 5
 ) -> CandidateMatrix:
-    """Candidate matrix for the outcome within treatment arm t.
+    """Candidate matrix for the outcome within one treatment arm.
 
     Parameters
     ----------
     d : Dataset
-    t : int
-        Arm, 0 or 1.
+    arm : GroupMoments
+        The arm's entry of `group_moments`.
     method : str
         "sir" or "save".
     h : int
@@ -271,7 +263,7 @@ def outcome_candidate(
     Returns
     -------
     CandidateMatrix
-        Built from rows with T=t, centered by the arm mean, sliced on
+        Built from the arm's rows, centered by the arm mean, sliced on
         the arm outcomes, whitened by the arm covariance.
 
     Raises
@@ -279,39 +271,30 @@ def outcome_candidate(
     TooFewObservations
         If the arm has fewer than 2h rows.
     """
-    if t not in (0, 1):
-        raise ValueError("t must be 0 or 1")
-    mask = d.t == t
-    n_t = int(mask.sum())
-    if n_t == 0:
-        raise EmptyGroup(f"treatment arm {t} has no rows")
+    n_t = arm.rows.size
     if n_t < 2 * h:
+        t = int(d.t[arm.rows[0]])
         raise TooFewObservations(f"arm {t} has {n_t} rows, need {2 * h}")
-    x_t = d.x[mask]
-    y_t = d.y[mask]
-    centered = x_t - x_t.mean(axis=0)
-    sigma_t = np.atleast_2d(np.cov(x_t, rowvar=False, ddof=1))
-    slices = slice_response(y_t, h)
+    centered = d.x[arm.rows] - arm.mu
+    slices = slice_response(d.y[arm.rows], h)
     fn = _pick_method(method)
-    return fn(centered, slices, sigma_t, target="outcome-in-group-t")
+    return fn(centered, slices, arm.sigma, target="outcome-in-group-t")
 
 
-def treatment_candidate(d: Dataset, method: str = "sir") -> CandidateMatrix:
+def treatment_candidate(
+    d: Dataset, whole: GroupMoments, method: str = "sir"
+) -> CandidateMatrix:
     """Candidate matrix for the treatment label over the full sample.
 
     Slices are the treatment groups themselves; centering and whitening
-    use the marginal moments.
+    use ``whole``, the whole-sample entry of `group_moments`.
     """
-    for arm in (0, 1):
-        if not np.any(d.t == arm):
-            raise EmptyGroup(f"treatment arm {arm} has no rows")
-    centered = d.x - d.x.mean(axis=0)
-    sigma = np.atleast_2d(np.cov(d.x, rowvar=False, ddof=1))
+    centered = d.x - whole.mu
     slices = SliceAssignment(
         labels=d.t.astype(np.int64) + 1, h=2, kind="discrete-passthrough"
     )
     fn = _pick_method(method)
-    return fn(centered, slices, sigma, target="treatment-marginal")
+    return fn(centered, slices, whole.sigma, target="treatment-marginal")
 
 
 def _pick_method(method: str):

@@ -16,7 +16,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data_model import SubsetId, as_mask, check_dimension, mask_popcounts
+from .data_model import (
+    SubsetId,
+    as_mask,
+    check_dimension,
+    mask_popcounts,
+    split_by_treatment,
+    subset_columns,
+)
 from .errors import ContradictoryHints
 
 
@@ -371,28 +378,27 @@ def estimate_ate(d, a0=0, a1=0) -> float:
     neighbour in the opposite arm, measured by Euclidean distance on the
     standardized covariates named by a0 (for the control outcome) and a1
     (for the treated outcome).  An explicitly empty subset falls back to
-    the donor-arm mean.
+    the donor-arm mean.  ValueError for a mask outside 0..2^p-1, before
+    any work.
     """
-    from .data_model import split_by_treatment, subset_columns
-
-    g0, g1 = split_by_treatment(d)
+    m0 = SubsetId(as_mask(a0), d.p).mask
+    m1 = SubsetId(as_mask(a1), d.p).mask
+    rows0, rows1 = split_by_treatment(d)
     mu = d.x.mean(axis=0)
     sd = d.x.std(axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
     z = (d.x - mu) / sd
 
-    m0 = as_mask(a0)
-    m1 = as_mask(a1)
     y0_hat = np.empty(d.n)
     y1_hat = np.empty(d.n)
-    y0_hat[g0.rows] = d.y[g0.rows]
-    y1_hat[g1.rows] = d.y[g1.rows]
+    y0_hat[rows0] = d.y[rows0]
+    y1_hat[rows1] = d.y[rows1]
     # control outcome for treated units: donors are controls, metric X_{A_0}
-    y0_hat[g1.rows] = _nearest_donor_outcome(
-        subset_columns(z[g1.rows], m0), subset_columns(z[g0.rows], m0), d.y[g0.rows]
+    y0_hat[rows1] = _nearest_donor_outcome(
+        subset_columns(z[rows1], m0), subset_columns(z[rows0], m0), d.y[rows0]
     )
     # treated outcome for control units: donors are treated, metric X_{A_1}
-    y1_hat[g0.rows] = _nearest_donor_outcome(
-        subset_columns(z[g0.rows], m1), subset_columns(z[g1.rows], m1), d.y[g1.rows]
+    y1_hat[rows0] = _nearest_donor_outcome(
+        subset_columns(z[rows0], m1), subset_columns(z[rows1], m1), d.y[rows1]
     )
     return float(np.mean(y1_hat - y0_hat))

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from adjustkit.copula import (
-    TRUNCATION,
-    fit_copula,
-    normal_scores,
-    pool_transforms,
-    transform_dataset,
-)
+from adjustkit.copula import TRUNCATION, _arm_scores, _pool, fit_copula, transform_dataset
 from adjustkit.data_model import Dataset, split_by_treatment
-from adjustkit.errors import DegeneratePooling
+from adjustkit.errors import DegeneratePooling, EmptyGroup
 from adjustkit.sim_bench import ModelSpec, generate_model
 
 
@@ -26,19 +20,23 @@ def _dataset(x, t=None, y=None):
     return Dataset(t=np.asarray(t), y=np.asarray(y, dtype=np.float64), x=x)
 
 
+def _own_scores(d, arm):
+    """Arm ``arm``'s scores of column 1 at the arm's own rows."""
+    rows = split_by_treatment(d)[arm]
+    return _arm_scores(d.x, rows)[rows, 0]
+
+
 class TestNormalScores:
     def test_three_point_scores(self):
         d = _dataset(np.array([[1.0], [2.0], [3.0], [9.0]]), t=[0, 0, 0, 1])
-        g0, _ = split_by_treatment(d)
-        got = normal_scores(d.x[:, 0], g0)
+        got = _own_scores(d, 0)
         assert np.allclose(got, [ndtri(0.25), 0.0, ndtri(0.75)])
 
     def test_binary_midranks(self):
         d = _dataset(
             np.array([[0.0], [0.0], [1.0], [1.0], [5.0]]), t=[0, 0, 0, 0, 1]
         )
-        g0, _ = split_by_treatment(d)
-        got = normal_scores(d.x[:, 0], g0)
+        got = _own_scores(d, 0)
         assert np.allclose(got, ndtri(np.array([1.5, 1.5, 3.5, 3.5]) / 5.0))
 
     def test_ties_share_scores(self):
@@ -46,66 +44,44 @@ class TestNormalScores:
             np.array([[2.0], [2.0], [2.0], [7.0], [1.0], [0.0]]),
             t=[0, 0, 0, 1, 0, 1],
         )
-        g0, _ = split_by_treatment(d)
-        got = normal_scores(d.x[:, 0], g0)
+        got = _own_scores(d, 0)
         assert got[0] == got[1] == got[2]
 
     def test_finite_and_calibrated(self):
         rng = np.random.default_rng(11)
         n = 400
         d = _dataset(rng.normal(size=(n, 1)), t=np.repeat([0, 1], n // 2))
-        g0, g1 = split_by_treatment(d)
-        for g in (g0, g1):
-            s = normal_scores(d.x[:, 0], g)
-            n_s = g.rows.size
+        for arm in (0, 1):
+            s = _own_scores(d, arm)
             assert np.all(np.isfinite(s))
-            assert abs(s.mean()) <= 3.0 / np.sqrt(n_s)
+            assert abs(s.mean()) <= 3.0 / np.sqrt(s.size)
             assert 0.7 <= s.var() <= 1.1
-
-    def test_tiny_arm_rejected(self):
-        d = _dataset(np.array([[1.0], [2.0], [3.0]]), t=[1, 0, 0])
-        _, g1 = split_by_treatment(d)
-        with pytest.raises(ValueError):
-            normal_scores(d.x[:, 0], g1)
 
 
 class TestPoolTransforms:
     def test_exact_affine_recovery(self):
-        n = 40
-        s1 = np.linspace(-1.4, 0.4, n)
-        s0 = 2.0 * s1 + 1.0
-        t = np.tile([0, 1], n // 2)
-        a, b = pool_transforms(s0, s1, np.arange(n, dtype=float), t)
+        s1 = np.linspace(-1.4, 0.4, 40)
+        a, b, reason = _pool(2.0 * s1 + 1.0, s1)
         assert a == pytest.approx(2.0, abs=1e-12)
         assert b == pytest.approx(1.0, abs=1e-12)
+        assert reason is None
 
     def test_few_survivors_falls_back(self):
-        n = 30
-        s1 = np.full(n, 3.0)  # outside the truncation band
+        s1 = np.full(30, 3.0)  # outside the truncation band
         s1[:5] = 0.0
-        s0 = s1.copy()
-        t = np.tile([0, 1], n // 2)
-        with pytest.warns(DegeneratePooling):
-            a, b = pool_transforms(s0, s1, np.zeros(n), t)
+        a, b, reason = _pool(s1.copy(), s1)
         assert (a, b) == (1.0, 0.0)
+        assert reason == "only 5 observations inside the truncation band"
 
     def test_zero_variance_regressor(self):
-        n = 24
-        s1 = np.zeros(n)
-        s0 = np.linspace(-1, 1, n)
-        t = np.tile([0, 1], n // 2)
-        with pytest.warns(DegeneratePooling):
-            a, b = pool_transforms(s0, s1, np.zeros(n), t)
+        a, b, reason = _pool(np.linspace(-1, 1, 24), np.zeros(24))
         assert (a, b) == (1.0, 0.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pool_transforms(np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3))
+        assert reason == "pooling regressor has zero variance"
 
     def test_single_arm_rejected(self):
-        z = np.zeros(12)
-        with pytest.raises(ValueError):
-            pool_transforms(z, z, z, np.zeros(12))
+        d = _dataset(np.zeros((12, 1)), t=np.zeros(12, dtype=int))
+        with pytest.raises(EmptyGroup):
+            fit_copula(d)
 
     def test_truncation_is_975_quantile(self):
         assert TRUNCATION == pytest.approx(ndtri(0.975))
@@ -186,19 +162,18 @@ class TestTransformDataset:
     def test_control_rows_get_plain_scores(self):
         rng = np.random.default_rng(5)
         d = _dataset(rng.normal(size=(60, 1)))
-        g0, _ = split_by_treatment(d)
+        rows0, _ = split_by_treatment(d)
         out = transform_dataset(d)
-        expect = normal_scores(d.x[:, 0], g0)
-        assert np.array_equal(out.x[g0.rows, 0], expect)
+        assert np.array_equal(out.x[rows0, 0], _own_scores(d, 0))
 
     def test_treated_rows_are_affine_in_scores(self):
         rng = np.random.default_rng(6)
         d = _dataset(rng.normal(size=(60, 1)))
-        _, g1 = split_by_treatment(d)
+        _, rows1 = split_by_treatment(d)
         tf = fit_copula(d)
         out = transform_dataset(d)
-        expect = tf.a[0] * normal_scores(d.x[:, 0], g1) + tf.b[0]
-        assert np.allclose(out.x[g1.rows, 0], expect)
+        expect = tf.a[0] * _own_scores(d, 1) + tf.b[0]
+        assert np.allclose(out.x[rows1, 0], expect)
 
 
 def _knot_table_reference(d):
@@ -218,14 +193,14 @@ def _knot_table_reference(d):
         idx = np.searchsorted(knots, values, side="right") - 1
         return scores[np.clip(idx, 0, knots.size - 1)]
 
-    g0, g1 = split_by_treatment(d)
+    rows0, rows1 = split_by_treatment(d)
     x = np.empty_like(d.x)
     a, b = np.ones(d.p), np.zeros(d.p)
     degenerate = np.zeros(d.p, dtype=bool)
     for i in range(d.p):
         col = d.x[:, i]
-        k0, s0 = table(col[g0.rows])
-        k1, s1 = table(col[g1.rows])
+        k0, s0 = table(col[rows0])
+        k1, s1 = table(col[rows1])
         e0, e1 = lookup(k0, s0, col), lookup(k1, s1, col)
         keep = (np.abs(e0) < TRUNCATION) & (np.abs(e1) < TRUNCATION)
         u, v = e1[keep], e0[keep]
@@ -234,8 +209,8 @@ def _knot_table_reference(d):
         else:
             a[i] = float(np.cov(u, v, ddof=0)[0, 1] / np.var(u))
             b[i] = float(v.mean() - a[i] * u.mean())
-        x[g0.rows, i] = lookup(k0, s0, col[g0.rows])
-        x[g1.rows, i] = a[i] * lookup(k1, s1, col[g1.rows]) + b[i]
+        x[rows0, i] = lookup(k0, s0, col[rows0])
+        x[rows1, i] = a[i] * lookup(k1, s1, col[rows1]) + b[i]
     return x, a, b, degenerate
 
 

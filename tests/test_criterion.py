@@ -264,8 +264,8 @@ class TestCriterionTable:
         for factor in (1e-3, 1e-5):
             ds = d.with_x(d.x * factor)
             table = criterion_table(ds, t=0)
-            g0, g1 = group_moments(ds)
-            m_y, m_t = outcome_candidate(ds, 0).m, treatment_candidate(ds).m
+            g0, g1, whole = group_moments(ds)
+            m_y, m_t = outcome_candidate(ds, g0).m, treatment_candidate(ds, whole).m
             sigmas = (g0.sigma, g1.sigma)
             assert pair_value(m_y, m_t, sigmas, 0) == pytest.approx(table.values[0], rel=1e-9)
             for mask in (0b000001, 0b010110):
@@ -306,6 +306,17 @@ class TestCriterionTable:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             criterion_table(self._dataset(), t=0, variant="bootstrap")
+
+    @pytest.mark.parametrize("variant", ["mn", "gc"])
+    @pytest.mark.parametrize("t", [-1, 2])
+    def test_bad_arm_refused_before_any_work(self, monkeypatch, variant, t):
+        def entered(*args):
+            raise AssertionError("the copula or the moments were entered")
+
+        monkeypatch.setattr(criterion, "transform_dataset", entered)
+        monkeypatch.setattr(criterion, "group_moments", entered)
+        with pytest.raises(ValueError, match="t must be 0 or 1"):
+            criterion_table(self._dataset(), t=t, variant=variant)
 
     def test_dimension_cap_comes_before_the_sweep(self, monkeypatch):
         def sweep(*args):

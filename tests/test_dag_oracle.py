@@ -276,6 +276,18 @@ class TestMarkovBoundary:
         g = Dag(2, [("X1", "Y")])
         assert markov_boundary(g, "T").indices == ()
 
+    def test_boundary_above_fourteen_members(self):
+        # Y's 16 parents, its child X17 and that child's other parent X18
+        edges = [(f"X{k}", "Y") for k in range(1, 17)]
+        edges += [("Y", "X17"), ("X18", "X17"), ("X19", "T")]
+        g = Dag(19, edges)
+        got = markov_boundary(g, "Y")
+        assert got.indices == tuple(range(1, 19))
+        assert d_separated(g, "Y", "X19", got)
+        for k in got.indices:
+            assert not d_separated(g, "Y", f"X{k}", got.mask & ~(1 << (k - 1)))
+        assert markov_boundary(g, "T").indices == (19,)
+
     @settings(max_examples=40, deadline=None)
     @given(_random_dags(max_p=5), st.data())
     def test_definition_by_brute_force(self, g, data):

@@ -136,10 +136,9 @@ class TestDataset:
 
     def test_split_by_treatment(self):
         d = small_dataset()
-        g0, g1 = split_by_treatment(d)
-        assert g0.rows.tolist() == [0, 2]
-        assert g1.rows.tolist() == [1, 3]
-        assert g0.n_rows + g1.n_rows == d.n
+        rows0, rows1 = split_by_treatment(d)
+        assert rows0.tolist() == [0, 2]
+        assert rows1.tolist() == [1, 3]
         bad = Dataset(x=np.ones((3, 1)), t=np.array([1, 1, 1]), y=np.zeros(3))
         with pytest.raises(EmptyGroup):
             split_by_treatment(bad)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjustkit.criterion import criterion_table
 from adjustkit.data_model import Dataset
 from adjustkit.errors import (
     DegenerateData,
@@ -184,11 +185,12 @@ class TestGroupMoments:
         t = np.array([0, 0, 1, 1])
         x = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         d = Dataset(t=t, y=np.zeros(4), x=x)
-        g0, g1 = group_moments(d)
+        g0, g1, whole = group_moments(d)
+        assert g0.rows.tolist() == [0, 1] and g1.rows.tolist() == [2, 3]
         assert g0.mu.tolist() == [0.0]
         assert g0.sigma.tolist() == [[2.0]]
         assert g1.sigma.tolist() == [[8.0]]
-        assert g0.n_s == 2 and g1.n_s == 2
+        assert whole.rows.tolist() == [0, 1, 2, 3]
 
     def test_marginal_shared(self):
         rng = np.random.default_rng(6)
@@ -197,10 +199,9 @@ class TestGroupMoments:
             y=rng.normal(size=50),
             x=rng.normal(size=(50, 3)),
         )
-        g0, g1 = group_moments(d)
-        expect = np.cov(d.x, rowvar=False, ddof=1)
-        assert np.array_equal(g0.sigma_marginal, expect)
-        assert np.array_equal(g1.sigma_marginal, expect)
+        whole = group_moments(d)[2]
+        assert np.array_equal(whole.mu, d.x.mean(axis=0))
+        assert np.array_equal(whole.sigma, np.cov(d.x, rowvar=False, ddof=1))
 
     def test_empty_arm(self):
         d = Dataset(t=np.zeros(4, dtype=np.int64), y=np.zeros(4), x=np.eye(4))
@@ -228,7 +229,7 @@ class TestGroupMoments:
         # near .8 I with ~4000 rows per arm; coordinate 4 is excluded
         # as a combination of the others
         model = generate_model(ModelSpec(1, n=8000, seed=0))
-        g0, g1 = group_moments(model.dataset)
+        g0, g1, _ = group_moments(model.dataset)
         keep = [i for i in range(10) if i != 3]
         for g in (g0, g1):
             block = g.sigma[np.ix_(keep, keep)]
@@ -245,7 +246,7 @@ class TestCandidates:
 
     def test_treatment_candidate_matches_manual(self):
         d = self._dataset()
-        m = treatment_candidate(d)
+        m = treatment_candidate(d, group_moments(d)[2])
         centered = d.x - d.x.mean(axis=0)
         sigma = np.cov(d.x, rowvar=False, ddof=1)
         cols = np.stack(
@@ -258,7 +259,7 @@ class TestCandidates:
 
     def test_outcome_candidate_centered_within_arm(self):
         d = self._dataset(n=80)
-        m = outcome_candidate(d, t=1, h=2)
+        m = outcome_candidate(d, group_moments(d)[1], h=2)
         x1 = d.x[d.t == 1]
         y1 = d.y[d.t == 1]
         sigma1 = np.cov(x1, rowvar=False, ddof=1)
@@ -273,27 +274,26 @@ class TestCandidates:
     def test_arm_too_small(self):
         d = self._dataset(n=16)
         with pytest.raises(TooFewObservations):
-            outcome_candidate(d, t=0, h=5)
-
-    def test_bad_arm(self):
-        with pytest.raises(ValueError):
-            outcome_candidate(self._dataset(), t=2)
+            outcome_candidate(d, group_moments(d)[0], h=5)
 
     def test_save_method_accepted(self):
         d = self._dataset(n=100)
-        m = treatment_candidate(d, method="save")
+        m = treatment_candidate(d, group_moments(d)[2], method="save")
         assert m.method == "SAVE"
         assert m.m.shape == (3, 6)
 
     def test_unknown_method(self):
+        d = self._dataset()
         with pytest.raises(ValueError):
-            treatment_candidate(self._dataset(), method="pca")
+            treatment_candidate(d, group_moments(d)[2], method="pca")
 
     def test_missing_arm(self):
+        # the split refuses a one-arm sample before any candidate is built
         d = Dataset(
             t=np.zeros(10, dtype=np.int64),
             y=np.arange(10.0),
             x=np.arange(20.0).reshape(10, 2),
         )
-        with pytest.raises(EmptyGroup):
-            treatment_candidate(d)
+        for variant in ("mn", "gc"):
+            with pytest.raises(EmptyGroup):
+                criterion_table(d, 0, variant)

@@ -10,6 +10,7 @@ from adjustkit.dag_oracle import (
     reference_graphs,
     true_collection,
 )
+from adjustkit import set_analysis
 from adjustkit.errors import ContradictoryHints
 from adjustkit.set_analysis import (
     AdjustmentCollection,
@@ -410,6 +411,18 @@ class TestEstimateAte:
         a = SubsetId.from_indices(model.dataset.p, [2, 3]).mask
         got = estimate_ate(model.dataset, a, a)
         assert abs(got - 0.3) < 0.3
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 10])
+    def test_mask_outside_universe_rejected(self, monkeypatch, mask):
+        # both used to be accepted: 1 << p read as the empty set, -1 as the full set
+        def split(*args):
+            raise AssertionError("the arms were split")
+
+        monkeypatch.setattr(set_analysis, "split_by_treatment", split)
+        d = generate_model(ModelSpec(1, n=400, seed=0)).dataset
+        for a0, a1 in ((mask, 0), (0, mask)):
+            with pytest.raises(ValueError, match="out of range"):
+                estimate_ate(d, a0, a1)
 
 
 class TestLinearSemBridge:

@@ -35,12 +35,8 @@ MIN_EIGENVALUE = 1e-10
 # for SIR x SIR at the leaves
 STATE_CELLS = 96 * 1024
 
-VARIANT_ALIASES = {
-    "normality": "normality",
-    "mn": "normality",
-    "gaussian-copula": "gaussian-copula",
-    "gc": "gaussian-copula",
-}
+# raw covariates, and covariates replaced by pooled normal scores
+VARIANTS = ("mn", "gc")
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class CriterionTable:
     t : int
         Treatment arm the outcome matrix was built in.
     variant : str
-        "normality" or "gaussian-copula".
+        "mn" or "gc".
     metadata : dict
         n, p, slice counts, estimator methods, singular-block count.
     """
@@ -275,7 +271,7 @@ def _inverses(sigma0, sigma1) -> np.ndarray:
 
 
 def criterion_table(
-    d: Dataset, t: int, variant: str = "normality", config: CriterionConfig | None = None
+    d: Dataset, t: int, variant: str = "mn", config: CriterionConfig | None = None
 ) -> CriterionTable:
     """Evaluate the criterion on every enumerated subset.
 
@@ -285,9 +281,8 @@ def criterion_table(
     t : int
         Arm for the outcome candidate matrix.
     variant : str
-        "normality" (raw covariates) or "gaussian-copula" (covariates
-        replaced by pooled normal scores first); short aliases "mn" and
-        "gc" are accepted.
+        "mn" (raw covariates) or "gc" (covariates replaced by pooled
+        normal scores first).
     config : CriterionConfig, optional
 
     Returns
@@ -306,19 +301,18 @@ def criterion_table(
     DimensionTooLarge
         For p > 24, with or without ``config.masks``, before any work.
     SingularCovariance
-        If an arm covariance fails `check_covariance`.
+        If an arm covariance fails `check_covariance`, or after the
+        outcome candidate is built, the whole-sample covariance.
     """
     cfg = config or CriterionConfig()
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
-    try:
-        variant = VARIANT_ALIASES[variant.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     p = d.p
     # the universe first: the dimension cap must stop a run before the sweep
     masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
-    if variant == "gaussian-copula":
+    if variant == "gc":
         d = transform_dataset(d)
     g0, g1, whole = group_moments(d)
     inv_sigmas = _inverses(g0.sigma, g1.sigma)

@@ -31,6 +31,11 @@ __all__ = [
 _Y = 0
 _T = 1
 
+# `random_design`'s T -> X and X -> Y edge and noise-contrast probabilities
+T_CHILD_PROB = 0.4
+Y_PARENT_PROB = 0.4
+CONTRAST_PROB = 0.3
+
 _NODE_RE = re.compile(r"X([1-9]\d*)\Z")
 _EDGE_RE = re.compile(r"\A(\S+)\s*->\s*(\S+)\Z")
 
@@ -142,12 +147,12 @@ class Dag:
         raise AttributeError("Dag is immutable")
 
     @classmethod
-    def from_text(cls, text: str, p: int | None = None) -> "Dag":
+    def from_text(cls, text: str) -> "Dag":
         """Parse the edge-list format: one `A -> B` per line.
 
         Blank lines and `#` comments are ignored.  A line holding a bare
-        node name declares an isolated node.  When `p` is omitted it is
-        inferred from the largest X index mentioned.
+        node name declares an isolated node.  p is the largest X index
+        mentioned.
         """
         edges = []
         max_x = 0
@@ -171,26 +176,16 @@ class Dag:
             if line in ("Y", "T"):
                 continue
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
-        if p is None:
-            p = max_x
-        if p < 1:
-            raise ValueError("no X nodes declared and p not given")
+        if max_x < 1:
+            raise ValueError("no X nodes declared")
         for src, dst, lineno in declared:
             try:
-                _node_id(src, p)
-                _node_id(dst, p)
+                _node_id(src, max_x)
+                _node_id(dst, max_x)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             edges.append((src, dst))
-        return cls(p, edges)
-
-    def to_text(self) -> str:
-        lines = [f"{a} -> {b}" for a, b in self.edges()]
-        used = {n for e in self.edges() for n in e}
-        for k in range(1, self.p + 1):
-            if f"X{k}" not in used:
-                lines.append(f"X{k}")
-        return "\n".join(lines) + "\n"
+        return cls(max_x, edges)
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         out = []
@@ -199,14 +194,6 @@ class Dag:
                 out.append((i, j))
         out.sort()
         return tuple((_node_label(i), _node_label(j)) for i, j in out)
-
-    def parents_of(self, node) -> tuple[str, ...]:
-        i = _node_id(node, self.p)
-        return tuple(_node_label(j) for j in sorted(self._parents[i]))
-
-    def children_of(self, node) -> tuple[str, ...]:
-        i = _node_id(node, self.p)
-        return tuple(_node_label(j) for j in sorted(self._children[i]))
 
     def __eq__(self, other):
         if not isinstance(other, Dag):
@@ -422,16 +409,15 @@ def linear_sem_population(
     g: Dag,
     weights: dict | None = None,
     noise: dict | None = None,
-    pi: float = 0.5,
 ) -> PopulationSpec:
-    """Population moments of a linear SEM on g with a Bernoulli treatment root.
+    """Population moments of a linear SEM on g with a binary treatment root.
 
-    The treatment mechanism is of the discriminant type: T ~ Bernoulli(pi)
-    and X | T = s is multivariate normal in both arms, with the covariance
-    structured by the graph.  When g draws T as a sink (edges X -> T), those
-    edges are reversed so the mechanism can hold exactly; the returned
-    provenance graph records the rooted design actually used, with
-    zero-weight edges pruned.
+    The treatment mechanism is of the discriminant type: X | T = s is
+    multivariate normal in both arms, with the covariance structured by
+    the graph, and P(T = 1) does not enter.  When g draws T as a sink
+    (edges X -> T), those edges are reversed so the mechanism can hold
+    exactly; the returned provenance graph records the rooted design
+    actually used, with zero-weight edges pruned.
 
     Parameters
     ----------
@@ -444,8 +430,6 @@ def linear_sem_population(
         Structural noise variances keyed by X node name; a scalar applies
         to both arms, a (v0, v1) pair makes the variance arm-dependent.
         Default 1.0.
-    pi : float, optional
-        Treatment probability, in (0, 1).
 
     Returns
     -------
@@ -458,8 +442,6 @@ def linear_sem_population(
         children, so no discriminant-type design can match it exactly.
     """
     p = g.p
-    if not 0.0 < pi < 1.0:
-        raise ValueError("pi must lie in (0, 1)")
     if g._children[_Y]:
         raise InvalidMechanism("Y must be a sink")
     if _T in g._parents[_Y] or _Y in g._parents[_T]:
@@ -591,16 +573,13 @@ def random_design(
     rng: np.random.Generator,
     p: int,
     x_edge_prob: float = 0.3,
-    t_child_prob: float = 0.4,
-    y_parent_prob: float = 0.4,
-    contrast_prob: float = 0.3,
 ) -> tuple[Dag, dict, dict]:
     """Draw a random rooted linear-Gaussian design.
 
     Edges run forward along a random ordering of the X nodes, T is a root
     with a random set of X children, and Y is a sink with random X parents
     (both nonempty).  Weights are signed and bounded away from zero; with
-    probability `contrast_prob` one treatment child also gets an
+    probability CONTRAST_PROB one treatment child also gets an
     arm-dependent noise variance.
 
     Returns
@@ -621,14 +600,14 @@ def random_design(
             e = (f"X{order[ai]}", f"X{order[bi]}")
             edges.append(e)
             weights[e] = draw_weight()
-    t_children = [k for k in range(1, p + 1) if rng.random() < t_child_prob]
+    t_children = [k for k in range(1, p + 1) if rng.random() < T_CHILD_PROB]
     if not t_children:
         t_children = [int(rng.integers(1, p + 1))]
     for k in t_children:
         e = ("T", f"X{k}")
         edges.append(e)
         weights[e] = draw_weight()
-    y_parents = [k for k in range(1, p + 1) if rng.random() < y_parent_prob]
+    y_parents = [k for k in range(1, p + 1) if rng.random() < Y_PARENT_PROB]
     if not y_parents:
         y_parents = [int(rng.integers(1, p + 1))]
     for k in y_parents:
@@ -637,7 +616,7 @@ def random_design(
         weights[e] = draw_weight()
 
     noise = {f"X{k}": float(rng.uniform(0.6, 1.4)) for k in range(1, p + 1)}
-    if rng.random() < contrast_prob:
+    if rng.random() < CONTRAST_PROB:
         k = int(rng.choice(t_children))
         v0 = noise[f"X{k}"]
         noise[f"X{k}"] = (v0, v0 * float(rng.uniform(1.5, 2.5)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,25 +77,6 @@ class SubsetId:
     def size(self) -> int:
         return int(self.mask).bit_count()
 
-    def complement(self) -> "SubsetId":
-        return SubsetId(~self.mask & ((1 << self.p) - 1), self.p)
-
-    def contains(self, index: int) -> bool:
-        """Membership test for a 1-based covariate index."""
-        return bool(self.mask >> (index - 1) & 1)
-
-    def issubset(self, other: "SubsetId") -> bool:
-        return self.mask & other.mask == self.mask
-
-    def union(self, other: "SubsetId") -> "SubsetId":
-        return SubsetId(self.mask | other.mask, self.p)
-
-    def intersection(self, other: "SubsetId") -> "SubsetId":
-        return SubsetId(self.mask & other.mask, self.p)
-
-    def difference(self, other: "SubsetId") -> "SubsetId":
-        return SubsetId(self.mask & ~other.mask, self.p)
-
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices)) + "}"
 
@@ -135,14 +116,13 @@ class Dataset:
         Binary treatment labels (0/1 integers).
     y : ndarray of shape (n,)
         Observed outcome.
-    column_names : tuple of str
-        Covariate names; defaults to X1..Xp.
+
+    Covariate j is named ``X{j}`` wherever a name is needed.
     """
 
     x: np.ndarray
     t: np.ndarray
     y: np.ndarray
-    column_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -163,15 +143,11 @@ class Dataset:
         if not np.isin(tv, (0, 1)).all():
             raise ValueError(f"t must be 0/1, found values {tv}")
         t = t.astype(np.int8)
-        names = tuple(self.column_names) or tuple(f"X{i}" for i in range(1, p + 1))
-        if len(names) != p:
-            raise ValueError("column_names length must equal p")
         for arr in (x, t, y):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "column_names", names)
 
     @property
     def n(self) -> int:
@@ -183,7 +159,7 @@ class Dataset:
 
     def with_x(self, x: np.ndarray) -> "Dataset":
         """Copy of the dataset with the covariate matrix replaced."""
-        return Dataset(x=x, t=self.t, y=self.y, column_names=self.column_names)
+        return Dataset(x=x, t=self.t, y=self.y)
 
 
 def split_by_treatment(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -261,14 +237,13 @@ def load_csv(path) -> Dataset:
     if not finite.all():
         raise SchemaError(f"line {linenos[finite.argmin()]}: non-finite value")
     x = np.ascontiguousarray(data[:, x_cols])
-    return Dataset(x=x, t=t.astype(np.int8), y=data[:, y_col].copy(),
-                   column_names=tuple(expected))
+    return Dataset(x=x, t=t.astype(np.int8), y=data[:, y_col].copy())
 
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset in the same schema load_csv reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["T", "Y", *d.column_names])
+        writer.writerow(["T", "Y", *(f"X{j}" for j in range(1, d.p + 1))])
         for i in range(d.n):
             writer.writerow([int(d.t[i]), repr(float(d.y[i])), *map(repr, d.x[i].tolist())])

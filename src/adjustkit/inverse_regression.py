@@ -68,15 +68,12 @@ class CandidateMatrix:
         p x h for SIR, p x (p*h) column blocks for SAVE.
     method : str
         "SIR" or "SAVE".
-    target : str
-        "outcome-in-group-t" or "treatment-marginal".
     h : int
         Slice count the matrix was built from.
     """
 
     m: np.ndarray
     method: str
-    target: str
     h: int
 
 
@@ -139,10 +136,10 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
     return SliceAssignment(labels=labels, h=n_eff, kind=kind)
 
 
-def check_covariance(sigma, what: str = "covariance") -> np.ndarray:
-    """``sigma`` as a float array; SingularCovariance unless every variance is
-    positive and finite and the correlation matrix has its smallest eigenvalue
-    above MIN_EIGENVALUE, a test that rescaling a coordinate does not move."""
+def check_covariance(sigma, what: str) -> None:
+    """SingularCovariance naming ``what`` unless every variance is positive and
+    finite and the correlation matrix has its smallest eigenvalue above
+    MIN_EIGENVALUE, a test that rescaling a coordinate does not move."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
@@ -155,10 +152,9 @@ def check_covariance(sigma, what: str = "covariance") -> np.ndarray:
         raise SingularCovariance(
             f"{what}: correlation min eigenvalue below {MIN_EIGENVALUE}"
         )
-    return sigma
 
 
-def sir_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> CandidateMatrix:
+def sir_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
     """Sliced-inverse-regression candidate matrix.
 
     Parameters
@@ -167,7 +163,7 @@ def sir_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidate
         Covariates already centered with respect to the relevant mean.
     slices : SliceAssignment
     sigma : ndarray, shape (p, p)
-        Covariance to whiten against; see `check_covariance`.
+        Covariance to whiten against, already passed by `check_covariance`.
 
     Returns
     -------
@@ -175,18 +171,17 @@ def sir_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidate
         Column h is sigma^{-1} times the mean of the centered rows in
         slice h; shape p x h.
     """
-    sigma = check_covariance(sigma)
     x = np.asarray(x, dtype=np.float64)
     p = x.shape[1]
     cols = np.empty((p, slices.h))
     for k in range(1, slices.h + 1):
         cols[:, k - 1] = x[slices.labels == k].mean(axis=0)
     return CandidateMatrix(
-        m=np.linalg.solve(sigma, cols), method="SIR", target=target, h=slices.h
+        m=np.linalg.solve(sigma, cols), method="SIR", h=slices.h
     )
 
 
-def save_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> CandidateMatrix:
+def save_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
     """Sliced-average-variance candidate matrix.
 
     Parameters
@@ -195,6 +190,7 @@ def save_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidat
         Centered covariates.
     slices : SliceAssignment
     sigma : ndarray, shape (p, p)
+        Covariance already passed by `check_covariance`.
 
     Returns
     -------
@@ -207,7 +203,6 @@ def save_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidat
     SliceTooSmall
         If any slice holds fewer than 2 rows.
     """
-    sigma = check_covariance(sigma)
     x = np.asarray(x, dtype=np.float64)
     p = x.shape[1]
     blocks = np.empty((p, p * slices.h))
@@ -218,7 +213,7 @@ def save_matrix(x, slices: SliceAssignment, sigma, target: str = "") -> Candidat
         cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
         blocks[:, (k - 1) * p : k * p] = sigma - cov
     return CandidateMatrix(
-        m=np.linalg.solve(sigma, blocks), method="SAVE", target=target, h=slices.h
+        m=np.linalg.solve(sigma, blocks), method="SAVE", h=slices.h
     )
 
 
@@ -264,7 +259,8 @@ def outcome_candidate(
     -------
     CandidateMatrix
         Built from the arm's rows, centered by the arm mean, sliced on
-        the arm outcomes, whitened by the arm covariance.
+        the arm outcomes, whitened by the arm covariance, which the caller
+        checks first (`criterion_table` does, for both arms).
 
     Raises
     ------
@@ -278,7 +274,7 @@ def outcome_candidate(
     centered = d.x[arm.rows] - arm.mu
     slices = slice_response(d.y[arm.rows], h)
     fn = _pick_method(method)
-    return fn(centered, slices, arm.sigma, target="outcome-in-group-t")
+    return fn(centered, slices, arm.sigma)
 
 
 def treatment_candidate(
@@ -287,14 +283,16 @@ def treatment_candidate(
     """Candidate matrix for the treatment label over the full sample.
 
     Slices are the treatment groups themselves; centering and whitening
-    use ``whole``, the whole-sample entry of `group_moments`.
+    use ``whole``, the whole-sample entry of `group_moments`, whose
+    covariance is checked by `check_covariance` before any work.
     """
+    check_covariance(whole.sigma, "whole-sample covariance")
     centered = d.x - whole.mu
     slices = SliceAssignment(
         labels=d.t.astype(np.int64) + 1, h=2, kind="discrete-passthrough"
     )
     fn = _pick_method(method)
-    return fn(centered, slices, whole.sigma, target="treatment-marginal")
+    return fn(centered, slices, whole.sigma)
 
 
 def _pick_method(method: str):

@@ -56,8 +56,9 @@ class SelectorConfig:
             raise ValueError("cn must be finite and positive")
 
     @classmethod
-    def for_sample(cls, n: int, c0: float = 0.6) -> "SelectorConfig":
-        return cls(c0=c0, cn=default_cn(n))
+    def for_sample(cls, n: int) -> "SelectorConfig":
+        """The default c0 with the ridge `default_cn(n)`."""
+        return cls(cn=default_cn(n))
 
 
 @dataclass(frozen=True)
@@ -136,17 +137,17 @@ def select_tail(
     ratios: np.ndarray,
     order: np.ndarray,
     p: int,
-    sorted_values: np.ndarray | None = None,
-    t: int = 0,
-    config: SelectorConfig | None = None,
+    sorted_values: np.ndarray,
+    t: int,
+    config: SelectorConfig,
 ) -> SelectionResult:
     """Cut the scree at the smallest ratio and keep the tail.
 
     tau is the argmin of the ratios (first index on ties); the selected
     collection is order[tau:].  tau = 0 selects every subset, the
-    reading of a constantly-zero criterion.
+    reading of a constantly-zero criterion.  The other arguments are
+    carried into the result.
     """
-    cfg = config or SelectorConfig()
     ratios = np.asarray(ratios, dtype=np.float64)
     order = np.asarray(order, dtype=np.uint32)
     tau = int(np.argmin(ratios))
@@ -156,8 +157,6 @@ def select_tail(
     member = np.zeros(1 << p, dtype=bool)
     member[tail] = True
     selected = AdjustmentCollection(p, member)
-    if sorted_values is None:
-        sorted_values = np.empty(0)
     return SelectionResult(
         t=t,
         p=p,
@@ -166,8 +165,8 @@ def select_tail(
         ratios=ratios,
         tau=tau,
         selected=selected,
-        c0=cfg.c0,
-        cn=cfg.cn,
+        c0=config.c0,
+        cn=config.cn,
     )
 
 
@@ -176,6 +175,4 @@ def select(table, config: SelectorConfig | None = None) -> SelectionResult:
     cfg = config or SelectorConfig.for_sample(table.metadata.get("n", 2))
     order, sorted_values = sort_table(table)
     ratios = ridge_ratios(sorted_values, cfg)
-    return select_tail(
-        ratios, order, table.p, sorted_values=sorted_values, t=table.t, config=cfg
-    )
+    return select_tail(ratios, order, table.p, sorted_values, table.t, cfg)

@@ -26,6 +26,10 @@ from .data_model import (
 )
 from .errors import ContradictoryHints
 
+# largest collider block `collider_blocks` searches; a block of size k is
+# 2^k slices of the member array
+MAX_BLOCK = 3
+
 
 @dataclass(frozen=True, eq=False)
 class AdjustmentCollection:
@@ -57,16 +61,6 @@ class AdjustmentCollection:
         member = np.zeros(1 << p, dtype=bool)
         member[arr] = True
         return cls(p, member)
-
-    @classmethod
-    def from_member_array(cls, member: np.ndarray) -> "AdjustmentCollection":
-        """The collection of a membership array whose length 2^p gives p."""
-        return cls(len(member).bit_length() - 1, member)
-
-    @classmethod
-    def full_universe(cls, p: int) -> "AdjustmentCollection":
-        check_dimension(p)
-        return cls(p, np.ones(1 << p, dtype=bool))
 
     @property
     def masks(self) -> frozenset[int]:
@@ -148,25 +142,6 @@ def _intersection_of(lm: tuple[SubsetId, ...], p: int) -> SubsetId | None:
     return SubsetId(inter, p)
 
 
-def _unique_of(lm: tuple[SubsetId, ...]) -> SubsetId | None:
-    return lm[0] if len(lm) == 1 else None
-
-
-def unique_minimal(c: AdjustmentCollection) -> SubsetId | None:
-    """The unique smallest member, when one exists.
-
-    Exists exactly when the intersection of the locally minimal members
-    is itself in the collection, which for a finite family is the same
-    as there being a single locally minimal member.
-    """
-    return _unique_of(locally_minimal(c))
-
-
-def upward_closed_members(c: AdjustmentCollection) -> AdjustmentCollection:
-    """Members all of whose supersets are also members."""
-    return AdjustmentCollection(c.p, _superset_and_transform(c.member_array, c.p))
-
-
 def noncollider_indices(c: AdjustmentCollection) -> SubsetId:
     """Indices certified to act as a non-collider on some relevant path.
 
@@ -212,12 +187,12 @@ def _is_collider_block(cube: np.ndarray, block: tuple[int, ...]) -> bool:
     return bool(ok.any())
 
 
-def collider_blocks(c: AdjustmentCollection, max_block: int = 3) -> tuple[SubsetId, ...]:
+def collider_blocks(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
     """Index blocks B that can only be explained by colliders.
 
     B qualifies when some member A has A | B outside the collection
     while A | C stays inside for every proper subset C of B.  Blocks are
-    searched up to |B| = max_block and returned by (size, mask).
+    searched up to |B| = MAX_BLOCK and returned by (size, mask).
     """
     # Only A disjoint from B can qualify: if A meets B, then A | B = A | C for
     # the proper subset C = B \ A.  And if A qualifies B, then A | {i}
@@ -226,7 +201,7 @@ def collider_blocks(c: AdjustmentCollection, max_block: int = 3) -> tuple[Subset
     cube = c.member_array.reshape((2,) * c.p)
     found = []
     blocks = [(i,) for i in range(c.p)]
-    for size in range(1, max_block + 1):
+    for size in range(1, MAX_BLOCK + 1):
         qualified = [b for b in blocks if _is_collider_block(cube, b)]
         found += [sum(1 << i for i in b) for b in qualified]
         known = set(qualified)
@@ -239,22 +214,28 @@ def collider_blocks(c: AdjustmentCollection, max_block: int = 3) -> tuple[Subset
     return _by_size(found, c.p)
 
 
-def collider_indices(c: AdjustmentCollection, max_block: int = 3) -> SubsetId:
-    """Union of all collider blocks."""
+def _union_of(blocks: tuple[SubsetId, ...], p: int) -> SubsetId:
     out = 0
-    for b in collider_blocks(c, max_block):
+    for b in blocks:
         out |= b.mask
-    return SubsetId(out, c.p)
+    return SubsetId(out, p)
 
 
-def refined_collider_indices(c: AdjustmentCollection, max_block: int = 3) -> SubsetId:
-    """Collider-block union minus indices that also certify as non-colliders."""
-    return collider_indices(c, max_block).difference(noncollider_indices(c))
+def collider_indices(c: AdjustmentCollection) -> SubsetId:
+    """Union of all collider blocks."""
+    return _union_of(collider_blocks(c), c.p)
 
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Summary of the causal structure readable from one collection."""
+    """Summary of the causal structure readable from one collection.
+
+    ``unique_minimal`` is the one locally minimal member, if only one exists
+    (then the intersection of the locally minimal members is a member);
+    ``n_upward_closed`` counts members all of whose supersets are members;
+    ``refined_colliders`` is ``colliders``, the union of the collider
+    blocks, minus the non-collider indices.
+    """
 
     p: int
     n_members: int
@@ -287,7 +268,7 @@ class StructureReport:
         }
 
 
-def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureReport:
+def structure_report(c: AdjustmentCollection) -> StructureReport:
     """Build the full report.  Never raises on odd collections; flags them."""
     flags = []
     n_members = len(c)
@@ -297,13 +278,10 @@ def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureRe
         # The full covariate set is sufficient whenever anything is.
         flags.append("full set not a member")
     lm = locally_minimal(c)
-    nt = upward_closed_members(c)
-    blocks = collider_blocks(c, max_block)
+    upward_closed = _superset_and_transform(c.member_array, c.p)
+    blocks = collider_blocks(c)
     nc = noncollider_indices(c)
-    col = SubsetId(0, c.p)
-    for b in blocks:
-        col = col.union(b)
-    refined = col.difference(nc)
+    col = _union_of(blocks, c.p)
     if col.mask & nc.mask:
         flags.append("collider and non-collider evidence overlap")
     return StructureReport(
@@ -311,12 +289,12 @@ def structure_report(c: AdjustmentCollection, max_block: int = 3) -> StructureRe
         n_members=n_members,
         locally_minimal=lm,
         intersection=_intersection_of(lm, c.p),
-        unique_minimal=_unique_of(lm),
-        n_upward_closed=len(nt),
+        unique_minimal=lm[0] if len(lm) == 1 else None,
+        n_upward_closed=int(np.count_nonzero(upward_closed)),
         noncolliders=nc,
         collider_blocks=blocks,
         colliders=col,
-        refined_colliders=refined,
+        refined_colliders=SubsetId(col.mask & ~nc.mask, c.p),
         flags=tuple(flags),
     )
 
@@ -363,7 +341,8 @@ def _nearest_donor_outcome(
     if donors.shape[1] == 0:
         return np.full(queries.shape[0], donor_y.mean())
     out = np.empty(queries.shape[0])
-    chunk = max(1, 2**22 // max(donors.shape[0], 1))
+    # the difference array below holds chunk * donors.size numbers
+    chunk = max(1, 2**22 // max(donors.size, 1))
     for start in range(0, queries.shape[0], chunk):
         q = queries[start : start + chunk]
         d2 = ((q[:, None, :] - donors[None, :, :]) ** 2).sum(axis=2)

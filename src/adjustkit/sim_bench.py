@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, fdtri, ndtr
 
-from .criterion import CriterionConfig, criterion_table
+from .criterion import VARIANTS, CriterionConfig, criterion_table
 from .data_model import Dataset, SubsetId
 from .dag_oracle import Dag, true_collection
 from .errors import AdjustKitError, DegenerateData, UnknownModel
@@ -90,15 +90,6 @@ class MetricsRecord:
     pi: float
     true_colliders: int
     false_colliders: int
-
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "omega": self.omega,
-            "pi": self.pi,
-            "true_colliders": self.true_colliders,
-            "false_colliders": self.false_colliders,
-        }
 
 
 def model_graph(model_id: int, p: int = 10) -> Dag:
@@ -309,14 +300,12 @@ def _method_t(model_id: int) -> str:
     return "save" if model_id in (4, 5) else "sir"
 
 
-def _one_rep(model_id, n, p, variants, arms, seed, rep, h):
-    spec = ModelSpec(
-        model_id, n, p, seed=np.random.SeedSequence((seed, model_id, n, rep))
-    )
+def _one_rep(model_id, n, variants, arms, seed, rep):
+    spec = ModelSpec(model_id, n, seed=np.random.SeedSequence((seed, model_id, n, rep)))
     gen = generate_model(spec)
     out = {}
     for variant in variants:
-        cfg = CriterionConfig(method_y="sir", method_t=_method_t(model_id), h=h)
+        cfg = CriterionConfig(method_t=_method_t(model_id))
         for arm in arms:
             key = (variant, arm)
             try:
@@ -338,18 +327,19 @@ def run_benchmark(
     variants=("mn", "gc"),
     reps: int = 200,
     seed: int = 0,
-    p: int = 10,
     arms=(0, 1),
-    h: int = 5,
     threads: int = 1,
 ) -> BenchmarkResult:
     """Replicate the benchmark grid and average the metrics.
+
+    Models are drawn at p = 10; tables use `CriterionConfig` defaults
+    except `method_t`.
 
     Parameters
     ----------
     model_ids, n_values, variants : iterables
         Grid to run; variants are "mn" (raw covariates) and "gc"
-        (copula-transformed).
+        (copula-transformed); others are refused before any work.
     reps : int
         Replications per cell; each rep derives its generator from
         (seed, model, n, rep), so cells are reproducible independently.
@@ -371,13 +361,16 @@ def run_benchmark(
     for mid in model_ids:
         if mid not in MODEL_IDS:
             raise UnknownModel(f"model id {mid} not in {MODEL_IDS}")
+    for v in variants:
+        if v not in VARIANTS:
+            raise ValueError(f"unknown variant {v!r}")
 
     rows = []
     failures = {}
     for model_id in model_ids:
         for n in n_values:
             per_rep = [
-                _one_rep(model_id, n, p, variants, arms, seed, rep, h)
+                _one_rep(model_id, n, variants, arms, seed, rep)
                 for rep in range(reps)
             ]
             for variant in variants:

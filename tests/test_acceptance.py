@@ -27,8 +27,7 @@ from adjustkit.set_analysis import (
     AdjustmentCollection,
     collider_indices,
     locally_minimal,
-    refined_collider_indices,
-    unique_minimal,
+    structure_report,
 )
 from adjustkit.sim_bench import ModelSpec, generate_model, model_graph, run_benchmark
 
@@ -126,10 +125,11 @@ def test_criterion_01_reference_graph_goldens():
         coll = true_collection(refs[name])
         assert coll.masks == gold["members"], name
         assert {s.indices for s in locally_minimal(coll)} == gold["lm"], name
-        uniq = unique_minimal(coll)
+        report = structure_report(coll)
+        uniq = report.unique_minimal
         assert (None if uniq is None else uniq.indices) == gold["unique"], name
         assert collider_indices(coll).indices == gold["col"], name
-        assert refined_collider_indices(coll).indices == gold["refined"], name
+        assert report.refined_colliders.indices == gold["refined"], name
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"criterion 1: PASS (8 reference graphs exact, {elapsed:.2f}s)")
@@ -267,7 +267,9 @@ def test_criterion_08_ridge_ratio_unit_vector():
     cfg = SelectorConfig(c0=0.6, cn=0.01)
     ratios = ridge_ratios(np.array([1.0, 0.9, 0.001, 0.0005]), cfg)
     assert np.allclose(ratios, [0.6, 0.9010, 0.0121, 0.9545], atol=1e-3)
-    res = select_tail(ratios, np.arange(4, dtype=np.uint32), p=2, config=cfg)
+    res = select_tail(
+        ratios, np.arange(4, dtype=np.uint32), 2, np.array([1.0, 0.9, 0.001, 0.0005]), 0, cfg
+    )
     assert res.tau == 2
 
     from types import SimpleNamespace
@@ -276,9 +278,9 @@ def test_criterion_08_ridge_ratio_unit_vector():
         masks=np.arange(8, dtype=np.uint32), values=np.zeros(8)
     )
     order, vals = sort_table(zero_tab)
-    flat = select_tail(ridge_ratios(vals, cfg), order, p=3, config=cfg)
+    flat = select_tail(ridge_ratios(vals, cfg), order, 3, vals, 0, cfg)
     assert flat.tau == 0
-    assert flat.selected.masks == AdjustmentCollection.full_universe(3).masks
+    assert flat.selected.masks == AdjustmentCollection(3, np.ones(8, dtype=bool)).masks
     print("criterion 8: PASS (frozen ratio vector, tau=2; all-zero table selects F)")
 
 

@@ -24,11 +24,19 @@ from adjustkit.sim_bench import model_graph
 # Independent reference: literal path enumeration.  A path is blocked by Z
 # when some non-collider on it lies in Z, or some collider has neither
 # itself nor any descendant in Z.
+def _parents(g, node):
+    return {a for a, b in g.edges() if b == node}
+
+
+def _children(g, node):
+    return {b for a, b in g.edges() if a == node}
+
+
 def _descendants(g, node):
     out, stack = set(), [node]
     while stack:
         v = stack.pop()
-        for c in g.children_of(v):
+        for c in _children(g, v):
             if c not in out:
                 out.add(c)
                 stack.append(c)
@@ -37,7 +45,7 @@ def _descendants(g, node):
 
 def _all_simple_paths(g, u, v):
     nodes = ["Y", "T"] + [f"X{i}" for i in range(1, g.p + 1)]
-    nbrs = {a: set(g.parents_of(a)) | set(g.children_of(a)) for a in nodes}
+    nbrs = {a: _parents(g, a) | _children(g, a) for a in nodes}
     paths = []
 
     def walk(cur, trail):
@@ -60,7 +68,7 @@ def path_dsep(g, u, v, z_labels):
         blocked = False
         for k in range(1, len(path) - 1):
             w = path[k]
-            parents = set(g.parents_of(w))
+            parents = _parents(g, w)
             is_collider = path[k - 1] in parents and path[k + 1] in parents
             if is_collider:
                 if not (({w} | _descendants(g, w)) & z):
@@ -106,7 +114,8 @@ class TestDagBasics:
         g = Dag.from_text(text)
         assert g.p == 3
         assert g.edges() == (("X1", "Y"), ("X1", "T"))
-        again = Dag.from_text(g.to_text())
+        lines = [f"{a} -> {b}" for a, b in g.edges()] + ["X2", "X3"]
+        again = Dag.from_text("\n".join(lines))
         assert again == g
 
     def test_from_text_cycle(self):
@@ -119,9 +128,11 @@ class TestDagBasics:
             g.p = 5
 
     def test_parents_children(self):
-        g = Dag(3, [("X1", "Y"), ("X2", "Y"), ("Y", "X3")])
-        assert g.parents_of("Y") == ("X1", "X2")
-        assert g.children_of("Y") == ("X3",)
+        # edges() lists the edges by (source, target), Y first, then T, X1..Xp
+        g = Dag(3, [("X2", "Y"), ("Y", "X3"), ("X1", "Y")])
+        assert g.edges() == (("Y", "X3"), ("X1", "Y"), ("X2", "Y"))
+        assert _parents(g, "Y") == {"X1", "X2"}
+        assert _children(g, "Y") == {"X3"}
 
 
 class TestDSeparation:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjustkit.criterion import criterion_table
+from adjustkit import criterion, inverse_regression
+from adjustkit.criterion import CriterionConfig, criterion_table
 from adjustkit.data_model import Dataset
 from adjustkit.errors import (
     DegenerateData,
@@ -14,6 +15,7 @@ from adjustkit.errors import (
     TooFewObservations,
 )
 from adjustkit.inverse_regression import (
+    GroupMoments,
     SliceAssignment,
     group_moments,
     outcome_candidate,
@@ -115,11 +117,6 @@ class TestSirMatrix:
         m = sir_matrix(x, s, sigma).m
         mb = sir_matrix(x @ b, s, b @ sigma @ b).m
         assert np.allclose(mb, np.linalg.solve(b, m), atol=1e-10)
-
-    def test_singular_sigma(self):
-        s = SliceAssignment(labels=np.array([1, 2]), h=2, kind="discrete-passthrough")
-        with pytest.raises(SingularCovariance):
-            sir_matrix(np.zeros((2, 2)), s, np.zeros((2, 2)))
 
     def test_spectral_norm_shrinks_under_null(self):
         # permutation slices independent of x: top singular value decays
@@ -255,7 +252,6 @@ class TestCandidates:
         )
         assert np.allclose(m.m, np.linalg.solve(sigma, cols))
         assert m.h == 2
-        assert m.target == "treatment-marginal"
 
     def test_outcome_candidate_centered_within_arm(self):
         d = self._dataset(n=80)
@@ -269,7 +265,45 @@ class TestCandidates:
             [centered[s.labels == k].mean(axis=0) for k in (1, 2)], axis=1
         )
         assert np.allclose(m.m, np.linalg.solve(sigma1, cols))
-        assert m.target == "outcome-in-group-t"
+
+    def test_singular_sigma(self):
+        d = self._dataset(n=4, p=2)
+        whole = GroupMoments(np.arange(4), np.zeros(2), np.zeros((2, 2)))
+        for method in ("sir", "save"):
+            with pytest.raises(SingularCovariance, match="whole-sample covariance"):
+                treatment_candidate(d, whole, method)
+
+    def test_whole_sample_covariance_checked(self):
+        # shifting X1 and X2 by 1e7 * T leaves each arm's covariance well
+        # conditioned and makes the two nearly collinear over the whole sample
+        d = self._dataset(n=200)
+        x = d.x.copy()
+        x[:, :2] += 1e7 * d.t[:, None]
+        d = d.with_x(x)
+        with pytest.raises(SingularCovariance, match="whole-sample covariance"):
+            criterion_table(d, 0, "mn")
+        # the outcome candidate's errors still come first
+        with pytest.raises(TooFewObservations):
+            criterion_table(d, 0, config=CriterionConfig(h=60))
+
+    @pytest.mark.parametrize("variant", ["mn", "gc"])
+    def test_each_covariance_checked_once(self, monkeypatch, variant):
+        checked = []
+        real = inverse_regression.check_covariance
+
+        def counted(sigma, what):
+            checked.append(what)
+            return real(sigma, what)
+
+        monkeypatch.setattr(criterion, "check_covariance", counted)
+        monkeypatch.setattr(inverse_regression, "check_covariance", counted)
+        for method in ("sir", "save"):
+            checked.clear()
+            cfg = CriterionConfig(method_y=method, method_t=method)
+            criterion_table(self._dataset(n=100), 0, variant, cfg)
+            assert checked == [
+                "arm 0 covariance", "arm 1 covariance", "whole-sample covariance"
+            ]
 
     def test_arm_too_small(self):
         d = self._dataset(n=16)

@@ -131,7 +131,7 @@ class TestSelectTail:
         cfg = SelectorConfig(c0=0.6, cn=0.01)
         order = np.array([0b00, 0b10, 0b01, 0b11], dtype=np.uint32)
         values = np.array([1.0, 0.9, 0.001, 0.0005])
-        res = select_tail(ridge_ratios(values, cfg), order, p=2, config=cfg)
+        res = select_tail(ridge_ratios(values, cfg), order, 2, values, 0, cfg)
         assert res.tau == 2
         assert res.selected.masks == {0b01, 0b11}
         assert res.ratios[0] == cfg.c0
@@ -140,7 +140,7 @@ class TestSelectTail:
         cfg = SelectorConfig()
         tab = _table(3, np.arange(8), np.zeros(8))
         order, vals = sort_table(tab)
-        res = select_tail(ridge_ratios(vals, cfg), order, p=3, config=cfg)
+        res = select_tail(ridge_ratios(vals, cfg), order, 3, vals, 0, cfg)
         assert res.tau == 0
         assert len(res.selected) == 8
 
@@ -148,20 +148,22 @@ class TestSelectTail:
         cfg = SelectorConfig(c0=0.6, cn=0.01)
         tab = _table(8, np.arange(200), np.r_[np.ones(100), np.zeros(100)])
         order, vals = sort_table(tab)
-        res = select_tail(ridge_ratios(vals, cfg), order, p=8, config=cfg)
+        res = select_tail(ridge_ratios(vals, cfg), order, 8, vals, 0, cfg)
         assert res.tau == 100
         assert len(res.selected) == 100
         assert all(vals[k] == 0.0 for k in range(res.tau, 200))
 
     def test_ties_break_to_the_earliest_index(self):
-        res = select_tail(np.array([0.6, 0.5, 0.5]), np.arange(3), p=2)
+        res = select_tail(
+            np.array([0.6, 0.5, 0.5]), np.arange(3), 2, np.ones(3), 0, SelectorConfig()
+        )
         assert res.tau == 1
 
     def test_c0_floors_a_flat_scree(self):
         # every empirical ratio stays above c0, so the cut never moves
         cfg = SelectorConfig(c0=0.6, cn=1.0)
         values = np.array([1.0, 0.9, 0.8])
-        res = select_tail(ridge_ratios(values, cfg), np.arange(3), p=2, config=cfg)
+        res = select_tail(ridge_ratios(values, cfg), np.arange(3), 2, values, 0, cfg)
         assert res.tau == 0
         assert len(res.selected) == 3
 
@@ -170,7 +172,7 @@ class TestSelectTail:
         rng = np.random.default_rng(9)
         tab = _table(4, np.arange(16), rng.uniform(size=16))
         order, vals = sort_table(tab)
-        res = select_tail(ridge_ratios(vals, cfg), order, p=4, config=cfg)
+        res = select_tail(ridge_ratios(vals, cfg), order, 4, vals, 0, cfg)
         assert res.selected.masks == set(order[res.tau:].tolist())
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
@@ -181,8 +183,10 @@ class TestSelectTail:
         order = np.arange(4, dtype=np.uint32)
         base = SelectorConfig(c0=0.6, cn=0.01)
         scaled = SelectorConfig(c0=0.6, cn=0.01 * scale)
-        r0 = select_tail(ridge_ratios(values, base), order, p=2, config=base)
-        r1 = select_tail(ridge_ratios(values * scale, scaled), order, p=2, config=scaled)
+        r0 = select_tail(ridge_ratios(values, base), order, 2, values, 0, base)
+        r1 = select_tail(
+            ridge_ratios(values * scale, scaled), order, 2, values * scale, 0, scaled
+        )
         assert r1.tau == r0.tau == 2
         assert r1.selected.masks == r0.selected.masks
 

@@ -1,3 +1,7 @@
+import tracemalloc
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +15,9 @@ from adjustkit.dag_oracle import (
     true_collection,
 )
 from adjustkit import set_analysis
-from adjustkit.errors import ContradictoryHints
+from adjustkit.errors import ContradictoryHints, LargeDimension
 from adjustkit.set_analysis import (
+    MAX_BLOCK,
     AdjustmentCollection,
     collider_blocks,
     collider_indices,
@@ -20,13 +25,10 @@ from adjustkit.set_analysis import (
     locally_minimal,
     noncollider_indices,
     prune_hints,
-    refined_collider_indices,
     structure_report,
-    unique_minimal,
-    upward_closed_members,
     upward_closure,
 )
-from adjustkit.sim_bench import ModelSpec, generate_model
+from adjustkit.sim_bench import ModelSpec, generate_model, model_graph
 
 
 def _coll(p, masks):
@@ -34,7 +36,7 @@ def _coll(p, masks):
 
 
 def _full(p):
-    return AdjustmentCollection.full_universe(p)
+    return AdjustmentCollection(p, np.ones(1 << p, dtype=bool))
 
 
 class TestCollection:
@@ -74,8 +76,43 @@ class TestCollection:
 
     def test_member_array_roundtrip(self):
         c = _coll(3, [0, 5, 7])
-        back = AdjustmentCollection.from_member_array(c.member_array)
+        back = AdjustmentCollection(3, c.member_array)
         assert back.sorted_masks() == c.sorted_masks()
+        assert not back.member_array.flags.writeable
+        with pytest.raises(ValueError, match="length 2"):
+            AdjustmentCollection(2, c.member_array)
+
+
+def _moral_separated(edges, z: set) -> bool:
+    """Whether the X nodes named in z separate Y from T in the moral graph
+    of the ancestors of {Y, T} and z, which holds exactly when they
+    d-separate them (Lauritzen et al. 1990; van der Zander et al. 2019)."""
+    parents = {}
+    for a, b in edges:
+        parents.setdefault(b, set()).add(a)
+    ancestral, stack = set(), ["Y", "T", *z]
+    while stack:
+        v = stack.pop()
+        if v not in ancestral:
+            ancestral.add(v)
+            stack.extend(parents.get(v, ()))
+    # every parent of an ancestral node is ancestral; marry co-parents
+    adjacent = {v: set() for v in ancestral}
+    for v in ancestral:
+        ps = parents.get(v, set())
+        for a in ps:
+            adjacent[a].add(v)
+            adjacent[v].add(a)
+        for a, b in combinations(ps, 2):
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+    seen, stack = {"Y"}, ["Y"]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if w not in seen and w not in z:
+                seen.add(w)
+                stack.append(w)
+    return "T" not in seen
 
 
 def _by_size(masks):
@@ -111,10 +148,10 @@ class TestAgainstDefinitions:
         return tuple(sorted(out))
 
     @staticmethod
-    def _collider_blocks(p, members, max_block):
+    def _collider_blocks(p, members):
         found = []
         for b in range(1, 1 << p):
-            if bin(b).count("1") > max_block:
+            if bin(b).count("1") > MAX_BLOCK:
                 continue
             if any(
                 a | b not in members
@@ -136,14 +173,13 @@ class TestAgainstDefinitions:
                         ).member_array.tolist()
                     ),
                 ),
-                st.integers(1, 3),
             )
         )
     )
     @settings(max_examples=150, deadline=None)
     def test_analysis_matches_definitions(self, args):
-        p, bits, max_block = args
-        c = AdjustmentCollection.from_member_array(np.array(bits, dtype=bool))
+        p, bits = args
+        c = AdjustmentCollection(p, np.array(bits, dtype=bool))
         members = {m for m, b in enumerate(bits) if b}
         assert c.masks == members and len(c) == len(members)
         assert [s.mask for s in c.subset_ids()] == _by_size(members)
@@ -152,11 +188,20 @@ class TestAgainstDefinitions:
         assert [s.mask for s in locally_minimal(c)] == _by_size(minimal)
 
         closed = self._upward_closed(p, members)
-        assert upward_closed_members(c).masks == closed
+        upward = set_analysis._superset_and_transform(c.member_array, p)
+        assert set(np.flatnonzero(upward).tolist()) == closed
         assert noncollider_indices(c).indices == self._noncolliders(p, members, closed)
-        assert [b.mask for b in collider_blocks(c, max_block)] == self._collider_blocks(
-            p, members, max_block
-        )
+        blocks = [b.mask for b in collider_blocks(c)]
+        assert blocks == self._collider_blocks(p, members)
+
+        rep = structure_report(c)
+        assert rep.n_upward_closed == len(closed)
+        assert rep.unique_minimal == (SubsetId(minimal[0], p) if len(minimal) == 1 else None)
+        union = 0
+        for b in blocks:
+            union |= b
+        assert rep.colliders.mask == collider_indices(c).mask == union
+        assert rep.refined_colliders.mask == union & ~rep.noncolliders.mask
 
 
 class TestLocallyMinimal:
@@ -199,6 +244,34 @@ class TestLocallyMinimal:
         expected = np.flatnonzero(member & ~one_smaller)
         assert sorted(s.mask for s in locally_minimal(c)) == expected.tolist()
 
+    @pytest.mark.parametrize("graph", ["model3-p20", "0-p16", "1-p17", "2-p18"])
+    def test_minimal_separators_in_moral_graph(self, graph):
+        # checked by a second engine built from the edge list alone: each
+        # locally minimal set separates Y from T in the moralized ancestral
+        # graph and no set one element smaller does (Tian, Paz & Pearl 1998)
+        seed, p = graph.split("-p")
+        if seed == "model3":
+            g = model_graph(3, int(p))
+        else:
+            g = random_design(np.random.default_rng(int(seed)), int(p))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LargeDimension)  # p = 20
+            c = true_collection(g)
+        edges = g.edges()
+
+        def names(mask):
+            return {f"X{i + 1}" for i in range(g.p) if mask >> i & 1}
+
+        for m in np.random.default_rng(0).integers(0, 1 << g.p, 300).tolist():
+            assert _moral_separated(edges, names(m)) == (m in c), m
+        lm = locally_minimal(c)
+        assert lm
+        for s in lm:
+            z = names(s.mask)
+            assert _moral_separated(edges, z), s
+            for x in z:
+                assert not _moral_separated(edges, z - {x}), (s, x)
+
     def test_pairwise_non_nested(self):
         for g in reference_graphs().values():
             lm = [s.mask for s in locally_minimal(true_collection(g))]
@@ -226,25 +299,25 @@ class TestLocallyMinimal:
 class TestUniqueMinimal:
     def test_present(self):
         c = true_collection(reference_graphs()["unique_minimal"])
-        u = unique_minimal(c)
+        u = structure_report(c).unique_minimal
         assert u is not None and u.indices == (1,)
 
     def test_absent(self):
         c = true_collection(reference_graphs()["triple_minimal"])
-        assert unique_minimal(c) is None
+        assert structure_report(c).unique_minimal is None
 
     def test_full_collection(self):
-        assert unique_minimal(_full(3)).mask == 0
+        assert structure_report(_full(3)).unique_minimal.mask == 0
 
     def test_intersection_bridge(self):
         # unique minimal exists exactly when the intersection is a member
         for g in reference_graphs().values():
             c = true_collection(g)
-            inter = structure_report(c).intersection
-            if inter in c:
-                assert unique_minimal(c) == inter
+            rep = structure_report(c)
+            if rep.intersection in c:
+                assert rep.unique_minimal == rep.intersection
             else:
-                assert unique_minimal(c) is None
+                assert rep.unique_minimal is None
 
 
 class TestUpwardClosure:
@@ -259,16 +332,15 @@ class TestUpwardClosure:
 
     def test_upward_closed_members_unique_minimal(self):
         c = true_collection(reference_graphs()["unique_minimal"])
-        up = upward_closed_members(c)
         expect = {m for m in range(16) if m & 0b0011 == 0b0011}
         expect |= {m for m in range(16) if m & 0b1001 == 0b1001}
-        assert set(up.sorted_masks()) == expect
+        assert structure_report(c).n_upward_closed == len(expect)
 
     def test_full_collection_everything_upward(self):
-        assert len(upward_closed_members(_full(3))) == 8
+        assert structure_report(_full(3)).n_upward_closed == 8
 
     def test_empty_only_member(self):
-        assert len(upward_closed_members(_coll(2, [0]))) == 0
+        assert structure_report(_coll(2, [0])).n_upward_closed == 0
 
 
 class TestColliderCalls:
@@ -285,12 +357,12 @@ class TestColliderCalls:
         refs = reference_graphs()
         c = true_collection(refs["unique_minimal"])
         assert collider_indices(c).indices == (3,)
-        assert refined_collider_indices(c).indices == (3,)
+        assert structure_report(c).refined_colliders.indices == (3,)
         # conditioning a collider's descendant opens the path, so index 2
         # (whose children 4 and 5 feed the outcome) never certifies here
         c = true_collection(refs["double_collider"])
         assert collider_indices(c).indices == (5,)
-        assert refined_collider_indices(c).indices == (5,)
+        assert structure_report(c).refined_colliders.indices == (5,)
         c = true_collection(refs["outcome_collider"])
         assert collider_indices(c).indices == ()
 
@@ -299,7 +371,7 @@ class TestColliderCalls:
 
     def test_collider_blocks(self):
         c = true_collection(reference_graphs()["unique_minimal"])
-        blocks = collider_blocks(c, max_block=3)
+        blocks = collider_blocks(c)
         assert any(b.indices == (3,) for b in blocks)
 
     def test_structure_report_roundtrip(self):
@@ -331,7 +403,8 @@ class TestColliderCalls:
             for s in locally_minimal(c):
                 inter &= s.mask
             assert rep.intersection == SubsetId(inter, c.p)
-            assert rep.unique_minimal == unique_minimal(c)
+            lm = locally_minimal(c)
+            assert rep.unique_minimal == (lm[0] if len(lm) == 1 else None)
 
     def test_structure_report_flags(self):
         rep = structure_report(_coll(2, [1]))
@@ -411,6 +484,19 @@ class TestEstimateAte:
         a = SubsetId.from_indices(model.dataset.p, [2, 3]).mask
         got = estimate_ate(model.dataset, a, a)
         assert abs(got - 0.3) < 0.3
+
+    def test_full_sets_memory_bounded(self):
+        # the pairwise difference array is chunked by donors x columns, so
+        # its size does not grow with the adjustment set
+        d = generate_model(ModelSpec(1, n=2000, p=17, seed=0)).dataset
+        full = (1 << d.p) - 1
+        tracemalloc.start()
+        try:
+            estimate_ate(d, full, full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("mask", [-1, 1 << 10])
     def test_mask_outside_universe_rejected(self, monkeypatch, mask):

@@ -1,15 +1,19 @@
 """Benchmark models: ground truth, metrics arithmetic, seeded replication."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import f as f_dist
 
+from adjustkit import sim_bench
 from adjustkit.dag_oracle import true_collection
 from adjustkit.data_model import SubsetId
 from adjustkit.errors import UnknownModel
 from adjustkit.set_analysis import AdjustmentCollection, locally_minimal, upward_closure
 from adjustkit.sim_bench import (
+    METRIC_NAMES,
     ModelSpec,
     compute_metrics,
     generate_model,
@@ -132,7 +136,7 @@ class TestComputeMetrics:
 
     def test_select_everything(self, model1):
         truth, colliders = model1
-        full = AdjustmentCollection.full_universe(10)
+        full = AdjustmentCollection(10, np.ones(1 << 10, dtype=bool))
         m = compute_metrics(full, truth, colliders)
         assert m.rho == 1.0
         assert m.omega == pytest.approx(448 / 1024)
@@ -155,15 +159,16 @@ class TestComputeMetrics:
 
     def test_dimension_mismatch(self, model1):
         truth, colliders = model1
-        other = AdjustmentCollection.full_universe(11)
+        other = AdjustmentCollection(11, np.ones(1 << 11, dtype=bool))
         with pytest.raises(ValueError):
             compute_metrics(other, truth, colliders)
 
     def test_as_dict_roundtrip(self, model1):
+        # run_benchmark reads the record's fields by METRIC_NAMES
         truth, colliders = model1
-        d = compute_metrics(truth, truth, colliders).as_dict()
+        d = dataclasses.asdict(compute_metrics(truth, truth, colliders))
         assert d["rho"] == 1.0
-        assert set(d) == {"rho", "omega", "pi", "true_colliders", "false_colliders"}
+        assert tuple(d) == METRIC_NAMES
 
 
 class TestRunBenchmark:
@@ -172,6 +177,15 @@ class TestRunBenchmark:
             run_benchmark(model_ids=(1,), reps=0)
         with pytest.raises(UnknownModel):
             run_benchmark(model_ids=(9,), reps=1)
+
+    @pytest.mark.parametrize("variant", ["xx", "normality", "GC"])
+    def test_unknown_variant_refused_before_any_work(self, monkeypatch, variant):
+        def drawn(*args):
+            raise AssertionError("a model was drawn")
+
+        monkeypatch.setattr(sim_bench, "generate_model", drawn)
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_benchmark(model_ids=(1,), variants=("mn", variant), reps=1)
 
     def test_repeat_run_is_bit_identical(self):
         kw = dict(

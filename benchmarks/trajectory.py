@@ -1,0 +1,162 @@
+"""Write BENCH_<label>.json: adjustkit's end-to-end and per-layer numbers.
+
+Usage, from the root of a source checkout:
+
+    python3 benchmarks/trajectory.py --label NAME [--seconds S]
+
+Each perfbench workload runs in its own process twice: with --trace 0 for
+setup_s, op_s, peak_rss_mb and the number of operations, and with --trace 1
+for the per-layer metrics that BENCHMARK.json names.  Then
+`adjustkit select --arm 0` on a model-1 sample with p = 20 and n = 2000 runs
+three times as a child process, timed from start to exit, with the child's
+peak RSS.
+The file lands at the repository root, beside the host's core count, the
+Python, numpy and scipy versions and the git commit, so that a later change
+can be compared with it by running the same command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("select-p17", "replicate-p10", "oracle-mix")
+SEED = 7
+# (p, n) of each workload's inputs, as perfbench/workloads.py makes them
+SHAPES = {
+    "select-p17": (17, 4000),
+    "replicate-p10": (10, [400, 800]),
+    "oracle-mix": ([18, 14], None),
+}
+SELECT_P, SELECT_N, SELECT_RUNS = 20, 2000, 3
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--seconds", type=float, default=25.0,
+                        help="perfbench's time budget per run (default 25)")
+    args = parser.parse_args(argv)
+    if not args.label.replace("-", "").replace("_", "").isalnum() or args.seconds <= 0:
+        parser.error("--label must be letters, digits, '-' or '_', and --seconds > 0")
+    return args
+
+
+def _perfbench(workload: str, seconds: float, trace: int) -> tuple[dict, dict]:
+    """The printed result line of one perfbench run and the result file it wrote."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = ROOT / "perfbench" / "out" / f"result-{workload}-seed{SEED}-trace{trace}.json"
+    return line, json.loads(record.read_text(encoding="utf-8"))
+
+
+def _workload(name: str, seconds: float) -> dict:
+    plain, record = _perfbench(name, seconds, 0)
+    traced, _ = _perfbench(name, seconds, 1)
+    p, n = SHAPES[name]
+    return {
+        "p": p,
+        "n": n,
+        "threads": record["machine"]["threads"]["adjustkit"],
+        "ops": plain["attempted"],
+        **{key: m["value"] for key, m in plain["metrics"].items()},
+        "correct": plain["correct"] and traced["correct"],
+        "failed": plain["failed"] + traced["failed"],
+        "traced_ops": traced["attempted"],
+        "per_layer": {key: m["value"] for key, m in traced["metrics"].items()},
+    }
+
+
+def _select_p20() -> dict:
+    """`adjustkit select --arm 0` at p = 20 as a child process, SELECT_RUNS
+    times: the median wall time from start to exit (the host's speed drifts
+    between runs), each run's wall time, the largest of the children's own
+    peak RSS and the bytes one run writes."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    walls, rss = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp) / "m1.csv", Path(tmp) / "out"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from adjustkit.data_model import save_csv\n"
+             "from adjustkit.sim_bench import ModelSpec, generate_model\n"
+             f"d = generate_model(ModelSpec(1, n={SELECT_N}, p={SELECT_P}, seed=0)).dataset\n"
+             "save_csv(d, sys.argv[1])\n", str(csv)],
+            env=env, check=True,
+        )
+        argv = [sys.executable, "-m", "adjustkit.cli", "select", "--input", str(csv),
+                "--arm", "0", "--output", str(out)]
+        for _ in range(SELECT_RUNS):
+            start = time.perf_counter()
+            child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+            # wait4 gives this child's own rusage, not the maximum over all children
+            _, status, usage = os.wait4(child.pid, 0)
+            walls.append(time.perf_counter() - start)
+            rss.append(usage.ru_maxrss / 1024.0)
+            if os.waitstatus_to_exitcode(status):
+                break
+        written = sum(f.stat().st_size for f in out.iterdir()) if out.is_dir() else 0
+    return {
+        "p": SELECT_P,
+        "n": SELECT_N,
+        "threads": 1,
+        "exit_code": os.waitstatus_to_exitcode(status),
+        "wall_s": statistics.median(walls),
+        "wall_runs": walls,
+        "peak_rss_mb": max(rss),
+        "bytes_written": written,
+    }
+
+
+def _git(*args: str) -> str | None:
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    import numpy
+    import scipy
+
+    doc = {
+        "label": args.label,
+        "commit": _git("rev-parse", "HEAD"),
+        # uncommitted changes under src/ mean the numbers are not the commit's
+        "dirty": bool(_git("status", "--porcelain", "--", "src")),
+        "seed": SEED,
+        "seconds": args.seconds,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
+        "select_p20": _select_p20(),
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"{path.name}: " + ", ".join(
+        f"{name} op_s {w['op_s']:.3f}" for name, w in doc["workloads"].items()
+    ) + f", select p20 {doc['select_p20']['wall_s']:.2f} s")
+    ok = all(w["correct"] and not w["failed"] for w in doc["workloads"].values())
+    return 0 if ok and doc["select_p20"]["exit_code"] == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criterion import VARIANTS, CriterionConfig, criterion_table
+from .criterion import VARIANTS, CriterionConfig, criterion_tables
+from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
 from .dag_oracle import Dag, true_collection
 from .data_model import SubsetId, load_csv, mask_popcounts
 from .errors import (
@@ -197,8 +198,13 @@ def cmd_select(args: argparse.Namespace) -> int:
     existing = next(path for path in (outdir, *outdir.parents) if path.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"--output: {existing} is not a directory")
-    for t in (0, 1) if args.arm == "both" else (int(args.arm),):
-        table = criterion_table(d, t, variant=args.variant, config=crit_cfg)
+    arms = (0, 1) if args.arm == "both" else (int(args.arm),)
+    tables = criterion_tables(d, arms, variant=args.variant, config=crit_cfg)
+    # an arm whose outcome candidate failed stops the run after the arms
+    # before it are written
+    for t, table in zip(arms, tables):
+        if isinstance(table, AdjustKitError):
+            raise table
         if not np.isfinite(table.values).any():
             raise SingularCovariance(f"arm {t}: every conditioning block is singular")
         result = select(table, sel_cfg)

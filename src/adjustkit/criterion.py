@@ -16,6 +16,7 @@ import numpy as np
 
 from .copula import transform_dataset
 from .data_model import Dataset, check_dimension, enumerate_masks
+from .errors import AdjustKitError
 from .inverse_regression import (
     check_covariance,
     group_moments,
@@ -27,13 +28,20 @@ __all__ = [
     "CriterionConfig",
     "CriterionTable",
     "criterion_table",
+    "criterion_tables",
     "population_values",
 ]
 
 MIN_EIGENVALUE = 1e-10
-# numbers in one level of the pivot tree's walk, both arms: 4096 subsets
-# for SIR x SIR at the leaves
+# numbers in one level of the pivot tree's walk, over both arm covariances,
+# whose block rows are the stacked outcome candidates of every requested
+# arm: about 2,400 subsets at the leaves for two SIR outcome candidates
+# against a SIR treatment candidate
 STATE_CELLS = 96 * 1024
+
+# candidate-matrix estimators: sliced inverse regression, sliced average
+# variance estimation
+METHODS = ("sir", "save")
 
 # raw covariates, and covariates replaced by pooled normal scores
 VARIANTS = ("mn", "gc")
@@ -50,8 +58,8 @@ class CriterionConfig:
     method_t : str
         "sir" or "save" for the treatment candidate matrix.
     h : int
-        Requested outcome slice count, at least 2; checked here, so that a
-        table is refused before any work.
+        Requested outcome slice count, at least 2.  The methods and h are
+        checked here, so that a table is refused before any work.
     masks : ndarray or None
         Optional pruned universe: strictly ascending integer masks inside
         0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
@@ -63,6 +71,9 @@ class CriterionConfig:
     masks: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("method_y", "method_t"):
+            if getattr(self, name) not in METHODS:
+                raise ValueError(f"{name} must be 'sir' or 'save'")
         if self.h < 2:
             raise ValueError("h must be at least 2")
 
@@ -122,10 +133,11 @@ def _narrowed(m: np.ndarray) -> np.ndarray:
 def _pivot(aug: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Decide the last undecided index for every node of the batch.
 
-    ``aug`` has shape (2, h_y + k, h_t + k, B): per arm and node the block
-    [[Z, M_Y'], [M_T, S]] over the k undecided indices, the last row and
-    column being index k-1; the node axis is last so that every operation
-    runs along long contiguous rows.  A node either drops the index (bit 0)
+    ``aug`` has shape (2, h_y + k, h_t + k, B): per arm covariance and node
+    the block [[Z, M_Y'], [M_T, S]] over the k undecided indices, M_Y' being
+    the stacked outcome candidates and the last row and column index k-1;
+    the node axis is last so that every operation runs along long
+    contiguous rows.  A node either drops the index (bit 0)
     or pivots on it (bit 1, a rank-1 update), so node j becomes nodes 2j and
     2j+1.  A pivot at or below ``floor`` (per arm) is replaced by NaN, which
     fills the pivoted node and all of its subtree.  Elementwise arithmetic
@@ -169,23 +181,29 @@ def _spectral_norms(z: np.ndarray) -> np.ndarray:
 
 
 def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
-    """Numbers, both arms, in the largest level of the pivot-tree walk
-    below ``b`` nodes with ``k`` undecided indices and ``leaves`` requested
-    leaves: the level with j undecided indices holds at most b * 2^(k-j)
-    nodes, and at most 2 * leaves before the unreached ones are dropped."""
+    """Numbers, over both arm covariances, in the largest level of the
+    pivot-tree walk below ``b`` nodes with ``k`` undecided indices and
+    ``leaves`` requested leaves, where ``h_y`` counts the rows of the stacked
+    outcome candidates of every requested arm: the level with j undecided
+    indices holds at most b * 2^(k-j) nodes, and at most 2 * leaves before
+    the unreached ones are dropped."""
     return max(
         2 * (h_y + j) * (h_t + j) * min(b << (k - j), 2 * leaves) for j in range(k + 1)
     )
 
 
 def _lattice_values(
-    inv_sigmas: np.ndarray, my: np.ndarray, mt: np.ndarray, masks: np.ndarray
-) -> np.ndarray:
-    """Criterion values of ``masks`` (strictly ascending, inside 0..2^p-1),
-    by one pivot tree.
+    inv_sigmas: np.ndarray, mys, mt: np.ndarray, masks: np.ndarray
+) -> list[np.ndarray]:
+    """Criterion values of ``masks`` (strictly ascending, inside 0..2^p-1)
+    for each outcome candidate of ``mys``, by one pivot tree.
 
     The term of an arm for complement C is minus the Y x T block left after
-    pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  Indices
+    pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  The
+    outcome candidates are stacked as rows, [[Sigma^{-1}, M_T], [M_Y(0)';
+    M_Y(1)', 0]], and each one's spectral norms are taken on its own row
+    slice of the Y x T block; `_pivot` is elementwise, so every candidate's
+    values are bit-identical to those of a walk of its own.  Indices
     are decided top bit first and node j's children are 2j (skip) and 2j+1
     (pivot), so a node at depth p - k holds the complements j*2^k ..
     (j+1)*2^k - 1 and a leaf's number is its complement.  The tree is walked
@@ -202,14 +220,15 @@ def _lattice_values(
     tree, +inf in the result.
     """
     p = inv_sigmas.shape[-1]
-    h_y, h_t = my.shape[1], mt.shape[1]
+    rows = np.cumsum([0] + [my.shape[1] for my in mys])
+    h_y, h_t = int(rows[-1]), mt.shape[1]
     aug = np.zeros((2, h_y + p, h_t + p, 1))
-    aug[:, :h_y, h_t:, 0] = my.T
+    aug[:, :h_y, h_t:, 0] = np.concatenate(mys, axis=1).T
     aug[:, h_y:, :h_t, 0] = mt
     aug[:, h_y:, h_t:, 0] = inv_sigmas
     floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
     comps = None if masks.size == 1 << p else (1 << p) - 1 - masks[::-1].astype(np.int64)
-    out = np.empty(masks.size)
+    outs = [np.empty(masks.size) for _ in mys]
 
     def walk(aug: np.ndarray, ids, k: int) -> None:
         # ids: the batch's node numbers, a range on the full lattice; once
@@ -248,17 +267,18 @@ def _lattice_values(
             else:
                 ids = (2 * ids[:, None] + (0, 1)).ravel()
             k -= 1
-        norms = _spectral_norms(aug)
-        v = norms[0] + norms[1]
-        v[np.isnan(v)] = np.inf
-        n = out.size  # complement c is mask n - 1 - c
-        if comps is None:
-            out[n - ids.stop : n - ids.start] = v[::-1]
-        else:
-            out[n - 1 - np.searchsorted(comps, ids)] = v
+        n = masks.size  # complement c is mask n - 1 - c
+        for out, top, bottom in zip(outs, rows[:-1], rows[1:]):
+            norms = _spectral_norms(aug[:, top:bottom])
+            v = norms[0] + norms[1]
+            v[np.isnan(v)] = np.inf
+            if comps is None:
+                out[n - ids.stop : n - ids.start] = v[::-1]
+            else:
+                out[n - 1 - np.searchsorted(comps, ids)] = v
 
     walk(aug, range(1) if comps is None else np.zeros(1, dtype=np.int64), p)
-    return out
+    return outs
 
 
 def _inverses(sigma0, sigma1) -> np.ndarray:
@@ -270,16 +290,17 @@ def _inverses(sigma0, sigma1) -> np.ndarray:
     return np.stack([np.linalg.inv(sigma0), np.linalg.inv(sigma1)])
 
 
-def criterion_table(
-    d: Dataset, t: int, variant: str = "mn", config: CriterionConfig | None = None
-) -> CriterionTable:
-    """Evaluate the criterion on every enumerated subset.
+def criterion_tables(
+    d: Dataset, arms, variant: str = "mn", config: CriterionConfig | None = None
+) -> tuple[CriterionTable | AdjustKitError, ...]:
+    """Evaluate the criterion on every enumerated subset, for each of
+    several arms' outcome candidates, with one fit and one pivot tree.
 
     Parameters
     ----------
     d : Dataset
-    t : int
-        Arm for the outcome candidate matrix.
+    arms : iterable of int
+        Arms for the outcome candidate matrices, each 0 or 1.
     variant : str
         "mn" (raw covariates) or "gc" (covariates replaced by pooled
         normal scores first).
@@ -287,25 +308,29 @@ def criterion_table(
 
     Returns
     -------
-    CriterionTable
-        Deterministic given dataset and config; subsets whose
-        conditioning block is singular (a failed pivot, see
-        `_lattice_values`) carry +inf and are counted in
+    tuple
+        One entry per arm of ``arms``: its `CriterionTable`, or the
+        `AdjustKitError` its outcome candidate raised (for example
+        `TooFewObservations`).  Only the requested arms' candidates are
+        built.  A table is deterministic given dataset and config;
+        subsets whose conditioning block is singular (a failed pivot,
+        see `_lattice_values`) carry +inf and are counted in
         metadata["singular_blocks"].
 
     Raises
     ------
     ValueError
-        For t outside {0, 1}, an unknown variant or a malformed
+        For an arm outside {0, 1}, an unknown variant or a malformed
         ``config.masks``, before any work.
     DimensionTooLarge
         For p > 24, with or without ``config.masks``, before any work.
     SingularCovariance
-        If an arm covariance fails `check_covariance`, or after the
+        If an arm covariance fails `check_covariance`, or, once an
         outcome candidate is built, the whole-sample covariance.
     """
     cfg = config or CriterionConfig()
-    if t not in (0, 1):
+    arms = tuple(arms)
+    if any(t not in (0, 1) for t in arms):
         raise ValueError("t must be 0 or 1")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -316,23 +341,45 @@ def criterion_table(
         d = transform_dataset(d)
     g0, g1, whole = group_moments(d)
     inv_sigmas = _inverses(g0.sigma, g1.sigma)
-    m_y = outcome_candidate(d, (g0, g1)[t], cfg.method_y, cfg.h)
+    out = []  # candidate matrices and errors, then tables and errors
+    for t in arms:
+        try:
+            out.append(outcome_candidate(d, (g0, g1)[t], cfg.method_y, cfg.h))
+        except AdjustKitError as exc:
+            out.append(exc)
+    built = [i for i, m in enumerate(out) if not isinstance(m, AdjustKitError)]
+    if not built:
+        return tuple(out)
     m_t = treatment_candidate(d, whole, cfg.method_t)
-    values = _lattice_values(inv_sigmas, _narrowed(m_y.m), _narrowed(m_t.m), masks)
-    singular = int(np.isinf(values).sum())
-
-    meta = {
-        "n": d.n,
-        "p": p,
-        "h_y": m_y.h,
-        "h_t": m_t.h,
-        "method_y": m_y.method,
-        "method_t": m_t.method,
-        "singular_blocks": singular,
-    }
-    return CriterionTable(
-        p=p, masks=masks, values=values, t=t, variant=variant, metadata=meta
+    values = _lattice_values(
+        inv_sigmas, [_narrowed(out[i].m) for i in built], _narrowed(m_t.m), masks
     )
+    for i, v in zip(built, values):
+        m_y = out[i]
+        meta = {
+            "n": d.n,
+            "p": p,
+            "h_y": m_y.h,
+            "h_t": m_t.h,
+            "method_y": m_y.method,
+            "method_t": m_t.method,
+            "singular_blocks": int(np.isinf(v).sum()),
+        }
+        out[i] = CriterionTable(
+            p=p, masks=masks, values=v, t=arms[i], variant=variant, metadata=meta
+        )
+    return tuple(out)
+
+
+def criterion_table(
+    d: Dataset, t: int, variant: str = "mn", config: CriterionConfig | None = None
+) -> CriterionTable:
+    """The table of arm ``t`` alone: `criterion_tables` for ``(t,)``, with
+    the arm's outcome-candidate error raised instead of returned."""
+    [table] = criterion_tables(d, (t,), variant, config)
+    if isinstance(table, AdjustKitError):
+        raise table
+    return table
 
 
 def population_values(spec) -> np.ndarray:
@@ -342,4 +389,7 @@ def population_values(spec) -> np.ndarray:
     sufficient adjustment sets of any compatible linear-Gaussian design."""
     masks = enumerate_masks(spec.p)
     inv_sigmas = _inverses(spec.sigma0, spec.sigma1)
-    return _lattice_values(inv_sigmas, _narrowed(spec.beta_y), _narrowed(spec.beta_t), masks)
+    [values] = _lattice_values(
+        inv_sigmas, [_narrowed(spec.beta_y)], _narrowed(spec.beta_t), masks
+    )
+    return values

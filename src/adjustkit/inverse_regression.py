@@ -260,7 +260,7 @@ def outcome_candidate(
     CandidateMatrix
         Built from the arm's rows, centered by the arm mean, sliced on
         the arm outcomes, whitened by the arm covariance, which the caller
-        checks first (`criterion_table` does, for both arms).
+        checks first (`criterion_tables` does, for both arms).
 
     Raises
     ------
@@ -296,9 +296,8 @@ def treatment_candidate(
 
 
 def _pick_method(method: str):
-    key = method.strip().lower()
-    if key == "sir":
+    if method == "sir":
         return sir_matrix
-    if key == "save":
+    if method == "save":
         return save_matrix
     raise ValueError(f"unknown method {method!r}; expected 'sir' or 'save'")

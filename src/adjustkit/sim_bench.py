@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, fdtri, ndtr
 
-from .criterion import VARIANTS, CriterionConfig, criterion_table
+from .criterion import VARIANTS, CriterionConfig, criterion_tables
+from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
 from .data_model import Dataset, SubsetId
 from .dag_oracle import Dag, true_collection
 from .errors import AdjustKitError, DegenerateData, UnknownModel
@@ -301,23 +302,31 @@ def _method_t(model_id: int) -> str:
 
 
 def _one_rep(model_id, n, variants, arms, seed, rep):
+    """Metrics of one replication per (variant, arm), or the error that
+    stopped that cell; an arm's failed outcome candidate fails only its own
+    cell."""
     spec = ModelSpec(model_id, n, seed=np.random.SeedSequence((seed, model_id, n, rep)))
     gen = generate_model(spec)
+    failures = (AdjustKitError, np.linalg.LinAlgError)
     out = {}
     for variant in variants:
         cfg = CriterionConfig(method_t=_method_t(model_id))
-        for arm in arms:
-            key = (variant, arm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateData)
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegenerateData)
-                    table = criterion_table(gen.dataset, arm, variant, cfg)
+                tables = criterion_tables(gen.dataset, arms, variant, cfg)
+            except failures as exc:
+                tables = (exc,) * len(arms)
+            for arm, table in zip(arms, tables):
+                try:
+                    if isinstance(table, failures):
+                        raise table
                     result = select(table, SelectorConfig.for_sample(n))
-                out[key] = compute_metrics(
-                    result.selected, gen.truth, gen.colliders
-                )
-            except (AdjustKitError, np.linalg.LinAlgError) as exc:
-                out[key] = exc
+                    out[(variant, arm)] = compute_metrics(
+                        result.selected, gen.truth, gen.colliders
+                    )
+                except failures as exc:
+                    out[(variant, arm)] = exc
     return out
 
 

@@ -10,12 +10,20 @@ import numpy as np
 import pytest
 
 import adjustkit
-from adjustkit import cli
+from adjustkit import cli, sim_bench
 from adjustkit.cli import _load_hint_masks, _write_selection, main
 from adjustkit.criterion import CriterionConfig, criterion_table
 from adjustkit.data_model import Dataset, SubsetId, load_csv, save_csv
 from adjustkit.selection import SelectorConfig, default_cn, select, select_tail
-from adjustkit.sim_bench import ModelSpec, generate_model, model_graph
+from adjustkit.errors import TooFewObservations
+from adjustkit.set_analysis import upward_closure
+from adjustkit.sim_bench import (
+    GeneratedModel,
+    MetricsRecord,
+    ModelSpec,
+    generate_model,
+    model_graph,
+)
 
 UNIQUE_MIN_DAG = """\
 X1 -> T
@@ -276,9 +284,9 @@ def test_file_system_errors_exit_2(tmp_path, case, capsys):
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_output_file_refused_before_the_sweep(tmp_path, monkeypatch, below, capsys):
     def sweep(*args, **kwargs):
-        raise AssertionError("criterion_table was called")
+        raise AssertionError("criterion_tables was called")
 
-    monkeypatch.setattr(cli, "criterion_table", sweep)
+    monkeypatch.setattr(cli, "criterion_tables", sweep)
     data = _model_csv(tmp_path, 1, n=200)
     target = tmp_path / "target"
     target.write_text("")
@@ -287,6 +295,47 @@ def test_output_file_refused_before_the_sweep(tmp_path, monkeypatch, below, caps
     assert capsys.readouterr().err.startswith("adjustkit: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "target"]
     assert target.is_file()
+
+
+class TestArmFailure:
+    """An arm whose outcome candidate cannot be built fails on its own: arm 1
+    below has 8 rows, fewer than the 2h = 10 that h = 5 slices need."""
+
+    @staticmethod
+    def _dataset():
+        rng = np.random.default_rng(5)
+        t = np.repeat([0, 1], [40, 8])
+        x = rng.normal(size=(48, 3))
+        return Dataset(t=t, y=x[:, 0] + rng.normal(size=48), x=x)
+
+    def _run(self, tmp_path, arm):
+        path = tmp_path / "thin.csv"
+        save_csv(self._dataset(), path)
+        out = tmp_path / "run"
+        rc = main(["select", "--input", str(path), "--output", str(out), "--arm", arm])
+        return rc, sorted(p.name for p in out.iterdir())
+
+    ARM0_FILES = ["criterion_arm0.csv", "scree_arm0.csv", "selection_arm0.json"]
+
+    def test_arm0_alone_never_builds_arm1(self, tmp_path):
+        assert self._run(tmp_path, "0") == (0, self.ARM0_FILES)
+
+    def test_both_arms_write_arm0_then_fail(self, tmp_path, capsys):
+        assert self._run(tmp_path, "both") == (3, self.ARM0_FILES)
+        assert "arm 1 has 8 rows" in capsys.readouterr().err
+
+    def test_replication_keeps_the_other_arm(self, monkeypatch):
+        d = self._dataset()
+        gen = GeneratedModel(
+            dataset=d,
+            truth=upward_closure(d.p, [SubsetId.from_indices(d.p, (1,))]),
+            colliders=SubsetId.from_indices(d.p, ()),
+        )
+        monkeypatch.setattr(sim_bench, "generate_model", lambda spec: gen)
+        out = sim_bench._one_rep(1, 100, ("mn", "gc"), (0, 1), seed=0, rep=0)
+        for variant in ("mn", "gc"):
+            assert isinstance(out[(variant, 0)], MetricsRecord)
+            assert isinstance(out[(variant, 1)], TooFewObservations)
 
 
 class TestOracle:

@@ -7,6 +7,7 @@ from adjustkit.criterion import (
     _lattice_values,
     _narrowed,
     criterion_table,
+    criterion_tables,
     population_values,
 )
 from adjustkit.dag_oracle import (
@@ -152,7 +153,7 @@ class TestPivotTree:
         mt = rng.normal(size=(p, w_t))
         sigmas = (_random_pd(rng, p), _random_pd(rng, p))
         inv = np.stack([np.linalg.inv(s) for s in sigmas])
-        got = _lattice_values(inv, _narrowed(my), _narrowed(mt), _every_mask(p))
+        got = _lattice_values(inv, [_narrowed(my)], _narrowed(mt), _every_mask(p))[0]
         ref = np.array([pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
         assert got[-1] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
@@ -167,7 +168,7 @@ class TestPivotTree:
         sigma[0, 1] = sigma[1, 0] = 1.0 - eps
         inv = np.stack([np.linalg.inv(sigma), np.eye(3)])
         m = np.random.default_rng(3).normal(size=(3, width))
-        got = _lattice_values(inv, m, m, _every_mask(3))
+        got = _lattice_values(inv, [m], m, _every_mask(3))[0]
         assert np.isinf(got[[0b000, 0b100]]).all()
         assert np.isfinite(np.delete(got, [0b000, 0b100])).all()
 
@@ -185,14 +186,14 @@ class TestPivotTree:
         # a smaller level budget splits the tree sooner, down to one node
         # per batch at cells=1; every value must stay bit-identical
         inv, my, mt = self._problem(9, widths)
-        full = _lattice_values(inv, my, mt, _every_mask(9))
+        full = _lattice_values(inv, [my], mt, _every_mask(9))[0]
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
-        assert np.array_equal(_lattice_values(inv, my, mt, _every_mask(9)), full)
+        assert np.array_equal(_lattice_values(inv, [my], mt, _every_mask(9))[0], full)
 
     @pytest.mark.parametrize("cells", [1, 700, 96 * 1024])
     def test_pruned_masks_equal_full_entries(self, monkeypatch, cells):
         inv, my, mt = self._problem(9, "sir")
-        full = _lattice_values(inv, my, mt, _every_mask(9))
+        full = _lattice_values(inv, [my], mt, _every_mask(9))[0]
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
         rng = np.random.default_rng(cells)
         for masks in (
@@ -202,8 +203,26 @@ class TestPivotTree:
             np.array([(1 << 9) - 1]),
             np.array([], dtype=np.int64),
         ):
-            got = _lattice_values(inv, my, mt, masks.astype(np.uint32))
+            got = _lattice_values(inv, [my], mt, masks.astype(np.uint32))[0]
             assert np.array_equal(got, full[masks])
+
+    @pytest.mark.parametrize("cells", [700, 5000])
+    def test_stacked_rows_stay_within_the_budget(self, monkeypatch, cells):
+        # the level budget counts the rows of every stacked outcome candidate:
+        # only a batch of one node may pivot into a level above it
+        inv, my, mt = self._problem(9, "sir")
+        levels = []
+        step = criterion._pivot
+
+        def measured(aug, floor):
+            out = step(aug, floor)
+            levels.append((aug.shape[-1], out.size))
+            return out
+
+        monkeypatch.setattr(criterion, "STATE_CELLS", cells)
+        monkeypatch.setattr(criterion, "_pivot", measured)
+        _lattice_values(inv, [my, my[:, :3]], mt, _every_mask(9))
+        assert all(size <= cells or nodes == 1 for nodes, size in levels)
 
     @pytest.mark.filterwarnings("ignore:enumerating 2")
     def test_pinned_bits_prune_the_walk(self, monkeypatch):
@@ -223,7 +242,7 @@ class TestPivotTree:
             return step(aug, floor)
 
         monkeypatch.setattr(criterion, "_pivot", counting)
-        got = _lattice_values(inv, my, mt, masks.astype(np.uint32))
+        got = _lattice_values(inv, [my], mt, masks.astype(np.uint32))[0]
         assert sum(pivoted) <= p * masks.size
         sigmas = [np.linalg.inv(s) for s in inv]
         ref = [pair_value(my, mt, sigmas, int(m)) for m in masks[::97]]
@@ -331,6 +350,19 @@ class TestCriterionTable:
         with pytest.raises(ValueError, match="h must be at least 2"):
             CriterionConfig(h=1)
 
+    @pytest.mark.parametrize("field", ["method_y", "method_t"])
+    @pytest.mark.parametrize("method", ["pca", " SAVE ", "SIR"])
+    def test_method_names_checked_by_config(self, monkeypatch, field, method):
+        # "sir" and "save" are the one spelling of each method; any other is
+        # refused when the config is made, before the copula or the moments
+        def entered(*args):
+            raise AssertionError("the copula or the moments were entered")
+
+        monkeypatch.setattr(criterion, "transform_dataset", entered)
+        monkeypatch.setattr(criterion, "group_moments", entered)
+        with pytest.raises(ValueError, match=f"{field} must be 'sir' or 'save'"):
+            criterion_tables(self._dataset(), (0, 1), "gc", CriterionConfig(**{field: method}))
+
     def test_pruned_universe_consistent_with_full(self):
         d = self._dataset()
         full = criterion_table(d, t=0)
@@ -371,3 +403,67 @@ class TestCriterionTable:
     def test_malformed_masks_rejected(self, masks):
         with pytest.raises(ValueError):
             criterion_table(self._dataset(), t=0, config=CriterionConfig(masks=masks))
+
+
+class TestCriterionTables:
+    """Both arms from one fit and one walk, bit-identical to one walk per arm."""
+
+    _dataset = TestCriterionTable._dataset
+
+    @staticmethod
+    def _assert_per_arm(d, variant, cfg):
+        tables = criterion_tables(d, (0, 1), variant, cfg)
+        assert [table.t for table in tables] == [0, 1]
+        for t, table in enumerate(tables):
+            alone = criterion_table(d, t, variant, cfg)
+            assert np.array_equal(table.values, alone.values)
+            assert np.array_equal(table.masks, alone.masks)
+            assert table.metadata == alone.metadata
+        return tables
+
+    @pytest.mark.parametrize("variant", ["mn", "gc"])
+    @pytest.mark.parametrize("method_y", ["sir", "save"])
+    @pytest.mark.parametrize("method_t", ["sir", "save"])
+    def test_both_arms_equal_their_own_tables(self, variant, method_y, method_t):
+        cfg = CriterionConfig(method_y=method_y, method_t=method_t)
+        self._assert_per_arm(self._dataset(), variant, cfg)
+
+    @pytest.mark.parametrize("variant", ["mn", "gc"])
+    def test_pruned_universe(self, variant):
+        d = self._dataset()
+        masks = prune_hints(d.p, known_forks=0b000001, pure_colliders=0b010000)
+        tables = self._assert_per_arm(d, variant, CriterionConfig(masks=masks))
+        assert tables[1].masks.tolist() == masks.tolist()
+
+    @pytest.mark.parametrize("cells", [1, 700])
+    @pytest.mark.parametrize("method_y", ["sir", "save"])
+    def test_walk_budget(self, monkeypatch, cells, method_y):
+        d = self._dataset()
+        cfg = CriterionConfig(method_y=method_y)
+        full = [table.values for table in criterion_tables(d, (0, 1), "mn", cfg)]
+        monkeypatch.setattr(criterion, "STATE_CELLS", cells)
+        tables = self._assert_per_arm(d, "mn", cfg)
+        for table, values in zip(tables, full):
+            assert np.array_equal(table.values, values)
+
+    def test_outcome_widths_differ(self):
+        # arm 1's outcome takes three values, so its slices are merged to
+        # three against arm 0's five and the stacked rows have unequal widths
+        d = self._dataset()
+        y = np.where(d.t == 1, np.round(d.y).clip(-1, 1), d.y)
+        d = Dataset(t=d.t, y=y, x=d.x)
+        tables = self._assert_per_arm(d, "mn", CriterionConfig())
+        assert [table.metadata["h_y"] for table in tables] == [5, 3]
+
+    def test_one_arm_builds_one_outcome_candidate(self, monkeypatch):
+        built = []
+        real = criterion.outcome_candidate
+
+        def counted(d, arm, *args):
+            built.append(int(d.t[arm.rows[0]]))
+            return real(d, arm, *args)
+
+        monkeypatch.setattr(criterion, "outcome_candidate", counted)
+        [table] = criterion_tables(self._dataset(), (1,))
+        assert built == [1]
+        assert table.t == 1

@@ -247,24 +247,58 @@ class TestOutputBytes:
                      "--hints", str(hints)]) == 0
         self._assert_cli_matches_reference(path, out, hints)
 
+    @staticmethod
+    def _assert_writer_matches_reference(tmp_path, p, order, tau):
+        """Write a `select_tail` result with the cut at ``tau`` and compare
+        its files with the reference; return the reference's bytes."""
+        values = np.array([np.inf, 3.0, 0.1 + 0.2, 1e-300] + [0.0] * order.size)
+        ratios = np.ones(order.size)
+        ratios[tau] = 0.5
+        result = select_tail(ratios, order, p, sorted_values=values[:order.size], t=1,
+                             config=SelectorConfig(c0=0.5, cn=0.01))
+        assert result.tau == tau
+        header = {"arm": 1, "n": 50, "p": p, "variant": "gc", "method_y": "save",
+                  "method_t": "sir", "h": 3, "c0": result.c0, "cn": result.cn,
+                  "subsets_evaluated": int(order.size), "singular_blocks": 1, "tau": tau}
+        _write_selection(tmp_path, header, result)
+        expected = _reference_files(header, result)
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
+        return expected
+
     def test_whole_universe_with_empty_set(self, tmp_path):
         # odd p and more rows than the writer renders at once
         p = 13
         order = np.random.default_rng(3).permutation(1 << p).astype(np.uint32)
-        values = np.array([np.inf, 3.0, 0.1 + 0.2, 1e-300] + [0.0] * ((1 << p) - 4))
-        ratios = np.ones(1 << p)
-        ratios[0] = 0.5
-        result = select_tail(ratios, order, p, sorted_values=values, t=1,
-                             config=SelectorConfig(c0=0.5, cn=0.01))
-        assert result.tau == 0
-        header = {"arm": 1, "n": 50, "p": p, "variant": "gc", "method_y": "save",
-                  "method_t": "sir", "h": 3, "c0": result.c0, "cn": result.cn,
-                  "subsets_evaluated": 1 << p, "singular_blocks": 1, "tau": result.tau}
-        _write_selection(tmp_path, header, result)
-        expected = _reference_files(header, result)
+        expected = self._assert_writer_matches_reference(tmp_path, p, order, 0)
         assert b"    []," in expected["selection_arm1.json"]
-        for name, data in expected.items():
-            assert (tmp_path / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("p, tau", [(1, 0), (1, 1), (2, 0), (2, 3)])
+    def test_one_and_two_covariates(self, tmp_path, p, tau):
+        # the name tables split the bits at k = p // 2 = 0 and 1
+        order = np.random.default_rng(p).permutation(1 << p).astype(np.uint32)
+        expected = self._assert_writer_matches_reference(tmp_path, p, order, tau)
+        assert (b"    []" in expected["selection_arm1.json"]) == (0 in order[tau:])
+
+    def test_pruned_universe_without_empty_set(self, tmp_path):
+        # 6,000 of the 8,191 nonempty masks at p = 13, 5,500 selected: both
+        # the CSV rows and the JSON items end in a partial block
+        rng = np.random.default_rng(4)
+        order = rng.choice(np.arange(1, 1 << 13, dtype=np.uint32), 6000, replace=False)
+        expected = self._assert_writer_matches_reference(tmp_path, 13, order, 500)
+        assert b'"selected_sets": [\n    [\n      ' in expected["selection_arm1.json"]
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_mask_namer_matches_subset_indices(p):
+    masks = np.arange(1 << p, dtype=np.uint32)
+    indices = [SubsetId(m, p).indices for m in range(1 << p)]
+    csv = cli._mask_namer(p, " ")(masks)
+    assert list(map("".join, zip(*csv))) == [" ".join(map(str, i)) for i in indices]
+    sets = cli._mask_namer(p, ",\n      ", "\n      ", "\n    ")(masks)
+    item = len('{\n  "s": [\n    ')
+    assert ["[%s%s]" % pair for pair in zip(*sets)] == [
+        json.dumps({"s": [list(i)]}, indent=2)[item:-len("\n  ]\n}")] for i in indices]
 
 
 @pytest.mark.parametrize("case", ["select --output file", "select --input dir", "oracle --dag dir"])

@@ -9,7 +9,9 @@ setup_s, op_s, peak_rss_mb and the number of operations, and with --trace 1
 for the per-layer metrics that BENCHMARK.json names.  Then
 `adjustkit select --arm 0` on a model-1 sample with p = 20 and n = 2000 runs
 three times as a child process, timed from start to exit, with the child's
-peak RSS.
+peak RSS.  Each of those runs is also scaled to perfbench's reference host
+speed (perfbench/speed.py, whose sample runs after each child), so that the
+p = 20 time compares across files as perfbench's times do.
 The file lands at the repository root, beside the host's core count, the
 Python, numpy and scipy versions and the git commit, so that a later change
 can be compared with it by running the same command.
@@ -25,10 +27,12 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import speed  # noqa: E402  perfbench's host-speed sample
+
 WORKLOADS = ("select-p17", "replicate-p10", "oracle-mix")
 SEED = 7
 # (p, n) of each workload's inputs, as perfbench/workloads.py makes them
@@ -80,13 +84,23 @@ def _workload(name: str, seconds: float) -> dict:
     }
 
 
+def _child(argv: list[str], env: dict) -> tuple[int, float]:
+    """Run one child to its exit: its exit code and its own peak RSS in MB."""
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    # wait4 gives this child's own rusage, not the maximum over all children
+    _, status, usage = os.wait4(child.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0
+
+
 def _select_p20() -> dict:
     """`adjustkit select --arm 0` at p = 20 as a child process, SELECT_RUNS
     times: the median wall time from start to exit (the host's speed drifts
-    between runs), each run's wall time, the largest of the children's own
-    peak RSS and the bytes one run writes."""
+    between runs) and the median of the same times scaled to the reference
+    host speed, each run's wall and scaled time, the largest of the
+    children's own peak RSS and the bytes one run writes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    walls, rss = [], []
+    host = speed.Speed()
+    walls, scaled, rss = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         csv, out = Path(tmp) / "m1.csv", Path(tmp) / "out"
         subprocess.run(
@@ -101,22 +115,22 @@ def _select_p20() -> dict:
         argv = [sys.executable, "-m", "adjustkit.cli", "select", "--input", str(csv),
                 "--arm", "0", "--output", str(out)]
         for _ in range(SELECT_RUNS):
-            start = time.perf_counter()
-            child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-            # wait4 gives this child's own rusage, not the maximum over all children
-            _, status, usage = os.wait4(child.pid, 0)
-            walls.append(time.perf_counter() - start)
-            rss.append(usage.ru_maxrss / 1024.0)
-            if os.waitstatus_to_exitcode(status):
+            [(exit_code, peak)], [(_, wall, at_ref)] = host.timed(lambda: _child(argv, env))
+            walls.append(wall)
+            scaled.append(at_ref)
+            rss.append(peak)
+            if exit_code:
                 break
         written = sum(f.stat().st_size for f in out.iterdir()) if out.is_dir() else 0
     return {
         "p": SELECT_P,
         "n": SELECT_N,
         "threads": 1,
-        "exit_code": os.waitstatus_to_exitcode(status),
+        "exit_code": exit_code,
         "wall_s": statistics.median(walls),
         "wall_runs": walls,
+        "scaled_s": statistics.median(scaled),
+        "scaled_runs": scaled,
         "peak_rss_mb": max(rss),
         "bytes_written": written,
     }
@@ -153,7 +167,8 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"{path.name}: " + ", ".join(
         f"{name} op_s {w['op_s']:.3f}" for name, w in doc["workloads"].items()
-    ) + f", select p20 {doc['select_p20']['wall_s']:.2f} s")
+    ) + f", select p20 {doc['select_p20']['wall_s']:.2f} s "
+        f"({doc['select_p20']['scaled_s']:.2f} s scaled)")
     ok = all(w["correct"] and not w["failed"] for w in doc["workloads"].values())
     return 0 if ok and doc["select_p20"]["exit_code"] == 0 else 1
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from adjustkit.criterion import population_values
 from adjustkit.dag_oracle import Dag, linear_sem_population, true_collection
+from adjustkit.data_model import by_size, mask_indices
 from adjustkit.set_analysis import structure_report
 
 
@@ -30,18 +31,18 @@ def main():
 
     print(f"graph on p={g.p} covariates, edges: {g.edges()}")
     print(f"sufficient sets ({rep.n_members} of {1 << g.p}):")
-    for s in coll.subset_ids():
-        print(f"  {set(s.indices) or '{}'}")
-    print(f"locally minimal: {[set(s.indices) for s in rep.locally_minimal]}")
-    print(f"unique minimal:  {set(rep.unique_minimal.indices)}")
-    print(f"collider calls:  {set(rep.colliders.indices) or '{}'}")
+    for m in by_size(coll.masks).tolist():
+        print(f"  {set(mask_indices(m)) or '{}'}")
+    print(f"locally minimal: {[set(mask_indices(m)) for m in rep.locally_minimal.tolist()]}")
+    print(f"unique minimal:  {set(mask_indices(rep.unique_minimal))}")
+    print(f"collider calls:  {set(mask_indices(rep.colliders)) or '{}'}")
 
     # the same collection falls out of the noise-free criterion: a linear
     # SEM on g makes the population criterion vanish exactly on the members
     spec = linear_sem_population(g)
     values = population_values(spec)
-    zero = np.flatnonzero(values < 1e-10).tolist()
-    matches = zero == coll.sorted_masks()
+    zero = np.flatnonzero(values < 1e-10)
+    matches = np.array_equal(zero, coll.masks)
     print(f"population criterion zero-set matches: {matches}")
     print(f"smallest nonzero value: {values[values > 1e-10].min():.4f}")
     return 0 if matches else 1

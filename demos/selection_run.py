@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 
 from adjustkit.criterion import CriterionConfig, criterion_table
+from adjustkit.data_model import mask_indices
 from adjustkit.selection import select
 from adjustkit.sim_bench import ModelSpec, compute_metrics, generate_model
 
@@ -26,7 +27,7 @@ def main():
 
     print("nonlinear outcome over a confounded graph (n=800):")
     gm = generate_model(ModelSpec(2, n=800, seed=1))
-    print(f"  truth: {len(gm.truth)} sufficient sets, colliders {set(gm.colliders.indices)}")
+    print(f"  truth: {len(gm.truth)} sufficient sets, colliders {set(mask_indices(gm.colliders))}")
     run_arm(gm, "mn")
 
     print("heavy-tailed design, covariance-only treatment signal (n=800):")

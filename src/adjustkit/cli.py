@@ -21,7 +21,7 @@ import numpy as np
 from .criterion import VARIANTS, CriterionConfig, criterion_tables
 from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
 from .dag_oracle import Dag, true_collection
-from .data_model import SubsetId, load_csv, mask_popcounts
+from .data_model import by_size, indices_mask, load_csv, mask_indices
 from .errors import (
     AdjustKitError,
     EmptyGroup,
@@ -60,7 +60,7 @@ def _parse_index_list(text: str, p: int, what: str) -> int:
     """Comma-separated 1-based indices to a mask; empty string is the empty set."""
     try:
         indices = [int(tok) for tok in text.split(",")] if text.strip() else []
-        return SubsetId.from_indices(p, indices).mask
+        return indices_mask(p, indices)
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from None
 
@@ -74,30 +74,28 @@ def _load_hint_masks(path: str, p: int) -> np.ndarray:
     if known:
         raise ValueError(f"unknown hint keys: {sorted(known)}")
 
-    def as_mask(key: str) -> int:
+    def hint_mask(key: str) -> int:
         indices = doc.get(key, [])
         # not isinstance: bool is an int subclass, so JSON true would be index 1
         if not isinstance(indices, list) or any(type(i) is not int for i in indices):
             raise ValueError(f"{key}: expected a list of integer indices")
         try:
-            return SubsetId.from_indices(p, indices).mask
+            return indices_mask(p, indices)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
     return prune_hints(
         p,
-        known_forks=as_mask("known_forks"),
-        pure_colliders=as_mask("pure_colliders"),
-        pure_noncolliders=as_mask("pure_noncolliders"),
+        known_forks=hint_mask("known_forks"),
+        pure_colliders=hint_mask("pure_colliders"),
+        pure_noncolliders=hint_mask("pure_noncolliders"),
     )
 
 
-def _fmt_subset(s: SubsetId | None) -> str:
-    if s is None:
+def _fmt_subset(mask: int | None) -> str:
+    if mask is None:
         return "none"
-    if not s.indices:
-        return "{}"
-    return "{" + ", ".join(map(str, s.indices)) + "}"
+    return "{" + ", ".join(map(str, mask_indices(mask))) + "}"
 
 
 def _index_names(first: int, count: int, sep: str) -> list[str]:
@@ -149,8 +147,7 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
     joined blocks (450 KB) raised the benchmark's peak RSS by 4-7 MB 1 run in 4.
     """
     t = header["arm"]
-    sel = result.order[result.tau:]
-    sel = sel[np.lexsort((sel, mask_popcounts(sel)))]
+    sel = by_size(result.order[result.tau:])
     sets = _mask_namer(result.p, ",\n      ", "\n      ", "\n    ")
     # the header's own closing "\n}" is cut off and written after the lists
     head = json.dumps({**header, "selected_count": sel.size}, indent=2)[:-2]
@@ -238,9 +235,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rep = structure_report(coll)
     print(f"p = {g.p}, |collection| = {rep.n_members} of {1 << g.p}")
     if g.p <= 6:
-        members = ", ".join(_fmt_subset(s) for s in coll.subset_ids())
+        members = ", ".join(map(_fmt_subset, by_size(coll.masks).tolist()))
         print(f"members: {members}")
-    print(f"locally minimal: {', '.join(_fmt_subset(s) for s in rep.locally_minimal) or 'none'}")
+    minimal = ", ".join(map(_fmt_subset, rep.locally_minimal.tolist()))
+    print(f"locally minimal: {minimal or 'none'}")
     print(f"unique minimal: {_fmt_subset(rep.unique_minimal)}")
     print(f"collider indices: {_fmt_subset(rep.colliders)}")
     print(f"refined collider indices: {_fmt_subset(rep.refined_colliders)}")
@@ -270,8 +268,7 @@ def cmd_ate(args: argparse.Namespace) -> int:
     m1 = _parse_index_list(args.a1, d.p, "--a1")
     value = estimate_ate(d, m0, m1)
     print(
-        f"matching ATE with a0={_fmt_subset(SubsetId(m0, d.p))}, "
-        f"a1={_fmt_subset(SubsetId(m1, d.p))}: {value:.6f}"
+        f"matching ATE with a0={_fmt_subset(m0)}, a1={_fmt_subset(m1)}: {value:.6f}"
     )
     return EXIT_OK
 

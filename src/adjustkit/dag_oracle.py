@@ -8,12 +8,11 @@ designs for validating the criterion at zero noise.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
 
-from .data_model import SubsetId, as_mask, check_dimension, enumerate_masks
+from .data_model import check_dimension, check_mask, enumerate_masks
 from .errors import CyclicGraph, InvalidMechanism
 from .set_analysis import AdjustmentCollection
 
@@ -24,17 +23,10 @@ __all__ = [
     "true_collection",
     "markov_boundary",
     "linear_sem_population",
-    "reference_graphs",
-    "random_design",
 ]
 
 _Y = 0
 _T = 1
-
-# `random_design`'s T -> X and X -> Y edge and noise-contrast probabilities
-T_CHILD_PROB = 0.4
-Y_PARENT_PROB = 0.4
-CONTRAST_PROB = 0.3
 
 _NODE_RE = re.compile(r"X([1-9]\d*)\Z")
 _EDGE_RE = re.compile(r"\A(\S+)\s*->\s*(\S+)\Z")
@@ -66,12 +58,6 @@ def _node_label(i: int) -> str:
     if i == _T:
         return "T"
     return f"X{i - 1}"
-
-
-def _z_mask(z, p: int) -> int:
-    if isinstance(z, (SubsetId, int, np.integer)):
-        return SubsetId(as_mask(z), p).mask
-    return SubsetId.from_indices(p, [int(k) for k in z]).mask
 
 
 class Dag:
@@ -271,8 +257,8 @@ def d_separated(g: Dag, u, v, z=0) -> bool:
     g : Dag
     u, v : node
         Distinct nodes, named "Y", "T", "X<i>", or integer X indices.
-    z : SubsetId, int mask, or iterable of 1-based indices
-        Conditioning set over the X nodes; must exclude u and v.
+    z : int
+        Mask of the conditioning set over the X nodes; must exclude u and v.
 
     Returns
     -------
@@ -290,7 +276,7 @@ def d_separated(g: Dag, u, v, z=0) -> bool:
     vi = _node_id(v, p)
     if ui == vi:
         raise ValueError("u and v must differ")
-    mask = _z_mask(z, p)
+    mask = check_mask(z, p)
     if (mask << 2) & (1 << ui | 1 << vi):
         raise ValueError("conditioning set must exclude u and v")
     return not _reachable(g, ui, np.array([mask], dtype=np.uint32))[vi]
@@ -316,7 +302,7 @@ def true_collection(g: Dag) -> AdjustmentCollection:
     return AdjustmentCollection(g.p, connected == 0)
 
 
-def markov_boundary(g: Dag, node) -> SubsetId:
+def markov_boundary(g: Dag, node) -> int:
     """Minimal X subset rendering `node` independent of all remaining X nodes.
 
     Parameters
@@ -327,8 +313,8 @@ def markov_boundary(g: Dag, node) -> SubsetId:
 
     Returns
     -------
-    SubsetId
-        The unique minimal C with d_separated(node, X_j, C) for every
+    int
+        Mask of the unique minimal C with d_separated(node, X_j, C) for every
         X_j outside C (and distinct from node).  d-separation is a graphoid
         with intersection, so C is the set of X_k that are d-connected to
         `node` given every other X (Pearl 1988), read off one sweep.
@@ -345,7 +331,7 @@ def markov_boundary(g: Dag, node) -> SubsetId:
     universe = sum(1 << b for b in others)
     masks = np.array([universe & ~(1 << b) for b in others], dtype=np.uint32)
     reach = _reachable(g, ni, masks)
-    return SubsetId(sum(1 << b for j, b in enumerate(others) if reach[b + 2] >> j & 1), p)
+    return sum(1 << b for j, b in enumerate(others) if reach[b + 2] >> j & 1)
 
 
 class PopulationSpec:
@@ -512,112 +498,3 @@ def linear_sem_population(
             cols.append(vecs[:, j])
     beta_t = np.column_stack(cols) if cols else np.zeros((p, 1))
     return PopulationSpec(sigma0, sigma1, b_y, beta_t, design)
-
-
-def reference_graphs() -> dict[str, Dag]:
-    """Catalog of small benchmark graphs exercising distinct structures.
-
-    Returns
-    -------
-    dict of str to Dag
-        Keyed by a short structural name:
-
-        - ``triple_minimal``: two routes, three disjoint minimal sets.
-        - ``unique_minimal``: one confounder, unique minimal set.
-        - ``collider_child``: collider whose child feeds the outcome.
-        - ``outcome_collider``: collider that is itself an outcome parent.
-        - ``confounded_child``: collider child that also confounds directly.
-        - ``double_collider``: two colliders on interleaved routes.
-        - ``deep_collider``: collider with a two-step descendant chain.
-        - ``shared_parent``: one node parenting outcome, treatment, and
-          a sink collider.
-    """
-    return {
-        "triple_minimal": Dag(6, [
-            ("X1", "Y"), ("X4", "Y"), ("X3", "X1"), ("X3", "X2"),
-            ("X4", "X5"), ("X6", "X5"), ("X2", "T"), ("X6", "T"),
-        ]),
-        "unique_minimal": Dag(4, [
-            ("X1", "T"), ("X1", "Y"), ("X2", "Y"), ("X4", "T"),
-            ("X2", "X3"), ("X4", "X3"),
-        ]),
-        "collider_child": Dag(4, [
-            ("X1", "Y"), ("X2", "Y"), ("X2", "X3"), ("X4", "X3"),
-            ("X3", "X1"), ("X4", "T"),
-        ]),
-        "outcome_collider": Dag(4, [
-            ("X1", "Y"), ("X2", "Y"), ("X2", "X3"), ("X4", "X3"),
-            ("X3", "Y"), ("X4", "T"), ("X1", "T"),
-        ]),
-        "confounded_child": Dag(4, [
-            ("X1", "Y"), ("X2", "Y"), ("X2", "X3"), ("X4", "X3"),
-            ("X3", "X1"), ("X4", "T"), ("X1", "T"),
-        ]),
-        "double_collider": Dag(6, [
-            ("X1", "Y"), ("X1", "X2"), ("X2", "X5"), ("X2", "X4"),
-            ("X3", "X2"), ("X3", "T"), ("X4", "Y"), ("X6", "X5"),
-            ("X6", "T"),
-        ]),
-        "deep_collider": Dag(5, [
-            ("X1", "Y"), ("X1", "X2"), ("X2", "T"), ("X3", "X1"),
-            ("X4", "X3"), ("X5", "X3"), ("X4", "Y"), ("X5", "T"),
-        ]),
-        "shared_parent": Dag(4, [
-            ("X1", "Y"), ("X2", "Y"), ("X2", "X3"), ("X4", "X3"),
-            ("X1", "X3"), ("X4", "T"), ("X1", "T"),
-        ]),
-    }
-
-
-def random_design(
-    rng: np.random.Generator,
-    p: int,
-    x_edge_prob: float = 0.3,
-) -> tuple[Dag, dict, dict]:
-    """Draw a random rooted linear-Gaussian design.
-
-    Edges run forward along a random ordering of the X nodes, T is a root
-    with a random set of X children, and Y is a sink with random X parents
-    (both nonempty).  Weights are signed and bounded away from zero; with
-    probability CONTRAST_PROB one treatment child also gets an
-    arm-dependent noise variance.
-
-    Returns
-    -------
-    (Dag, weights, noise)
-        Arguments ready for `linear_sem_population`.
-    """
-    check_dimension(p)
-    order = rng.permutation(p) + 1
-
-    def draw_weight():
-        return float(rng.uniform(0.5, 1.2) * rng.choice([-1.0, 1.0]))
-
-    edges = []
-    weights = {}
-    for ai, bi in itertools.combinations(range(p), 2):
-        if rng.random() < x_edge_prob:
-            e = (f"X{order[ai]}", f"X{order[bi]}")
-            edges.append(e)
-            weights[e] = draw_weight()
-    t_children = [k for k in range(1, p + 1) if rng.random() < T_CHILD_PROB]
-    if not t_children:
-        t_children = [int(rng.integers(1, p + 1))]
-    for k in t_children:
-        e = ("T", f"X{k}")
-        edges.append(e)
-        weights[e] = draw_weight()
-    y_parents = [k for k in range(1, p + 1) if rng.random() < Y_PARENT_PROB]
-    if not y_parents:
-        y_parents = [int(rng.integers(1, p + 1))]
-    for k in y_parents:
-        e = (f"X{k}", "Y")
-        edges.append(e)
-        weights[e] = draw_weight()
-
-    noise = {f"X{k}": float(rng.uniform(0.6, 1.4)) for k in range(1, p + 1)}
-    if rng.random() < CONTRAST_PROB:
-        k = int(rng.choice(t_children))
-        v0 = noise[f"X{k}"]
-        noise[f"X{k}"] = (v0, v0 * float(rng.uniform(1.5, 2.5)))
-    return Dag(p, edges), weights, noise

@@ -1,16 +1,17 @@
 """Core data containers: observational samples and covariate subsets.
 
 Covariate subsets are bitmasks over the columns of the design matrix.
-Bit ``i`` of a mask corresponds to covariate ``X_{i+1}``; user-facing
-indices are 1-based throughout, masks are plain integers internally.
+Bit ``i`` of a mask corresponds to covariate ``X_{i+1}``.  Inside the
+package a subset is a Python int and a list of subsets a uint32 array;
+1-based indices appear only where text is read or written.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,52 +39,29 @@ def check_dimension(p: int) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class SubsetId:
-    """Identifier of a covariate subset within a fixed universe of size p.
-
-    Parameters
-    ----------
-    mask : int
-        Bitmask with bit ``i`` set when covariate ``X_{i+1}`` belongs to
-        the subset.
-    p : int
-        Size of the covariate universe.
-    """
-
-    mask: int
-    p: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.p):
-            raise ValueError(f"mask {self.mask:#x} out of range for p={self.p}")
-
-    @classmethod
-    def from_indices(cls, p: int, indices: Sequence[int]) -> "SubsetId":
-        """Build a subset from 1-based covariate indices."""
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= p:
-                raise ValueError(f"index {i} outside 1..{p}")
-            mask |= 1 << (i - 1)
-        return cls(mask, p)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """1-based indices of the member covariates, ascending."""
-        return tuple(i + 1 for i in range(self.p) if self.mask >> i & 1)
-
-    @property
-    def size(self) -> int:
-        return int(self.mask).bit_count()
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.indices)) + "}"
+def check_mask(mask, p: int) -> int:
+    """A caller's integer mask as an int; TypeError for a non-integer, ValueError
+    outside 0..2^p-1."""
+    mask = operator.index(mask)
+    if not 0 <= mask < 1 << p:
+        raise ValueError(f"mask {mask:#x} out of range for p={p}")
+    return mask
 
 
-def as_mask(a) -> int:
-    """The integer mask of a SubsetId or of a raw integer mask."""
-    return a.mask if isinstance(a, SubsetId) else int(a)
+def indices_mask(p: int, indices) -> int:
+    """The mask of 1-based covariate indices; ValueError outside 1..p."""
+    mask = 0
+    for i in indices:
+        if not 1 <= i <= p:
+            raise ValueError(f"index {i} outside 1..{p}")
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def mask_indices(mask) -> tuple[int, ...]:
+    """1-based indices of the member covariates of a mask, ascending."""
+    mask = int(mask)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def enumerate_masks(p: int) -> np.ndarray:
@@ -102,6 +80,12 @@ def enumerate_masks(p: int) -> np.ndarray:
 def mask_popcounts(masks: np.ndarray) -> np.ndarray:
     """Vectorized popcount for arrays of masks."""
     return np.bitwise_count(masks)
+
+
+def by_size(masks) -> np.ndarray:
+    """Masks as a uint32 array ordered by (cardinality, mask)."""
+    masks = np.asarray(masks, dtype=np.uint32)
+    return masks[np.lexsort((masks, mask_popcounts(masks)))]
 
 
 @dataclass(frozen=True)
@@ -174,13 +158,11 @@ def split_by_treatment(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return rows
 
 
-def subset_columns(m: np.ndarray, a) -> np.ndarray:
-    """Columns of a matrix named by a subset, in ascending index order.
+def subset_columns(m: np.ndarray, mask: int) -> np.ndarray:
+    """Columns of a matrix named by a mask, in ascending index order.
 
-    ``a`` may be a SubsetId or a raw integer mask.  An empty subset yields
-    an (n, 0) slice.
+    An empty subset yields an (n, 0) slice.
     """
-    mask = as_mask(a)
     cols = [i for i in range(m.shape[-1]) if mask >> i & 1]
     return m[..., cols]
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .data_model import (
-    SubsetId,
-    as_mask,
+    by_size,
     check_dimension,
-    mask_popcounts,
+    check_mask,
+    mask_indices,
     split_by_treatment,
     subset_columns,
 )
@@ -51,11 +50,11 @@ class AdjustmentCollection:
         object.__setattr__(self, "member_array", member)
 
     @classmethod
-    def from_masks(cls, p: int, masks: Iterable) -> "AdjustmentCollection":
-        """The collection of the given integer masks or SubsetIds; ValueError
+    def from_masks(cls, p: int, masks) -> "AdjustmentCollection":
+        """The collection of a sequence or array of integer masks; ValueError
         for a mask outside 0..2^p-1."""
         check_dimension(p)
-        arr = np.fromiter(map(as_mask, masks), dtype=np.int64)
+        arr = np.asarray(masks, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
             raise ValueError("mask outside the universe")
         member = np.zeros(1 << p, dtype=bool)
@@ -63,31 +62,15 @@ class AdjustmentCollection:
         return cls(p, member)
 
     @property
-    def masks(self) -> frozenset[int]:
-        """Member masks as a frozenset, built on each access."""
-        return frozenset(self.sorted_masks())
+    def masks(self) -> np.ndarray:
+        """Member masks as an ascending uint32 array, built on each access."""
+        return np.flatnonzero(self.member_array).astype(np.uint32)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.member_array))
 
-    def __contains__(self, a) -> bool:
-        m = as_mask(a)
-        return 0 <= m < self.member_array.size and bool(self.member_array[m])
-
-    def subset_ids(self) -> Iterator[SubsetId]:
-        """Members ordered by (cardinality, mask)."""
-        return iter(_by_size(np.flatnonzero(self.member_array), self.p))
-
-    def sorted_masks(self) -> list[int]:
-        return np.flatnonzero(self.member_array).tolist()
-
-
-def _by_size(masks: np.ndarray, p: int) -> tuple[SubsetId, ...]:
-    """The subsets named by an integer mask array, ordered by (cardinality, mask)."""
-    masks = np.asarray(masks, dtype=np.int64)
-    return tuple(
-        SubsetId(m, p) for m in masks[np.lexsort((masks, mask_popcounts(masks)))].tolist()
-    )
+    def __contains__(self, mask: int) -> bool:
+        return 0 <= mask < self.member_array.size and bool(self.member_array[mask])
 
 
 def _halves(arr: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +80,8 @@ def _halves(arr: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return view[:, 0, :], view[:, 1, :]
 
 
-def upward_closure(p: int, bases: Iterable) -> AdjustmentCollection:
-    """All subsets containing at least one of the base sets."""
+def upward_closure(p: int, bases) -> AdjustmentCollection:
+    """All subsets containing at least one of the base masks."""
     seeds = AdjustmentCollection.from_masks(p, bases).member_array
     return AdjustmentCollection(p, _subset_or_transform(seeds, p))
 
@@ -121,8 +104,9 @@ def _superset_and_transform(member: np.ndarray, p: int) -> np.ndarray:
     return allsup
 
 
-def locally_minimal(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
-    """Members with no proper subset in the collection, by (size, mask)."""
+def locally_minimal(c: AdjustmentCollection) -> np.ndarray:
+    """Masks of the members with no proper subset in the collection, by
+    (size, mask)."""
     has_sub = _subset_or_transform(c.member_array, c.p)
     # strict[m]: some proper subset of m is a member, i.e. has_sub[m ^ bit]
     # for some bit of m
@@ -130,20 +114,12 @@ def locally_minimal(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
     for i in range(c.p):
         with_ = _halves(strict, i)[1]
         with_ |= _halves(has_sub, i)[0]
-    return _by_size(np.flatnonzero(c.member_array & ~strict), c.p)
+    return by_size(np.flatnonzero(c.member_array & ~strict))
 
 
-def _intersection_of(lm: tuple[SubsetId, ...], p: int) -> SubsetId | None:
-    if not lm:
-        return None
-    inter = lm[0].mask
-    for s in lm[1:]:
-        inter &= s.mask
-    return SubsetId(inter, p)
-
-
-def noncollider_indices(c: AdjustmentCollection) -> SubsetId:
-    """Indices certified to act as a non-collider on some relevant path.
+def noncollider_indices(c: AdjustmentCollection) -> int:
+    """Mask of the indices certified to act as a non-collider on some
+    relevant path.
 
     Index i qualifies when either
       (a) some member A with A \\ {i} not a member exists, or
@@ -159,7 +135,7 @@ def noncollider_indices(c: AdjustmentCollection) -> SubsetId:
         drop, keep = _halves(c.member_array, i)
         if np.any(keep & ~drop):
             out |= 1 << i
-    return SubsetId(out, c.p)
+    return out
 
 
 def _is_collider_block(cube: np.ndarray, block: tuple[int, ...]) -> bool:
@@ -187,8 +163,8 @@ def _is_collider_block(cube: np.ndarray, block: tuple[int, ...]) -> bool:
     return bool(ok.any())
 
 
-def collider_blocks(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
-    """Index blocks B that can only be explained by colliders.
+def collider_blocks(c: AdjustmentCollection) -> np.ndarray:
+    """Masks of the index blocks B that can only be explained by colliders.
 
     B qualifies when some member A has A | B outside the collection
     while A | C stays inside for every proper subset C of B.  Blocks are
@@ -211,57 +187,53 @@ def collider_blocks(c: AdjustmentCollection) -> tuple[SubsetId, ...]:
             for j in range(b[-1] + 1, c.p)
             if all(sub in known for sub in combinations(b + (j,), size))
         ]
-    return _by_size(found, c.p)
+    return by_size(found)
 
 
-def _union_of(blocks: tuple[SubsetId, ...], p: int) -> SubsetId:
-    out = 0
-    for b in blocks:
-        out |= b.mask
-    return SubsetId(out, p)
+def collider_indices(c: AdjustmentCollection) -> int:
+    """Mask of the union of all collider blocks."""
+    return int(np.bitwise_or.reduce(collider_blocks(c)))
 
 
-def collider_indices(c: AdjustmentCollection) -> SubsetId:
-    """Union of all collider blocks."""
-    return _union_of(collider_blocks(c), c.p)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureReport:
     """Summary of the causal structure readable from one collection.
 
-    ``unique_minimal`` is the one locally minimal member, if only one exists
-    (then the intersection of the locally minimal members is a member);
+    Sets are masks: ``locally_minimal`` and ``collider_blocks`` are uint32
+    arrays ordered by (size, mask), the other sets ints.  ``unique_minimal``
+    is the one locally minimal member, if only one exists (then the
+    intersection of the locally minimal members is a member);
     ``n_upward_closed`` counts members all of whose supersets are members;
     ``refined_colliders`` is ``colliders``, the union of the collider
-    blocks, minus the non-collider indices.
+    blocks, minus the non-collider indices.  ``to_dict`` names the sets by
+    their 1-based indices.
     """
 
     p: int
     n_members: int
-    locally_minimal: tuple[SubsetId, ...]
-    intersection: SubsetId | None
-    unique_minimal: SubsetId | None
+    locally_minimal: np.ndarray
+    intersection: int | None
+    unique_minimal: int | None
     n_upward_closed: int
-    noncolliders: SubsetId
-    collider_blocks: tuple[SubsetId, ...]
-    colliders: SubsetId
-    refined_colliders: SubsetId
+    noncolliders: int
+    collider_blocks: np.ndarray
+    colliders: int
+    refined_colliders: int
     flags: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        def ids(s):
-            return list(s.indices) if s is not None else None
+        def ids(mask):
+            return list(mask_indices(mask)) if mask is not None else None
 
         return {
             "p": self.p,
             "n_members": self.n_members,
-            "locally_minimal": [ids(s) for s in self.locally_minimal],
+            "locally_minimal": [ids(m) for m in self.locally_minimal.tolist()],
             "intersection": ids(self.intersection),
             "unique_minimal": ids(self.unique_minimal),
             "n_upward_closed": self.n_upward_closed,
             "noncolliders": ids(self.noncolliders),
-            "collider_blocks": [ids(b) for b in self.collider_blocks],
+            "collider_blocks": [ids(b) for b in self.collider_blocks.tolist()],
             "colliders": ids(self.colliders),
             "refined_colliders": ids(self.refined_colliders),
             "flags": list(self.flags),
@@ -281,20 +253,20 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
     upward_closed = _superset_and_transform(c.member_array, c.p)
     blocks = collider_blocks(c)
     nc = noncollider_indices(c)
-    col = _union_of(blocks, c.p)
-    if col.mask & nc.mask:
+    col = int(np.bitwise_or.reduce(blocks))
+    if col & nc:
         flags.append("collider and non-collider evidence overlap")
     return StructureReport(
         p=c.p,
         n_members=n_members,
         locally_minimal=lm,
-        intersection=_intersection_of(lm, c.p),
-        unique_minimal=lm[0] if len(lm) == 1 else None,
+        intersection=int(np.bitwise_and.reduce(lm)) if lm.size else None,
+        unique_minimal=int(lm[0]) if lm.size == 1 else None,
         n_upward_closed=int(np.count_nonzero(upward_closed)),
         noncolliders=nc,
         collider_blocks=blocks,
         colliders=col,
-        refined_colliders=SubsetId(col.mask & ~nc.mask, c.p),
+        refined_colliders=col & ~nc,
         flags=tuple(flags),
     )
 
@@ -313,9 +285,7 @@ def prune_hints(
     mask array to feed the criterion table.
     """
     check_dimension(p)
-    forks = as_mask(known_forks)
-    cols = as_mask(pure_colliders)
-    noncols = as_mask(pure_noncolliders)
+    forks, cols, noncols = int(known_forks), int(pure_colliders), int(pure_noncolliders)
     full = (1 << p) - 1
     for m in (forks, cols, noncols):
         if m & ~full:
@@ -360,8 +330,8 @@ def estimate_ate(d, a0=0, a1=0) -> float:
     the donor-arm mean.  ValueError for a mask outside 0..2^p-1, before
     any work.
     """
-    m0 = SubsetId(as_mask(a0), d.p).mask
-    m1 = SubsetId(as_mask(a1), d.p).mask
+    m0 = check_mask(a0, d.p)
+    m1 = check_mask(a1, d.p)
     rows0, rows1 = split_by_treatment(d)
     mu = d.x.mean(axis=0)
     sd = d.x.std(axis=0, ddof=1)

@@ -19,7 +19,7 @@ from scipy.special import expit, fdtri, ndtr
 
 from .criterion import VARIANTS, CriterionConfig, criterion_tables
 from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
-from .data_model import Dataset, SubsetId
+from .data_model import Dataset, indices_mask
 from .dag_oracle import Dag, true_collection
 from .errors import AdjustKitError, DegenerateData, UnknownModel
 from .selection import SelectorConfig, select
@@ -72,7 +72,7 @@ class GeneratedModel:
 
     dataset: Dataset
     truth: AdjustmentCollection
-    colliders: SubsetId
+    colliders: int
     metadata: dict = field(default_factory=dict)
 
 
@@ -110,15 +110,15 @@ def model_graph(model_id: int, p: int = 10) -> Dag:
     raise UnknownModel(f"model {model_id} has no DAG over X")
 
 
-def _truth(model_id: int, p: int) -> tuple[AdjustmentCollection, SubsetId, str]:
+def _truth(model_id: int, p: int) -> tuple[AdjustmentCollection, int, str]:
     if model_id in (1, 2, 3):
         coll = true_collection(model_graph(model_id, p))
-        colliders = SubsetId.from_indices(p, (4,) if model_id in (1, 2) else ())
+        colliders = indices_mask(p, (4,) if model_id in (1, 2) else ())
         return coll, colliders, "dag"
     # treatment moves only the (1,2) covariance block; every set containing
     # both coordinates is sufficient, nothing else is
-    coll = upward_closure(p, [SubsetId.from_indices(p, (1, 2))])
-    return coll, SubsetId.from_indices(p, ()), "analytic"
+    coll = upward_closure(p, [indices_mask(p, (1, 2))])
+    return coll, 0, "analytic"
 
 
 def _gen_linear(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
@@ -189,7 +189,7 @@ def generate_model(spec: ModelSpec) -> GeneratedModel:
     -------
     GeneratedModel
         Dataset plus the exact sufficient-set collection (identical for
-        both arms in all five models) and the true collider indices.
+        both arms in all five models) and the mask of the true colliders.
 
     Notes
     -----
@@ -221,30 +221,29 @@ def generate_model(spec: ModelSpec) -> GeneratedModel:
 def compute_metrics(
     estimated: AdjustmentCollection,
     truth: AdjustmentCollection,
-    collider_truth: SubsetId,
+    collider_truth: int,
 ) -> MetricsRecord:
     """Recovery metrics of a selected collection against the truth.
 
     rho = |est ∩ truth| / |truth|; omega = |est ∩ truth| / |est|;
     pi = 1 iff every locally minimal member of the truth was selected;
-    collider counts compare detected collider indices (unrefined union
-    of minimal blocking obstructions) with the true collider set.
+    collider counts compare the mask of detected collider indices
+    (unrefined union of minimal blocking obstructions) with the mask of
+    the true colliders.
     """
     if estimated.p != truth.p:
         raise ValueError("collections live on different dimensions")
     inter = int(np.count_nonzero(estimated.member_array & truth.member_array))
     rho = inter / len(truth) if len(truth) else 0.0
     omega = inter / len(estimated) if len(estimated) else 0.0
-    lm = locally_minimal(truth)
-    pi = float(all(s.mask in estimated for s in lm))
-    detected = set(collider_indices(estimated).indices)
-    actual = set(collider_truth.indices)
+    pi = float(estimated.member_array[locally_minimal(truth)].all())
+    detected = collider_indices(estimated)
     return MetricsRecord(
         rho=rho,
         omega=omega,
         pi=pi,
-        true_colliders=len(detected & actual),
-        false_colliders=len(detected - actual),
+        true_colliders=(detected & collider_truth).bit_count(),
+        false_colliders=(detected & ~collider_truth).bit_count(),
     )
 
 

@@ -13,7 +13,7 @@ import adjustkit
 from adjustkit import cli, sim_bench
 from adjustkit.cli import _load_hint_masks, _write_selection, main
 from adjustkit.criterion import CriterionConfig, criterion_table
-from adjustkit.data_model import Dataset, SubsetId, load_csv, save_csv
+from adjustkit.data_model import Dataset, indices_mask, load_csv, save_csv
 from adjustkit.selection import SelectorConfig, default_cn, select, select_tail
 from adjustkit.errors import TooFewObservations
 from adjustkit.set_analysis import upward_closure
@@ -187,19 +187,26 @@ class TestSelect:
         assert "numerical failure" in capsys.readouterr().err
 
 
+def _names(mask, p):
+    """1-based indices of a mask's bits below p, ascending."""
+    return [i + 1 for i in range(p) if mask >> i & 1]
+
+
 def _reference_files(header, result):
-    """The select outputs as first written: one SubsetId per member and per row."""
+    """The select outputs as first written: one member or row at a time, with
+    the members ordered by (cardinality, mask) and named here."""
     t = header["arm"]
-    sets = list(result.selected.subset_ids())
+    members = np.flatnonzero(result.selected.member_array).tolist()
+    sets = sorted(members, key=lambda m: (bin(m).count("1"), m))
     doc = {
         **header,
         "selected_count": len(sets),
-        "selected_sets": [list(s.indices) for s in sets],
-        "selected_masks_hex": [f"{s.mask:#x}" for s in sets],
+        "selected_sets": [_names(m, result.p) for m in sets],
+        "selected_masks_hex": [f"{m:#x}" for m in sets],
     }
     crit = ["mask_hex,indices,f_value\n"]
     for mask, value in zip(result.order, result.sorted_values):
-        idx = " ".join(map(str, SubsetId(int(mask), result.p).indices))
+        idx = " ".join(map(str, _names(int(mask), result.p)))
         crit.append(f"{int(mask):#x},{idx},{float(value)!r}\n")
     scree = ["k,f_value\n"]
     for k, value in enumerate(result.sorted_values, start=1):
@@ -292,7 +299,7 @@ class TestOutputBytes:
 @pytest.mark.parametrize("p", range(1, 13))
 def test_mask_namer_matches_subset_indices(p):
     masks = np.arange(1 << p, dtype=np.uint32)
-    indices = [SubsetId(m, p).indices for m in range(1 << p)]
+    indices = [_names(m, p) for m in range(1 << p)]
     csv = cli._mask_namer(p, " ")(masks)
     assert list(map("".join, zip(*csv))) == [" ".join(map(str, i)) for i in indices]
     sets = cli._mask_namer(p, ",\n      ", "\n      ", "\n    ")(masks)
@@ -362,8 +369,8 @@ class TestArmFailure:
         d = self._dataset()
         gen = GeneratedModel(
             dataset=d,
-            truth=upward_closure(d.p, [SubsetId.from_indices(d.p, (1,))]),
-            colliders=SubsetId.from_indices(d.p, ()),
+            truth=upward_closure(d.p, [indices_mask(d.p, (1,))]),
+            colliders=0,
         )
         monkeypatch.setattr(sim_bench, "generate_model", lambda spec: gen)
         out = sim_bench._one_rep(1, 100, ("mn", "gc"), (0, 1), seed=0, rep=0)

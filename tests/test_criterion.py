@@ -10,18 +10,14 @@ from adjustkit.criterion import (
     criterion_tables,
     population_values,
 )
-from adjustkit.dag_oracle import (
-    PopulationSpec,
-    linear_sem_population,
-    reference_graphs,
-    true_collection,
-)
+from adjustkit.dag_oracle import PopulationSpec, linear_sem_population, true_collection
 from adjustkit.data_model import Dataset
 from adjustkit.errors import DimensionTooLarge, SingularCovariance
 from adjustkit.inverse_regression import group_moments, outcome_candidate, treatment_candidate
 from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
 from criterion_reference import SingularBlock, pair_value, schur_complement
+from graph_fixtures import reference_graphs
 
 
 def _every_mask(p):
@@ -115,7 +111,7 @@ class TestPopulationF:
     def test_design_zero_set_matches_oracle(self):
         g = reference_graphs()["unique_minimal"]
         spec = linear_sem_population(g)
-        members = set(true_collection(spec.provenance).sorted_masks())
+        members = set(true_collection(spec.provenance).masks.tolist())
         values = population_values(spec)
         for mask, val in enumerate(values):
             if mask in members:

@@ -6,10 +6,13 @@ from hypothesis import given, strategies as st
 
 from adjustkit.data_model import (
     Dataset,
-    SubsetId,
+    by_size,
     check_dimension,
+    check_mask,
     enumerate_masks,
+    indices_mask,
     load_csv,
+    mask_indices,
     mask_popcounts,
     save_csv,
     split_by_treatment,
@@ -23,33 +26,49 @@ def small_dataset():
     return Dataset(x=x, t=np.array([0, 1, 0, 1]), y=np.array([1.0, 2.0, 3.0, 4.0]))
 
 
-class TestSubsetId:
+class TestMaskNames:
     def test_roundtrip_examples(self):
-        s = SubsetId.from_indices(4, (1, 3))
-        assert s.mask == 0b0101
-        assert s.indices == (1, 3)
-        assert SubsetId(0, 4).indices == ()
+        assert indices_mask(4, (1, 3)) == 0b0101
+        assert mask_indices(0b0101) == (1, 3)
+        assert mask_indices(0) == ()
+        assert mask_indices(np.uint32(0b1000)) == (4,)
 
     def test_mask_bounds(self):
-        with pytest.raises(ValueError):
-            SubsetId(16, 4)
-        with pytest.raises(ValueError):
-            SubsetId.from_indices(4, (5,))
-        with pytest.raises(ValueError):
-            SubsetId.from_indices(4, (0,))
+        with pytest.raises(ValueError, match="out of range"):
+            check_mask(16, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            check_mask(-1, 4)
+        assert check_mask(np.uint32(15), 4) == 15
+        with pytest.raises(ValueError, match="outside 1..4"):
+            indices_mask(4, (5,))
+        with pytest.raises(ValueError, match="outside 1..4"):
+            indices_mask(4, (0,))
+        with pytest.raises(ValueError, match="outside 1..4"):
+            indices_mask(4, (2, -1))
 
     @given(st.integers(min_value=1, max_value=16), st.data())
     def test_indices_roundtrip(self, p, data):
         idx = data.draw(
             st.lists(st.integers(1, p), unique=True, max_size=p).map(sorted)
         )
-        s = SubsetId.from_indices(p, idx)
-        assert list(s.indices) == idx
+        mask = indices_mask(p, idx)
+        assert check_mask(mask, p) == mask
+        assert list(mask_indices(mask)) == idx
+        assert indices_mask(p, mask_indices(mask)) == mask
+        # an index one past the universe is refused wherever it stands
+        with pytest.raises(ValueError):
+            indices_mask(p, [*idx, p + 1])
+
+    @given(st.lists(st.integers(0, 2**24 - 1), max_size=40))
+    def test_by_size_order(self, masks):
+        got = by_size(masks)
+        assert got.dtype == np.uint32
+        assert got.tolist() == sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
 
 class TestEnumeration:
     def test_p2_complete(self):
-        got = [SubsetId(m, 2).indices for m in enumerate_masks(2).tolist()]
+        got = [mask_indices(m) for m in enumerate_masks(2).tolist()]
         assert got == [(), (1,), (2,), (1, 2)]
 
     def test_p10_length(self):
@@ -132,7 +151,7 @@ class TestDataset:
 class TestColumnOps:
     def test_subset_columns(self):
         m = np.arange(6.0).reshape(2, 3)
-        a = SubsetId.from_indices(3, (1, 3))
+        a = indices_mask(3, (1, 3))
         assert np.array_equal(subset_columns(m, a), m[:, [0, 2]])
         assert subset_columns(m, 0).shape == (2, 0)
 

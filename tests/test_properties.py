@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit.criterion import criterion_table, population_values
-from adjustkit.dag_oracle import PopulationSpec, linear_sem_population, reference_graphs
+from adjustkit.dag_oracle import PopulationSpec, linear_sem_population
 from adjustkit.data_model import Dataset
+from graph_fixtures import reference_graphs
 
 
 def _dataset(seed: int, p: int, n: int = 160) -> Dataset:

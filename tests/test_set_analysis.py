@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjustkit.data_model import Dataset, SubsetId
-from adjustkit.dag_oracle import (
-    linear_sem_population,
-    random_design,
-    reference_graphs,
-    true_collection,
-)
+from adjustkit.data_model import Dataset, by_size, indices_mask, mask_indices
+from adjustkit.dag_oracle import linear_sem_population, true_collection
 from adjustkit import set_analysis
 from adjustkit.errors import ContradictoryHints, LargeDimension
 from adjustkit.set_analysis import (
@@ -29,6 +24,7 @@ from adjustkit.set_analysis import (
     upward_closure,
 )
 from adjustkit.sim_bench import ModelSpec, generate_model, model_graph
+from graph_fixtures import random_design, reference_graphs
 
 
 def _coll(p, masks):
@@ -42,11 +38,12 @@ def _full(p):
 class TestCollection:
     def test_from_masks_dedups(self):
         c = _coll(3, [5, 1, 5, 0])
-        assert c.sorted_masks() == [0, 1, 5]
+        assert c.masks.tolist() == [0, 1, 5]
+        assert c.masks.dtype == np.uint32
         assert len(c) == 3
         for dtype in (np.int64, np.uint32, np.int8):
             arr = _coll(3, np.array([5, 1, 5, 0], dtype=dtype))
-            assert arr.sorted_masks() == [0, 1, 5]
+            assert arr.masks.tolist() == [0, 1, 5]
 
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
@@ -66,18 +63,19 @@ class TestCollection:
 
     def test_membership(self):
         c = _coll(3, [0b011])
-        assert SubsetId(0b011, 3) in c
-        assert SubsetId(0b001, 3) not in c
+        assert 0b011 in c
+        assert np.uint32(0b011) in c
+        assert 0b001 not in c
 
-    def test_subset_ids_order(self):
+    def test_masks_by_size(self):
         c = _coll(3, [0b111, 0b010, 0b001])
-        sizes = [len(s.indices) for s in c.subset_ids()]
+        sizes = [len(mask_indices(m)) for m in by_size(c.masks).tolist()]
         assert sizes == sorted(sizes)
 
     def test_member_array_roundtrip(self):
         c = _coll(3, [0, 5, 7])
         back = AdjustmentCollection(3, c.member_array)
-        assert back.sorted_masks() == c.sorted_masks()
+        assert np.array_equal(back.masks, c.masks)
         assert not back.member_array.flags.writeable
         with pytest.raises(ValueError, match="length 2"):
             AdjustmentCollection(2, c.member_array)
@@ -181,46 +179,46 @@ class TestAgainstDefinitions:
         p, bits = args
         c = AdjustmentCollection(p, np.array(bits, dtype=bool))
         members = {m for m, b in enumerate(bits) if b}
-        assert c.masks == members and len(c) == len(members)
-        assert [s.mask for s in c.subset_ids()] == _by_size(members)
+        assert c.masks.tolist() == sorted(members) and len(c) == len(members)
+        assert by_size(c.masks).tolist() == _by_size(members)
 
         minimal = [a for a in members if not any(s in members for s in _subsets(a) if s != a)]
-        assert [s.mask for s in locally_minimal(c)] == _by_size(minimal)
+        assert locally_minimal(c).tolist() == _by_size(minimal)
 
         closed = self._upward_closed(p, members)
         upward = set_analysis._superset_and_transform(c.member_array, p)
         assert set(np.flatnonzero(upward).tolist()) == closed
-        assert noncollider_indices(c).indices == self._noncolliders(p, members, closed)
-        blocks = [b.mask for b in collider_blocks(c)]
+        assert mask_indices(noncollider_indices(c)) == self._noncolliders(p, members, closed)
+        blocks = collider_blocks(c).tolist()
         assert blocks == self._collider_blocks(p, members)
 
         rep = structure_report(c)
         assert rep.n_upward_closed == len(closed)
-        assert rep.unique_minimal == (SubsetId(minimal[0], p) if len(minimal) == 1 else None)
+        assert rep.unique_minimal == (minimal[0] if len(minimal) == 1 else None)
         union = 0
         for b in blocks:
             union |= b
-        assert rep.colliders.mask == collider_indices(c).mask == union
-        assert rep.refined_colliders.mask == union & ~rep.noncolliders.mask
+        assert rep.colliders == collider_indices(c) == union
+        assert rep.refined_colliders == union & ~rep.noncolliders
 
 
 class TestLocallyMinimal:
     def test_triple_minimal(self):
         c = true_collection(reference_graphs()["triple_minimal"])
-        assert {s.indices for s in locally_minimal(c)} == {(1,), (2,), (3,)}
-        assert structure_report(c).intersection.mask == 0
+        assert {mask_indices(m) for m in locally_minimal(c).tolist()} == {(1,), (2,), (3,)}
+        assert structure_report(c).intersection == 0
 
     def test_unique_minimal_graph(self):
         c = true_collection(reference_graphs()["unique_minimal"])
-        assert {s.indices for s in locally_minimal(c)} == {(1,)}
-        assert structure_report(c).intersection.indices == (1,)
+        assert {mask_indices(m) for m in locally_minimal(c).tolist()} == {(1,)}
+        assert mask_indices(structure_report(c).intersection) == (1,)
 
     def test_empty_set_member(self):
         c = _coll(3, [0, 1, 3])
-        assert [s.mask for s in locally_minimal(c)] == [0]
+        assert locally_minimal(c).tolist() == [0]
 
     def test_empty_collection(self):
-        assert locally_minimal(_coll(3, [])) == ()
+        assert locally_minimal(_coll(3, [])).tolist() == []
         assert structure_report(_coll(3, [])).intersection is None
 
     @given(
@@ -242,7 +240,7 @@ class TestLocallyMinimal:
             has = (masks >> i & 1).astype(bool)
             one_smaller[has] |= member[masks[has] ^ (1 << i)]
         expected = np.flatnonzero(member & ~one_smaller)
-        assert sorted(s.mask for s in locally_minimal(c)) == expected.tolist()
+        assert sorted(locally_minimal(c).tolist()) == expected.tolist()
 
     @pytest.mark.parametrize("graph", ["model3-p20", "0-p16", "1-p17", "2-p18"])
     def test_minimal_separators_in_moral_graph(self, graph):
@@ -264,17 +262,17 @@ class TestLocallyMinimal:
 
         for m in np.random.default_rng(0).integers(0, 1 << g.p, 300).tolist():
             assert _moral_separated(edges, names(m)) == (m in c), m
-        lm = locally_minimal(c)
+        lm = locally_minimal(c).tolist()
         assert lm
         for s in lm:
-            z = names(s.mask)
+            z = names(s)
             assert _moral_separated(edges, z), s
             for x in z:
                 assert not _moral_separated(edges, z - {x}), (s, x)
 
     def test_pairwise_non_nested(self):
         for g in reference_graphs().values():
-            lm = [s.mask for s in locally_minimal(true_collection(g))]
+            lm = locally_minimal(true_collection(g)).tolist()
             for a in lm:
                 for b in lm:
                     if a != b:
@@ -290,9 +288,9 @@ class TestLocallyMinimal:
     @settings(max_examples=60, deadline=None)
     def test_every_member_contains_a_minimal(self, args):
         p, masks = args
-        c = _coll(p, masks)
-        lm = [s.mask for s in locally_minimal(c)]
-        for m in c.sorted_masks():
+        c = _coll(p, sorted(masks))
+        lm = locally_minimal(c).tolist()
+        for m in c.masks.tolist():
             assert any(m & q == q for q in lm)
 
 
@@ -300,14 +298,14 @@ class TestUniqueMinimal:
     def test_present(self):
         c = true_collection(reference_graphs()["unique_minimal"])
         u = structure_report(c).unique_minimal
-        assert u is not None and u.indices == (1,)
+        assert u is not None and mask_indices(u) == (1,)
 
     def test_absent(self):
         c = true_collection(reference_graphs()["triple_minimal"])
         assert structure_report(c).unique_minimal is None
 
     def test_full_collection(self):
-        assert structure_report(_full(3)).unique_minimal.mask == 0
+        assert structure_report(_full(3)).unique_minimal == 0
 
     def test_intersection_bridge(self):
         # unique minimal exists exactly when the intersection is a member
@@ -323,12 +321,12 @@ class TestUniqueMinimal:
 class TestUpwardClosure:
     def test_closure_of_singleton(self):
         c = upward_closure(3, [0b001])
-        assert set(c.sorted_masks()) == {m for m in range(8) if m & 1}
+        assert set(c.masks.tolist()) == {m for m in range(8) if m & 1}
 
     def test_idempotent(self):
         once = upward_closure(4, [3, 8])
-        again = upward_closure(4, once.sorted_masks())
-        assert again.sorted_masks() == once.sorted_masks()
+        again = upward_closure(4, once.masks)
+        assert np.array_equal(again.masks, once.masks)
 
     def test_upward_closed_members_unique_minimal(self):
         c = true_collection(reference_graphs()["unique_minimal"])
@@ -347,38 +345,38 @@ class TestColliderCalls:
     def test_noncolliders(self):
         refs = reference_graphs()
         c = true_collection(refs["collider_child"])
-        assert 3 in noncollider_indices(c).indices
+        assert 3 in mask_indices(noncollider_indices(c))
         c = true_collection(refs["confounded_child"])
-        assert 3 not in noncollider_indices(c).indices
+        assert 3 not in mask_indices(noncollider_indices(c))
         # full universe: removing an index never breaks membership
-        assert noncollider_indices(_full(3)).indices == ()
+        assert mask_indices(noncollider_indices(_full(3))) == ()
 
     def test_colliders(self):
         refs = reference_graphs()
         c = true_collection(refs["unique_minimal"])
-        assert collider_indices(c).indices == (3,)
-        assert structure_report(c).refined_colliders.indices == (3,)
+        assert mask_indices(collider_indices(c)) == (3,)
+        assert mask_indices(structure_report(c).refined_colliders) == (3,)
         # conditioning a collider's descendant opens the path, so index 2
         # (whose children 4 and 5 feed the outcome) never certifies here
         c = true_collection(refs["double_collider"])
-        assert collider_indices(c).indices == (5,)
-        assert structure_report(c).refined_colliders.indices == (5,)
+        assert mask_indices(collider_indices(c)) == (5,)
+        assert mask_indices(structure_report(c).refined_colliders) == (5,)
         c = true_collection(refs["outcome_collider"])
-        assert collider_indices(c).indices == ()
+        assert mask_indices(collider_indices(c)) == ()
 
     def test_full_collection_no_colliders(self):
-        assert collider_indices(_full(3)).indices == ()
+        assert mask_indices(collider_indices(_full(3))) == ()
 
     def test_collider_blocks(self):
         c = true_collection(reference_graphs()["unique_minimal"])
         blocks = collider_blocks(c)
-        assert any(b.indices == (3,) for b in blocks)
+        assert any(mask_indices(b) == (3,) for b in blocks.tolist())
 
     def test_structure_report_roundtrip(self):
         c = true_collection(reference_graphs()["unique_minimal"])
         rep = structure_report(c)
-        assert rep.unique_minimal.indices == (1,)
-        assert rep.refined_colliders.indices == (3,)
+        assert mask_indices(rep.unique_minimal) == (1,)
+        assert mask_indices(rep.refined_colliders) == (3,)
         d = rep.to_dict()
         assert d["unique_minimal"] == [1]
         assert d["colliders"] == [3]
@@ -400,10 +398,10 @@ class TestColliderCalls:
             rep = structure_report(c)
             assert len(calls) == 1
             inter = (1 << c.p) - 1
-            for s in locally_minimal(c):
-                inter &= s.mask
-            assert rep.intersection == SubsetId(inter, c.p)
-            lm = locally_minimal(c)
+            for s in locally_minimal(c).tolist():
+                inter &= s
+            assert rep.intersection == inter
+            lm = locally_minimal(c).tolist()
             assert rep.unique_minimal == (lm[0] if len(lm) == 1 else None)
 
     def test_structure_report_flags(self):
@@ -466,7 +464,7 @@ class TestEstimateAte:
         x = rng.normal(size=(n, 2))
         y = x[:, 0] + 2.0 * t + 0.1 * rng.normal(size=n)
         d = Dataset(t=t, y=y, x=x)
-        a = SubsetId.from_indices(2, [1]).mask
+        a = indices_mask(2, [1])
         assert abs(estimate_ate(d, a, a) - 2.0) < 0.2
 
     def test_empty_sets_arm_mean_difference(self):
@@ -481,7 +479,7 @@ class TestEstimateAte:
 
     def test_model_one_recovers_effect(self):
         model = generate_model(ModelSpec(1, n=800, seed=11))
-        a = SubsetId.from_indices(model.dataset.p, [2, 3]).mask
+        a = indices_mask(model.dataset.p, [2, 3])
         got = estimate_ate(model.dataset, a, a)
         assert abs(got - 0.3) < 0.3
 
@@ -517,5 +515,5 @@ class TestLinearSemBridge:
         spec = linear_sem_population(g)
         c = true_collection(spec.provenance)
         rep = structure_report(c)
-        assert rep.unique_minimal.indices == (1,)
-        assert rep.refined_colliders.indices == (3,)
+        assert mask_indices(rep.unique_minimal) == (1,)
+        assert mask_indices(rep.refined_colliders) == (3,)

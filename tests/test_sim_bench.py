@@ -4,16 +4,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import f as f_dist
 
 from adjustkit import sim_bench
 from adjustkit.dag_oracle import true_collection
-from adjustkit.data_model import SubsetId
+from adjustkit.data_model import indices_mask, mask_indices
 from adjustkit.errors import UnknownModel
-from adjustkit.set_analysis import AdjustmentCollection, locally_minimal, upward_closure
+from adjustkit.set_analysis import (
+    AdjustmentCollection,
+    collider_indices,
+    locally_minimal,
+    upward_closure,
+)
 from adjustkit.sim_bench import (
     METRIC_NAMES,
+    MetricsRecord,
     ModelSpec,
     compute_metrics,
     generate_model,
@@ -48,21 +56,21 @@ class TestGroundTruth:
     @pytest.mark.parametrize("mid", [1, 2, 3])
     def test_dag_models_match_their_oracle(self, mid):
         gm = generate_model(ModelSpec(mid, n=400, seed=0))
-        assert gm.truth.masks == true_collection(model_graph(mid)).masks
+        assert np.array_equal(gm.truth.masks, true_collection(model_graph(mid)).masks)
         assert gm.metadata["truth_source"] == "dag"
 
     @pytest.mark.parametrize("mid", [4, 5])
     def test_covariance_models_are_supersets_of_the_pair(self, mid):
         gm = generate_model(ModelSpec(mid, n=400, seed=0))
-        want = upward_closure(10, [SubsetId.from_indices(10, (1, 2))])
-        assert gm.truth.masks == want.masks
+        want = upward_closure(10, [indices_mask(10, (1, 2))])
+        assert np.array_equal(gm.truth.masks, want.masks)
         assert gm.metadata["truth_source"] == "analytic"
 
     def test_collider_truth(self):
-        assert generate_model(ModelSpec(1, n=400)).colliders.indices == (4,)
-        assert generate_model(ModelSpec(2, n=400)).colliders.indices == (4,)
-        assert generate_model(ModelSpec(3, n=400)).colliders.indices == ()
-        assert generate_model(ModelSpec(4, n=400)).colliders.indices == ()
+        assert mask_indices(generate_model(ModelSpec(1, n=400)).colliders) == (4,)
+        assert mask_indices(generate_model(ModelSpec(2, n=400)).colliders) == (4,)
+        assert mask_indices(generate_model(ModelSpec(3, n=400)).colliders) == ()
+        assert mask_indices(generate_model(ModelSpec(4, n=400)).colliders) == ()
 
     def test_no_dag_for_covariance_models(self):
         with pytest.raises(UnknownModel):
@@ -145,8 +153,8 @@ class TestComputeMetrics:
 
     def test_dropping_a_minimal_member_kills_pi(self, model1):
         truth, colliders = model1
-        lost = locally_minimal(truth)[0].mask
-        est = AdjustmentCollection.from_masks(10, truth.masks - {lost})
+        lost = locally_minimal(truth)[0]
+        est = AdjustmentCollection.from_masks(10, truth.masks[truth.masks != lost])
         m = compute_metrics(est, truth, colliders)
         assert m.pi == 0.0
         assert m.rho == pytest.approx(447 / 448)
@@ -169,6 +177,42 @@ class TestComputeMetrics:
         d = dataclasses.asdict(compute_metrics(truth, truth, colliders))
         assert d["rho"] == 1.0
         assert tuple(d) == METRIC_NAMES
+
+    @staticmethod
+    def _set_formula(estimated, truth, collider_truth):
+        """The metrics over Python sets of masks and of 1-based collider
+        indices, with the locally minimal true sets found by definition."""
+        est = set(np.flatnonzero(estimated.member_array).tolist())
+        true = set(np.flatnonzero(truth.member_array).tolist())
+        inter = len(est & true)
+        minimal = [a for a in true if not any(s & a == s and s != a for s in true)]
+        detected = set(mask_indices(collider_indices(estimated)))
+        actual = set(mask_indices(collider_truth))
+        return MetricsRecord(
+            rho=inter / len(true) if true else 0.0,
+            omega=inter / len(est) if est else 0.0,
+            pi=float(all(a in est for a in minimal)),
+            true_colliders=len(detected & actual),
+            false_colliders=len(detected - actual),
+        )
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.lists(st.booleans(), min_size=1 << p, max_size=1 << p),
+                st.lists(st.booleans(), min_size=1 << p, max_size=1 << p),
+                st.integers(0, (1 << p) - 1),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_set_formula(self, args):
+        p, est_bits, true_bits, colliders = args
+        estimated = AdjustmentCollection(p, np.array(est_bits))
+        truth = AdjustmentCollection(p, np.array(true_bits))
+        got = compute_metrics(estimated, truth, colliders)
+        assert got == self._set_formula(estimated, truth, colliders)
 
 
 class TestRunBenchmark:

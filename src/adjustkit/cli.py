@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -180,6 +184,86 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
     return json_path
 
 
+def _outcome(work: Callable[[], object]) -> object:
+    """What ``work()`` returns, or the exception it raises."""
+    try:
+        return work()
+    except Exception as exc:
+        return exc
+
+
+def _fork(work: Callable[[], object]) -> Callable[[], object]:
+    """Start ``work()`` in a child made by ``os.fork`` and return a function
+    that waits for the child, reaps it and gives ``_outcome(work)``.
+
+    The child inherits its inputs copy-on-write, so nothing is pickled on the
+    way in.  Its outcome comes back pickled over a pipe, and it ends with
+    ``os._exit``, so no buffer, ``atexit`` hook or ``finally`` of this process
+    runs twice.  A child that ends without sending an outcome gives a
+    ``ChildProcessError``.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork when other threads exist, such as
+        # OpenBLAS's pool; the child calls no BLAS and takes no lock
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_outcome(work), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def wait() -> object:
+        try:
+            with open(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            return ChildProcessError(f"the forked writer ended with exit code {code}")
+        return pickle.loads(data)
+
+    return wait
+
+
+def _write_arms(outdir: Path, ready: list) -> None:
+    """Write every ready arm's files; then, in arm order, print each arm's
+    line up to the first arm whose write failed, and raise that failure.
+
+    ``ready`` holds one (header, ``SelectionResult``) pair per arm.  With two
+    arms, a forked child writes arm 1 while this process writes arm 0: the
+    writer is bound to the interpreter lock, and a child has its own.  The
+    child is reaped whatever happens to arm 0.  With one arm, or without
+    ``os.fork``, the same calls run here, one after the other.
+    """
+    if not ready:
+        return
+    outdir.mkdir(parents=True, exist_ok=True)
+    writes = [partial(_write_selection, outdir, header, result) for header, result in ready]
+    child = _fork(writes.pop()) if len(writes) == 2 and hasattr(os, "fork") else None
+    outcomes = []
+    try:
+        outcomes += map(_outcome, writes)
+    finally:
+        if child is not None:
+            outcomes.append(child())
+    for (header, result), json_path in zip(ready, outcomes):
+        if isinstance(json_path, Exception):
+            raise json_path
+        print(
+            f"arm {header['arm']}: {len(result.selected)} of {header['subsets_evaluated']} "
+            f"subsets selected (tau={result.tau}, cn={result.cn:.6g}) -> {json_path}"
+        )
+
+
 def cmd_select(args: argparse.Namespace) -> int:
     # the configs, hints and output path are checked before the first table,
     # and the output directory is made only when an arm is ready to write,
@@ -197,34 +281,33 @@ def cmd_select(args: argparse.Namespace) -> int:
         raise NotADirectoryError(f"--output: {existing} is not a directory")
     arms = (0, 1) if args.arm == "both" else (int(args.arm),)
     tables = criterion_tables(d, arms, variant=args.variant, config=crit_cfg)
-    # an arm whose outcome candidate failed stops the run after the arms
-    # before it are written
-    for t, table in zip(arms, tables):
-        if isinstance(table, AdjustKitError):
-            raise table
-        if not np.isfinite(table.values).any():
-            raise SingularCovariance(f"arm {t}: every conditioning block is singular")
-        result = select(table, sel_cfg)
-        header = {
-            "arm": t,
-            "n": d.n,
-            "p": d.p,
-            "variant": args.variant,
-            "method_y": args.method_y,
-            "method_t": args.method_t,
-            "h": args.slices,
-            "c0": result.c0,
-            "cn": result.cn,
-            "subsets_evaluated": int(table.values.size),
-            "singular_blocks": table.metadata.get("singular_blocks", 0),
-            "tau": result.tau,
-        }
-        outdir.mkdir(parents=True, exist_ok=True)
-        json_path = _write_selection(outdir, header, result)
-        print(
-            f"arm {t}: {len(result.selected)} of {table.values.size} subsets selected "
-            f"(tau={result.tau}, cn={result.cn:.6g}) -> {json_path}"
-        )
+    # every arm is selected before any is written; an arm that fails stops
+    # the run after the arms before it are written
+    ready = []
+    try:
+        for t, table in zip(arms, tables):
+            if isinstance(table, AdjustKitError):
+                raise table
+            if not np.isfinite(table.values).any():
+                raise SingularCovariance(f"arm {t}: every conditioning block is singular")
+            result = select(table, sel_cfg)
+            header = {
+                "arm": t,
+                "n": d.n,
+                "p": d.p,
+                "variant": args.variant,
+                "method_y": args.method_y,
+                "method_t": args.method_t,
+                "h": args.slices,
+                "c0": result.c0,
+                "cn": result.cn,
+                "subsets_evaluated": int(table.values.size),
+                "singular_blocks": table.metadata.get("singular_blocks", 0),
+                "tau": result.tau,
+            }
+            ready.append((header, result))
+    finally:
+        _write_arms(outdir, ready)
     return EXIT_OK
 
 
@@ -291,7 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--arm", choices=("0", "1", "both"), default="both")
     sel.add_argument("--output", default=".", metavar="DIR")
     sel.add_argument("--hints", default=None, metavar="FILE", help="JSON pruning hints")
-    sel.add_argument("--threads", type=int, default=1, help="accepted and ignored (runs on one thread)")
+    sel.add_argument("--threads", type=int, default=1, help=(
+        "accepted and ignored: the sweep runs on the calling thread, and a forked "
+        "child writes the second arm's files"))
 
     orc = sub.add_parser("oracle", help="exact collection of a DAG edge list")
     orc.add_argument("--dag", required=True, metavar="FILE", help="edge list, one 'A -> B' per line")

@@ -379,6 +379,54 @@ class TestArmFailure:
             assert isinstance(out[(variant, 1)], TooFewObservations)
 
 
+class TestForkedWriter:
+    """`select --arm both` writes arm 1 from a forked child while it writes
+    arm 0.  Either side's failed write exits as the in-process writer does,
+    the other arm's files are still written, and no child outlives the run."""
+
+    ARM1_FILES = ["criterion_arm1.csv", "scree_arm1.csv", "selection_arm1.json"]
+
+    @pytest.fixture(params=["forked", "in-process"])
+    def forks(self, request, monkeypatch):
+        """The os.fork calls made, or None when os.fork is missing."""
+        if request.param == "in-process":
+            monkeypatch.delattr(os, "fork")
+            return None
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or fork())
+        return calls
+
+    def _run(self, tmp_path, forks, blocked=None):
+        data = _model_csv(tmp_path, 1, n=200)
+        out = tmp_path / "run"
+        if blocked:
+            (out / blocked).mkdir(parents=True)
+        rc = main(["select", "--input", str(data), "--arm", "both", "--output", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert forks is None or forks == [os.getpid()]
+        return rc, sorted(p.name for p in out.iterdir() if p.is_file())
+
+    def test_both_arms_print_in_order(self, tmp_path, forks, capsys):
+        assert self._run(tmp_path, forks) == (0, sorted(TestArmFailure.ARM0_FILES + self.ARM1_FILES))
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:6] for line in lines] == ["arm 0:", "arm 1:"]
+
+    def test_arm1_write_fails(self, tmp_path, forks, capsys):
+        assert self._run(tmp_path, forks, "selection_arm1.json") == (2, TestArmFailure.ARM0_FILES)
+        std = capsys.readouterr()
+        blocked = tmp_path / "run" / "selection_arm1.json"
+        assert std.err == f"adjustkit: [Errno 21] Is a directory: '{blocked}'\n"
+        assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
+
+    def test_arm0_write_fails(self, tmp_path, forks, capsys):
+        assert self._run(tmp_path, forks, "selection_arm0.json") == (2, self.ARM1_FILES)
+        std = capsys.readouterr()
+        blocked = tmp_path / "run" / "selection_arm0.json"
+        assert std.err == f"adjustkit: [Errno 21] Is a directory: '{blocked}'\n"
+        assert std.out == ""
+
+
 class TestOracle:
     def test_large_dimension_warns_once(self, tmp_path):
         # the warning comes from the one enumeration of 2^p masks, not also

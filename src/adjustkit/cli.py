@@ -70,7 +70,7 @@ def _parse_index_list(text: str, p: int, what: str) -> int:
 
 
 def _load_hint_masks(path: str, p: int) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("hints file must hold a JSON object")
@@ -312,14 +312,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    text = Path(args.dag).read_text(encoding="utf-8")
+    text = Path(args.dag).read_text(encoding="utf-8-sig")
     g = Dag.from_text(text)
     coll = true_collection(g)
     rep = structure_report(coll)
     print(f"p = {g.p}, |collection| = {rep.n_members} of {1 << g.p}")
     if g.p <= 6:
         members = ", ".join(map(_fmt_subset, by_size(coll.masks).tolist()))
-        print(f"members: {members}")
+        print(f"members: {members or 'none'}")
     minimal = ", ".join(map(_fmt_subset, rep.locally_minimal.tolist()))
     print(f"locally minimal: {minimal or 'none'}")
     print(f"unique minimal: {_fmt_subset(rep.unique_minimal)}")

@@ -9,6 +9,7 @@ designs for validating the criterion at zero noise.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +34,6 @@ _EDGE_RE = re.compile(r"\A(\S+)\s*->\s*(\S+)\Z")
 
 
 def _node_id(node, p: int) -> int:
-    if isinstance(node, (int, np.integer)):
-        k = int(node)
-        if not 1 <= k <= p:
-            raise ValueError(f"X index {k} outside 1..{p}")
-        return k + 1
     s = str(node).strip()
     if s == "Y":
         return _Y
@@ -68,8 +64,7 @@ class Dag:
     p : int
         Number of X nodes.
     edges : iterable of (node, node)
-        Directed edges; nodes named "Y", "T", "X<i>", or given as the
-        bare integer i for X_i.
+        Directed edges between nodes named "Y", "T" or "X<i>".
 
     Raises
     ------
@@ -142,35 +137,26 @@ class Dag:
         """
         edges = []
         max_x = 0
-        declared = []
+        unknown = None  # the first unknown name, raised once p is known
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             m = _EDGE_RE.match(line)
+            for name in m.groups() if m else (line,):
+                mx = _NODE_RE.match(name)
+                if mx:
+                    max_x = max(max_x, int(mx.group(1)))
+                elif name not in ("Y", "T"):
+                    if not m:
+                        raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+                    unknown = unknown or f"line {lineno}: unknown node name {name!r}"
             if m:
-                declared.append((m.group(1), m.group(2), lineno))
-                for name in (m.group(1), m.group(2)):
-                    mx = _NODE_RE.match(name)
-                    if mx:
-                        max_x = max(max_x, int(mx.group(1)))
-                continue
-            mx = _NODE_RE.match(line)
-            if mx:
-                max_x = max(max_x, int(mx.group(1)))
-                continue
-            if line in ("Y", "T"):
-                continue
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+                edges.append(m.groups())
         if max_x < 1:
             raise ValueError("no X nodes declared")
-        for src, dst, lineno in declared:
-            try:
-                _node_id(src, max_x)
-                _node_id(dst, max_x)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            edges.append((src, dst))
+        if unknown:
+            raise ValueError(unknown)
         return cls(max_x, edges)
 
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -256,7 +242,7 @@ def d_separated(g: Dag, u, v, z=0) -> bool:
     ----------
     g : Dag
     u, v : node
-        Distinct nodes, named "Y", "T", "X<i>", or integer X indices.
+        Distinct nodes, named "Y", "T" or "X<i>".
     z : int
         Mask of the conditioning set over the X nodes; must exclude u and v.
 
@@ -334,6 +320,7 @@ def markov_boundary(g: Dag, node) -> int:
     return sum(1 << b for j, b in enumerate(others) if reach[b + 2] >> j & 1)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class PopulationSpec:
     """Closed-form population quantities of a linear-Gaussian design.
 
@@ -347,15 +334,20 @@ class PopulationSpec:
         Directions spanning the treatment central subspace.
     provenance : Dag
         The design graph the quantities were derived from.
+
+    Equality and hashing are by identity: the fields are arrays.
     """
 
-    __slots__ = ("sigma0", "sigma1", "beta_y", "beta_t", "provenance")
+    sigma0: np.ndarray
+    sigma1: np.ndarray
+    beta_y: np.ndarray
+    beta_t: np.ndarray
+    provenance: Dag
 
-    def __init__(self, sigma0, sigma1, beta_y, beta_t, provenance):
-        sigma0 = np.asarray(sigma0, dtype=np.float64)
-        sigma1 = np.asarray(sigma1, dtype=np.float64)
-        beta_y = np.asarray(beta_y, dtype=np.float64)
-        beta_t = np.asarray(beta_t, dtype=np.float64)
+    def __post_init__(self):
+        for name in ("sigma0", "sigma1", "beta_y", "beta_t"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        sigma0, sigma1, beta_y, beta_t = self.sigma0, self.sigma1, self.beta_y, self.beta_t
         p = sigma0.shape[0]
         if sigma0.shape != (p, p) or sigma1.shape != (p, p):
             raise ValueError("sigma matrices must be square and same size")
@@ -366,14 +358,6 @@ class PopulationSpec:
                 raise ValueError("sigma matrices must be symmetric")
             if np.linalg.eigvalsh(s)[0] < -1e-10:
                 raise ValueError("sigma matrices must be PSD")
-        object.__setattr__(self, "sigma0", sigma0)
-        object.__setattr__(self, "sigma1", sigma1)
-        object.__setattr__(self, "beta_y", beta_y)
-        object.__setattr__(self, "beta_t", beta_t)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PopulationSpec is immutable")
 
     @property
     def p(self) -> int:
@@ -384,11 +368,6 @@ class PopulationSpec:
             f"PopulationSpec(p={self.p}, d_y={self.beta_y.shape[1]}, "
             f"d_t={self.beta_t.shape[1]})"
         )
-
-
-def _canon_pair(pair, p):
-    a, b = pair
-    return (_node_label(_node_id(a, p)), _node_label(_node_id(b, p)))
 
 
 def linear_sem_population(
@@ -434,21 +413,25 @@ def linear_sem_population(
         raise InvalidMechanism("a direct Y-T edge admits no adjustment design")
     if g._parents[_T] and g._children[_T]:
         raise InvalidMechanism("T with both parents and children cannot be rooted")
-    wmap = {}
-    if weights:
-        for pair, val in weights.items():
-            wmap[_canon_pair(pair, p)] = float(val)
+    wmap = {(_node_id(a, p), _node_id(b, p)): float(v) for (a, b), v in (weights or {}).items()}
 
+    w_xx = np.zeros((p, p))
+    shift = np.zeros(p)
+    b_y = np.zeros((p, 1))
     design_edges = []
-    design_weights = {}
-    for a, b in g.edges():
-        wval = wmap.get((a, b), 1.0)
-        if b == "T":
-            a, b = "T", a
-        if wval == 0.0:
-            continue
-        design_edges.append((a, b))
-        design_weights[(a, b)] = wval
+    for a, kids in enumerate(g._children):
+        for b in sorted(kids):
+            wval = wmap.get((a, b), 1.0)
+            if wval == 0.0:
+                continue
+            src, dst = (_T, a) if b == _T else (a, b)
+            design_edges.append((_node_label(src), _node_label(dst)))
+            if dst == _Y:
+                b_y[src - 2, 0] = wval
+            elif src == _T:
+                shift[dst - 2] = wval
+            else:
+                w_xx[src - 2, dst - 2] = wval
     design = Dag(p, design_edges)
 
     var0 = np.ones(p)
@@ -466,19 +449,6 @@ def linear_sem_population(
                 raise ValueError("noise variances must be positive")
             var0[k - 2] = v0
             var1[k - 2] = v1
-
-    w_xx = np.zeros((p, p))
-    shift = np.zeros(p)
-    b_y = np.zeros((p, 1))
-    for (a, b), wval in design_weights.items():
-        ia = _node_id(a, p)
-        ib = _node_id(b, p)
-        if b == "Y":
-            b_y[ia - 2, 0] = wval
-        elif a == "T":
-            shift[ib - 2] = wval
-        else:
-            w_xx[ia - 2, ib - 2] = wval
 
     # x = W'x + shift*T + e  =>  x = M (shift*T + e) with M = (I - W')^{-1}
     m = np.linalg.inv(np.eye(p) - w_xx.T)

@@ -77,15 +77,10 @@ def enumerate_masks(p: int) -> np.ndarray:
     return np.arange(1 << p, dtype=np.uint32)
 
 
-def mask_popcounts(masks: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for arrays of masks."""
-    return np.bitwise_count(masks)
-
-
 def by_size(masks) -> np.ndarray:
     """Masks as a uint32 array ordered by (cardinality, mask)."""
     masks = np.asarray(masks, dtype=np.uint32)
-    return masks[np.lexsort((masks, mask_popcounts(masks)))]
+    return masks[np.lexsort((masks, np.bitwise_count(masks)))]
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,9 @@ def load_csv(path) -> Dataset:
     The header row is required.  T must be 0/1 integers, Y real, and the
     covariate columns must be named X1..Xp in ascending order.  Missing
     or non-finite values are rejected, not imputed; blank rows are skipped.
+    A leading UTF-8 byte-order mark is ignored.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
         if not first:
             raise SchemaError("empty file: header row required")

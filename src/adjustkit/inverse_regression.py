@@ -49,13 +49,10 @@ class SliceAssignment:
         Slice index in 1..h per observation; every slice is nonempty.
     h : int
         Number of slices actually formed.
-    kind : str
-        "quantile-sliced" or "discrete-passthrough".
     """
 
     labels: np.ndarray
     h: int
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,6 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
         # a discrete response ignores h, so a short vector is fine here
         labels = np.searchsorted(uniq, vals) + 1
         n_eff = int(uniq.size)
-        kind = "discrete-passthrough"
     else:
         if m < h:
             raise TooFewObservations(f"{m} observations for {h} slices")
@@ -130,10 +126,9 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
         remap[used] = np.arange(1, used.size + 1)
         labels = remap[raw]
         n_eff = int(used.size)
-        kind = "quantile-sliced"
     if n_eff == 1:
         warnings.warn("response is constant; single slice", DegenerateResponse)
-    return SliceAssignment(labels=labels, h=n_eff, kind=kind)
+    return SliceAssignment(labels=labels, h=n_eff)
 
 
 def check_covariance(sigma, what: str) -> None:
@@ -288,9 +283,7 @@ def treatment_candidate(
     """
     check_covariance(whole.sigma, "whole-sample covariance")
     centered = d.x - whole.mu
-    slices = SliceAssignment(
-        labels=d.t.astype(np.int64) + 1, h=2, kind="discrete-passthrough"
-    )
+    slices = SliceAssignment(labels=d.t.astype(np.int64) + 1, h=2)
     fn = _pick_method(method)
     return fn(centered, slices, whole.sigma)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import mask_popcounts
 from .set_analysis import AdjustmentCollection
 
 __all__ = [
@@ -110,7 +109,7 @@ def sort_table(table) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empty criterion table")
     masks = table.masks
     values = table.values
-    perm = np.lexsort((masks, mask_popcounts(masks), -values))
+    perm = np.lexsort((masks, np.bitwise_count(masks), -values))
     return masks[perm], values[perm]
 
 

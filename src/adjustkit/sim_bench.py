@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, fdtri, ndtr
@@ -73,7 +73,6 @@ class GeneratedModel:
     dataset: Dataset
     truth: AdjustmentCollection
     colliders: int
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -110,15 +109,15 @@ def model_graph(model_id: int, p: int = 10) -> Dag:
     raise UnknownModel(f"model {model_id} has no DAG over X")
 
 
-def _truth(model_id: int, p: int) -> tuple[AdjustmentCollection, int, str]:
+def _truth(model_id: int, p: int) -> tuple[AdjustmentCollection, int]:
     if model_id in (1, 2, 3):
         coll = true_collection(model_graph(model_id, p))
         colliders = indices_mask(p, (4,) if model_id in (1, 2) else ())
-        return coll, colliders, "dag"
+        return coll, colliders
     # treatment moves only the (1,2) covariance block; every set containing
     # both coordinates is sufficient, nothing else is
     coll = upward_closure(p, [indices_mask(p, (1, 2))])
-    return coll, 0, "analytic"
+    return coll, 0
 
 
 def _gen_linear(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
@@ -209,13 +208,8 @@ def generate_model(spec: ModelSpec) -> GeneratedModel:
         x, t, y = _gen_logistic(rng, n, p)
     else:
         x, t, y = _gen_copula(rng, n, p, spec.model_id)
-    truth, colliders, source = _truth(spec.model_id, p)
-    return GeneratedModel(
-        dataset=Dataset(x=x, t=t, y=y),
-        truth=truth,
-        colliders=colliders,
-        metadata={"model_id": spec.model_id, "truth_source": source},
-    )
+    truth, colliders = _truth(spec.model_id, p)
+    return GeneratedModel(dataset=Dataset(x=x, t=t, y=y), truth=truth, colliders=colliders)
 
 
 def compute_metrics(
@@ -252,8 +246,6 @@ class BenchmarkResult:
     """Averaged benchmark metrics, one row per table cell."""
 
     rows: tuple
-    reps: int
-    seed: int
     failures: dict
 
     def to_csv(self) -> str:
@@ -404,6 +396,4 @@ def run_benchmark(
                             "arm": arm,
                             "value": 100.0 * mean,
                         })
-    return BenchmarkResult(
-        rows=tuple(rows), reps=reps, seed=seed, failures=failures
-    )
+    return BenchmarkResult(rows=tuple(rows), failures=failures)

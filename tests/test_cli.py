@@ -155,6 +155,14 @@ class TestSelect:
         assert rc == 2
         assert not out.exists()
 
+    def test_hints_byte_order_mark_ignored(self, tmp_path):
+        text = json.dumps({"known_forks": [3], "pure_colliders": [1]})
+        plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        want = _load_hint_masks(str(plain), 5)
+        assert np.array_equal(_load_hint_masks(str(marked), 5), want)
+
     @pytest.mark.parametrize("value", [3, None, "12", [1.0], ["1"], [0], [6], [2, True]])
     def test_malformed_hint_values_rejected(self, tmp_path, value):
         hints = tmp_path / "hints.json"
@@ -472,6 +480,23 @@ class TestOracle:
         dag = tmp_path / "dag.txt"
         dag.write_text("X1 -> X2\nX2 -> X1\n")
         assert main(["oracle", "--dag", str(dag)]) == 2
+
+    def test_empty_collection_lists_no_members(self, tmp_path, capsys):
+        dag = tmp_path / "dag.txt"
+        dag.write_text("T -> Y\nX1 -> Y\n")
+        assert main(["oracle", "--dag", str(dag)]) == 0
+        text = capsys.readouterr().out
+        assert "|collection| = 0 of 2" in text
+        assert "members: none\n" in text
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(UNIQUE_MIN_DAG, encoding="utf-8")
+        marked.write_text(UNIQUE_MIN_DAG, encoding="utf-8-sig")
+        assert main(["oracle", "--dag", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["oracle", "--dag", str(marked)]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestSimulate:

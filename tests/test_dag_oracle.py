@@ -121,6 +121,26 @@ class TestDagBasics:
         with pytest.raises(CyclicGraph):
             Dag.from_text("X1 -> X2\nX2 -> X1\n")
 
+    @pytest.mark.parametrize("text, exc, message", [
+        ("", ValueError, "no X nodes declared"),
+        ("Q", ValueError, "line 1: cannot parse 'Q'"),
+        ("X1 -> Q", ValueError, "line 1: unknown node name 'Q'"),
+        ("X0 -> Y", ValueError, "no X nodes declared"),
+        ("X01 -> Y", ValueError, "no X nodes declared"),
+        ("X1->X2->Y", ValueError, "no X nodes declared"),
+        # a line that cannot be parsed wins over an earlier unknown name
+        ("X1 -> T\nX3 -> Q\nbad line", ValueError, "line 3: cannot parse 'bad line'"),
+        # the first unknown name wins over a later one
+        ("X2 -> Y\nX0 -> X1\nX3 -> Q", ValueError, "line 2: unknown node name 'X0'"),
+        ("X1 -> X1", ValueError, "self-loop on X1"),
+        ("X1 -> Y\nX1 -> Y", ValueError, "duplicate edge X1 -> Y"),
+        ("X1 -> X2\nX2 -> X1", CyclicGraph, "cycle through {X1, X2}"),
+    ])
+    def test_from_text_messages(self, text, exc, message):
+        with pytest.raises(exc) as info:
+            Dag.from_text(text)
+        assert str(info.value) == message
+
     def test_immutability(self):
         g = Dag(2, [("X1", "Y")])
         with pytest.raises(AttributeError):
@@ -369,6 +389,27 @@ class TestPopulationSpec:
         assert zero == set(true_collection(spec.provenance).masks.tolist())
         # rooting X->T edges leaves this design's collection unchanged
         assert zero == set(true_collection(g).masks.tolist())
+
+    def test_reversed_treatment_edge_keeps_its_weight(self):
+        # an X -> T edge is rooted as T -> X with the weight given for it
+        weights = {("X1", "Y"): -0.4, ("X2", "Y"): 1.3, ("X1", "X2"): 0.8}
+        noise = {"X1": (1.0, 2.0)}
+        sink = linear_sem_population(
+            Dag(2, [("X1", "T"), ("X1", "Y"), ("X2", "Y"), ("X1", "X2")]),
+            {("X1", "T"): 0.7, **weights}, noise,
+        )
+        root = linear_sem_population(
+            Dag(2, [("T", "X1"), ("X1", "Y"), ("X2", "Y"), ("X1", "X2")]),
+            {("T", "X1"): 0.7, **weights}, noise,
+        )
+        for name in ("sigma0", "sigma1", "beta_y", "beta_t"):
+            assert np.array_equal(getattr(sink, name), getattr(root, name)), name
+        assert sink.provenance.edges() == root.provenance.edges()
+        # and the weight is used: the unit weight gives another design
+        unit = linear_sem_population(
+            Dag(2, [("T", "X1"), ("X1", "Y"), ("X2", "Y"), ("X1", "X2")]), weights, noise
+        )
+        assert not np.array_equal(sink.beta_t, unit.beta_t)
 
     def test_random_design_bridge(self):
         rng = np.random.default_rng(7)

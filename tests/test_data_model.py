@@ -13,7 +13,6 @@ from adjustkit.data_model import (
     indices_mask,
     load_csv,
     mask_indices,
-    mask_popcounts,
     save_csv,
     split_by_treatment,
     subset_columns,
@@ -99,12 +98,6 @@ class TestEnumeration:
         assert m.dtype == np.uint32
         assert m.size == 64
         assert (np.diff(m.astype(np.int64)) == 1).all()
-
-    @given(st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=50))
-    def test_popcounts_match_python(self, masks):
-        arr = np.asarray(masks, dtype=np.uint32)
-        got = mask_popcounts(arr)
-        assert got.tolist() == [int(m).bit_count() for m in masks]
 
 
 class TestDataset:
@@ -227,6 +220,16 @@ class TestCsv:
         path.write_text("T,Y,X1\n0,1,2\n\n1,3\n0,5,6\n")
         with pytest.raises(SchemaError, match="line 4"):
             load_csv(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "T,Y,X1\n0,1,2\n1,3,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        got, want = load_csv(marked), load_csv(plain)
+        for name in ("x", "t", "y"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_repr_roundtrip_bit_exact_p17(self, tmp_path):
         rng = np.random.default_rng(17)

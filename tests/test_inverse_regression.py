@@ -31,13 +31,11 @@ class TestSliceResponse:
     def test_binary_passthrough(self):
         s = slice_response([0, 0, 1, 1], h=5)
         assert s.h == 2
-        assert s.kind == "discrete-passthrough"
         assert s.labels.tolist() == [1, 1, 2, 2]
 
     def test_quantile_slices_balanced(self):
         s = slice_response(np.arange(1, 101), h=5)
         assert s.h == 5
-        assert s.kind == "quantile-sliced"
         counts = np.bincount(s.labels)[1:]
         assert counts.tolist() == [20, 20, 20, 20, 20]
 
@@ -61,7 +59,7 @@ class TestSliceResponse:
     def test_short_discrete_vector_passes_through(self):
         s = slice_response([3.0, 7.0], h=5)
         assert s.h == 2
-        assert s.kind == "discrete-passthrough"
+        assert s.labels.tolist() == [1, 2]
 
     def test_h_below_two(self):
         with pytest.raises(ValueError):
@@ -86,13 +84,13 @@ class TestSliceResponse:
 
 class TestSirMatrix:
     def test_one_dim_worked_example(self):
-        s = SliceAssignment(labels=np.array([1, 2]), h=2, kind="discrete-passthrough")
+        s = SliceAssignment(labels=np.array([1, 2]), h=2)
         m = sir_matrix(np.array([[-1.0], [1.0]]), s, np.eye(1))
         assert m.m.tolist() == [[-1.0, 1.0]]
         assert m.method == "SIR"
 
     def test_whitening(self):
-        s = SliceAssignment(labels=np.array([1, 2]), h=2, kind="discrete-passthrough")
+        s = SliceAssignment(labels=np.array([1, 2]), h=2)
         m = sir_matrix(np.array([[-1.0], [1.0]]), s, np.array([[2.0]]))
         assert np.allclose(m.m, [[-0.5, 0.5]])
 
@@ -101,7 +99,7 @@ class TestSirMatrix:
         n, p = 4000, 3
         x = rng.normal(size=(n, p))
         labels = np.tile(np.arange(1, 5), n // 4)
-        s = SliceAssignment(labels=labels, h=4, kind="quantile-sliced")
+        s = SliceAssignment(labels=labels, h=4)
         m = sir_matrix(x - x.mean(axis=0), s, np.cov(x, rowvar=False, ddof=1))
         assert np.linalg.norm(m.m, 2) < 0.15
 
@@ -111,7 +109,7 @@ class TestSirMatrix:
         x = rng.normal(size=(n, p))
         labels = rng.integers(1, 4, size=n)
         labels[:3] = [1, 2, 3]
-        s = SliceAssignment(labels=labels, h=3, kind="quantile-sliced")
+        s = SliceAssignment(labels=labels, h=3)
         b = np.diag([2.0, 0.5, 3.0, 1.25])
         sigma = np.cov(x, rowvar=False, ddof=1)
         m = sir_matrix(x, s, sigma).m
@@ -131,7 +129,7 @@ class TestSirMatrix:
                 x = rng.normal(size=(n, p))
                 labels = np.tile(np.arange(1, h + 1), n // h)
                 rng.shuffle(labels)
-                s = SliceAssignment(labels=labels, h=h, kind="quantile-sliced")
+                s = SliceAssignment(labels=labels, h=h)
                 m = sir_matrix(
                     x - x.mean(axis=0), s, np.cov(x, rowvar=False, ddof=1)
                 )
@@ -147,23 +145,19 @@ class TestSaveMatrix:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3))
         x = x - x.mean(axis=0)
-        s = SliceAssignment(
-            labels=np.ones(40, dtype=np.int64), h=1, kind="discrete-passthrough"
-        )
+        s = SliceAssignment(labels=np.ones(40, dtype=np.int64), h=1)
         sigma = np.cov(x, rowvar=False, ddof=1)
         m = save_matrix(x, s, sigma)
         assert np.all(m.m == 0.0)
 
     def test_matched_within_covariance_zero_blocks(self):
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-        s = SliceAssignment(
-            labels=np.array([1, 1, 2, 2]), h=2, kind="discrete-passthrough"
-        )
+        s = SliceAssignment(labels=np.array([1, 1, 2, 2]), h=2)
         m = save_matrix(x, s, np.array([[2.0]]))
         assert np.all(m.m == 0.0)
 
     def test_slice_too_small(self):
-        s = SliceAssignment(labels=np.array([1, 1, 2]), h=2, kind="quantile-sliced")
+        s = SliceAssignment(labels=np.array([1, 1, 2]), h=2)
         with pytest.raises(SliceTooSmall):
             save_matrix(np.zeros((3, 2)) + np.eye(3, 2), s, np.eye(2))
 
@@ -171,7 +165,7 @@ class TestSaveMatrix:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(60, 3))
         labels = np.tile([1, 2, 3], 20)
-        s = SliceAssignment(labels=labels, h=3, kind="quantile-sliced")
+        s = SliceAssignment(labels=labels, h=3)
         m = save_matrix(x, s, np.cov(x, rowvar=False, ddof=1))
         assert m.m.shape == (3, 9)
         assert m.method == "SAVE"

@@ -57,14 +57,12 @@ class TestGroundTruth:
     def test_dag_models_match_their_oracle(self, mid):
         gm = generate_model(ModelSpec(mid, n=400, seed=0))
         assert np.array_equal(gm.truth.masks, true_collection(model_graph(mid)).masks)
-        assert gm.metadata["truth_source"] == "dag"
 
     @pytest.mark.parametrize("mid", [4, 5])
     def test_covariance_models_are_supersets_of_the_pair(self, mid):
         gm = generate_model(ModelSpec(mid, n=400, seed=0))
         want = upward_closure(10, [indices_mask(10, (1, 2))])
         assert np.array_equal(gm.truth.masks, want.masks)
-        assert gm.metadata["truth_source"] == "analytic"
 
     def test_collider_truth(self):
         assert mask_indices(generate_model(ModelSpec(1, n=400)).colliders) == (4,)

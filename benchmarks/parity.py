@@ -9,7 +9,8 @@ registered in the repository and a killed run leaves only that directory.
 The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 
 - `select`: mn, gc, SAVE x SAVE and `--hints` at p = 10, and the p = 17,
-  n = 4000 model-1 input;
+  n = 4000 model-1 input, alone and with a known fork and two pure
+  colliders as `--hints`;
 - `oracle`: the README graph, two graphs of at most six covariates (whose
   members are listed), the complete DAG at p = 12 and model 3's graph at
   p = 16, each with its JSON report;
@@ -18,7 +19,8 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 - the demos;
 - the exit-2 and exit-3 cases that `tests/test_cli.py` lists;
 - `criterion_tables` digests: models 1-5 x n in {400, 800} x mn/gc x the
-  four method pairs, both arms, with the selection that `select` makes;
+  four method pairs, both arms, with the selection that `select` makes
+  (the metadata's method names compared case-folded);
 - population-table digests for the graphs of models 1 and 3, whose exact
   zeros tie, so the tie-breaking of the sort shows in their order.
 
@@ -122,7 +124,11 @@ for model in (1, 2, 3, 4, 5):
                         h = hashlib.blake2b(digest_size=16)
                         for arr in (table.masks, table.values):
                             h.update(arr.dtype.str.encode() + arr.tobytes())
-                        h.update(repr(sorted(table.metadata.items())).encode())
+                        # older trees record the method as "SIR" or "SAVE", newer
+                        # ones as the config's "sir" or "save": one name, two cases
+                        meta = {k: v.lower() if k.startswith("method_") else v
+                                for k, v in table.metadata.items()}
+                        h.update(repr(sorted(meta.items())).encode())
                         result = select(table, SelectorConfig.for_sample(n))
                         h.update(result.order.tobytes() + repr(result.tau).encode())
                         out[key] = h.hexdigest()
@@ -143,6 +149,10 @@ def _runs() -> list[tuple[str, list[str], dict]]:
         ("select-hints", [*select, m1, "--hints", "hints.json", "--output", "out"],
          {"hints.json": '{"known_forks": [3], "pure_noncolliders": [7]}'}),
         ("select-p17", [*select, f"{INPUTS}/m1p17.csv", "--output", "out"], {}),
+        # a known fork and two pure colliders: pinned levels of the pivot tree
+        ("select-p17-hints", [*select, f"{INPUTS}/m1p17.csv", "--hints", "hints.json",
+                              "--output", "out"],
+         {"hints.json": '{"known_forks": [17], "pure_colliders": [1, 9]}'}),
         ("simulate", [*cli, "simulate", "--models", "1,4", "--n", "400", "--variants", "mn,gc",
                       "--reps", "2", "--output", "sim.csv"], {}),
         ("ate-readme", [*cli, "ate", "--input", m1, "--a0", "2,3", "--a1", "2,3"], {}),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import transform_dataset
-from .data_model import Dataset, check_dimension, enumerate_masks
+from .data_model import Dataset, check_dimension, enumerate_masks, subcube
 from .errors import AdjustKitError
 from .inverse_regression import (
     check_covariance,
@@ -61,8 +61,10 @@ class CriterionConfig:
         Requested outcome slice count, at least 2.  The methods and h are
         checked here, so that a table is refused before any work.
     masks : ndarray or None
-        Optional pruned universe: strictly ascending integer masks inside
-        0..2^p-1, checked by `criterion_table`; default all 2^p subsets.
+        Optional pruned universe: a sub-cube of 0..2^p-1 (some indices in
+        every mask, some in none, the rest free), as the strictly ascending
+        integer masks that `prune_hints` returns, checked by
+        `criterion_table`; default all 2^p subsets.
     """
 
     method_y: str = "sir"
@@ -94,7 +96,8 @@ class CriterionTable:
     variant : str
         "mn" or "gc".
     metadata : dict
-        n, p, slice counts, estimator methods, singular-block count.
+        n, p, slice counts, the config's estimator methods ("sir" or
+        "save"), singular-block count.
     """
 
     p: int
@@ -110,17 +113,21 @@ class CriterionTable:
 
 def _checked_masks(masks, p: int) -> np.ndarray:
     """A caller-given universe as uint32; DimensionTooLarge for p > 24, and
-    ValueError unless it is 1-D, integer, strictly ascending (`_lattice_values`
-    bisects its complements) and inside 0..2^p-1."""
+    ValueError unless it is a 1-D integer array inside 0..2^p-1 equal to the
+    ascending sub-cube spanned by the AND and the OR of its masks, the one
+    shape `_lattice_values` walks (an empty array is not)."""
     check_dimension(p)
     arr = np.asarray(masks)
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("masks must be a 1-D integer array")
-    if np.any(arr[1:] <= arr[:-1]):
-        raise ValueError("masks must be strictly ascending")
-    if arr.size and (arr[0] < 0 or arr[-1] >= 1 << p):
+    if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
         raise ValueError(f"masks must lie in 0..2^{p}-1")
-    return arr.astype(np.uint32)
+    arr = arr.astype(np.uint32)
+    fixed = int(np.bitwise_and.reduce(arr))
+    free = int(np.bitwise_or.reduce(arr)) & ~fixed
+    if arr.size != 1 << free.bit_count() or not np.array_equal(arr, subcube(fixed, free)):
+        raise ValueError("masks must be the ascending sub-cube between their AND and OR")
+    return arr
 
 
 def _narrowed(m: np.ndarray) -> np.ndarray:
@@ -186,7 +193,7 @@ def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
     ``leaves`` requested leaves, where ``h_y`` counts the rows of the stacked
     outcome candidates of every requested arm: the level with j undecided
     indices holds at most b * 2^(k-j) nodes, and at most 2 * leaves before
-    the unreached ones are dropped."""
+    a pinned index's other child is dropped."""
     return max(
         2 * (h_y + j) * (h_t + j) * min(b << (k - j), 2 * leaves) for j in range(k + 1)
     )
@@ -195,8 +202,9 @@ def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
 def _lattice_values(
     inv_sigmas: np.ndarray, mys, mt: np.ndarray, masks: np.ndarray
 ) -> list[np.ndarray]:
-    """Criterion values of ``masks`` (strictly ascending, inside 0..2^p-1)
-    for each outcome candidate of ``mys``, by one pivot tree.
+    """Criterion values of ``masks`` (an ascending sub-cube of 0..2^p-1, as
+    `_checked_masks` admits) for each outcome candidate of ``mys``, by one
+    pivot tree.
 
     The term of an arm for complement C is minus the Y x T block left after
     pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  The
@@ -204,17 +212,18 @@ def _lattice_values(
     M_Y(1)', 0]], and each one's spectral norms are taken on its own row
     slice of the Y x T block; `_pivot` is elementwise, so every candidate's
     values are bit-identical to those of a walk of its own.  Indices
-    are decided top bit first and node j's children are 2j (skip) and 2j+1
-    (pivot), so a node at depth p - k holds the complements j*2^k ..
-    (j+1)*2^k - 1 and a leaf's number is its complement.  The tree is walked
+    are decided top bit first.  At a free index node j's children are 2j
+    (skip) and 2j+1 (pivot); at an index pinned by the sub-cube every node
+    keeps the one child its masks agree on (skip if the index is in every
+    mask, pivot if in none) and its number.  A leaf's number is then its
+    complement's free bits, read as one number, so leaf c is mask n-1-c of
+    the n requested.  The tree is walked
     breadth-first in batches of nodes, depth-first between batches: once a
     node's whole subtree fits in STATE_CELLS numbers, batches of as many
     nodes as fit are finished to their leaves; above that depth a batch is
     halved when its next level would exceed STATE_CELLS.  No level then
     holds more than STATE_CELLS numbers (a single node's next level aside),
-    for any p and candidate width.  When ``masks`` is not the whole lattice,
-    nodes under which no requested complement lies are dropped before they
-    are pivoted.
+    for any p and candidate width.
     A pivot d on index i with d <= MIN_EIGENVALUE * Sigma^{-1}[i, i] (a
     scale-free ratio) marks every subset below it singular: NaN in the
     tree, +inf in the result.
@@ -227,29 +236,18 @@ def _lattice_values(
     aug[:, h_y:, :h_t, 0] = mt
     aug[:, h_y:, h_t:, 0] = inv_sigmas
     floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
-    comps = None if masks.size == 1 << p else (1 << p) - 1 - masks[::-1].astype(np.int64)
+    fixed = int(np.bitwise_and.reduce(masks))
+    free = int(np.bitwise_or.reduce(masks)) & ~fixed
     outs = [np.empty(masks.size) for _ in mys]
 
-    def walk(aug: np.ndarray, ids, k: int) -> None:
-        # ids: the batch's node numbers, a range on the full lattice; once
-        # the batch's whole walk fits, so do those of its descendants
+    def walk(aug: np.ndarray, ids: range, k: int) -> None:
+        # ids: the batch's node numbers; once the batch's whole walk fits,
+        # so do those of its descendants
         fits = False
-        while True:
-            if comps is None:
-                leaves = len(ids) << k
-            else:
-                lo = np.searchsorted(comps, ids << k)
-                hi = np.searchsorted(comps, (ids + 1) << k)
-                leaves = int((hi - lo).sum())
-                if not leaves:
-                    return
-                reached = lo < hi
-                if not reached.all():
-                    aug, ids = aug[..., reached], ids[reached]
-            if k == 0:
-                break
+        while k:
             two, r, c, b = aug.shape
             if not fits:
+                leaves = b << (free & ((1 << k) - 1)).bit_count()
                 need = _walk_cells(h_y, h_t, k, b, leaves)
                 fits = need <= STATE_CELLS
                 # as many nodes as fit whole; above that depth, halve a
@@ -261,23 +259,20 @@ def _lattice_values(
                     for s in range(0, b, fit):
                         walk(aug[..., s : s + fit], ids[s : s + fit], k)
                     return
-            aug = _pivot(aug, floor[:, k - 1])
-            if comps is None:
+            k -= 1
+            aug = _pivot(aug, floor[:, k])
+            if free >> k & 1:
                 ids = range(2 * ids.start, 2 * ids.stop)
             else:
-                ids = (2 * ids[:, None] + (0, 1)).ravel()
-            k -= 1
-        n = masks.size  # complement c is mask n - 1 - c
+                aug = aug[..., (~fixed >> k & 1) :: 2]
+        n = masks.size
         for out, top, bottom in zip(outs, rows[:-1], rows[1:]):
             norms = _spectral_norms(aug[:, top:bottom])
             v = norms[0] + norms[1]
             v[np.isnan(v)] = np.inf
-            if comps is None:
-                out[n - ids.stop : n - ids.start] = v[::-1]
-            else:
-                out[n - 1 - np.searchsorted(comps, ids)] = v
+            out[n - ids.stop : n - ids.start] = v[::-1]
 
-    walk(aug, range(1) if comps is None else np.zeros(1, dtype=np.int64), p)
+    walk(aug, range(1), p)
     return outs
 
 
@@ -293,8 +288,9 @@ def _inverses(sigma0, sigma1) -> np.ndarray:
 def criterion_tables(
     d: Dataset, arms, variant: str = "mn", config: CriterionConfig | None = None
 ) -> tuple[CriterionTable | AdjustKitError, ...]:
-    """Evaluate the criterion on every enumerated subset, for each of
-    several arms' outcome candidates, with one fit and one pivot tree.
+    """Evaluate the criterion on every subset of the universe (all 2^p, or
+    the sub-cube of ``config.masks``), for each of several arms' outcome
+    candidates, with one fit and one pivot tree.
 
     Parameters
     ----------
@@ -320,8 +316,9 @@ def criterion_tables(
     Raises
     ------
     ValueError
-        For an arm outside {0, 1}, an unknown variant or a malformed
-        ``config.masks``, before any work.
+        For an arm outside {0, 1}, an unknown variant, or a
+        ``config.masks`` that is malformed or not a sub-cube (see
+        `CriterionConfig`), before any work.
     DimensionTooLarge
         For p > 24, with or without ``config.masks``, before any work.
     SingularCovariance
@@ -361,8 +358,8 @@ def criterion_tables(
             "p": p,
             "h_y": m_y.h,
             "h_t": m_t.h,
-            "method_y": m_y.method,
-            "method_t": m_t.method,
+            "method_y": cfg.method_y,
+            "method_t": cfg.method_t,
             "singular_blocks": int(np.isinf(v).sum()),
         }
         out[i] = CriterionTable(

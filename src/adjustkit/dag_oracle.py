@@ -142,7 +142,8 @@ class Dag:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            m = _EDGE_RE.match(line)
+            # an unspaced chain would otherwise read as a node named "X1->X2"
+            m = _EDGE_RE.match(line) if line.count("->") == 1 else None
             for name in m.groups() if m else (line,):
                 mx = _NODE_RE.match(name)
                 if mx:

@@ -77,6 +77,17 @@ def enumerate_masks(p: int) -> np.ndarray:
     return np.arange(1 << p, dtype=np.uint32)
 
 
+def subcube(fixed: int, free: int) -> np.ndarray:
+    """Ascending uint32 array of every mask that holds the bits of ``fixed``
+    and any of those of ``free`` (disjoint from ``fixed``): 2^|free| masks."""
+    out = np.array([fixed], dtype=np.uint32)
+    for i in range(free.bit_length()):
+        if free >> i & 1:
+            # the masks so far agree above bit i and lack it: this stays ascending
+            out = np.concatenate((out, out | np.uint32(1 << i)))
+    return out
+
+
 def by_size(masks) -> np.ndarray:
     """Masks as a uint32 array ordered by (cardinality, mask)."""
     masks = np.asarray(masks, dtype=np.uint32)

@@ -63,14 +63,11 @@ class CandidateMatrix:
     ----------
     m : ndarray
         p x h for SIR, p x (p*h) column blocks for SAVE.
-    method : str
-        "SIR" or "SAVE".
     h : int
         Slice count the matrix was built from.
     """
 
     m: np.ndarray
-    method: str
     h: int
 
 
@@ -171,9 +168,7 @@ def sir_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
     cols = np.empty((p, slices.h))
     for k in range(1, slices.h + 1):
         cols[:, k - 1] = x[slices.labels == k].mean(axis=0)
-    return CandidateMatrix(
-        m=np.linalg.solve(sigma, cols), method="SIR", h=slices.h
-    )
+    return CandidateMatrix(m=np.linalg.solve(sigma, cols), h=slices.h)
 
 
 def save_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
@@ -207,9 +202,7 @@ def save_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
             raise SliceTooSmall(f"slice {k} has {rows.shape[0]} rows")
         cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
         blocks[:, (k - 1) * p : k * p] = sigma - cov
-    return CandidateMatrix(
-        m=np.linalg.solve(sigma, blocks), method="SAVE", h=slices.h
-    )
+    return CandidateMatrix(m=np.linalg.solve(sigma, blocks), h=slices.h)
 
 
 def _moments(x: np.ndarray, rows: np.ndarray) -> GroupMoments:

@@ -21,6 +21,7 @@ from .data_model import (
     check_mask,
     mask_indices,
     split_by_treatment,
+    subcube,
     subset_columns,
 )
 from .errors import ContradictoryHints
@@ -281,8 +282,8 @@ def prune_hints(
 
     Representatives keep every known fork, include every pure non-collider
     (membership of A settles A minus the index), and exclude every pure
-    collider (membership of A | {i} follows from A).  Returns the sorted
-    mask array to feed the criterion table.
+    collider (membership of A | {i} follows from A).  Returns that
+    sub-cube, ascending uint32, to feed the criterion table.
     """
     check_dimension(p)
     forks, cols, noncols = int(known_forks), int(pure_colliders), int(pure_noncolliders)
@@ -295,13 +296,7 @@ def prune_hints(
     if cols & noncols:
         raise ContradictoryHints("an index cannot be both a pure collider and a pure non-collider")
     fixed_in = forks | noncols
-    free = full & ~(fixed_in | cols)
-    out = np.array([fixed_in], dtype=np.int64)
-    for i in range(p):
-        if free >> i & 1:
-            # every mask so far lies below fixed_in | bit i, so this stays ascending
-            out = np.concatenate((out, out | (1 << i)))
-    return out
+    return subcube(fixed_in, full & ~(fixed_in | cols))
 
 
 def _nearest_donor_outcome(

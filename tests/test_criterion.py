@@ -11,7 +11,7 @@ from adjustkit.criterion import (
     population_values,
 )
 from adjustkit.dag_oracle import PopulationSpec, linear_sem_population, true_collection
-from adjustkit.data_model import Dataset
+from adjustkit.data_model import Dataset, subcube
 from adjustkit.errors import DimensionTooLarge, SingularCovariance
 from adjustkit.inverse_regression import group_moments, outcome_candidate, treatment_candidate
 from adjustkit.set_analysis import prune_hints
@@ -188,19 +188,25 @@ class TestPivotTree:
 
     @pytest.mark.parametrize("cells", [1, 700, 96 * 1024])
     def test_pruned_masks_equal_full_entries(self, monkeypatch, cells):
+        # pinned indices at the top, at the bottom, interleaved with free
+        # ones and everywhere; two stacked outcome candidates
         inv, my, mt = self._problem(9, "sir")
-        full = _lattice_values(inv, [my], mt, _every_mask(9))[0]
+        mys = [my, my[:, :3]]
+        full = _lattice_values(inv, mys, mt, _every_mask(9))
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
-        rng = np.random.default_rng(cells)
-        for masks in (
-            np.sort(rng.choice(1 << 9, size=37, replace=False)),
-            prune_hints(9, known_forks=0b100000001, pure_colliders=0b000010000),
-            np.array([0]),
-            np.array([(1 << 9) - 1]),
-            np.array([], dtype=np.int64),
+        for fixed, free in (
+            (0b100000000, 0b000111111),
+            (0b000000010, 0b111111100),
+            (0b100000001, 0b011101110),
+            (0b001010100, 0b010001001),
+            (0, 0),
+            ((1 << 9) - 1, 0),
+            (0b010110001, 0),
         ):
-            got = _lattice_values(inv, [my], mt, masks.astype(np.uint32))[0]
-            assert np.array_equal(got, full[masks])
+            masks = subcube(fixed, free)
+            got = _lattice_values(inv, mys, mt, masks)
+            for g, f in zip(got, full):
+                assert np.array_equal(g, f[masks])
 
     @pytest.mark.parametrize("cells", [700, 5000])
     def test_stacked_rows_stay_within_the_budget(self, monkeypatch, cells):
@@ -238,7 +244,7 @@ class TestPivotTree:
             return step(aug, floor)
 
         monkeypatch.setattr(criterion, "_pivot", counting)
-        got = _lattice_values(inv, [my], mt, masks.astype(np.uint32))[0]
+        got = _lattice_values(inv, [my], mt, masks)[0]
         assert sum(pivoted) <= p * masks.size
         sigmas = [np.linalg.inv(s) for s in inv]
         ref = [pair_value(my, mt, sigmas, int(m)) for m in masks[::97]]
@@ -384,13 +390,35 @@ class TestCriterionTable:
         with pytest.raises(ValueError, match="0..2"):
             criterion_table(d, t=0, config=CriterionConfig(masks=masks))
 
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            np.array([], dtype=np.uint32),
+            np.array([0, 1, 2]),
+            np.array([1, 2]),
+            np.array([0, 3]),
+            np.array([0b0011, 0b0111, 0b1011]),
+            np.array([0b0101, 0b0111, 0b1101]),
+        ],
+    )
+    def test_universe_not_a_subcube_rejected(self, monkeypatch, masks):
+        # the pivot tree walks only a sub-cube: anything else, the empty
+        # universe included, is refused before the copula and the moments
+        def entered(*args):
+            raise AssertionError("the copula, the moments or the sweep was entered")
+
+        for name in ("transform_dataset", "group_moments", "_lattice_values"):
+            monkeypatch.setattr(criterion, name, entered)
+        with pytest.raises(ValueError, match="sub-cube"):
+            criterion_table(self._dataset(), t=0, variant="gc", config=CriterionConfig(masks=masks))
+
     def test_duplicate_masks_rejected(self):
         d = self._dataset()
         with pytest.raises(ValueError, match="ascending"):
             criterion_table(d, t=0, config=CriterionConfig(masks=np.array([3, 3, 1])))
 
     def test_unsorted_masks_rejected(self):
-        # the pivot tree bisects the complements of an ascending universe
+        # the pivot tree writes an ascending universe's leaves as one slice
         d = self._dataset()
         with pytest.raises(ValueError, match="ascending"):
             criterion_table(d, t=0, config=CriterionConfig(masks=np.array([5, 3, 1])))

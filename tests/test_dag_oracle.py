@@ -127,7 +127,10 @@ class TestDagBasics:
         ("X1 -> Q", ValueError, "line 1: unknown node name 'Q'"),
         ("X0 -> Y", ValueError, "no X nodes declared"),
         ("X01 -> Y", ValueError, "no X nodes declared"),
-        ("X1->X2->Y", ValueError, "no X nodes declared"),
+        # an unspaced chain is refused as the spaced one is, alone or not
+        ("X1->X2->Y", ValueError, "line 1: cannot parse 'X1->X2->Y'"),
+        ("X1 -> X2 -> Y", ValueError, "line 1: cannot parse 'X1 -> X2 -> Y'"),
+        ("X1 -> Y\nX1->X2->Y", ValueError, "line 2: cannot parse 'X1->X2->Y'"),
         # a line that cannot be parsed wins over an earlier unknown name
         ("X1 -> T\nX3 -> Q\nbad line", ValueError, "line 3: cannot parse 'bad line'"),
         # the first unknown name wins over a later one

@@ -445,6 +445,7 @@ class TestPruneHints:
         keep = forks | noncols
         want = [m for m in range(1 << p) if m & keep == keep and not m & cols]
         got = prune_hints(p, known_forks=forks, pure_colliders=cols, pure_noncolliders=noncols)
+        assert got.dtype == np.uint32
         assert got.tolist() == want
 
 

@@ -20,7 +20,10 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 - the exit-2 and exit-3 cases that `tests/test_cli.py` lists;
 - `criterion_tables` digests: models 1-5 x n in {400, 800} x mn/gc x the
   four method pairs, both arms, with the selection that `select` makes
-  (the metadata's method names compared case-folded);
+  (the metadata's method names compared case-folded); and the same for
+  three outcome shapes of model 1 at n = 400 that form other than h
+  slices: y rounded and clipped to {-1, 0, 1}, y zeroed with probability
+  0.7 (quantile slices merge) and y constant in arm 1 (one slice);
 - population-table digests for the graphs of models 1 and 3, whose exact
   zeros tie, so the tie-breaking of the sort shows in their order.
 
@@ -92,10 +95,11 @@ dense += [f"T -> X{k}" for k in range(1, 13)] + [f"X{k} -> Y" for k in range(1, 
 # prints one JSON object: a digest per criterion table and its selection
 DIGESTS = """
 import hashlib, json, warnings
+import numpy as np
 from adjustkit.criterion import (
     CriterionConfig, CriterionTable, criterion_tables, population_values)
 from adjustkit.dag_oracle import linear_sem_population
-from adjustkit.data_model import enumerate_masks
+from adjustkit.data_model import Dataset, enumerate_masks
 from adjustkit.errors import AdjustKitError
 from adjustkit.selection import SelectorConfig, select
 from adjustkit.sim_bench import ModelSpec, generate_model, model_graph
@@ -109,29 +113,42 @@ for model, p in ((1, 10), (3, 10), (3, 14)):
     h = hashlib.blake2b(values.tobytes() + result.order.tobytes(), digest_size=16)
     h.update(repr(result.tau).encode() + result.selected.member_array.tobytes())
     out[f"population model {model} p {p}"] = h.hexdigest()
+
+
+def digest_tables(name, d):
+    for variant in ("mn", "gc"):
+        for my in ("sir", "save"):
+            for mt in ("sir", "save"):
+                cfg = CriterionConfig(method_y=my, method_t=mt)
+                for arm, table in zip((0, 1), criterion_tables(d, (0, 1), variant, cfg)):
+                    key = f"{name} {variant} {my}/{mt} arm {arm}"
+                    if isinstance(table, AdjustKitError):
+                        out[key] = f"{type(table).__name__}: {table}"
+                        continue
+                    h = hashlib.blake2b(digest_size=16)
+                    for arr in (table.masks, table.values):
+                        h.update(arr.dtype.str.encode() + arr.tobytes())
+                    # older trees record the method as "SIR" or "SAVE", newer
+                    # ones as the config's "sir" or "save": one name, two cases
+                    meta = {k: v.lower() if k.startswith("method_") else v
+                            for k, v in table.metadata.items()}
+                    h.update(repr(sorted(meta.items())).encode())
+                    result = select(table, SelectorConfig.for_sample(d.n))
+                    h.update(result.order.tobytes() + repr(result.tau).encode())
+                    out[key] = h.hexdigest()
+
+
 for model in (1, 2, 3, 4, 5):
     for n in (400, 800):
-        d = generate_model(ModelSpec(model, n=n, seed=0)).dataset
-        for variant in ("mn", "gc"):
-            for my in ("sir", "save"):
-                for mt in ("sir", "save"):
-                    cfg = CriterionConfig(method_y=my, method_t=mt)
-                    for arm, table in zip((0, 1), criterion_tables(d, (0, 1), variant, cfg)):
-                        key = f"model {model} n {n} {variant} {my}/{mt} arm {arm}"
-                        if isinstance(table, AdjustKitError):
-                            out[key] = f"{type(table).__name__}: {table}"
-                            continue
-                        h = hashlib.blake2b(digest_size=16)
-                        for arr in (table.masks, table.values):
-                            h.update(arr.dtype.str.encode() + arr.tobytes())
-                        # older trees record the method as "SIR" or "SAVE", newer
-                        # ones as the config's "sir" or "save": one name, two cases
-                        meta = {k: v.lower() if k.startswith("method_") else v
-                                for k, v in table.metadata.items()}
-                        h.update(repr(sorted(meta.items())).encode())
-                        result = select(table, SelectorConfig.for_sample(n))
-                        h.update(result.order.tobytes() + repr(result.tau).encode())
-                        out[key] = h.hexdigest()
+        digest_tables(f"model {model} n {n}", generate_model(ModelSpec(model, n=n, seed=0)).dataset)
+# outcomes that form other than h slices: discrete, heavily tied, constant in an arm
+d = generate_model(ModelSpec(1, n=400, seed=0)).dataset
+for shape, y in (
+    ("rounded", np.round(d.y).clip(-1, 1)),
+    ("mostly zero", np.where(np.random.default_rng(5).random(d.n) < 0.7, 0.0, d.y)),
+    ("constant in arm 1", np.where(d.t == 1, 1.0, d.y)),
+):
+    digest_tables(f"model 1 n 400 y {shape}", Dataset(x=d.x, t=d.t, y=y))
 print(json.dumps(out))
 """
 

@@ -18,6 +18,7 @@ from .copula import transform_dataset
 from .data_model import Dataset, check_dimension, enumerate_masks, subcube
 from .errors import AdjustKitError
 from .inverse_regression import (
+    MIN_EIGENVALUE,
     check_covariance,
     group_moments,
     outcome_candidate,
@@ -32,7 +33,6 @@ __all__ = [
     "population_values",
 ]
 
-MIN_EIGENVALUE = 1e-10
 # numbers in one level of the pivot tree's walk, over both arm covariances,
 # whose block rows are the stacked outcome candidates of every requested
 # arm: about 2,400 subsets at the leaves for two SIR outcome candidates
@@ -338,7 +338,7 @@ def criterion_tables(
         d = transform_dataset(d)
     g0, g1, whole = group_moments(d)
     inv_sigmas = _inverses(g0.sigma, g1.sigma)
-    out = []  # candidate matrices and errors, then tables and errors
+    out = []  # (candidate, slices formed) pairs and errors, then tables and errors
     for t in arms:
         try:
             out.append(outcome_candidate(d, (g0, g1)[t], cfg.method_y, cfg.h))
@@ -349,15 +349,14 @@ def criterion_tables(
         return tuple(out)
     m_t = treatment_candidate(d, whole, cfg.method_t)
     values = _lattice_values(
-        inv_sigmas, [_narrowed(out[i].m) for i in built], _narrowed(m_t.m), masks
+        inv_sigmas, [_narrowed(out[i][0]) for i in built], _narrowed(m_t), masks
     )
     for i, v in zip(built, values):
-        m_y = out[i]
         meta = {
             "n": d.n,
             "p": p,
-            "h_y": m_y.h,
-            "h_t": m_t.h,
+            "h_y": out[i][1],
+            "h_t": 2,  # the two arms, both nonempty past group_moments
             "method_y": cfg.method_y,
             "method_t": cfg.method_t,
             "singular_blocks": int(np.isinf(v).sum()),

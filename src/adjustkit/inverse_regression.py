@@ -3,7 +3,9 @@
 Candidate matrices summarize how the covariate distribution moves with a
 response: M_T slices on the treatment label over the full sample, M_{Y(t)}
 slices on the outcome within one treatment arm.  Their column spans estimate
-the corresponding central subspaces.
+the corresponding central subspaces.  Slices are plain label arrays, and one
+loop over them builds either estimator: SIR takes each slice's mean, SAVE
+its covariance.
 """
 
 from __future__ import annotations
@@ -23,12 +25,9 @@ from .errors import (
 )
 
 __all__ = [
-    "SliceAssignment",
-    "CandidateMatrix",
     "GroupMoments",
     "slice_response",
-    "sir_matrix",
-    "save_matrix",
+    "candidate_matrix",
     "outcome_candidate",
     "treatment_candidate",
     "group_moments",
@@ -40,38 +39,6 @@ MIN_EIGENVALUE = 1e-10
 
 
 @dataclass(frozen=True)
-class SliceAssignment:
-    """Partition of observations into response slices.
-
-    Attributes
-    ----------
-    labels : ndarray of int, shape (m,)
-        Slice index in 1..h per observation; every slice is nonempty.
-    h : int
-        Number of slices actually formed.
-    """
-
-    labels: np.ndarray
-    h: int
-
-
-@dataclass(frozen=True)
-class CandidateMatrix:
-    """Inverse-regression candidate matrix.
-
-    Attributes
-    ----------
-    m : ndarray
-        p x h for SIR, p x (p*h) column blocks for SAVE.
-    h : int
-        Slice count the matrix was built from.
-    """
-
-    m: np.ndarray
-    h: int
-
-
-@dataclass(frozen=True)
 class GroupMoments:
     """Mean and covariance (ddof=1) of the rows ``rows`` of X."""
 
@@ -80,7 +47,7 @@ class GroupMoments:
     sigma: np.ndarray
 
 
-def slice_response(values, h: int = 5) -> SliceAssignment:
+def slice_response(values, h: int = 5) -> np.ndarray:
     """Assign observations to response slices.
 
     Parameters
@@ -92,10 +59,12 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
 
     Returns
     -------
-    SliceAssignment
-        Discrete passthrough (one slice per distinct value) when the
-        response takes at most 10 distinct values, otherwise quantile
-        slices with empty slices merged rightward.
+    ndarray of int, shape (m,)
+        Slice label in 1..k per observation, every slice nonempty, so k,
+        the number of slices formed, is ``labels.max()``.  Discrete
+        passthrough (one slice per distinct value) when the response takes
+        at most 10 distinct values, otherwise quantile slices with empty
+        slices merged rightward.
 
     Raises
     ------
@@ -112,7 +81,6 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
     if uniq.size <= DISCRETE_CUTOFF:
         # a discrete response ignores h, so a short vector is fine here
         labels = np.searchsorted(uniq, vals) + 1
-        n_eff = int(uniq.size)
     else:
         if m < h:
             raise TooFewObservations(f"{m} observations for {h} slices")
@@ -122,10 +90,9 @@ def slice_response(values, h: int = 5) -> SliceAssignment:
         remap = np.zeros(h, dtype=np.int64)
         remap[used] = np.arange(1, used.size + 1)
         labels = remap[raw]
-        n_eff = int(used.size)
-    if n_eff == 1:
+    if labels.max() == 1:
         warnings.warn("response is constant; single slice", DegenerateResponse)
-    return SliceAssignment(labels=labels, h=n_eff)
+    return labels
 
 
 def check_covariance(sigma, what: str) -> None:
@@ -146,63 +113,48 @@ def check_covariance(sigma, what: str) -> None:
         )
 
 
-def sir_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
-    """Sliced-inverse-regression candidate matrix.
+def candidate_matrix(x, labels, sigma, method: str = "sir") -> np.ndarray:
+    """Inverse-regression candidate matrix, one moment per slice.
 
     Parameters
     ----------
     x : ndarray, shape (m, p)
         Covariates already centered with respect to the relevant mean.
-    slices : SliceAssignment
+    labels : ndarray of int, shape (m,)
+        Slice label in 1..k per row, every slice nonempty, as
+        `slice_response` returns.
     sigma : ndarray, shape (p, p)
         Covariance to whiten against, already passed by `check_covariance`.
+    method : str
+        "sir": slice j gives the mean of its rows as column j, shape p x k.
+        "save": slice j gives sigma minus the covariance (ddof=1) of its
+        rows as block j, the blocks stacked as columns, shape p x (p*k).
 
     Returns
     -------
-    CandidateMatrix
-        Column h is sigma^{-1} times the mean of the centered rows in
-        slice h; shape p x h.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    p = x.shape[1]
-    cols = np.empty((p, slices.h))
-    for k in range(1, slices.h + 1):
-        cols[:, k - 1] = x[slices.labels == k].mean(axis=0)
-    return CandidateMatrix(m=np.linalg.solve(sigma, cols), h=slices.h)
-
-
-def save_matrix(x, slices: SliceAssignment, sigma) -> CandidateMatrix:
-    """Sliced-average-variance candidate matrix.
-
-    Parameters
-    ----------
-    x : ndarray, shape (m, p)
-        Centered covariates.
-    slices : SliceAssignment
-    sigma : ndarray, shape (p, p)
-        Covariance already passed by `check_covariance`.
-
-    Returns
-    -------
-    CandidateMatrix
-        Block h is sigma^{-1}(sigma - within-slice covariance); the
-        blocks are stacked as columns, shape p x (p*h).
+    ndarray
+        sigma^{-1} times the stacked slice moments.
 
     Raises
     ------
+    ValueError
+        For a method other than "sir" or "save".
     SliceTooSmall
-        If any slice holds fewer than 2 rows.
+        For SAVE, if any slice holds fewer than 2 rows.
     """
+    if method not in ("sir", "save"):
+        raise ValueError(f"unknown method {method!r}; expected 'sir' or 'save'")
     x = np.asarray(x, dtype=np.float64)
-    p = x.shape[1]
-    blocks = np.empty((p, p * slices.h))
-    for k in range(1, slices.h + 1):
-        rows = x[slices.labels == k]
-        if rows.shape[0] < 2:
+    blocks = []
+    for k in range(1, int(labels.max()) + 1):
+        rows = x[labels == k]
+        if method == "sir":
+            blocks.append(rows.mean(axis=0)[:, None])
+        elif rows.shape[0] < 2:
             raise SliceTooSmall(f"slice {k} has {rows.shape[0]} rows")
-        cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-        blocks[:, (k - 1) * p : k * p] = sigma - cov
-    return CandidateMatrix(m=np.linalg.solve(sigma, blocks), h=slices.h)
+        else:
+            blocks.append(sigma - np.atleast_2d(np.cov(rows, rowvar=False, ddof=1)))
+    return np.linalg.solve(sigma, np.hstack(blocks))
 
 
 def _moments(x: np.ndarray, rows: np.ndarray) -> GroupMoments:
@@ -230,7 +182,7 @@ def group_moments(d: Dataset) -> tuple[GroupMoments, GroupMoments, GroupMoments]
 
 def outcome_candidate(
     d: Dataset, arm: GroupMoments, method: str = "sir", h: int = 5
-) -> CandidateMatrix:
+) -> tuple[np.ndarray, int]:
     """Candidate matrix for the outcome within one treatment arm.
 
     Parameters
@@ -245,10 +197,11 @@ def outcome_candidate(
 
     Returns
     -------
-    CandidateMatrix
-        Built from the arm's rows, centered by the arm mean, sliced on
-        the arm outcomes, whitened by the arm covariance, which the caller
-        checks first (`criterion_tables` does, for both arms).
+    (ndarray, int)
+        The `candidate_matrix` of the arm's rows, centered by the arm mean,
+        sliced on the arm outcomes, whitened by the arm covariance, which
+        the caller checks first (`criterion_tables` does, for both arms);
+        and the number of slices formed.
 
     Raises
     ------
@@ -260,30 +213,21 @@ def outcome_candidate(
         t = int(d.t[arm.rows[0]])
         raise TooFewObservations(f"arm {t} has {n_t} rows, need {2 * h}")
     centered = d.x[arm.rows] - arm.mu
-    slices = slice_response(d.y[arm.rows], h)
-    fn = _pick_method(method)
-    return fn(centered, slices, arm.sigma)
+    labels = slice_response(d.y[arm.rows], h)
+    return candidate_matrix(centered, labels, arm.sigma, method), int(labels.max())
 
 
 def treatment_candidate(
     d: Dataset, whole: GroupMoments, method: str = "sir"
-) -> CandidateMatrix:
+) -> np.ndarray:
     """Candidate matrix for the treatment label over the full sample.
 
-    Slices are the treatment groups themselves; centering and whitening
+    Its two slices are the treatment arms, both nonempty once
+    `group_moments` has returned; centering and whitening
     use ``whole``, the whole-sample entry of `group_moments`, whose
     covariance is checked by `check_covariance` before any work.
     """
     check_covariance(whole.sigma, "whole-sample covariance")
     centered = d.x - whole.mu
-    slices = SliceAssignment(labels=d.t.astype(np.int64) + 1, h=2)
-    fn = _pick_method(method)
-    return fn(centered, slices, whole.sigma)
+    return candidate_matrix(centered, d.t.astype(np.int64) + 1, whole.sigma, method)
 
-
-def _pick_method(method: str):
-    if method == "sir":
-        return sir_matrix
-    if method == "save":
-        return save_matrix
-    raise ValueError(f"unknown method {method!r}; expected 'sir' or 'save'")

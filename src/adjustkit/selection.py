@@ -145,17 +145,12 @@ def select_tail(
     tau is the argmin of the ratios (first index on ties); the selected
     collection is order[tau:].  tau = 0 selects every subset, the
     reading of a constantly-zero criterion.  The other arguments are
-    carried into the result.
+    carried into the result; a kept mask outside 0..2^p-1 is a ValueError.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     order = np.asarray(order, dtype=np.uint32)
     tau = int(np.argmin(ratios))
-    tail = order[tau:]
-    if tail.size and int(tail.max()) >= 1 << p:
-        raise ValueError("mask outside the universe")
-    member = np.zeros(1 << p, dtype=bool)
-    member[tail] = True
-    selected = AdjustmentCollection(p, member)
+    selected = AdjustmentCollection.from_masks(p, order[tau:])
     return SelectionResult(
         t=t,
         p=p,

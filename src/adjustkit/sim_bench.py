@@ -358,9 +358,10 @@ def run_benchmark(
     n_values = tuple(n_values)
     variants = tuple(variants)
     arms = tuple(arms)
-    for mid in model_ids:
-        if mid not in MODEL_IDS:
-            raise UnknownModel(f"model id {mid} not in {MODEL_IDS}")
+    # every cell's spec is checked before the first replication is drawn
+    for model_id in model_ids:
+        for n in n_values:
+            ModelSpec(model_id, n)
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")

@@ -286,7 +286,7 @@ class TestCriterionTable:
             ds = d.with_x(d.x * factor)
             table = criterion_table(ds, t=0)
             g0, g1, whole = group_moments(ds)
-            m_y, m_t = outcome_candidate(ds, g0).m, treatment_candidate(ds, whole).m
+            m_y, m_t = outcome_candidate(ds, g0)[0], treatment_candidate(ds, whole)
             sigmas = (g0.sigma, g1.sigma)
             assert pair_value(m_y, m_t, sigmas, 0) == pytest.approx(table.values[0], rel=1e-9)
             for mask in (0b000001, 0b010110):

@@ -16,11 +16,9 @@ from adjustkit.errors import (
 )
 from adjustkit.inverse_regression import (
     GroupMoments,
-    SliceAssignment,
+    candidate_matrix,
     group_moments,
     outcome_candidate,
-    save_matrix,
-    sir_matrix,
     slice_response,
     treatment_candidate,
 )
@@ -29,27 +27,27 @@ from adjustkit.sim_bench import ModelSpec, generate_model
 
 class TestSliceResponse:
     def test_binary_passthrough(self):
-        s = slice_response([0, 0, 1, 1], h=5)
-        assert s.h == 2
-        assert s.labels.tolist() == [1, 1, 2, 2]
+        labels = slice_response([0, 0, 1, 1], h=5)
+        assert labels.max() == 2
+        assert labels.tolist() == [1, 1, 2, 2]
 
     def test_quantile_slices_balanced(self):
-        s = slice_response(np.arange(1, 101), h=5)
-        assert s.h == 5
-        counts = np.bincount(s.labels)[1:]
+        labels = slice_response(np.arange(1, 101), h=5)
+        assert labels.max() == 5
+        counts = np.bincount(labels)[1:]
         assert counts.tolist() == [20, 20, 20, 20, 20]
 
     def test_labels_monotone_in_value(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=200)
-        s = slice_response(v, h=4)
+        labels = slice_response(v, h=4)
         order = np.argsort(v)
-        assert np.all(np.diff(s.labels[order]) >= 0)
+        assert np.all(np.diff(labels[order]) >= 0)
 
     def test_constant_response_warns(self):
         with pytest.warns(DegenerateResponse):
-            s = slice_response(np.full(30, 7.0), h=5)
-        assert s.h == 1
+            labels = slice_response(np.full(30, 7.0), h=5)
+        assert labels.max() == 1
 
     def test_too_few_observations(self):
         # 11 distinct values forces the quantile path, which needs m >= h
@@ -57,9 +55,9 @@ class TestSliceResponse:
             slice_response(np.linspace(0.0, 1.0, 11), h=20)
 
     def test_short_discrete_vector_passes_through(self):
-        s = slice_response([3.0, 7.0], h=5)
-        assert s.h == 2
-        assert s.labels.tolist() == [1, 2]
+        labels = slice_response([3.0, 7.0], h=5)
+        assert labels.max() == 2
+        assert labels.tolist() == [1, 2]
 
     def test_h_below_two(self):
         with pytest.raises(ValueError):
@@ -69,38 +67,39 @@ class TestSliceResponse:
         # 60% of mass on one value forces empty quantile bins
         v = np.concatenate([np.zeros(60), np.linspace(1, 2, 40)])
         v += np.linspace(0, 1e-9, 100)  # make values distinct but clustered
-        s = slice_response(v, h=5)
-        counts = np.bincount(s.labels)[1:]
-        assert s.h == len(counts)
+        labels = slice_response(v, h=5)
+        counts = np.bincount(labels)[1:]
+        assert labels.max() == len(counts)
         assert np.all(counts > 0)
 
     @given(st.integers(2, 6), st.integers(30, 90))
     @settings(max_examples=30, deadline=None)
     def test_every_slice_nonempty(self, h, m):
         rng = np.random.default_rng(h * 1000 + m)
-        s = slice_response(rng.normal(size=m), h=h)
-        assert set(np.unique(s.labels)) == set(range(1, s.h + 1))
+        labels = slice_response(rng.normal(size=m), h=h)
+        assert set(np.unique(labels)) == set(range(1, labels.max() + 1))
 
 
 class TestSirMatrix:
     def test_one_dim_worked_example(self):
-        s = SliceAssignment(labels=np.array([1, 2]), h=2)
-        m = sir_matrix(np.array([[-1.0], [1.0]]), s, np.eye(1))
-        assert m.m.tolist() == [[-1.0, 1.0]]
+        m = candidate_matrix(np.array([[-1.0], [1.0]]), np.array([1, 2]), np.eye(1))
+        assert m.tolist() == [[-1.0, 1.0]]
 
     def test_whitening(self):
-        s = SliceAssignment(labels=np.array([1, 2]), h=2)
-        m = sir_matrix(np.array([[-1.0], [1.0]]), s, np.array([[2.0]]))
-        assert np.allclose(m.m, [[-0.5, 0.5]])
+        m = candidate_matrix(
+            np.array([[-1.0], [1.0]]), np.array([1, 2]), np.array([[2.0]])
+        )
+        assert np.allclose(m, [[-0.5, 0.5]])
 
     def test_independent_slices_near_zero(self):
         rng = np.random.default_rng(4)
         n, p = 4000, 3
         x = rng.normal(size=(n, p))
         labels = np.tile(np.arange(1, 5), n // 4)
-        s = SliceAssignment(labels=labels, h=4)
-        m = sir_matrix(x - x.mean(axis=0), s, np.cov(x, rowvar=False, ddof=1))
-        assert np.linalg.norm(m.m, 2) < 0.15
+        m = candidate_matrix(
+            x - x.mean(axis=0), labels, np.cov(x, rowvar=False, ddof=1)
+        )
+        assert np.linalg.norm(m, 2) < 0.15
 
     def test_affine_equivariance_diagonal(self):
         rng = np.random.default_rng(9)
@@ -108,11 +107,10 @@ class TestSirMatrix:
         x = rng.normal(size=(n, p))
         labels = rng.integers(1, 4, size=n)
         labels[:3] = [1, 2, 3]
-        s = SliceAssignment(labels=labels, h=3)
         b = np.diag([2.0, 0.5, 3.0, 1.25])
         sigma = np.cov(x, rowvar=False, ddof=1)
-        m = sir_matrix(x, s, sigma).m
-        mb = sir_matrix(x @ b, s, b @ sigma @ b).m
+        m = candidate_matrix(x, labels, sigma)
+        mb = candidate_matrix(x @ b, labels, b @ sigma @ b)
         assert np.allclose(mb, np.linalg.solve(b, m), atol=1e-10)
 
     def test_spectral_norm_shrinks_under_null(self):
@@ -128,11 +126,10 @@ class TestSirMatrix:
                 x = rng.normal(size=(n, p))
                 labels = np.tile(np.arange(1, h + 1), n // h)
                 rng.shuffle(labels)
-                s = SliceAssignment(labels=labels, h=h)
-                m = sir_matrix(
-                    x - x.mean(axis=0), s, np.cov(x, rowvar=False, ddof=1)
+                m = candidate_matrix(
+                    x - x.mean(axis=0), labels, np.cov(x, rowvar=False, ddof=1)
                 )
-                out.append(np.linalg.norm(m.m, 2))
+                out.append(np.linalg.norm(m, 2))
             return float(np.median(out))
 
         ratio = median_norm(400) / median_norm(1600)
@@ -144,29 +141,27 @@ class TestSaveMatrix:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3))
         x = x - x.mean(axis=0)
-        s = SliceAssignment(labels=np.ones(40, dtype=np.int64), h=1)
+        labels = np.ones(40, dtype=np.int64)
         sigma = np.cov(x, rowvar=False, ddof=1)
-        m = save_matrix(x, s, sigma)
-        assert np.all(m.m == 0.0)
+        m = candidate_matrix(x, labels, sigma, "save")
+        assert np.all(m == 0.0)
 
     def test_matched_within_covariance_zero_blocks(self):
         x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-        s = SliceAssignment(labels=np.array([1, 1, 2, 2]), h=2)
-        m = save_matrix(x, s, np.array([[2.0]]))
-        assert np.all(m.m == 0.0)
+        m = candidate_matrix(x, np.array([1, 1, 2, 2]), np.array([[2.0]]), "save")
+        assert np.all(m == 0.0)
 
     def test_slice_too_small(self):
-        s = SliceAssignment(labels=np.array([1, 1, 2]), h=2)
+        labels = np.array([1, 1, 2])
         with pytest.raises(SliceTooSmall):
-            save_matrix(np.zeros((3, 2)) + np.eye(3, 2), s, np.eye(2))
+            candidate_matrix(np.zeros((3, 2)) + np.eye(3, 2), labels, np.eye(2), "save")
 
     def test_block_shape(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(60, 3))
         labels = np.tile([1, 2, 3], 20)
-        s = SliceAssignment(labels=labels, h=3)
-        m = save_matrix(x, s, np.cov(x, rowvar=False, ddof=1))
-        assert m.m.shape == (3, 9)
+        m = candidate_matrix(x, labels, np.cov(x, rowvar=False, ddof=1), "save")
+        assert m.shape == (3, 9)
 
 
 class TestGroupMoments:
@@ -242,21 +237,22 @@ class TestCandidates:
             [centered[d.t == 0].mean(axis=0), centered[d.t == 1].mean(axis=0)],
             axis=1,
         )
-        assert np.allclose(m.m, np.linalg.solve(sigma, cols))
-        assert m.h == 2
+        assert np.allclose(m, np.linalg.solve(sigma, cols))
+        assert m.shape == (3, 2)
 
     def test_outcome_candidate_centered_within_arm(self):
         d = self._dataset(n=80)
-        m = outcome_candidate(d, group_moments(d)[1], h=2)
+        m, formed = outcome_candidate(d, group_moments(d)[1], h=2)
         x1 = d.x[d.t == 1]
         y1 = d.y[d.t == 1]
         sigma1 = np.cov(x1, rowvar=False, ddof=1)
-        s = slice_response(y1, 2)
+        labels = slice_response(y1, 2)
         centered = x1 - x1.mean(axis=0)
         cols = np.stack(
-            [centered[s.labels == k].mean(axis=0) for k in (1, 2)], axis=1
+            [centered[labels == k].mean(axis=0) for k in (1, 2)], axis=1
         )
-        assert np.allclose(m.m, np.linalg.solve(sigma1, cols))
+        assert np.allclose(m, np.linalg.solve(sigma1, cols))
+        assert formed == 2
 
     def test_singular_sigma(self):
         d = self._dataset(n=4, p=2)
@@ -305,12 +301,13 @@ class TestCandidates:
     def test_save_method_accepted(self):
         d = self._dataset(n=100)
         m = treatment_candidate(d, group_moments(d)[2], method="save")
-        assert m.m.shape == (3, 6)
+        assert m.shape == (3, 6)
 
     def test_unknown_method(self):
         d = self._dataset()
-        with pytest.raises(ValueError):
-            treatment_candidate(d, group_moments(d)[2], method="pca")
+        whole = group_moments(d)[2]
+        with pytest.raises(ValueError, match="unknown method 'pca'"):
+            candidate_matrix(d.x - whole.mu, d.t + 1, whole.sigma, "pca")
 
     def test_missing_arm(self):
         # the split refuses a one-arm sample before any candidate is built

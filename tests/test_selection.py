@@ -175,6 +175,12 @@ class TestSelectTail:
         res = select_tail(ridge_ratios(vals, cfg), order, 4, vals, 0, cfg)
         assert res.selected.masks.tolist() == sorted(order[res.tau:].tolist())
 
+    def test_mask_outside_the_universe(self):
+        # the cut keeps mask 4, which lies past 0..2^2-1
+        cfg = SelectorConfig()
+        with pytest.raises(ValueError, match="mask outside the universe"):
+            select_tail(np.array([0.6, 0.5]), np.array([0, 4]), 2, np.ones(2), 0, cfg)
+
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=40, deadline=None)
     def test_joint_rescaling_keeps_the_cut(self, scale):

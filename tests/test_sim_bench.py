@@ -229,6 +229,15 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown variant"):
             run_benchmark(model_ids=(1,), variants=("mn", variant), reps=1)
 
+    def test_small_n_refused_before_any_work(self, monkeypatch):
+        # the bad n comes second, after a cell that could have run
+        def drawn(*args):
+            raise AssertionError("a model was drawn")
+
+        monkeypatch.setattr(sim_bench, "generate_model", drawn)
+        with pytest.raises(ValueError, match="need n >= 100"):
+            run_benchmark(model_ids=(1,), n_values=(400, 99), reps=1)
+
     def test_repeat_run_is_bit_identical(self):
         kw = dict(
             model_ids=(4,), n_values=(400,), variants=("gc",), reps=3, seed=2,

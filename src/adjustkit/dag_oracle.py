@@ -22,7 +22,6 @@ __all__ = [
     "PopulationSpec",
     "d_separated",
     "true_collection",
-    "markov_boundary",
     "linear_sem_population",
 ]
 
@@ -168,14 +167,6 @@ class Dag:
         out.sort()
         return tuple((_node_label(i), _node_label(j)) for i, j in out)
 
-    def __eq__(self, other):
-        if not isinstance(other, Dag):
-            return NotImplemented
-        return self.p == other.p and self._children == other._children
-
-    def __hash__(self):
-        return hash((self.p, self._children))
-
     def __repr__(self):
         return f"Dag(p={self.p}, edges={len(self.edges())})"
 
@@ -287,38 +278,6 @@ def true_collection(g: Dag) -> AdjustmentCollection:
     bits = np.frombuffer(reach.to_bytes((masks.size + 7) // 8, "little"), dtype=np.uint8)
     connected = np.unpackbits(bits, count=masks.size, bitorder="little")
     return AdjustmentCollection(g.p, connected == 0)
-
-
-def markov_boundary(g: Dag, node) -> int:
-    """Minimal X subset rendering `node` independent of all remaining X nodes.
-
-    Parameters
-    ----------
-    g : Dag
-    node : node
-        Typically "Y" or "T"; X nodes are allowed.
-
-    Returns
-    -------
-    int
-        Mask of the unique minimal C with d_separated(node, X_j, C) for every
-        X_j outside C (and distinct from node).  d-separation is a graphoid
-        with intersection, so C is the set of X_k that are d-connected to
-        `node` given every other X (Pearl 1988), read off one sweep.
-
-    Raises
-    ------
-    ValueError
-        If `node` is not a node of g.
-    """
-    p = g.p
-    ni = _node_id(node, p)
-    # bit b of a mask is X_{b+1}, node id b + 2
-    others = [b for b in range(p) if b + 2 != ni]
-    universe = sum(1 << b for b in others)
-    masks = np.array([universe & ~(1 << b) for b in others], dtype=np.uint32)
-    reach = _reachable(g, ni, masks)
-    return sum(1 << b for j, b in enumerate(others) if reach[b + 2] >> j & 1)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

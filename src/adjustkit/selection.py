@@ -73,10 +73,8 @@ class SelectionResult:
         Subset masks sorted by descending criterion value.
     sorted_values : ndarray
         Criterion values aligned with `order`.
-    ratios : ndarray
-        ratios[0] = c0; ratios[k] = (v[k]+cn)/(v[k-1]+cn).
     tau : int
-        Argmin of the ratios (smallest index on ties).
+        Argmin of the ridge ratios (smallest index on ties).
     selected : AdjustmentCollection
         Subsets at positions strictly after tau in 1-based terms, i.e.
         order[tau:]; tau = 0 selects the whole universe.
@@ -87,7 +85,6 @@ class SelectionResult:
     p: int
     order: np.ndarray
     sorted_values: np.ndarray
-    ratios: np.ndarray
     tau: int
     selected: AdjustmentCollection
     c0: float
@@ -147,7 +144,6 @@ def select_tail(
     reading of a constantly-zero criterion.  The other arguments are
     carried into the result; a kept mask outside 0..2^p-1 is a ValueError.
     """
-    ratios = np.asarray(ratios, dtype=np.float64)
     order = np.asarray(order, dtype=np.uint32)
     tau = int(np.argmin(ratios))
     selected = AdjustmentCollection.from_masks(p, order[tau:])
@@ -156,7 +152,6 @@ def select_tail(
         p=p,
         order=order,
         sorted_values=np.asarray(sorted_values, dtype=np.float64),
-        ratios=ratios,
         tau=tau,
         selected=selected,
         c0=config.c0,

@@ -70,9 +70,6 @@ class AdjustmentCollection:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.member_array))
 
-    def __contains__(self, mask: int) -> bool:
-        return 0 <= mask < self.member_array.size and bool(self.member_array[mask])
-
 
 def _halves(arr: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of a mask-indexed array at the masks without and with bit i,

@@ -10,11 +10,10 @@ from adjustkit.dag_oracle import (
     PopulationSpec,
     d_separated,
     linear_sem_population,
-    markov_boundary,
     true_collection,
 )
 from adjustkit.criterion import population_values
-from adjustkit.data_model import indices_mask, mask_indices
+from adjustkit.data_model import indices_mask
 from adjustkit.errors import CyclicGraph, DimensionTooLarge, InvalidMechanism
 from adjustkit.sim_bench import model_graph
 from graph_fixtures import random_design, reference_graphs
@@ -115,7 +114,8 @@ class TestDagBasics:
         assert g.edges() == (("X1", "Y"), ("X1", "T"))
         lines = [f"{a} -> {b}" for a, b in g.edges()] + ["X2", "X3"]
         again = Dag.from_text("\n".join(lines))
-        assert again == g
+        assert again.p == g.p
+        assert again.edges() == g.edges()
 
     def test_from_text_cycle(self):
         with pytest.raises(CyclicGraph):
@@ -213,8 +213,12 @@ class TestDSeparation:
             except ValueError:
                 continue
             for _ in range(8):
-                mask = int(rng.integers(0, 1 << p))
-                u, v = ("Y", "T") if rng.random() < 0.7 else ("T", "Y")
+                # any ordered pair of nodes, X endpoints included; z
+                # excludes both endpoints (bit b of a mask is X_{b+1})
+                i, j = rng.choice(len(nodes), size=2, replace=False)
+                u, v = nodes[i], nodes[j]
+                ends = sum(1 << (k - 2) for k in (i, j) if k >= 2)
+                mask = int(rng.integers(0, 1 << p)) & ~ends
                 assert d_separated(g, u, v, mask) == path_dsep(
                     g, u, v, _labels(mask, p)
                 ), (edges, u, v, mask)
@@ -273,9 +277,7 @@ class TestTrueCollection:
         assert len(coll) == 736 << 11
         rng = np.random.default_rng(21)
         for mask in rng.integers(0, 1 << 21, size=40).tolist():
-            assert (mask in coll) == d_separated(g, "Y", "T", mask), mask
-        assert mask_indices(markov_boundary(g, "Y")) == (1, 3, 6, 21)
-        assert mask_indices(markov_boundary(g, "T")) == (2, 5)
+            assert coll.member_array[mask] == d_separated(g, "Y", "T", mask), mask
 
     def test_matches_path_enumeration(self):
         for name in ("collider_child", "confounded_child", "deep_collider"):
@@ -299,57 +301,6 @@ class TestTrueCollection:
         # enumerating the Y-T paths of this graph does not finish in 44 s.
         g, _, _ = random_design(np.random.default_rng(0), 12, x_edge_prob=0.7)
         assert len(true_collection(g)) == 154
-
-
-class TestMarkovBoundary:
-    def test_reference_boundaries(self):
-        refs = reference_graphs()
-        fig1 = refs["triple_minimal"]
-        assert mask_indices(markov_boundary(fig1, "Y")) == (1, 4)
-        assert mask_indices(markov_boundary(fig1, "T")) == (2, 6)
-        figa = refs["unique_minimal"]
-        assert mask_indices(markov_boundary(figa, "Y")) == (1, 2)
-        assert mask_indices(markov_boundary(figa, "T")) == (1, 4)
-
-    def test_isolated_node(self):
-        g = Dag(2, [("X1", "Y")])
-        assert markov_boundary(g, "T") == 0
-
-    def test_boundary_above_fourteen_members(self):
-        # Y's 16 parents, its child X17 and that child's other parent X18
-        edges = [(f"X{k}", "Y") for k in range(1, 17)]
-        edges += [("Y", "X17"), ("X18", "X17"), ("X19", "T")]
-        g = Dag(19, edges)
-        got = markov_boundary(g, "Y")
-        assert mask_indices(got) == tuple(range(1, 19))
-        assert d_separated(g, "Y", "X19", got)
-        for k in mask_indices(got):
-            assert not d_separated(g, "Y", f"X{k}", got & ~(1 << (k - 1)))
-        assert mask_indices(markov_boundary(g, "T")) == (19,)
-
-    @settings(max_examples=40, deadline=None)
-    @given(_random_dags(max_p=5), st.data())
-    def test_definition_by_brute_force(self, g, data):
-        # The boundary separates the node from every X outside it, and every
-        # X subset that does so contains it.
-        node = data.draw(st.sampled_from(["Y", "T"] + [f"X{k}" for k in range(1, g.p + 1)]))
-        universe = [k for k in range(1, g.p + 1) if f"X{k}" != node]
-
-        def separates(cset):
-            z = [f"X{k}" for k in cset]
-            return all(
-                path_dsep(g, node, f"X{k}", z) for k in universe if k not in cset
-            )
-
-        separating = [
-            set(c)
-            for size in range(len(universe) + 1)
-            for c in itertools.combinations(universe, size)
-            if separates(c)
-        ]
-        got = set(mask_indices(markov_boundary(g, node)))
-        assert got in separating
-        assert all(got <= c for c in separating), (g.edges(), node)
 
 
 class TestPopulationSpec:

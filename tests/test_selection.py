@@ -134,7 +134,10 @@ class TestSelectTail:
         res = select_tail(ridge_ratios(values, cfg), order, 2, values, 0, cfg)
         assert res.tau == 2
         assert res.selected.masks.tolist() == [0b01, 0b11]
-        assert res.ratios[0] == cfg.c0
+        r = ridge_ratios(res.sorted_values, cfg)
+        assert r[0] == cfg.c0
+        assert r.size == order.size
+        assert np.argmin(r) == res.tau
 
     def test_zero_table_selects_everything(self):
         cfg = SelectorConfig()
@@ -215,8 +218,10 @@ class TestSelectPipeline:
     def test_result_shapes_consistent(self, model2_table):
         _, tab = model2_table
         res = select(tab)
-        assert res.order.size == res.sorted_values.size == res.ratios.size == len(tab)
-        assert res.ratios[0] == res.c0
+        r = ridge_ratios(res.sorted_values, SelectorConfig(c0=res.c0, cn=res.cn))
+        assert res.order.size == res.sorted_values.size == r.size == len(tab)
+        assert r[0] == res.c0
+        assert np.argmin(r) == res.tau
         assert set(res.order.tolist()) == set(tab.masks.tolist())
         assert res.selected.masks.tolist() == sorted(res.order[res.tau:].tolist())
 

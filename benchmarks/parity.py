@@ -95,9 +95,9 @@ dense += [f"T -> X{k}" for k in range(1, 13)] + [f"X{k} -> Y" for k in range(1, 
 # prints one JSON object: a digest per criterion table and its selection
 DIGESTS = """
 import hashlib, json, warnings
+from types import SimpleNamespace
 import numpy as np
-from adjustkit.criterion import (
-    CriterionConfig, CriterionTable, criterion_tables, population_values)
+from adjustkit.criterion import CriterionConfig, criterion_tables, population_values
 from adjustkit.dag_oracle import linear_sem_population
 from adjustkit.data_model import Dataset, enumerate_masks
 from adjustkit.errors import AdjustKitError
@@ -108,7 +108,9 @@ warnings.simplefilter("ignore")
 out = {}
 for model, p in ((1, 10), (3, 10), (3, 14)):
     values = population_values(linear_sem_population(model_graph(model, p)))
-    table = CriterionTable(p, enumerate_masks(p), values, 0, "mn", {"n": 400})
+    # every field that any tree's `select` reads of a table
+    table = SimpleNamespace(p=p, masks=enumerate_masks(p), values=values, t=0,
+                            metadata={"n": 400})
     result = select(table, SelectorConfig.for_sample(400))
     h = hashlib.blake2b(values.tobytes() + result.order.tobytes(), digest_size=16)
     h.update(repr(result.tau).encode() + result.selected.member_array.tobytes())

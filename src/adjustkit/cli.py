@@ -152,7 +152,7 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
     """
     t = header["arm"]
     sel = by_size(result.order[result.tau:])
-    sets = _mask_namer(result.p, ",\n      ", "\n      ", "\n    ")
+    sets = _mask_namer(result.selected.p, ",\n      ", "\n      ", "\n    ")
     # the header's own closing "\n}" is cut off and written after the lists
     head = json.dumps({**header, "selected_count": sel.size}, indent=2)[:-2]
     json_path = outdir / f"selection_arm{t}.json"
@@ -169,7 +169,7 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
                 fh.writelines(items)
             fh.write("\n  ]" if sel.size else "[]")
         fh.write("\n}\n")
-    names = _mask_namer(result.p, " ")
+    names = _mask_namer(result.selected.p, " ")
     with (
         open(outdir / f"criterion_arm{t}.csv", "w", encoding="utf-8") as fc,
         open(outdir / f"scree_arm{t}.csv", "w", encoding="utf-8") as fs,
@@ -260,7 +260,7 @@ def _write_arms(outdir: Path, ready: list) -> None:
             raise json_path
         print(
             f"arm {header['arm']}: {len(result.selected)} of {header['subsets_evaluated']} "
-            f"subsets selected (tau={result.tau}, cn={result.cn:.6g}) -> {json_path}"
+            f"subsets selected (tau={result.tau}, cn={header['cn']:.6g}) -> {json_path}"
         )
 
 
@@ -299,8 +299,8 @@ def cmd_select(args: argparse.Namespace) -> int:
                 "method_y": args.method_y,
                 "method_t": args.method_t,
                 "h": args.slices,
-                "c0": result.c0,
-                "cn": result.cn,
+                "c0": sel_cfg.c0,
+                "cn": sel_cfg.cn,
                 "subsets_evaluated": int(table.values.size),
                 "singular_blocks": table.metadata.get("singular_blocks", 0),
                 "tau": result.tau,
@@ -401,6 +401,11 @@ def _check_flags(args: argparse.Namespace) -> None:
     """Reject flag values that parse, that the command cannot use and that no
     library function checks: `SelectorConfig`, `CriterionConfig` and
     `run_benchmark` refuse the other values before they do any work."""
+    if args.command in ("oracle", "simulate") and args.output:
+        # the file is written last, so its path is checked first
+        target = Path(args.output)
+        if target.is_dir() or not target.parent.is_dir():
+            raise ValueError(f"--output: {target} is not a file in an existing directory")
     if args.command == "select":
         if args.threads < 1:
             raise ValueError("--threads must be a positive integer")

@@ -64,7 +64,8 @@ class CriterionConfig:
         Optional pruned universe: a sub-cube of 0..2^p-1 (some indices in
         every mask, some in none, the rest free), as the strictly ascending
         integer masks that `prune_hints` returns, checked by
-        `criterion_table`; default all 2^p subsets.
+        `criterion_tables` through `_checked_masks`; default all 2^p
+        subsets.
     """
 
     method_y: str = "sir"
@@ -91,10 +92,6 @@ class CriterionTable:
         Ascending subset masks covered by the table.
     values : ndarray of float
         f̂ aligned with masks; nonnegative, +inf marks a singular block.
-    t : int
-        Treatment arm the outcome matrix was built in.
-    variant : str
-        "mn" or "gc".
     metadata : dict
         n, p, slice counts, the config's estimator methods ("sir" or
         "save"), singular-block count.
@@ -103,12 +100,7 @@ class CriterionTable:
     p: int
     masks: np.ndarray
     values: np.ndarray
-    t: int
-    variant: str
     metadata: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return self.masks.size
 
 
 def _checked_masks(masks, p: int) -> np.ndarray:
@@ -361,9 +353,7 @@ def criterion_tables(
             "method_t": cfg.method_t,
             "singular_blocks": int(np.isinf(v).sum()),
         }
-        out[i] = CriterionTable(
-            p=p, masks=masks, values=v, t=arms[i], variant=variant, metadata=meta
-        )
+        out[i] = CriterionTable(p=p, masks=masks, values=v, metadata=meta)
     return tuple(out)
 
 

@@ -2,8 +2,8 @@
 
 Ground truth for everything the estimation pipeline tries to recover: the
 graph itself, d-separation queries, the exhaustive collection of sufficient
-adjustment sets, Markov boundaries, and closed-form linear-Gaussian population
-designs for validating the criterion at zero noise.
+adjustment sets, and closed-form linear-Gaussian population designs for
+validating the criterion at zero noise.
 """
 
 from __future__ import annotations

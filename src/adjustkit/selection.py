@@ -18,9 +18,7 @@ __all__ = [
     "SelectorConfig",
     "SelectionResult",
     "default_cn",
-    "sort_table",
     "ridge_ratios",
-    "select_tail",
     "select",
 ]
 
@@ -66,9 +64,6 @@ class SelectionResult:
 
     Attributes
     ----------
-    t : int
-        Treatment arm of the underlying table.
-    p : int
     order : ndarray of uint32
         Subset masks sorted by descending criterion value.
     sorted_values : ndarray
@@ -78,36 +73,15 @@ class SelectionResult:
     selected : AdjustmentCollection
         Subsets at positions strictly after tau in 1-based terms, i.e.
         order[tau:]; tau = 0 selects the whole universe.
-    c0, cn : float
+    config : SelectorConfig
+        The c0 and cn the ratios were computed with.
     """
 
-    t: int
-    p: int
     order: np.ndarray
     sorted_values: np.ndarray
     tau: int
     selected: AdjustmentCollection
-    c0: float
-    cn: float
-
-
-def sort_table(table) -> tuple[np.ndarray, np.ndarray]:
-    """Sort a criterion table by descending value.
-
-    Ties break toward smaller subset cardinality, then ascending mask,
-    so exact-zero population tables order identically everywhere.
-
-    Returns
-    -------
-    (order, sorted_values)
-        Masks and their values, descending.
-    """
-    if len(table.masks) == 0:
-        raise ValueError("empty criterion table")
-    masks = table.masks
-    values = table.values
-    perm = np.lexsort((masks, np.bitwise_count(masks), -values))
-    return masks[perm], values[perm]
+    config: SelectorConfig
 
 
 def ridge_ratios(sorted_values: np.ndarray, config: SelectorConfig) -> np.ndarray:
@@ -129,39 +103,23 @@ def ridge_ratios(sorted_values: np.ndarray, config: SelectorConfig) -> np.ndarra
     return r
 
 
-def select_tail(
-    ratios: np.ndarray,
-    order: np.ndarray,
-    p: int,
-    sorted_values: np.ndarray,
-    t: int,
-    config: SelectorConfig,
-) -> SelectionResult:
-    """Cut the scree at the smallest ratio and keep the tail.
-
-    tau is the argmin of the ratios (first index on ties); the selected
-    collection is order[tau:].  tau = 0 selects every subset, the
-    reading of a constantly-zero criterion.  The other arguments are
-    carried into the result; a kept mask outside 0..2^p-1 is a ValueError.
-    """
-    order = np.asarray(order, dtype=np.uint32)
-    tau = int(np.argmin(ratios))
-    selected = AdjustmentCollection.from_masks(p, order[tau:])
-    return SelectionResult(
-        t=t,
-        p=p,
-        order=order,
-        sorted_values=np.asarray(sorted_values, dtype=np.float64),
-        tau=tau,
-        selected=selected,
-        c0=config.c0,
-        cn=config.cn,
-    )
-
-
 def select(table, config: SelectorConfig | None = None) -> SelectionResult:
-    """Run the full sort / ratio / cut pipeline on a criterion table."""
+    """Sort a criterion table, cut its scree at the smallest ridge ratio and
+    keep the tail.
+
+    The table is sorted by descending value; ties break toward smaller subset
+    cardinality, then ascending mask, so exact-zero population tables order
+    identically everywhere.  tau is the argmin of `ridge_ratios` (first index
+    on ties) and the selected collection is order[tau:]; tau = 0 selects every
+    subset, the reading of a constantly-zero criterion.  The default config is
+    `SelectorConfig.for_sample` of the table's metadata["n"].  ValueError for
+    an empty table or a kept mask outside 0..2^p-1.
+    """
     cfg = config or SelectorConfig.for_sample(table.metadata.get("n", 2))
-    order, sorted_values = sort_table(table)
-    ratios = ridge_ratios(sorted_values, cfg)
-    return select_tail(ratios, order, table.p, sorted_values, table.t, cfg)
+    if len(table.masks) == 0:
+        raise ValueError("empty criterion table")
+    perm = np.lexsort((table.masks, np.bitwise_count(table.masks), -table.values))
+    order, sorted_values = table.masks[perm], table.values[perm]
+    tau = int(np.argmin(ridge_ratios(sorted_values, cfg)))
+    selected = AdjustmentCollection.from_masks(table.p, order[tau:])
+    return SelectionResult(order, sorted_values, tau, selected, cfg)

@@ -53,9 +53,12 @@ class AdjustmentCollection:
     @classmethod
     def from_masks(cls, p: int, masks) -> "AdjustmentCollection":
         """The collection of a sequence or array of integer masks; ValueError
-        for a mask outside 0..2^p-1."""
+        for a non-integer mask (bool included) or one outside 0..2^p-1."""
         check_dimension(p)
-        arr = np.asarray(masks, dtype=np.int64)
+        arr = np.asarray(masks)
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError("masks must be integers")
+        arr = arr.astype(np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
             raise ValueError("mask outside the universe")
         member = np.zeros(1 << p, dtype=bool)

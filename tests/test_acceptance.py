@@ -17,7 +17,7 @@ from adjustkit.cli import main as cli_main
 from adjustkit.criterion import CriterionConfig, criterion_table, population_values
 from adjustkit.dag_oracle import linear_sem_population, true_collection
 from adjustkit.data_model import Dataset, mask_indices, save_csv
-from adjustkit.selection import SelectorConfig, ridge_ratios, select, select_tail, sort_table
+from adjustkit.selection import SelectorConfig, ridge_ratios, select
 from adjustkit.set_analysis import (
     AdjustmentCollection,
     collider_indices,
@@ -263,18 +263,19 @@ def test_criterion_08_ridge_ratio_unit_vector():
     cfg = SelectorConfig(c0=0.6, cn=0.01)
     ratios = ridge_ratios(np.array([1.0, 0.9, 0.001, 0.0005]), cfg)
     assert np.allclose(ratios, [0.6, 0.9010, 0.0121, 0.9545], atol=1e-3)
-    res = select_tail(
-        ratios, np.arange(4, dtype=np.uint32), 2, np.array([1.0, 0.9, 0.001, 0.0005]), 0, cfg
-    )
-    assert res.tau == 2
-
     from types import SimpleNamespace
 
-    zero_tab = SimpleNamespace(
-        masks=np.arange(8, dtype=np.uint32), values=np.zeros(8)
+    tab = SimpleNamespace(
+        p=2, masks=np.arange(4, dtype=np.uint32), values=np.array([1.0, 0.9, 0.001, 0.0005])
     )
-    order, vals = sort_table(zero_tab)
-    flat = select_tail(ridge_ratios(vals, cfg), order, 3, vals, 0, cfg)
+    res = select(tab, cfg)
+    assert np.array_equal(ridge_ratios(res.sorted_values, cfg), ratios)
+    assert res.tau == 2
+
+    zero_tab = SimpleNamespace(
+        p=3, masks=np.arange(8, dtype=np.uint32), values=np.zeros(8)
+    )
+    flat = select(zero_tab, cfg)
     assert flat.tau == 0
     assert np.array_equal(
         flat.selected.masks, AdjustmentCollection(3, np.ones(8, dtype=bool)).masks
@@ -317,7 +318,7 @@ def test_criterion_10_p20_table_feasibility():
             gm.dataset, 0, "mn", CriterionConfig(h=5)
         )
         elapsed = time.perf_counter() - start
-    assert len(tab) == 1 << 20
+    assert tab.masks.size == 1 << 20
     assert np.isfinite(tab.values).all()
     assert elapsed < 300.0
     print(f"criterion 10: PASS (2^20-subset table in {elapsed:.1f}s, budget 300s)")

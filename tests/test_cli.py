@@ -14,9 +14,9 @@ from adjustkit import cli, sim_bench
 from adjustkit.cli import _load_hint_masks, _write_selection, main
 from adjustkit.criterion import CriterionConfig, criterion_table
 from adjustkit.data_model import Dataset, indices_mask, load_csv, save_csv
-from adjustkit.selection import SelectorConfig, default_cn, select, select_tail
+from adjustkit.selection import SelectionResult, SelectorConfig, default_cn, select
 from adjustkit.errors import TooFewObservations
-from adjustkit.set_analysis import upward_closure
+from adjustkit.set_analysis import AdjustmentCollection, upward_closure
 from adjustkit.sim_bench import (
     GeneratedModel,
     MetricsRecord,
@@ -209,12 +209,12 @@ def _reference_files(header, result):
     doc = {
         **header,
         "selected_count": len(sets),
-        "selected_sets": [_names(m, result.p) for m in sets],
+        "selected_sets": [_names(m, header["p"]) for m in sets],
         "selected_masks_hex": [f"{m:#x}" for m in sets],
     }
     crit = ["mask_hex,indices,f_value\n"]
     for mask, value in zip(result.order, result.sorted_values):
-        idx = " ".join(map(str, _names(int(mask), result.p)))
+        idx = " ".join(map(str, _names(int(mask), header["p"])))
         crit.append(f"{int(mask):#x},{idx},{float(value)!r}\n")
     scree = ["k,f_value\n"]
     for k, value in enumerate(result.sorted_values, start=1):
@@ -239,7 +239,7 @@ class TestOutputBytes:
             result = select(table, sel_cfg)
             header = {
                 "arm": t, "n": d.n, "p": d.p, "variant": "mn", "method_y": "sir",
-                "method_t": "sir", "h": 5, "c0": result.c0, "cn": result.cn,
+                "method_t": "sir", "h": 5, "c0": sel_cfg.c0, "cn": sel_cfg.cn,
                 "subsets_evaluated": int(table.values.size),
                 "singular_blocks": table.metadata["singular_blocks"], "tau": result.tau,
             }
@@ -264,16 +264,14 @@ class TestOutputBytes:
 
     @staticmethod
     def _assert_writer_matches_reference(tmp_path, p, order, tau):
-        """Write a `select_tail` result with the cut at ``tau`` and compare
-        its files with the reference; return the reference's bytes."""
+        """Write a result that keeps ``order`` as it is and cuts it at ``tau``,
+        and compare its files with the reference; return the reference's bytes."""
         values = np.array([np.inf, 3.0, 0.1 + 0.2, 1e-300] + [0.0] * order.size)
-        ratios = np.ones(order.size)
-        ratios[tau] = 0.5
-        result = select_tail(ratios, order, p, sorted_values=values[:order.size], t=1,
-                             config=SelectorConfig(c0=0.5, cn=0.01))
-        assert result.tau == tau
+        cfg = SelectorConfig(c0=0.5, cn=0.01)
+        result = SelectionResult(order, values[:order.size], tau,
+                                 AdjustmentCollection.from_masks(p, order[tau:]), cfg)
         header = {"arm": 1, "n": 50, "p": p, "variant": "gc", "method_y": "save",
-                  "method_t": "sir", "h": 3, "c0": result.c0, "cn": result.cn,
+                  "method_t": "sir", "h": 3, "c0": cfg.c0, "cn": cfg.cn,
                   "subsets_evaluated": int(order.size), "singular_blocks": 1, "tau": tau}
         _write_selection(tmp_path, header, result)
         expected = _reference_files(header, result)
@@ -344,6 +342,31 @@ def test_output_file_refused_before_the_sweep(tmp_path, monkeypatch, below, caps
     assert capsys.readouterr().err.startswith("adjustkit: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "target"]
     assert target.is_file()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("kind", ["missing parent", "directory"])
+def test_output_file_refused_before_any_work(tmp_path, monkeypatch, capsys, command, kind):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    calls = []
+    monkeypatch.setattr(sim_bench, "_one_rep", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "true_collection", never)
+    out = tmp_path / "missing" / "out.csv" if kind == "missing parent" else tmp_path
+    if command == "simulate":
+        argv = ["simulate", "--models", "1,4", "--n", "400", "--variants", "mn,gc",
+                "--reps", "20", "--output", str(out)]
+    else:
+        dag = tmp_path / "dag.txt"
+        dag.write_text(UNIQUE_MIN_DAG)
+        argv = ["oracle", "--dag", str(dag), "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("adjustkit: --output: ")
+    assert captured.out == ""
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
 
 
 class TestArmFailure:

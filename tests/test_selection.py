@@ -1,4 +1,4 @@
-"""Ridge-ratio selector: sorting, ratios, cutoff, and end-to-end runs."""
+"""Ridge-ratio selector: sort order, ratios, cutoff, and end-to-end runs."""
 
 import math
 from types import SimpleNamespace
@@ -14,18 +14,16 @@ from adjustkit.selection import (
     default_cn,
     ridge_ratios,
     select,
-    select_tail,
-    sort_table,
 )
+from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
 
 
-def _table(p, masks, values, t=0, n=400):
+def _table(p, masks, values, n=400):
     return SimpleNamespace(
         p=p,
         masks=np.asarray(masks, dtype=np.uint32),
         values=np.asarray(values, dtype=np.float64),
-        t=t,
         metadata={"n": n},
     )
 
@@ -65,34 +63,35 @@ class TestSelectorConfig:
 
 
 class TestSortTable:
+    """How `select` orders a table: descending value, then cardinality, then mask."""
+
     def test_descending_values(self):
         # p=2 table: f(empty)=3, f({1})=1, f({2})=2
-        order, vals = sort_table(_table(2, [0b00, 0b01, 0b10], [3.0, 1.0, 2.0]))
-        assert order.tolist() == [0b00, 0b10, 0b01]
-        assert vals.tolist() == [3.0, 2.0, 1.0]
+        res = select(_table(2, [0b00, 0b01, 0b10], [3.0, 1.0, 2.0]))
+        assert res.order.tolist() == [0b00, 0b10, 0b01]
+        assert res.sorted_values.tolist() == [3.0, 2.0, 1.0]
 
     def test_all_equal_breaks_by_cardinality_then_mask(self):
-        order, _ = sort_table(_table(2, [0b00, 0b01, 0b10, 0b11], [1.0] * 4))
-        assert order.tolist() == [0b00, 0b01, 0b10, 0b11]
+        res = select(_table(2, [0b00, 0b01, 0b10, 0b11], [1.0] * 4))
+        assert res.order.tolist() == [0b00, 0b01, 0b10, 0b11]
 
     def test_tie_prefers_smaller_set(self):
         # {1,2} and {3} share a value; the singleton sorts first
-        order, _ = sort_table(_table(3, [0b011, 0b100], [0.5, 0.5]))
-        assert order.tolist() == [0b100, 0b011]
+        res = select(_table(3, [0b011, 0b100], [0.5, 0.5]))
+        assert res.order.tolist() == [0b100, 0b011]
 
     def test_values_track_masks(self):
         rng = np.random.default_rng(5)
         masks = np.arange(16, dtype=np.uint32)
         values = rng.uniform(size=16)
-        tab = _table(4, masks, values)
-        order, vals = sort_table(tab)
+        res = select(_table(4, masks, values))
         lookup = dict(zip(masks.tolist(), values.tolist()))
-        assert all(lookup[m] == v for m, v in zip(order.tolist(), vals.tolist()))
-        assert np.all(np.diff(vals) <= 0)
+        assert all(lookup[m] == v for m, v in zip(res.order.tolist(), res.sorted_values.tolist()))
+        assert np.all(np.diff(res.sorted_values) <= 0)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            sort_table(_table(2, [], []))
+            select(_table(2, [], []))
 
 
 class TestRidgeRatios:
@@ -127,75 +126,78 @@ class TestRidgeRatios:
 
 
 class TestSelectTail:
+    """Where `select` cuts the sorted table: the tail from the smallest ridge ratio."""
+
     def test_worked_cutoff(self):
         cfg = SelectorConfig(c0=0.6, cn=0.01)
-        order = np.array([0b00, 0b10, 0b01, 0b11], dtype=np.uint32)
+        masks = np.array([0b00, 0b10, 0b01, 0b11], dtype=np.uint32)
         values = np.array([1.0, 0.9, 0.001, 0.0005])
-        res = select_tail(ridge_ratios(values, cfg), order, 2, values, 0, cfg)
+        res = select(_table(2, masks, values), cfg)
+        assert res.order.tolist() == masks.tolist()
         assert res.tau == 2
         assert res.selected.masks.tolist() == [0b01, 0b11]
         r = ridge_ratios(res.sorted_values, cfg)
         assert r[0] == cfg.c0
-        assert r.size == order.size
+        assert r.size == masks.size
         assert np.argmin(r) == res.tau
 
     def test_zero_table_selects_everything(self):
-        cfg = SelectorConfig()
-        tab = _table(3, np.arange(8), np.zeros(8))
-        order, vals = sort_table(tab)
-        res = select_tail(ridge_ratios(vals, cfg), order, 3, vals, 0, cfg)
+        res = select(_table(3, np.arange(8), np.zeros(8)), SelectorConfig())
         assert res.tau == 0
         assert len(res.selected) == 8
 
     def test_two_level_table_cuts_at_the_jump(self):
         cfg = SelectorConfig(c0=0.6, cn=0.01)
-        tab = _table(8, np.arange(200), np.r_[np.ones(100), np.zeros(100)])
-        order, vals = sort_table(tab)
-        res = select_tail(ridge_ratios(vals, cfg), order, 8, vals, 0, cfg)
+        res = select(_table(8, np.arange(200), np.r_[np.ones(100), np.zeros(100)]), cfg)
         assert res.tau == 100
         assert len(res.selected) == 100
-        assert all(vals[k] == 0.0 for k in range(res.tau, 200))
+        assert all(res.sorted_values[k] == 0.0 for k in range(res.tau, 200))
 
     def test_ties_break_to_the_earliest_index(self):
-        res = select_tail(
-            np.array([0.6, 0.5, 0.5]), np.arange(3), 2, np.ones(3), 0, SelectorConfig()
-        )
+        # with cn = 1 the ratios are [c0, 2/4, 1/2]: a tie at 0.5
+        cfg = SelectorConfig(c0=0.6, cn=1.0)
+        res = select(_table(2, np.arange(3), [3.0, 1.0, 0.0]), cfg)
+        assert ridge_ratios(res.sorted_values, cfg).tolist() == [0.6, 0.5, 0.5]
         assert res.tau == 1
 
     def test_c0_floors_a_flat_scree(self):
         # every empirical ratio stays above c0, so the cut never moves
         cfg = SelectorConfig(c0=0.6, cn=1.0)
-        values = np.array([1.0, 0.9, 0.8])
-        res = select_tail(ridge_ratios(values, cfg), np.arange(3), 2, values, 0, cfg)
+        res = select(_table(2, np.arange(3), [1.0, 0.9, 0.8]), cfg)
         assert res.tau == 0
         assert len(res.selected) == 3
 
     def test_selected_is_the_order_tail(self):
-        cfg = SelectorConfig()
         rng = np.random.default_rng(9)
-        tab = _table(4, np.arange(16), rng.uniform(size=16))
-        order, vals = sort_table(tab)
-        res = select_tail(ridge_ratios(vals, cfg), order, 4, vals, 0, cfg)
-        assert res.selected.masks.tolist() == sorted(order[res.tau:].tolist())
+        res = select(_table(4, np.arange(16), rng.uniform(size=16)), SelectorConfig())
+        assert res.selected.masks.tolist() == sorted(res.order[res.tau:].tolist())
 
     def test_mask_outside_the_universe(self):
         # the cut keeps mask 4, which lies past 0..2^2-1
-        cfg = SelectorConfig()
         with pytest.raises(ValueError, match="mask outside the universe"):
-            select_tail(np.array([0.6, 0.5]), np.array([0, 4]), 2, np.ones(2), 0, cfg)
+            select(_table(2, [0, 4], [1.0, 0.0]), SelectorConfig())
+
+    def test_pruned_sub_cube(self):
+        # a --hints universe: index 1 in every mask, index 5 in none
+        p = 6
+        masks = prune_hints(p, known_forks=0b000001, pure_colliders=0b010000)
+        rng = np.random.default_rng(4)
+        res = select(_table(p, masks, rng.uniform(size=masks.size)), SelectorConfig())
+        assert masks.size == 1 << 4
+        assert np.array_equal(np.sort(res.order), masks)
+        assert res.selected.p == p
+        assert res.selected.masks.tolist() == sorted(res.order[res.tau:].tolist())
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=40, deadline=None)
     def test_joint_rescaling_keeps_the_cut(self, scale):
         # multiplying values and cn by the same factor cancels in every ratio
         values = np.array([1.0, 0.9, 0.001, 0.0005])
-        order = np.arange(4, dtype=np.uint32)
+        masks = np.arange(4, dtype=np.uint32)
         base = SelectorConfig(c0=0.6, cn=0.01)
         scaled = SelectorConfig(c0=0.6, cn=0.01 * scale)
-        r0 = select_tail(ridge_ratios(values, base), order, 2, values, 0, base)
-        r1 = select_tail(
-            ridge_ratios(values * scale, scaled), order, 2, values * scale, 0, scaled
-        )
+        r0 = select(_table(2, masks, values), base)
+        r1 = select(_table(2, masks, values * scale), scaled)
         assert r1.tau == r0.tau == 2
         assert np.array_equal(r1.selected.masks, r0.selected.masks)
 
@@ -210,17 +212,17 @@ class TestSelectPipeline:
     def test_config_derived_from_sample_size(self, model2_table):
         gm, tab = model2_table
         res = select(tab)
-        assert res.cn == pytest.approx(default_cn(800))
-        assert res.c0 == 0.6
-        assert res.t == 0
-        assert res.p == 10
+        assert res.config == SelectorConfig.for_sample(800)
+        assert res.config.cn == pytest.approx(default_cn(800))
+        assert res.config.c0 == 0.6
+        assert res.selected.p == 10
 
     def test_result_shapes_consistent(self, model2_table):
         _, tab = model2_table
         res = select(tab)
-        r = ridge_ratios(res.sorted_values, SelectorConfig(c0=res.c0, cn=res.cn))
-        assert res.order.size == res.sorted_values.size == r.size == len(tab)
-        assert r[0] == res.c0
+        r = ridge_ratios(res.sorted_values, res.config)
+        assert res.order.size == res.sorted_values.size == r.size == tab.masks.size
+        assert r[0] == res.config.c0
         assert np.argmin(r) == res.tau
         assert set(res.order.tolist()) == set(tab.masks.tolist())
         assert res.selected.masks.tolist() == sorted(res.order[res.tau:].tolist())
@@ -228,7 +230,7 @@ class TestSelectPipeline:
     def test_true_collection_fills_the_tail(self, model2_table):
         # the oracle members should own the bottom of the scree
         gm, tab = model2_table
-        order, _ = sort_table(tab)
+        order = select(tab).order
         k = len(gm.truth)
         assert set(order[-k:].tolist()) == set(gm.truth.masks.tolist())
 

@@ -45,6 +45,13 @@ class TestCollection:
             arr = _coll(3, np.array([5, 1, 5, 0], dtype=dtype))
             assert arr.masks.tolist() == [0, 1, 5]
 
+    @pytest.mark.parametrize("masks", [[1.7, 2.2], [True, False], ["3"], np.array([1.0])])
+    def test_non_integer_masks_refused(self, masks):
+        # no coercion: 1.7 is not mask 1, True is not mask 1, "3" is not mask 3
+        with pytest.raises(ValueError, match="masks must be integers"):
+            _coll(3, masks)
+        assert len(_coll(3, [])) == 0
+
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             _coll(2, [4])

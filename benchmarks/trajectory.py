@@ -9,14 +9,16 @@ setup_s, op_s, peak_rss_mb and the number of operations, and with --trace 1
 for the per-layer metrics that BENCHMARK.json names.  Then
 `adjustkit select` on a model-1 sample with p = 20 and n = 2000 runs three
 times as a child process with `--arm 0` (`select_p20`) and three times with
-`--arm both` (`select_p20_both`, the default, whose second arm is written by
-a forked child), timed from start to exit, with the child's peak RSS from
-`os.wait4`.  On Linux that peak covers the forked writer too: wait4's
-`ru_maxrss` is the largest of the child and the descendants it reaped (a
-child whose own forked child touched 60 MB reads about 70 MB).  Each run is
-also scaled to perfbench's reference host speed (perfbench/speed.py, whose
-sample runs after each child), so that the p = 20 time compares across
-files as perfbench's times do.
+`--arm both` (`select_p20_both`, the default, whose second arm is selected
+and written by a forked child), and `adjustkit oracle` on model 1's graph
+runs five times (`cli_oracle_cold`, a command whose wall time is mostly the
+interpreter's start-up and imports).  Each child is timed from start to
+exit, with its peak RSS from `os.wait4`.  On Linux that peak covers the
+forked child too: wait4's `ru_maxrss` is the largest of the child and the
+descendants it reaped (a child whose own forked child touched 60 MB reads
+about 70 MB).  Each run is also scaled to perfbench's reference host speed
+(perfbench/speed.py, whose sample runs after each child), so that the CLI
+times compare across files as perfbench's times do.
 The file lands at the repository root, beside the host's core count, the
 Python, numpy and scipy versions and the git commit, so that a later change
 can be compared with it by running the same command.
@@ -49,6 +51,11 @@ SHAPES = {
 SELECT_P, SELECT_N, SELECT_RUNS = 20, 2000, 3
 # the file's key for each p = 20 select run and the --arm it passes
 SELECT_ARMS = {"select_p20": "0", "select_p20_both": "both"}
+ORACLE_P, ORACLE_RUNS = 10, 5
+# the file's key for each CLI figure
+CLI_KEYS = (*SELECT_ARMS, "cli_oracle_cold")
+# every child imports adjustkit from this checkout
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def _parse(argv):
@@ -91,58 +98,75 @@ def _workload(name: str, seconds: float) -> dict:
     }
 
 
-def _child(argv: list[str], env: dict) -> tuple[int, float]:
+def _child(argv: list[str]) -> tuple[int, float]:
     """Run one child to its exit: its exit code and its peak RSS in MB."""
-    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    child = subprocess.Popen(argv, env=CHILD_ENV, stdout=subprocess.DEVNULL)
     # wait4 gives this child's rusage (with its reaped descendants'), not
     # the maximum over all of this process's children
     _, status, usage = os.wait4(child.pid, 0)
     return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0
 
 
-def _select_p20(arm: str) -> dict:
-    """`adjustkit select --arm ARM` at p = 20 as a child process, SELECT_RUNS
-    times: the median wall time from start to exit (the host's speed drifts
-    between runs) and the median of the same times scaled to the reference
-    host speed, each run's wall and scaled time, the largest of the
-    children's peak RSS (with a forked writer's) and the bytes one run
-    writes."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def _child_runs(argv: list[str], runs: int) -> dict:
+    """Run ``argv`` as a child process ``runs`` times, stopping at a failed
+    run: the last exit code, the median wall time from start to exit (the
+    host's speed drifts between runs) and the median of the same times scaled
+    to the reference host speed, each run's wall and scaled time, and the
+    largest of the children's peak RSS (with a forked child's)."""
     host = speed.Speed()
     walls, scaled, rss = [], [], []
-    with tempfile.TemporaryDirectory() as tmp:
-        csv, out = Path(tmp) / "m1.csv", Path(tmp) / "out"
-        subprocess.run(
-            [sys.executable, "-c",
-             "import sys\n"
-             "from adjustkit.data_model import save_csv\n"
-             "from adjustkit.sim_bench import ModelSpec, generate_model\n"
-             f"d = generate_model(ModelSpec(1, n={SELECT_N}, p={SELECT_P}, seed=0)).dataset\n"
-             "save_csv(d, sys.argv[1])\n", str(csv)],
-            env=env, check=True,
-        )
-        argv = [sys.executable, "-m", "adjustkit.cli", "select", "--input", str(csv),
-                "--arm", arm, "--output", str(out)]
-        for _ in range(SELECT_RUNS):
-            [(exit_code, peak)], [(_, wall, at_ref)] = host.timed(lambda: _child(argv, env))
-            walls.append(wall)
-            scaled.append(at_ref)
-            rss.append(peak)
-            if exit_code:
-                break
-        written = sum(f.stat().st_size for f in out.iterdir()) if out.is_dir() else 0
+    for _ in range(runs):
+        [(exit_code, peak)], [(_, wall, at_ref)] = host.timed(lambda: _child(argv))
+        walls.append(wall)
+        scaled.append(at_ref)
+        rss.append(peak)
+        if exit_code:
+            break
     return {
-        "p": SELECT_P,
-        "n": SELECT_N,
-        "threads": 1,
         "exit_code": exit_code,
         "wall_s": statistics.median(walls),
         "wall_runs": walls,
         "scaled_s": statistics.median(scaled),
         "scaled_runs": scaled,
         "peak_rss_mb": max(rss),
-        "bytes_written": written,
     }
+
+
+def _make_input(code: str, path: Path) -> None:
+    """Run ``code`` in a child, with ``path`` as sys.argv[1]."""
+    subprocess.run([sys.executable, "-c", "import sys\n" + code, str(path)], env=CHILD_ENV,
+                   check=True)
+
+
+def _select_p20(arm: str) -> dict:
+    """`adjustkit select --arm ARM` at p = 20, SELECT_RUNS times (see
+    `_child_runs`), and the bytes one run writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp) / "m1.csv", Path(tmp) / "out"
+        _make_input((
+            "from adjustkit.data_model import save_csv\n"
+            "from adjustkit.sim_bench import ModelSpec, generate_model\n"
+            f"d = generate_model(ModelSpec(1, n={SELECT_N}, p={SELECT_P}, seed=0)).dataset\n"
+            "save_csv(d, sys.argv[1])\n"), csv)
+        argv = [sys.executable, "-m", "adjustkit.cli", "select", "--input", str(csv),
+                "--arm", arm, "--output", str(out)]
+        runs = _child_runs(argv, SELECT_RUNS)
+        written = sum(f.stat().st_size for f in out.iterdir()) if out.is_dir() else 0
+    return {"p": SELECT_P, "n": SELECT_N, "threads": 1, **runs, "bytes_written": written}
+
+
+def _oracle_cold() -> dict:
+    """`adjustkit oracle` on model 1's graph at p = 10, ORACLE_RUNS times (see
+    `_child_runs`)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dag = Path(tmp) / "m1.txt"
+        _make_input((
+            "from adjustkit.sim_bench import model_graph\n"
+            f"edges = model_graph(1, {ORACLE_P}).edges()\n"
+            "open(sys.argv[1], 'w').write(''.join(f'{a} -> {b}\\n' for a, b in edges))\n"), dag)
+        argv = [sys.executable, "-m", "adjustkit.cli", "oracle", "--dag", str(dag)]
+        runs = _child_runs(argv, ORACLE_RUNS)
+    return {"p": ORACLE_P, "n": None, "threads": 1, **runs}
 
 
 def _git(*args: str) -> str | None:
@@ -171,6 +195,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
         **{key: _select_p20(arm) for key, arm in SELECT_ARMS.items()},
+        "cli_oracle_cold": _oracle_cold(),
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -178,10 +203,10 @@ def main(argv=None) -> int:
         f"{name} op_s {w['op_s']:.3f}" for name, w in doc["workloads"].items()
     ) + "".join(
         f", {key} {doc[key]['wall_s']:.2f} s ({doc[key]['scaled_s']:.2f} s scaled)"
-        for key in SELECT_ARMS
+        for key in CLI_KEYS
     ))
     ok = all(w["correct"] and not w["failed"] for w in doc["workloads"].values())
-    return 0 if ok and not any(doc[key]["exit_code"] for key in SELECT_ARMS) else 1
+    return 0 if ok and not any(doc[key]["exit_code"] for key in CLI_KEYS) else 1
 
 
 if __name__ == "__main__":

@@ -228,40 +228,47 @@ def _fork(work: Callable[[], object]) -> Callable[[], object]:
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
-            return ChildProcessError(f"the forked writer ended with exit code {code}")
+            return ChildProcessError(f"the forked child ended with exit code {code}")
         return pickle.loads(data)
 
     return wait
 
 
-def _write_arms(outdir: Path, ready: list) -> None:
-    """Write every ready arm's files; then, in arm order, print each arm's
-    line up to the first arm whose write failed, and raise that failure.
+def _select_and_write(outdir: Path, header: dict, table, sel_cfg: SelectorConfig) -> str:
+    """Select one checked arm, write its files and return its summary line;
+    the header gets ``tau`` as its last key."""
+    result = select(table, sel_cfg)
+    json_path = _write_selection(outdir, {**header, "tau": result.tau}, result)
+    return (
+        f"arm {header['arm']}: {len(result.selected)} of {header['subsets_evaluated']} "
+        f"subsets selected (tau={result.tau}, cn={header['cn']:.6g}) -> {json_path}"
+    )
 
-    ``ready`` holds one (header, ``SelectionResult``) pair per arm.  With two
-    arms, a forked child writes arm 1 while this process writes arm 0: the
+
+def _run_arms(outdir: Path, arms: list) -> None:
+    """Select and write every checked arm; then, in arm order, print each
+    arm's line up to the first arm that failed, and raise that failure.
+
+    ``arms`` holds one ``_select_and_write`` call per arm.  With two arms, a
+    forked child selects and writes arm 1 while this process does arm 0: the
     writer is bound to the interpreter lock, and a child has its own.  The
-    child is reaped whatever happens to arm 0.  With one arm, or without
-    ``os.fork``, the same calls run here, one after the other.
+    child is reaped whatever happens to arm 0.  With one arm, or
+    without ``os.fork``, the same calls run here, one after the other.
     """
-    if not ready:
+    if not arms:
         return
     outdir.mkdir(parents=True, exist_ok=True)
-    writes = [partial(_write_selection, outdir, header, result) for header, result in ready]
-    child = _fork(writes.pop()) if len(writes) == 2 and hasattr(os, "fork") else None
+    child = _fork(arms.pop()) if len(arms) == 2 and hasattr(os, "fork") else None
     outcomes = []
     try:
-        outcomes += map(_outcome, writes)
+        outcomes += map(_outcome, arms)
     finally:
         if child is not None:
             outcomes.append(child())
-    for (header, result), json_path in zip(ready, outcomes):
-        if isinstance(json_path, Exception):
-            raise json_path
-        print(
-            f"arm {header['arm']}: {len(result.selected)} of {header['subsets_evaluated']} "
-            f"subsets selected (tau={result.tau}, cn={header['cn']:.6g}) -> {json_path}"
-        )
+    for line in outcomes:
+        if isinstance(line, Exception):
+            raise line
+        print(line)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
@@ -281,33 +288,34 @@ def cmd_select(args: argparse.Namespace) -> int:
         raise NotADirectoryError(f"--output: {existing} is not a directory")
     arms = (0, 1) if args.arm == "both" else (int(args.arm),)
     tables = criterion_tables(d, arms, variant=args.variant, config=crit_cfg)
-    # every arm is selected before any is written; an arm that fails stops
-    # the run after the arms before it are written
-    ready = []
-    try:
-        for t, table in zip(arms, tables):
-            if isinstance(table, AdjustKitError):
-                raise table
-            if not np.isfinite(table.values).any():
-                raise SingularCovariance(f"arm {t}: every conditioning block is singular")
-            result = select(table, sel_cfg)
-            header = {
-                "arm": t,
-                "n": d.n,
-                "p": d.p,
-                "variant": args.variant,
-                "method_y": args.method_y,
-                "method_t": args.method_t,
-                "h": args.slices,
-                "c0": sel_cfg.c0,
-                "cn": sel_cfg.cn,
-                "subsets_evaluated": int(table.values.size),
-                "singular_blocks": table.metadata.get("singular_blocks", 0),
-                "tau": result.tau,
-            }
-            ready.append((header, result))
-    finally:
-        _write_arms(outdir, ready)
+    # every arm's table is checked before any arm is selected; the arms
+    # before the first failing one are selected and written, then its
+    # failure is raised
+    ready, failure = [], None
+    for t, table in zip(arms, tables):
+        if isinstance(table, AdjustKitError):
+            failure = table
+            break
+        if not np.isfinite(table.values).any():
+            failure = SingularCovariance(f"arm {t}: every conditioning block is singular")
+            break
+        header = {
+            "arm": t,
+            "n": d.n,
+            "p": d.p,
+            "variant": args.variant,
+            "method_y": args.method_y,
+            "method_t": args.method_t,
+            "h": args.slices,
+            "c0": sel_cfg.c0,
+            "cn": sel_cfg.cn,
+            "subsets_evaluated": int(table.values.size),
+            "singular_blocks": table.metadata.get("singular_blocks", 0),
+        }
+        ready.append(partial(_select_and_write, outdir, header, table, sel_cfg))
+    _run_arms(outdir, ready)
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 
@@ -375,8 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--output", default=".", metavar="DIR")
     sel.add_argument("--hints", default=None, metavar="FILE", help="JSON pruning hints")
     sel.add_argument("--threads", type=int, default=1, help=(
-        "accepted and ignored: the sweep runs on the calling thread, and a forked "
-        "child writes the second arm's files"))
+        "accepted and ignored: the sweep runs on the calling thread, and with "
+        "--arm both a forked child selects and writes arm 1"))
 
     orc = sub.add_parser("oracle", help="exact collection of a DAG edge list")
     orc.add_argument("--dag", required=True, metavar="FILE", help="edge list, one 'A -> B' per line")

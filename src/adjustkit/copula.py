@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data_model import Dataset, split_by_treatment
 from .errors import DegeneratePooling
@@ -23,7 +22,9 @@ __all__ = [
     "TRUNCATION",
 ]
 
-TRUNCATION = float(ndtri(0.975))
+# ndtri(0.975), written out as the same double: scipy.special is imported only
+# in _arm_scores, so a command that fits no copula never loads scipy
+TRUNCATION = 1.959963984540054
 MIN_SURVIVORS = 10
 
 
@@ -55,6 +56,8 @@ def _arm_scores(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Each column of the arm is sorted once.  A value scores Phi^{-1} of the
     midrank, over n_s + 1, of the largest arm value <= it (or of the minimum).
     """
+    from scipy.special import ndtri
+
     arm = np.sort(x[rows], axis=0)
     n_s = arm.shape[0]
     out = np.empty(x.shape)

@@ -97,7 +97,7 @@ class Dag:
             seen.add((i, j))
             parents[j].add(i)
             children[i].add(j)
-        # Kahn's algorithm; anything left over sits on a cycle.
+        # Kahn's algorithm; what is left over sits on a cycle or below one
         indeg = [len(parents[v]) for v in range(n)]
         queue = [v for v in range(n) if indeg[v] == 0]
         order = []
@@ -109,7 +109,13 @@ class Dag:
                 if indeg[w] == 0:
                     queue.append(w)
         if len(order) != n:
-            cyclic = sorted(_node_label(v) for v in range(n) if indeg[v] > 0)
+            # a leftover is on a cycle when it reaches itself; reach[v] grows
+            # to every leftover below v within len(left) rounds
+            left = {v for v in range(n) if indeg[v] > 0}
+            reach = {v: children[v] & left for v in left}
+            for _ in left:
+                reach = {v: r.union(*map(reach.get, r)) for v, r in reach.items()}
+            cyclic = sorted(_node_label(v) for v in left if v in reach[v])
             raise CyclicGraph(f"cycle through {{{', '.join(cyclic)}}}")
         # X-descendant mask of each node, itself included, children first
         below = [0] * n

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, fdtri, ndtr
 
 from .criterion import VARIANTS, CriterionConfig, criterion_tables
 from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
@@ -125,7 +124,7 @@ def _gen_linear(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
         var, mu = 0.8, 0.6
     else:
         var, mu = 0.6, 0.5
-    t = (rng.random(n) < expit(0.0)).astype(np.int8)
+    t = (rng.random(n) < 0.5).astype(np.int8)
     x = rng.normal(0.0, np.sqrt(var), (n, p))
     x[t == 1, 0] += mu
     x[t == 1, 1] += mu
@@ -144,6 +143,8 @@ def _gen_linear(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
 
 
 def _gen_logistic(rng, n: int, p: int) -> tuple[np.ndarray, ...]:
+    from scipy.special import expit
+
     roots = [3] + list(range(7, p))
     x = np.zeros((n, p))
     x[:, roots] = rng.normal(0.0, np.sqrt(0.6), (n, len(roots)))
@@ -159,7 +160,9 @@ def _gen_logistic(rng, n: int, p: int) -> tuple[np.ndarray, ...]:
 
 
 def _gen_copula(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
-    t = (rng.random(n) < expit(0.0)).astype(np.int8)
+    from scipy.special import fdtri, ndtr
+
+    t = (rng.random(n) < 0.5).astype(np.int8)
     z = rng.normal(0.0, 1.0, (n, p))
     # arm-1 rows get corr(Z1, Z2) = .5 via the Cholesky factor of the block
     treated = t == 1
@@ -167,7 +170,9 @@ def _gen_copula(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
     z2 = z[treated, 1]
     z[treated, 1] = 0.5 * z1 + np.sqrt(0.75) * z2
     # F(2, 3) quantiles of the normal scores; scipy.stats.f.ppf is this same
-    # call, and importing scipy.stats would double the CLI's start-up time
+    # call.  scipy.special is imported here and in _gen_logistic, not at module
+    # level: loading it takes about 0.2 s, three times what the CLI's other
+    # imports take, and a command that draws no model never needs it
     x = fdtri(2, 3, ndtr(z))
     scale = 1.0 if model_id == 4 else 10.0
     y0 = x[:, 0] + 1.5 * x[:, 1] + np.sin(x[:, 2]) \
@@ -339,7 +344,8 @@ def run_benchmark(
     ----------
     model_ids, n_values, variants : iterables
         Grid to run; variants are "mn" (raw covariates) and "gc"
-        (copula-transformed); others are refused before any work.
+        (copula-transformed); others, and a value given twice, are refused
+        before any work.
     reps : int
         Replications per cell; each rep derives its generator from
         (seed, model, n, rep), so cells are reproducible independently.
@@ -358,7 +364,12 @@ def run_benchmark(
     n_values = tuple(n_values)
     variants = tuple(variants)
     arms = tuple(arms)
-    # every cell's spec is checked before the first replication is drawn
+    # every cell's spec is checked before the first replication is drawn; a
+    # repeated grid value would rerun its cells and fold them into one count
+    for name, values in (("model id", model_ids), ("n", n_values),
+                         ("variant", variants), ("arm", arms)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"repeated {name} in {values}")
     for model_id in model_ids:
         for n in n_values:
             ModelSpec(model_id, n)

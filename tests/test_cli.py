@@ -12,7 +12,7 @@ import pytest
 import adjustkit
 from adjustkit import cli, sim_bench
 from adjustkit.cli import _load_hint_masks, _write_selection, main
-from adjustkit.criterion import CriterionConfig, criterion_table
+from adjustkit.criterion import CriterionConfig, criterion_table, criterion_tables
 from adjustkit.data_model import Dataset, indices_mask, load_csv, save_csv
 from adjustkit.selection import SelectionResult, SelectorConfig, default_cn, select
 from adjustkit.errors import TooFewObservations
@@ -44,6 +44,15 @@ X6 -> X5
 X2 -> T
 X6 -> T
 """
+
+
+def _fresh_python(*args):
+    """Run a new interpreter on ``args`` with this adjustkit importable."""
+    src = str(Path(adjustkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def _model_csv(tmp_path, mid, n=300, seed=0, name="data.csv"):
@@ -450,6 +459,27 @@ class TestForkedWriter:
         assert std.err == f"adjustkit: [Errno 21] Is a directory: '{blocked}'\n"
         assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
 
+    def test_arm1_select_fails(self, tmp_path, forks, monkeypatch, capsys):
+        # the child's select error comes back as its write error does
+        tables = []
+
+        def recorded(*args, **kwargs):
+            tables.extend(criterion_tables(*args, **kwargs))
+            return tables
+
+        monkeypatch.setattr(cli, "criterion_tables", recorded)
+
+        def failing(table, config):
+            if table is tables[1]:
+                raise ValueError("arm 1 cannot be cut")
+            return select(table, config)
+
+        monkeypatch.setattr(cli, "select", failing)
+        assert self._run(tmp_path, forks) == (2, TestArmFailure.ARM0_FILES)
+        std = capsys.readouterr()
+        assert std.err == "adjustkit: arm 1 cannot be cut\n"
+        assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
+
     def test_arm0_write_fails(self, tmp_path, forks, capsys):
         assert self._run(tmp_path, forks, "selection_arm0.json") == (2, self.ARM1_FILES)
         std = capsys.readouterr()
@@ -464,13 +494,7 @@ class TestOracle:
         # from building the graph
         dag = tmp_path / "dag.txt"
         dag.write_text("".join(f"{a} -> {b}\n" for a, b in model_graph(3, 21).edges()))
-        src = str(Path(adjustkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run(
-            [sys.executable, "-m", "adjustkit.cli", "oracle", "--dag", str(dag)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        run = _fresh_python("-m", "adjustkit.cli", "oracle", "--dag", str(dag))
         assert run.returncode == 0, run.stderr
         assert "p = 21," in run.stdout
         assert sum("LargeDimension" in line for line in run.stderr.splitlines()) == 1
@@ -539,6 +563,9 @@ class TestSimulate:
             ["--reps", "0"],
             ["--variants", "xx"],
             ["--models", ""],
+            ["--models", "1,1"],
+            ["--n", "400,400"],
+            ["--variants", "mn,mn"],
         ],
     )
     def test_bad_grid(self, flags):
@@ -599,3 +626,52 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestColdStart:
+    """scipy is loaded only to fit a copula or to draw a model, so the other
+    commands start without it, and the commands that need it load it on
+    first use and write what they write in a warm process."""
+
+    def test_no_scipy_outside_gc_and_models(self, tmp_path):
+        rng = np.random.default_rng(5)
+        t = (rng.random(120) < 0.5).astype(np.int8)
+        x = rng.normal(size=(120, 6))
+        data = tmp_path / "p6.csv"
+        save_csv(Dataset(x=x, t=t, y=x[:, 0] + x[:, 1] + t), data)
+        dag = tmp_path / "dag.txt"
+        dag.write_text(TRIPLE_DAG)
+        script = (
+            "import sys\n"
+            "import adjustkit.cli, adjustkit.copula, adjustkit.criterion, adjustkit.dag_oracle\n"
+            "import adjustkit.data_model, adjustkit.set_analysis, adjustkit.sim_bench\n"
+            "from adjustkit.cli import main\n"
+            "data, dag, out = sys.argv[1:]\n"
+            "assert main(['oracle', '--dag', dag]) == 0\n"
+            "assert main(['ate', '--input', data, '--a0', '1,2', '--a1', '1']) == 0\n"
+            "assert main(['select', '--input', data, '--variant', 'mn', '--output', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        run = _fresh_python("-c", script, str(data), str(dag), str(tmp_path / "sel"))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
+        assert len(list((tmp_path / "sel").iterdir())) == 6
+
+    @pytest.mark.parametrize("command", [
+        ["select", "--input", "{data}", "--variant", "gc", "--output", "{out}"],
+        ["simulate", "--models", "4", "--reps", "1", "--output", "{out}"],
+    ])
+    def test_cold_run_writes_the_same_bytes(self, tmp_path, command):
+        data = _model_csv(tmp_path, 1, n=200)
+        outputs = {}
+        for where in ("warm", "cold"):
+            out = tmp_path / where
+            argv = [a.format(data=data, out=out) for a in command]
+            if where == "warm":
+                assert main(argv) == 0
+            else:
+                run = _fresh_python("-m", "adjustkit.cli", *argv)
+                assert run.returncode == 0, run.stderr
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            outputs[where] = [(f.name, f.read_bytes()) for f in files]
+        assert outputs["cold"] == [(n.replace("warm", "cold"), b) for n, b in outputs["warm"]]

@@ -84,7 +84,7 @@ class TestPoolTransforms:
             fit_copula(d)
 
     def test_truncation_is_975_quantile(self):
-        assert TRUNCATION == pytest.approx(ndtri(0.975))
+        assert TRUNCATION == float(ndtri(0.975))
 
 
 class TestFitCopula:

@@ -138,6 +138,10 @@ class TestDagBasics:
         ("X1 -> X1", ValueError, "self-loop on X1"),
         ("X1 -> Y\nX1 -> Y", ValueError, "duplicate edge X1 -> Y"),
         ("X1 -> X2\nX2 -> X1", CyclicGraph, "cycle through {X1, X2}"),
+        # a node below a cycle, or between two, is on none
+        ("X1 -> X2\nX2 -> X1\nX1 -> T", CyclicGraph, "cycle through {X1, X2}"),
+        ("X1 -> X2\nX2 -> X1\nX2 -> X5\nX5 -> X3\nX3 -> X4\nX4 -> X3\nX4 -> Y",
+         CyclicGraph, "cycle through {X1, X2, X3, X4}"),
     ])
     def test_from_text_messages(self, text, exc, message):
         with pytest.raises(exc) as info:

@@ -238,6 +238,20 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="need n >= 100"):
             run_benchmark(model_ids=(1,), n_values=(400, 99), reps=1)
 
+    @pytest.mark.parametrize("grid, name", [
+        (dict(model_ids=(1, 4, 1)), "model id"),
+        (dict(n_values=(400, 400)), "n"),
+        (dict(variants=("mn", "gc", "mn")), "variant"),
+        (dict(arms=(1, 1)), "arm"),
+    ])
+    def test_repeated_grid_value_refused_before_any_work(self, monkeypatch, grid, name):
+        def ran(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim_bench, "_one_rep", ran)
+        with pytest.raises(ValueError, match=f"repeated {name} in"):
+            run_benchmark(**{"reps": 1, **grid})
+
     def test_repeat_run_is_bit_identical(self):
         kw = dict(
             model_ids=(4,), n_values=(400,), variants=("gc",), reps=3, seed=2,

@@ -12,8 +12,8 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
   n = 4000 model-1 input, alone and with a known fork and two pure
   colliders as `--hints`;
 - `oracle`: the README graph, two graphs of at most six covariates (whose
-  members are listed), the complete DAG at p = 12 and model 3's graph at
-  p = 16, each with its JSON report;
+  members are listed), the complete DAG at p = 12, model 3's graph at
+  p = 16 and model 1's graph at p = 18, each with its JSON report;
 - `simulate`: models 1 and 4, n = 400, mn and gc, 2 reps, CSV and table;
 - `ate`: the README sets and the empty sets;
 - the demos;
@@ -89,7 +89,10 @@ save_csv(Dataset(x=x, t=t, y=y), out / "effect.csv")
 dense = [f"X{i} -> X{j}" for i in range(1, 13) for j in range(i + 1, 13)]
 dense += [f"T -> X{k}" for k in range(1, 13)] + [f"X{k} -> Y" for k in range(1, 13)]
 (out / "dense12.txt").write_text("\\n".join(dense) + "\\n")
-(out / "m3p16.txt").write_text("".join(f"{a} -> {b}\\n" for a, b in model_graph(3, 16).edges()))
+# the bare X<p> line declares p, which model 1's edges do not reach
+for name, model, p in (("m3p16", 3, 16), ("m1p18", 1, 18)):
+    edges = "".join(f"{a} -> {b}\\n" for a, b in model_graph(model, p).edges())
+    (out / f"{name}.txt").write_text(edges + f"X{p}\\n")
 """
 
 # prints one JSON object: a digest per criterion table and its selection
@@ -182,7 +185,7 @@ def _runs() -> list[tuple[str, list[str], dict]]:
                        ("double-collider", DOUBLE_COLLIDER_DAG)):
         runs.append((f"oracle-{name}", [*cli, "oracle", "--dag", "g.txt", "--output", "r.json"],
                      {"g.txt": text}))
-    for name in ("dense12", "m3p16"):
+    for name in ("dense12", "m3p16", "m1p18"):
         runs.append((f"oracle-{name}", [*cli, "oracle", "--dag", f"{INPUTS}/{name}.txt",
                                         "--output", "r.json"], {}))
     for demo in sorted((ROOT / "demos").glob("*.py")):

@@ -10,15 +10,18 @@ for the per-layer metrics that BENCHMARK.json names.  Then
 `adjustkit select` on a model-1 sample with p = 20 and n = 2000 runs three
 times as a child process with `--arm 0` (`select_p20`) and three times with
 `--arm both` (`select_p20_both`, the default, whose second arm is selected
-and written by a forked child), and `adjustkit oracle` on model 1's graph
-runs five times (`cli_oracle_cold`, a command whose wall time is mostly the
-interpreter's start-up and imports).  Each child is timed from start to
-exit, with its peak RSS from `os.wait4`.  On Linux that peak covers the
-forked child too: wait4's `ru_maxrss` is the largest of the child and the
-descendants it reaped (a child whose own forked child touched 60 MB reads
-about 70 MB).  Each run is also scaled to perfbench's reference host speed
-(perfbench/speed.py, whose sample runs after each child), so that the CLI
-times compare across files as perfbench's times do.
+and written by a forked child).  `adjustkit oracle --output` runs five
+times on model 1's graph at p = 10 (`cli_oracle_cold`, a command whose
+wall time is mostly the interpreter's start-up and imports) and three times
+on model 3's graph at p = 24, the dimension cap (`cli_oracle_p24`, the
+command CI runs at the cap, whose time is mostly the d-separation oracle
+and the structure analysis of a 2^24-subset collection).  Each child is
+timed from start to exit, with its peak RSS from `os.wait4`.  On Linux that
+peak covers the forked child too: wait4's `ru_maxrss` is the largest of the
+child and the descendants it reaped (a child whose own forked child touched
+60 MB reads about 70 MB).  Each run is also scaled to perfbench's
+reference host speed (perfbench/speed.py, whose sample runs after each
+child), so that the CLI times compare across files as perfbench's times do.
 The file lands at the repository root, beside the host's core count, the
 Python, numpy and scipy versions and the git commit, so that a later change
 can be compared with it by running the same command.
@@ -51,9 +54,10 @@ SHAPES = {
 SELECT_P, SELECT_N, SELECT_RUNS = 20, 2000, 3
 # the file's key for each p = 20 select run and the --arm it passes
 SELECT_ARMS = {"select_p20": "0", "select_p20_both": "both"}
-ORACLE_P, ORACLE_RUNS = 10, 5
+# the file's key for each oracle run: (model, p, runs)
+ORACLE_RUNS = {"cli_oracle_cold": (1, 10, 5), "cli_oracle_p24": (3, 24, 3)}
 # the file's key for each CLI figure
-CLI_KEYS = (*SELECT_ARMS, "cli_oracle_cold")
+CLI_KEYS = (*SELECT_ARMS, *ORACLE_RUNS)
 # every child imports adjustkit from this checkout
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -155,18 +159,20 @@ def _select_p20(arm: str) -> dict:
     return {"p": SELECT_P, "n": SELECT_N, "threads": 1, **runs, "bytes_written": written}
 
 
-def _oracle_cold() -> dict:
-    """`adjustkit oracle` on model 1's graph at p = 10, ORACLE_RUNS times (see
-    `_child_runs`)."""
+def _oracle(model: int, p: int, runs: int) -> dict:
+    """`adjustkit oracle --output` on the model's graph at p, ``runs`` times
+    (see `_child_runs`)."""
     with tempfile.TemporaryDirectory() as tmp:
-        dag = Path(tmp) / "m1.txt"
+        dag = Path(tmp) / "g.txt"
+        # the bare X<p> line declares p, which model 1's edges do not reach
         _make_input((
             "from adjustkit.sim_bench import model_graph\n"
-            f"edges = model_graph(1, {ORACLE_P}).edges()\n"
-            "open(sys.argv[1], 'w').write(''.join(f'{a} -> {b}\\n' for a, b in edges))\n"), dag)
-        argv = [sys.executable, "-m", "adjustkit.cli", "oracle", "--dag", str(dag)]
-        runs = _child_runs(argv, ORACLE_RUNS)
-    return {"p": ORACLE_P, "n": None, "threads": 1, **runs}
+            f"edges = model_graph({model}, {p}).edges()\n"
+            "text = ''.join(f'{a} -> {b}\\n' for a, b in edges)\n"
+            f"open(sys.argv[1], 'w').write(text + 'X{p}\\n')\n"), dag)
+        argv = [sys.executable, "-m", "adjustkit.cli", "oracle", "--dag", str(dag),
+                "--output", str(Path(tmp) / "report.json")]
+        return {"p": p, "n": None, "threads": 1, **_child_runs(argv, runs)}
 
 
 def _git(*args: str) -> str | None:
@@ -195,7 +201,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
         **{key: _select_p20(arm) for key, arm in SELECT_ARMS.items()},
-        "cli_oracle_cold": _oracle_cold(),
+        **{key: _oracle(*spec) for key, spec in ORACLE_RUNS.items()},
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -11,7 +11,7 @@ collections and to estimated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -74,48 +74,89 @@ class AdjustmentCollection:
         return int(np.count_nonzero(self.member_array))
 
 
-def _halves(arr: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a mask-indexed array at the masks without and with bit i,
-    aligned so that equal positions hold m and m | (1 << i)."""
-    view = arr.reshape(-1, 2, 1 << i)
-    return view[:, 0, :], view[:, 1, :]
+# The passes below work on the member array packed 64 subsets per uint64
+# word: bit m % 64 of word m // 64 is member[m].  For i < 6 the masks with
+# and without bit i share a word, 2^i bits apart; _WITHOUT[i] marks the bits
+# whose mask lacks bit i.  For i >= 6 they sit in different words.
+_WITHOUT = tuple(
+    np.uint64(sum(1 << m for m in range(64) if not m >> i & 1)) for i in range(6)
+)
+_SHIFT = tuple(np.uint64(1 << i) for i in range(6))
+
+
+def _pack(member: np.ndarray) -> np.ndarray:
+    """The bool member array as words; one word, its bits past 2^p 0, when
+    p < 6."""
+    packed = np.packbits(member, bitorder="little")
+    if packed.size < 8:
+        packed = np.append(packed, np.zeros(8 - packed.size, dtype=np.uint8))
+    return packed.view("<u8")
+
+
+def _unpack(words: np.ndarray, p: int) -> np.ndarray:
+    """The bool array of length 2^p that `words` packs."""
+    packed = np.asarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(packed, count=1 << p, bitorder="little").view(bool)
+
+
+def _up(words: np.ndarray, i: int) -> np.ndarray:
+    """Words whose bit m | 2^i is bit m of `words`, for each m without bit i;
+    the bits of masks without bit i are 0."""
+    if i < 6:
+        return (words & _WITHOUT[i]) << _SHIFT[i]
+    out = np.zeros_like(words)
+    half = 1 << (i - 6)
+    out.reshape(-1, 2, half)[:, 1] = words.reshape(-1, 2, half)[:, 0]
+    return out
+
+
+def _down(words: np.ndarray, i: int) -> np.ndarray:
+    """Words whose bit m is bit m | 2^i of `words`, for each m without bit i;
+    the bits of masks with bit i are 0."""
+    if i < 6:
+        return (words >> _SHIFT[i]) & _WITHOUT[i]
+    out = np.zeros_like(words)
+    half = 1 << (i - 6)
+    out.reshape(-1, 2, half)[:, 0] = words.reshape(-1, 2, half)[:, 1]
+    return out
 
 
 def upward_closure(p: int, bases) -> AdjustmentCollection:
     """All subsets containing at least one of the base masks."""
-    seeds = AdjustmentCollection.from_masks(p, bases).member_array
-    return AdjustmentCollection(p, _subset_or_transform(seeds, p))
+    seeds = _pack(AdjustmentCollection.from_masks(p, bases).member_array)
+    return AdjustmentCollection(p, _unpack(_subset_or_transform(seeds, p), p))
 
 
-def _subset_or_transform(member: np.ndarray, p: int) -> np.ndarray:
-    """has[m] = any subset of m (including m) is a member."""
-    has = member.copy()
+def _subset_or_transform(words: np.ndarray, p: int) -> np.ndarray:
+    """has[m] = any subset of m (including m) is a member, on packed words."""
+    has = words.copy()
     for i in range(p):
-        without, with_ = _halves(has, i)
-        with_ |= without
+        has |= _up(has, i)
     return has
 
 
-def _superset_and_transform(member: np.ndarray, p: int) -> np.ndarray:
-    """allsup[m] = every superset of m (including m) is a member."""
-    allsup = member.copy()
+def _superset_and_transform(words: np.ndarray, p: int) -> np.ndarray:
+    """allsup[m] = every superset of m (including m) is a member, on packed
+    words."""
+    # the complement of "some superset of m is a non-member"; when p < 6 the
+    # bits past 2^p start and stay set in `missing`, so they read 0 here
+    missing = ~words
     for i in range(p):
-        without, with_ = _halves(allsup, i)
-        without &= with_
-    return allsup
+        missing |= _down(missing, i)
+    return ~missing
 
 
 def locally_minimal(c: AdjustmentCollection) -> np.ndarray:
     """Masks of the members with no proper subset in the collection, by
     (size, mask)."""
-    has_sub = _subset_or_transform(c.member_array, c.p)
+    words = _pack(c.member_array)
+    has_sub = _subset_or_transform(words, c.p)
     # strict[m]: some proper subset of m is a member, i.e. has_sub[m ^ bit]
     # for some bit of m
-    strict = np.zeros_like(has_sub)
+    strict = np.zeros_like(words)
     for i in range(c.p):
-        with_ = _halves(strict, i)[1]
-        with_ |= _halves(has_sub, i)[0]
-    return by_size(np.flatnonzero(c.member_array & ~strict))
+        strict |= _up(has_sub, i)
+    return by_size(np.flatnonzero(_unpack(words & ~strict, c.p)))
 
 
 def noncollider_indices(c: AdjustmentCollection) -> int:
@@ -130,37 +171,37 @@ def noncollider_indices(c: AdjustmentCollection) -> int:
     # Rule (b) implies rule (a): if A \ {i} has a non-member superset D,
     # then i is not in D (else D contains A and is a member), so D | {i}
     # is a member containing i whose removal of i leaves the non-member D.
+    words = _pack(c.member_array)
+    missing = ~words
     out = 0
     for i in range(c.p):
-        # equal positions of the two halves hold A \ {i} and A, with i in A
-        drop, keep = _halves(c.member_array, i)
-        if np.any(keep & ~drop):
+        # bit A, with i in A, of _up(missing, i) says A \ {i} is not a member
+        if np.any(words & _up(missing, i)):
             out |= 1 << i
     return out
 
 
-def _is_collider_block(cube: np.ndarray, block: tuple[int, ...]) -> bool:
+def _is_collider_block(words: np.ndarray, block: tuple[int, ...]) -> bool:
     """Whether some A disjoint from the block has A | C in the collection for
     every proper subset C of the block and A | block outside it.
 
-    ``cube`` is the member array viewed as one axis per index, bit p-1
-    first; over the A disjoint from the block, the members A | C form the
-    corner of the cube at which the block's axes read C.
+    The corner of C holds, at each A disjoint from C, the bit of A | C: it
+    is `words` moved down by each index of C, and its bits at the masks
+    meeting C are 0.
     """
-    p = cube.ndim
-
-    def corner(bits):
-        idx = [slice(None)] * p
-        for i, bit in zip(block, bits):
-            idx[p - 1 - i] = bit
-        return cube[tuple(idx)]
-
-    corners = list(product((0, 1), repeat=len(block)))
-    ok = corner(corners[0]) & ~corner(corners[-1])
-    for bits in corners[1:-1]:
-        if not ok.any():
-            return False
-        ok &= corner(bits)
+    # A | block outside the collection, as the corner of the block in the
+    # complement; its bits at the masks meeting the block are 0
+    ok = ~words
+    for i in block:
+        ok = _down(ok, i)
+    ok &= words
+    corners = {(): words}
+    for size in range(1, len(block)):
+        for sub in combinations(block, size):
+            if not ok.any():
+                return False
+            corners[sub] = _down(corners[sub[:-1]], sub[-1])
+            ok &= corners[sub]
     return bool(ok.any())
 
 
@@ -175,11 +216,11 @@ def collider_blocks(c: AdjustmentCollection) -> np.ndarray:
     # the proper subset C = B \ A.  And if A qualifies B, then A | {i}
     # qualifies B \ {i} for each i in B, so a block is searched only when
     # every block one index smaller qualified.
-    cube = c.member_array.reshape((2,) * c.p)
+    words = _pack(c.member_array)
     found = []
     blocks = [(i,) for i in range(c.p)]
     for size in range(1, MAX_BLOCK + 1):
-        qualified = [b for b in blocks if _is_collider_block(cube, b)]
+        qualified = [b for b in blocks if _is_collider_block(words, b)]
         found += [sum(1 << i for i in b) for b in qualified]
         known = set(qualified)
         blocks = [
@@ -251,7 +292,7 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
         # The full covariate set is sufficient whenever anything is.
         flags.append("full set not a member")
     lm = locally_minimal(c)
-    upward_closed = _superset_and_transform(c.member_array, c.p)
+    upward_closed = _superset_and_transform(_pack(c.member_array), c.p)
     blocks = collider_blocks(c)
     nc = noncollider_indices(c)
     col = int(np.bitwise_or.reduce(blocks))
@@ -263,7 +304,7 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
         locally_minimal=lm,
         intersection=int(np.bitwise_and.reduce(lm)) if lm.size else None,
         unique_minimal=int(lm[0]) if lm.size == 1 else None,
-        n_upward_closed=int(np.count_nonzero(upward_closed)),
+        n_upward_closed=int(np.bitwise_count(upward_closed).sum()),
         noncolliders=nc,
         collider_blocks=blocks,
         colliders=col,

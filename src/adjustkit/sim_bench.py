@@ -346,6 +346,9 @@ def run_benchmark(
         Grid to run; variants are "mn" (raw covariates) and "gc"
         (copula-transformed); others, and a value given twice, are refused
         before any work.
+    arms : iterable
+        Treatment arms to score, each 0 or 1; others, and an arm given
+        twice, are refused before any work.
     reps : int
         Replications per cell; each rep derives its generator from
         (seed, model, n, rep), so cells are reproducible independently.
@@ -376,6 +379,9 @@ def run_benchmark(
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
+    for arm in arms:
+        if arm not in (0, 1):
+            raise ValueError(f"unknown arm {arm!r}")
 
     rows = []
     failures = {}

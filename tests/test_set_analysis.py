@@ -173,7 +173,19 @@ class TestAgainstDefinitions:
     )
     @settings(max_examples=150, deadline=None)
     def test_analysis_matches_definitions(self, args):
-        p, bits = args
+        self._check(*args)
+
+    @pytest.mark.parametrize("p", [6, 7, 8, 9])
+    def test_packed_words_match_definitions(self, p):
+        # 64 subsets share a word, so from p = 8 on the halves for bit
+        # i >= 6 span more than one word
+        rng = np.random.default_rng(p)
+        cases = [rng.random(1 << p) < density for density in (0.5, 0.9)]
+        cases += [true_collection(random_design(rng, p)[0]).member_array for _ in range(2)]
+        for bits in cases:
+            self._check(p, bits.tolist())
+
+    def _check(self, p, bits):
         c = AdjustmentCollection(p, np.array(bits, dtype=bool))
         members = {m for m, b in enumerate(bits) if b}
         assert c.masks.tolist() == sorted(members) and len(c) == len(members)
@@ -183,7 +195,8 @@ class TestAgainstDefinitions:
         assert locally_minimal(c).tolist() == _by_size(minimal)
 
         closed = self._upward_closed(p, members)
-        upward = set_analysis._superset_and_transform(c.member_array, p)
+        words = set_analysis._pack(c.member_array)
+        upward = set_analysis._unpack(set_analysis._superset_and_transform(words, p), p)
         assert set(np.flatnonzero(upward).tolist()) == closed
         assert mask_indices(noncollider_indices(c)) == self._noncolliders(p, members, closed)
         blocks = collider_blocks(c).tolist()

@@ -252,6 +252,16 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"repeated {name} in"):
             run_benchmark(**{"reps": 1, **grid})
 
+    @pytest.mark.parametrize("arms", [(2,), (0, -1), ("1",)])
+    def test_unknown_arm_refused_before_any_work(self, monkeypatch, arms):
+        def ran(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim_bench, "_one_rep", ran)
+        with pytest.raises(ValueError, match="unknown arm"):
+            run_benchmark(model_ids=(1,), n_values=(400,), variants=("mn",),
+                          reps=1, arms=arms)
+
     def test_repeat_run_is_bit_identical(self):
         kw = dict(
             model_ids=(4,), n_values=(400,), variants=("gc",), reps=3, seed=2,

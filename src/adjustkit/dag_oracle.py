@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import check_dimension, check_mask, enumerate_masks
+from .data_model import check_dimension, check_mask
 from .errors import CyclicGraph, InvalidMechanism
-from .set_analysis import AdjustmentCollection
+from .set_analysis import AdjustmentCollection, _unpack, _up
 
 __all__ = [
     "Dag",
@@ -77,7 +77,7 @@ class Dag:
     Instances are immutable after construction; all queries are pure.
     """
 
-    __slots__ = ("p", "_parents", "_children", "_order", "_below")
+    __slots__ = ("p", "_parents", "_children", "_order")
 
     def __init__(self, p: int, edges=()):
         check_dimension(p)
@@ -117,17 +117,10 @@ class Dag:
                 reach = {v: r.union(*map(reach.get, r)) for v, r in reach.items()}
             cyclic = sorted(_node_label(v) for v in left if v in reach[v])
             raise CyclicGraph(f"cycle through {{{', '.join(cyclic)}}}")
-        # X-descendant mask of each node, itself included, children first
-        below = [0] * n
-        for v in reversed(order):
-            below[v] = (1 << (v - 2) if v >= 2 else 0)
-            for w in children[v]:
-                below[v] |= below[w]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_parents", tuple(frozenset(s) for s in parents))
         object.__setattr__(self, "_children", tuple(frozenset(s) for s in children))
         object.__setattr__(self, "_order", tuple(order))
-        object.__setattr__(self, "_below", tuple(below))
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
@@ -177,60 +170,62 @@ class Dag:
         return f"Dag(p={self.p}, edges={len(self.edges())})"
 
 
-def _pack(flags: np.ndarray) -> int:
-    """A bool array as a Python int whose bit j is flags[j]."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _reachable(g: Dag, source: int, target: int, fixed: int, free: int) -> np.ndarray:
+    """Bayes-ball from `source` under every conditioning set of the sub-cube
+    `data_model.subcube(fixed, free)` at once.
 
-
-def _reachable(g: Dag, source: int, masks: np.ndarray) -> list[int]:
-    """Bayes-ball from `source` under every conditioning set in `masks` at once.
-
-    Returns one Python-int bitset per node: bit j is set when the node is
-    d-connected to `source` given X_{masks[j]}.  A ball entered from a child
-    (`up`) passes on to parents and children when the node is free (not
-    conditioned on); a ball entered from a parent (`down`) passes on to
-    children when the node is free and bounces back to the parents when the
-    node or a descendant is conditioned on.  A trail enters a node at most
-    once from each side, so the sweeps reach a fixpoint.
+    Returns `target`'s words in set_analysis's packed format: bit j is set
+    when `target` is d-connected to `source` given the j-th mask of the
+    sub-cube.  A ball entered from a child (`up`) passes on to parents and
+    children when the node is free (not conditioned on); a ball entered from
+    a parent (`down`) passes on to children when the node is free and
+    bounces back to the parents when the node or a descendant is conditioned
+    on.  A trail enters a node at most once from each side, so the sweeps
+    reach a fixpoint.  Only the nodes that touch an edge, the source and the
+    target are swept.
     """
-    n = g.p + 2
-    full = (1 << masks.size) - 1
-    free = [full] * n
-    opens = [0] * n
-    for v in range(n):
-        if not (g._parents[v] or g._children[v]):
-            continue
-        if v >= 2:
-            free[v] = _pack((masks & (1 << (v - 2))) == 0)
-        if g._below[v]:
-            opens[v] = _pack((masks & g._below[v]) != 0)
-    up = [0] * n
-    down = [0] * n
-    up[source] = full
+    ones = ~np.zeros(max(1, (1 << free.bit_count()) >> 6), dtype=np.uint64)
+    zeros = np.zeros_like(ones)
+    nodes = [v for v in g._order if g._parents[v] or g._children[v] or v in (source, target)]
+    # masks holding v (`held`), and v or an X descendant (`opens`), children first
+    unconditioned, opens = {}, {}
+    for v in reversed(nodes):
+        bit = 1 << (v - 2) if v >= 2 else 0
+        held = ones if bit & fixed else zeros
+        if bit & free:
+            # bit r of a sub-cube index stands for the r-th index of `free`
+            held = _up(ones, (free & (bit - 1)).bit_count())
+        unconditioned[v] = ~held if bit & (fixed | free) else ones
+        opens[v] = held
+        for w in g._children[v]:
+            opens[v] = opens[v] | opens[w]
+    up = dict.fromkeys(nodes, zeros)
+    down = dict.fromkeys(nodes, zeros)
+    up[source] = ones
     # what each node sends to its children (as `down`) and parents (as `up`)
-    to_child = [0] * n
-    to_parent = [0] * n
+    to_child = dict.fromkeys(nodes, zeros)
+    to_parent = dict.fromkeys(nodes, zeros)
     while True:
         # parents first: down[c] is final once every parent's is
-        for c in g._order:
+        for c in nodes:
             ball = down[c]
             for a in g._parents[c]:
-                ball |= to_child[a]
+                ball = ball | to_child[a]
             down[c] = ball
-            to_child[c] = (up[c] | ball) & free[c]
+            to_child[c] = (up[c] | ball) & unconditioned[c]
         # children first; the down pass saw every up, so an unchanged up
         # is the fixpoint
         changed = False
-        for c in reversed(g._order):
+        for c in reversed(nodes):
             ball = up[c]
             for a in g._children[c]:
-                ball |= to_parent[a]
-            if ball != up[c]:
+                ball = ball | to_parent[a]
+            if (ball != up[c]).any():
                 up[c] = ball
                 changed = True
-            to_parent[c] = (ball & free[c]) | (down[c] & opens[c])
+            to_parent[c] = (ball & unconditioned[c]) | (down[c] & opens[c])
         if not changed:
-            return [u | d for u, d in zip(up, down)]
+            return up[target] | down[target]
 
 
 def d_separated(g: Dag, u, v, z=0) -> bool:
@@ -253,7 +248,7 @@ def d_separated(g: Dag, u, v, z=0) -> bool:
 
     Notes
     -----
-    One Bayes-ball sweep (`_reachable`) over the single mask z.
+    One Bayes-ball sweep (`_reachable`) over the one-mask sub-cube (z, 0).
     """
     p = g.p
     ui = _node_id(u, p)
@@ -263,7 +258,7 @@ def d_separated(g: Dag, u, v, z=0) -> bool:
     mask = check_mask(z, p)
     if (mask << 2) & (1 << ui | 1 << vi):
         raise ValueError("conditioning set must exclude u and v")
-    return not _reachable(g, ui, np.array([mask], dtype=np.uint32))[vi]
+    return not _reachable(g, ui, vi, mask, 0)[0] & 1
 
 
 def true_collection(g: Dag) -> AdjustmentCollection:
@@ -279,11 +274,8 @@ def true_collection(g: Dag) -> AdjustmentCollection:
         Membership over all 2**p subsets; `Dag` caps p at 24 when it is
         built, so this raises nothing.
     """
-    masks = enumerate_masks(g.p)
-    reach = _reachable(g, _Y, masks)[_T]
-    bits = np.frombuffer(reach.to_bytes((masks.size + 7) // 8, "little"), dtype=np.uint8)
-    connected = np.unpackbits(bits, count=masks.size, bitorder="little")
-    return AdjustmentCollection(g.p, connected == 0)
+    reach = _reachable(g, _Y, _T, 0, (1 << g.p) - 1)
+    return AdjustmentCollection(g.p, _unpack(~reach, g.p))
 
 
 @dataclass(frozen=True, eq=False, repr=False)

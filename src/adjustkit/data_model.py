@@ -3,7 +3,9 @@
 Covariate subsets are bitmasks over the columns of the design matrix.
 Bit ``i`` of a mask corresponds to covariate ``X_{i+1}``.  Inside the
 package a subset is a Python int and a list of subsets a uint32 array;
-1-based indices appear only where text is read or written.
+1-based indices appear only where text is read or written.  A bitset over
+the masks of a sub-cube (`subcube`) is set_analysis's uint64 words, 64 masks
+each, in structure analysis and in the d-separation oracle alike.
 """
 
 from __future__ import annotations

@@ -352,6 +352,8 @@ def run_benchmark(
     reps : int
         Replications per cell; each rep derives its generator from
         (seed, model, n, rep), so cells are reproducible independently.
+    seed : int
+        Non-negative; a negative seed is refused before any work.
     threads : int
         Accepted and ignored: replications run on the calling thread.
 
@@ -363,6 +365,8 @@ def run_benchmark(
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     model_ids = tuple(model_ids)
     n_values = tuple(n_values)
     variants = tuple(variants)

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from adjustkit.dag_oracle import (
     Dag,
     PopulationSpec,
+    _reachable,
     d_separated,
     linear_sem_population,
     true_collection,
 )
 from adjustkit.criterion import population_values
-from adjustkit.data_model import indices_mask
+from adjustkit.data_model import indices_mask, subcube
 from adjustkit.errors import CyclicGraph, DimensionTooLarge, InvalidMechanism
+from adjustkit.set_analysis import _unpack
 from adjustkit.sim_bench import model_graph
 from graph_fixtures import random_design, reference_graphs
 
@@ -228,6 +230,21 @@ class TestDSeparation:
                 ), (edges, u, v, mask)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(_random_dags(max_p=8), st.data())
+    def test_subcube_sweep_matches_single_masks(self, g, data):
+        # any sub-cube, so an index's rank in `free` need not be the index,
+        # and any pair of nodes, X endpoints included
+        i, j = data.draw(st.lists(st.integers(0, g.p + 1), min_size=2, max_size=2, unique=True))
+        allowed = ((1 << g.p) - 1) & ~sum(1 << (k - 2) for k in (i, j) if k >= 2)
+        free = data.draw(st.integers(0, allowed)) & allowed
+        fixed = data.draw(st.integers(0, allowed)) & allowed & ~free
+        reach = _unpack(_reachable(g, i, j, fixed, free), free.bit_count())
+        name = ["Y", "T", *(f"X{k}" for k in range(1, g.p + 1))]
+        expect = [not d_separated(g, name[i], name[j], m) for m in subcube(fixed, free).tolist()]
+        assert reach.tolist() == expect, (g.edges(), i, j, fixed, free)
+
+
 class TestTrueCollection:
     def test_golden_eight_cardinalities(self):
         sizes = {
@@ -272,7 +289,6 @@ class TestTrueCollection:
         with pytest.raises(DimensionTooLarge):
             Dag(25)
 
-    @pytest.mark.filterwarnings("ignore::adjustkit.errors.LargeDimension")
     def test_above_twenty_covariates(self):
         # X7..X20 touch no edge, so the 92 of 128 settings of the other seven
         # indices that separate Y from T each stand for 2^14 members

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from adjustkit.data_model import Dataset, by_size, indices_mask, mask_indices
 from adjustkit.dag_oracle import linear_sem_population, true_collection
 from adjustkit import set_analysis
-from adjustkit.errors import ContradictoryHints, LargeDimension
+from adjustkit.errors import ContradictoryHints
 from adjustkit.set_analysis import (
     MAX_BLOCK,
     AdjustmentCollection,
@@ -262,9 +261,7 @@ class TestLocallyMinimal:
             g = model_graph(3, int(p))
         else:
             g = random_design(np.random.default_rng(int(seed)), int(p))[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LargeDimension)  # p = 20
-            c = true_collection(g)
+        c = true_collection(g)
         edges = g.edges()
 
         def names(mask):

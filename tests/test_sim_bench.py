@@ -262,6 +262,15 @@ class TestRunBenchmark:
             run_benchmark(model_ids=(1,), n_values=(400,), variants=("mn",),
                           reps=1, arms=arms)
 
+    def test_negative_seed_refused_before_any_work(self, monkeypatch):
+        def ran(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim_bench, "_one_rep", ran)
+        with pytest.raises(ValueError, match="need seed >= 0"):
+            run_benchmark(model_ids=(1,), n_values=(400,), variants=("mn",),
+                          reps=1, seed=-1)
+
     def test_repeat_run_is_bit_identical(self):
         kw = dict(
             model_ids=(4,), n_values=(400,), variants=("gc",), reps=3, seed=2,

@@ -229,7 +229,6 @@ class TestDSeparation:
                     g, u, v, _labels(mask, p)
                 ), (edges, u, v, mask)
 
-
     @settings(max_examples=80, deadline=None)
     @given(_random_dags(max_p=8), st.data())
     def test_subcube_sweep_matches_single_masks(self, g, data):

@@ -9,8 +9,8 @@ setup_s, op_s, peak_rss_mb and the number of operations, and with --trace 1
 for the per-layer metrics that BENCHMARK.json names.  Then
 `adjustkit select` on a model-1 sample with p = 20 and n = 2000 runs three
 times as a child process with `--arm 0` (`select_p20`) and three times with
-`--arm both` (`select_p20_both`, the default, whose second arm is selected
-and written by a forked child).  `adjustkit oracle --output` runs five
+`--arm both` (`select_p20_both`, the default, whose second arm is walked,
+selected and written by a child forked after the fit).  `adjustkit oracle --output` runs five
 times on model 1's graph at p = 10 (`cli_oracle_cold`, a command whose
 wall time is mostly the interpreter's start-up and imports) and three times
 on model 3's graph at p = 24, the dimension cap (`cli_oracle_p24`, the

@@ -11,6 +11,7 @@ of adjustment sets.  Exit codes: 0 success, 2 invalid input or flags,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pickle
@@ -22,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criterion import VARIANTS, CriterionConfig, criterion_tables
+from .criterion import VARIANTS, CriterionConfig, CriterionFit, CriterionTable, criterion_fit
 from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
 from .dag_oracle import Dag, true_collection
 from .data_model import by_size, indices_mask, load_csv, mask_indices
@@ -207,7 +208,8 @@ def _fork(work: Callable[[], object]) -> Callable[[], object]:
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork when other threads exist, such as
-        # OpenBLAS's pool; the child calls no BLAS and takes no lock
+        # OpenBLAS's pool; the child's only LAPACK call, SAVE's eigvalsh in
+        # the walk, runs on OpenBLAS, whose fork handlers reset that pool
         warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
@@ -234,37 +236,94 @@ def _fork(work: Callable[[], object]) -> Callable[[], object]:
     return wait
 
 
-def _select_and_write(outdir: Path, header: dict, table, sel_cfg: SelectorConfig) -> str:
-    """Select one checked arm, write its files and return its summary line;
-    the header gets ``tau`` as its last key."""
+def _walked(fit: CriterionFit, i: int, t: int) -> CriterionTable:
+    """Arm ``t``'s table, walked alone from position ``i`` of ``fit``; raises
+    the error of its outcome candidate, or `SingularCovariance` when no
+    value is finite."""
+    [table] = fit.tables((i,))
+    if isinstance(table, AdjustKitError):
+        raise table
+    if not np.isfinite(table.values).any():
+        raise SingularCovariance(f"arm {t}: every conditioning block is singular")
+    return table
+
+
+def _select_and_write(
+    outdir: Path, header: dict, table, sel_cfg: SelectorConfig, gate=None
+) -> str | None:
+    """Select one checked arm and, unless ``gate()`` returns False, write its
+    files and return its summary line; the header gets the table's size and
+    singular-block count and ``tau`` as its last keys."""
     result = select(table, sel_cfg)
-    json_path = _write_selection(outdir, {**header, "tau": result.tau}, result)
+    if gate is not None and not gate():
+        return None
+    header = {
+        **header,
+        "subsets_evaluated": int(table.values.size),
+        "singular_blocks": table.metadata.get("singular_blocks", 0),
+        "tau": result.tau,
+    }
+    outdir.mkdir(parents=True, exist_ok=True)
+    json_path = _write_selection(outdir, header, result)
     return (
         f"arm {header['arm']}: {len(result.selected)} of {header['subsets_evaluated']} "
         f"subsets selected (tau={result.tau}, cn={header['cn']:.6g}) -> {json_path}"
     )
 
 
-def _run_arms(outdir: Path, arms: list) -> None:
-    """Select and write every checked arm; then, in arm order, print each
-    arm's line up to the first arm that failed, and raise that failure.
+def _run_arms(outdir: Path, fit: CriterionFit, headers: list, sel_cfg: SelectorConfig) -> None:
+    """Walk, check, select and write every arm of ``fit``; then, in arm order,
+    print each arm's line up to the first arm that failed, and raise that
+    failure.
 
-    ``arms`` holds one ``_select_and_write`` call per arm.  With two arms, a
-    forked child selects and writes arm 1 while this process does arm 0: the
-    writer is bound to the interpreter lock, and a child has its own.  The
-    child is reaped whatever happens to arm 0.  With one arm, or
-    without ``os.fork``, the same calls run here, one after the other.
+    An arm whose table fails its check (`_walked`) stops the arms after it;
+    an arm that passed is selected and written whatever happens to the
+    others.  With two arms, a child forked right after the fit walks,
+    checks, selects and writes arm 1 while this process does arm 0, so each
+    arm's walk, sort and writer run on a core of their own (the writer
+    holds the interpreter lock; a child has its own).  Before its write the
+    child reads one byte from a gate pipe: b"1", sent once arm 0's table has
+    passed its check, or end of file, when this process closes the gate
+    after arm 0 failed it.  The child is reaped whatever happens to arm 0.
+    With one arm, or without ``os.fork``, the arms run here, one after the
+    other.
     """
-    if not arms:
-        return
-    outdir.mkdir(parents=True, exist_ok=True)
-    child = _fork(arms.pop()) if len(arms) == 2 and hasattr(os, "fork") else None
+
+    def walk(i: int) -> object:
+        return _outcome(partial(_walked, fit, i, headers[i]["arm"]))
+
+    def write(i: int, table, gate=None) -> object:
+        # a table that failed its check is its arm's outcome
+        if isinstance(table, Exception):
+            return table
+        return _outcome(partial(_select_and_write, outdir, headers[i], table, sel_cfg, gate))
+
     outcomes = []
-    try:
-        outcomes += map(_outcome, arms)
-    finally:
-        if child is not None:
+    if len(headers) == 2 and hasattr(os, "fork"):
+        gate_read, gate_write = os.pipe()
+
+        def arm1() -> object:
+            os.close(gate_write)
+            return write(1, walk(1), gate=lambda: os.read(gate_read, 1) == b"1")
+
+        child = _fork(arm1)
+        os.close(gate_read)
+        try:
+            with open(gate_write, "wb", buffering=0) as gate:
+                table = walk(0)
+                if not isinstance(table, Exception):
+                    # a child that has ended closed its end; reaping it says how
+                    with contextlib.suppress(BrokenPipeError):
+                        gate.write(b"1")
+            outcomes.append(write(0, table))
+        finally:
             outcomes.append(child())
+    else:
+        for i in range(len(headers)):
+            table = walk(i)
+            outcomes.append(write(i, table))
+            if isinstance(table, Exception):
+                break
     for line in outcomes:
         if isinstance(line, Exception):
             raise line
@@ -272,9 +331,9 @@ def _run_arms(outdir: Path, arms: list) -> None:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    # the configs, hints and output path are checked before the first table,
-    # and the output directory is made only when an arm is ready to write,
-    # so a rejected run leaves nothing behind
+    # the configs, hints and output path are checked before the fit, and the
+    # output directory is made only when an arm is ready to write, so a
+    # rejected run leaves nothing behind
     d = load_csv(args.input)
     masks = _load_hint_masks(args.hints, d.p) if args.hints else None
     crit_cfg = CriterionConfig(
@@ -287,19 +346,9 @@ def cmd_select(args: argparse.Namespace) -> int:
     if not existing.is_dir():
         raise NotADirectoryError(f"--output: {existing} is not a directory")
     arms = (0, 1) if args.arm == "both" else (int(args.arm),)
-    tables = criterion_tables(d, arms, variant=args.variant, config=crit_cfg)
-    # every arm's table is checked before any arm is selected; the arms
-    # before the first failing one are selected and written, then its
-    # failure is raised
-    ready, failure = [], None
-    for t, table in zip(arms, tables):
-        if isinstance(table, AdjustKitError):
-            failure = table
-            break
-        if not np.isfinite(table.values).any():
-            failure = SingularCovariance(f"arm {t}: every conditioning block is singular")
-            break
-        header = {
+    fit = criterion_fit(d, arms, variant=args.variant, config=crit_cfg)
+    headers = [
+        {
             "arm": t,
             "n": d.n,
             "p": d.p,
@@ -309,13 +358,10 @@ def cmd_select(args: argparse.Namespace) -> int:
             "h": args.slices,
             "c0": sel_cfg.c0,
             "cn": sel_cfg.cn,
-            "subsets_evaluated": int(table.values.size),
-            "singular_blocks": table.metadata.get("singular_blocks", 0),
         }
-        ready.append(partial(_select_and_write, outdir, header, table, sel_cfg))
-    _run_arms(outdir, ready)
-    if failure is not None:
-        raise failure
+        for t in arms
+    ]
+    _run_arms(outdir, fit, headers, sel_cfg)
     return EXIT_OK
 
 
@@ -383,8 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--output", default=".", metavar="DIR")
     sel.add_argument("--hints", default=None, metavar="FILE", help="JSON pruning hints")
     sel.add_argument("--threads", type=int, default=1, help=(
-        "accepted and ignored: the sweep runs on the calling thread, and with "
-        "--arm both a forked child selects and writes arm 1"))
+        "accepted and ignored: with --arm both a child forked after the fit "
+        "walks, selects and writes arm 1"))
 
     orc = sub.add_parser("oracle", help="exact collection of a DAG edge list")
     orc.add_argument("--dag", required=True, metavar="FILE", help="edge list, one 'A -> B' per line")

@@ -27,7 +27,9 @@ from .inverse_regression import (
 
 __all__ = [
     "CriterionConfig",
+    "CriterionFit",
     "CriterionTable",
+    "criterion_fit",
     "criterion_table",
     "criterion_tables",
     "population_values",
@@ -277,12 +279,101 @@ def _inverses(sigma0, sigma1) -> np.ndarray:
     return np.stack([np.linalg.inv(sigma0), np.linalg.inv(sigma1)])
 
 
+@dataclass(frozen=True)
+class CriterionFit:
+    """Everything a criterion table needs ahead of its pivot tree, made once
+    by `criterion_fit` for several arms; `tables` walks it.
+
+    Attributes
+    ----------
+    masks : ndarray of uint32
+        The checked universe.
+    inv_sigmas : ndarray of shape (2, p, p)
+        Both arm covariances, inverted, arm 0 first.
+    m_t : ndarray or None
+        The narrowed treatment candidate; None when no outcome candidate
+        was built.
+    arms : tuple
+        One entry per requested arm: its narrowed outcome candidate and the
+        number of slices formed, or the `AdjustKitError` building it raised.
+    metadata : dict
+        n, p, the config's estimator methods; each table adds its own
+        ``h_y`` and ``singular_blocks``.
+    """
+
+    masks: np.ndarray
+    inv_sigmas: np.ndarray
+    m_t: np.ndarray | None
+    arms: tuple
+    metadata: dict
+
+    def tables(self, positions=None) -> tuple[CriterionTable | AdjustKitError, ...]:
+        """The entries of ``arms`` at ``positions`` (default all of them),
+        each built candidate replaced by its `CriterionTable`, from one pivot
+        tree over those candidates stacked; `_pivot` is elementwise, so a
+        table is bit-identical whichever arms share its walk."""
+        out = [self.arms[i] for i in (range(len(self.arms)) if positions is None else positions)]
+        built = [i for i, arm in enumerate(out) if not isinstance(arm, AdjustKitError)]
+        if not built:
+            return tuple(out)
+        values = _lattice_values(self.inv_sigmas, [out[i][0] for i in built], self.m_t, self.masks)
+        meta = self.metadata
+        for i, v in zip(built, values):
+            out[i] = CriterionTable(p=meta["p"], masks=self.masks, values=v, metadata={
+                "n": meta["n"],
+                "p": meta["p"],
+                "h_y": out[i][1],
+                "h_t": 2,  # the two arms, both nonempty past group_moments
+                "method_y": meta["method_y"],
+                "method_t": meta["method_t"],
+                "singular_blocks": int(np.isinf(v).sum()),
+            })
+        return tuple(out)
+
+
+def criterion_fit(
+    d: Dataset, arms, variant: str = "mn", config: CriterionConfig | None = None
+) -> CriterionFit:
+    """Every step of `criterion_tables` ahead of the pivot tree, once for
+    several arms: the universe, the copula (``"gc"``), the moments, both
+    arm covariances' checks and inverses, each requested arm's outcome
+    candidate and the treatment candidate.  Every error or warning that is
+    not tied to one arm comes from here; `CriterionFit.tables` raises none.
+    Takes and raises as `criterion_tables` does."""
+    cfg = config or CriterionConfig()
+    arms = tuple(arms)
+    if any(t not in (0, 1) for t in arms):
+        raise ValueError("t must be 0 or 1")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    p = d.p
+    # the universe first: the dimension cap must stop a run before the sweep
+    masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
+    if variant == "gc":
+        d = transform_dataset(d)
+    g0, g1, whole = group_moments(d)
+    inv_sigmas = _inverses(g0.sigma, g1.sigma)
+    out = []
+    for t in arms:
+        try:
+            m_y, h_y = outcome_candidate(d, (g0, g1)[t], cfg.method_y, cfg.h)
+            out.append((_narrowed(m_y), h_y))
+        except AdjustKitError as exc:
+            out.append(exc)
+    m_t = None
+    if not all(isinstance(arm, AdjustKitError) for arm in out):
+        m_t = _narrowed(treatment_candidate(d, whole, cfg.method_t))
+    meta = {"n": d.n, "p": p, "method_y": cfg.method_y, "method_t": cfg.method_t}
+    return CriterionFit(masks, inv_sigmas, m_t, tuple(out), meta)
+
+
 def criterion_tables(
     d: Dataset, arms, variant: str = "mn", config: CriterionConfig | None = None
 ) -> tuple[CriterionTable | AdjustKitError, ...]:
     """Evaluate the criterion on every subset of the universe (all 2^p, or
     the sub-cube of ``config.masks``), for each of several arms' outcome
-    candidates, with one fit and one pivot tree.
+    candidates, with one fit (`criterion_fit`) and one pivot tree
+    (`CriterionFit.tables`).
 
     Parameters
     ----------
@@ -317,44 +408,7 @@ def criterion_tables(
         If an arm covariance fails `check_covariance`, or, once an
         outcome candidate is built, the whole-sample covariance.
     """
-    cfg = config or CriterionConfig()
-    arms = tuple(arms)
-    if any(t not in (0, 1) for t in arms):
-        raise ValueError("t must be 0 or 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    p = d.p
-    # the universe first: the dimension cap must stop a run before the sweep
-    masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
-    if variant == "gc":
-        d = transform_dataset(d)
-    g0, g1, whole = group_moments(d)
-    inv_sigmas = _inverses(g0.sigma, g1.sigma)
-    out = []  # (candidate, slices formed) pairs and errors, then tables and errors
-    for t in arms:
-        try:
-            out.append(outcome_candidate(d, (g0, g1)[t], cfg.method_y, cfg.h))
-        except AdjustKitError as exc:
-            out.append(exc)
-    built = [i for i, m in enumerate(out) if not isinstance(m, AdjustKitError)]
-    if not built:
-        return tuple(out)
-    m_t = treatment_candidate(d, whole, cfg.method_t)
-    values = _lattice_values(
-        inv_sigmas, [_narrowed(out[i][0]) for i in built], _narrowed(m_t), masks
-    )
-    for i, v in zip(built, values):
-        meta = {
-            "n": d.n,
-            "p": p,
-            "h_y": out[i][1],
-            "h_t": 2,  # the two arms, both nonempty past group_moments
-            "method_y": cfg.method_y,
-            "method_t": cfg.method_t,
-            "singular_blocks": int(np.isinf(v).sum()),
-        }
-        out[i] = CriterionTable(p=p, masks=masks, values=v, metadata=meta)
-    return tuple(out)
+    return criterion_fit(d, arms, variant, config).tables()
 
 
 def criterion_table(

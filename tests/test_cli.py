@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import adjustkit
 from adjustkit import cli, sim_bench
 from adjustkit.cli import _load_hint_masks, _write_selection, main
-from adjustkit.criterion import CriterionConfig, criterion_table, criterion_tables
+from adjustkit.criterion import CriterionConfig, CriterionFit, criterion_table
 from adjustkit.data_model import Dataset, indices_mask, load_csv, save_csv
 from adjustkit.selection import SelectionResult, SelectorConfig, default_cn, select
 from adjustkit.errors import TooFewObservations
@@ -340,9 +341,9 @@ def test_file_system_errors_exit_2(tmp_path, case, capsys):
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_output_file_refused_before_the_sweep(tmp_path, monkeypatch, below, capsys):
     def sweep(*args, **kwargs):
-        raise AssertionError("criterion_tables was called")
+        raise AssertionError("criterion_fit was called")
 
-    monkeypatch.setattr(cli, "criterion_tables", sweep)
+    monkeypatch.setattr(cli, "criterion_fit", sweep)
     data = _model_csv(tmp_path, 1, n=200)
     target = tmp_path / "target"
     target.write_text("")
@@ -420,9 +421,11 @@ class TestArmFailure:
 
 
 class TestForkedWriter:
-    """`select --arm both` writes arm 1 from a forked child while it writes
-    arm 0.  Either side's failed write exits as the in-process writer does,
-    the other arm's files are still written, and no child outlives the run."""
+    """`select --arm both` forks right after the fit: a child walks, checks,
+    selects and writes arm 1 while this process does arm 0, and writes only
+    once arm 0's table has passed its check.  Either side's failure exits as
+    the in-process run does, an arm that passed its check is still written,
+    and no child outlives the run."""
 
     ARM1_FILES = ["criterion_arm1.csv", "scree_arm1.csv", "selection_arm1.json"]
 
@@ -445,7 +448,15 @@ class TestForkedWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert forks is None or forks == [os.getpid()]
-        return rc, sorted(p.name for p in out.iterdir() if p.is_file())
+        return rc, sorted(p.name for p in out.iterdir() if p.is_file()) if out.exists() else None
+
+    @staticmethod
+    def _walks(monkeypatch, each):
+        """Replace `CriterionFit.tables` by ``each(positions, tables)`` of the
+        real call, in this process and in any child forked after this."""
+        real = CriterionFit.tables
+        monkeypatch.setattr(CriterionFit, "tables", lambda fit, positions=None: each(
+            positions, real(fit, positions)))
 
     def test_both_arms_print_in_order(self, tmp_path, forks, capsys):
         assert self._run(tmp_path, forks) == (0, sorted(TestArmFailure.ARM0_FILES + self.ARM1_FILES))
@@ -460,17 +471,18 @@ class TestForkedWriter:
         assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
 
     def test_arm1_select_fails(self, tmp_path, forks, monkeypatch, capsys):
-        # the child's select error comes back as its write error does
-        tables = []
+        # the child's select error comes back as its write error does; each
+        # process records the tables it walked, by position in the fit
+        walked = {}
 
-        def recorded(*args, **kwargs):
-            tables.extend(criterion_tables(*args, **kwargs))
+        def recorded(positions, tables):
+            walked.update(zip(positions, tables))
             return tables
 
-        monkeypatch.setattr(cli, "criterion_tables", recorded)
+        self._walks(monkeypatch, recorded)
 
         def failing(table, config):
-            if table is tables[1]:
+            if table is walked.get(1):
                 raise ValueError("arm 1 cannot be cut")
             return select(table, config)
 
@@ -479,6 +491,60 @@ class TestForkedWriter:
         std = capsys.readouterr()
         assert std.err == "adjustkit: arm 1 cannot be cut\n"
         assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
+
+    def test_arm0_check_closes_the_gate(self, tmp_path, forks, monkeypatch, capsys):
+        # arm 1 is walked, checked and selected in the child, but never
+        # written: arm 0's table fails its check, and no directory is made
+        def arm0_singular(positions, tables):
+            if positions == (0,):
+                [table] = tables
+                return (dataclasses.replace(table, values=np.full_like(table.values, np.inf)),)
+            return tables
+
+        self._walks(monkeypatch, arm0_singular)
+        assert self._run(tmp_path, forks) == (3, None)
+        std = capsys.readouterr()
+        assert std.err == (
+            "adjustkit: numerical failure: arm 0: every conditioning block is singular\n"
+        )
+        assert std.out == ""
+
+    def test_child_dies_before_the_gate(self, tmp_path, monkeypatch, capsys):
+        # the child ends before it walks; this process waits for that, without
+        # reaping it, so its b"1" meets a gate with no reader (BrokenPipeError)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        parent, real = os.getpid(), CriterionFit.tables
+
+        def walk(fit, positions=None):
+            if os.getpid() != parent:
+                os._exit(1)
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            return real(fit, positions)
+
+        monkeypatch.setattr(CriterionFit, "tables", walk)
+        assert self._run(tmp_path, forks) == (2, TestArmFailure.ARM0_FILES)
+        std = capsys.readouterr()
+        assert std.err == "adjustkit: the forked child ended with exit code 1\n"
+        assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
+
+    def test_fit_warns_once_before_the_fork(self, tmp_path):
+        # X1 and X3 separate the arms, so no observation lies inside both
+        # arms' truncation bands and gc pools neither; the fit warns, in one
+        # process, before the child is forked
+        d = generate_model(ModelSpec(1, n=200, seed=0)).dataset
+        x = d.x.copy()
+        x[:, [0, 2]] += 10.0 * d.t[:, None]
+        data = tmp_path / "data.csv"
+        save_csv(d.with_x(x), data)
+        out = tmp_path / "run"
+        run = _fresh_python("-m", "adjustkit.cli", "select", "--input", str(data),
+                            "--variant", "gc", "--arm", "both", "--output", str(out))
+        assert run.returncode == 0, run.stderr
+        assert [line[:6] for line in run.stdout.splitlines()] == ["arm 0:", "arm 1:"]
+        warned = [line.split("DegeneratePooling: ")[1].split(":")[0]
+                  for line in run.stderr.splitlines() if "DegeneratePooling: " in line]
+        assert warned == ["coordinate 1", "coordinate 3"]
 
     def test_arm0_write_fails(self, tmp_path, forks, capsys):
         assert self._run(tmp_path, forks, "selection_arm0.json") == (2, self.ARM1_FILES)

@@ -6,6 +6,7 @@ from adjustkit.criterion import (
     CriterionConfig,
     _lattice_values,
     _narrowed,
+    criterion_fit,
     criterion_table,
     criterion_tables,
     population_values,
@@ -452,6 +453,20 @@ class TestCriterionTables:
     def test_both_arms_equal_their_own_tables(self, variant, method_y, method_t):
         cfg = CriterionConfig(method_y=method_y, method_t=method_t)
         self._assert_per_arm(self._dataset(), variant, cfg)
+
+    @pytest.mark.parametrize("method_y", ["sir", "save"])
+    @pytest.mark.parametrize("method_t", ["sir", "save"])
+    def test_one_fit_walked_per_arm(self, method_y, method_t):
+        # the select command walks each arm of one fit on its own
+        cfg = CriterionConfig(method_y=method_y, method_t=method_t)
+        fit = criterion_fit(self._dataset(), (0, 1), "gc", cfg)
+        both = fit.tables()
+        for i, table in enumerate(both):
+            [alone] = fit.tables((i,))
+            assert np.array_equal(alone.values, table.values)
+            assert alone.metadata == table.metadata
+        swapped = fit.tables((1, 0))
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(swapped, both[::-1]))
 
     @pytest.mark.parametrize("variant", ["mn", "gc"])
     def test_pruned_universe(self, variant):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adjustkit.data_model import (
     Dataset,
@@ -57,6 +57,16 @@ class TestMaskNames:
         # an index one past the universe is refused wherever it stands
         with pytest.raises(ValueError):
             indices_mask(p, [*idx, p + 1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_by_size_is_the_two_key_lexsort(self, data):
+        masks = data.draw(st.lists(st.integers(0, 2**24 - 1), max_size=300))
+        if masks:
+            masks += data.draw(st.lists(st.sampled_from(masks), max_size=100))
+        arr = np.asarray(data.draw(st.permutations(masks)), dtype=np.uint32)
+        want = arr[np.lexsort((arr, np.bitwise_count(arr)))]
+        assert by_size(arr).tolist() == want.tolist()
 
     @given(st.lists(st.integers(0, 2**24 - 1), max_size=40))
     def test_by_size_order(self, masks):

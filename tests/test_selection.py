@@ -93,6 +93,44 @@ class TestSortTable:
         with pytest.raises(ValueError):
             select(_table(2, [], []))
 
+    # values that tie often or sort specially: exact zeros of both signs,
+    # the singular +inf, NaN, and a few plain values
+    TIES = [0.0, -0.0, math.inf, math.nan, 0.5, 1.0, 2.5e-9]
+
+    @staticmethod
+    def _assert_three_key_lexsort(p, masks, values):
+        table = _table(p, masks, values)
+        perm = np.lexsort((table.masks, np.bitwise_count(table.masks), -table.values))
+        # the ratios of adjacent inf, NaN or huge values warn; only the order is checked
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = select(table, SelectorConfig())
+        assert res.order.tolist() == table.masks[perm].tolist()
+        # bit for bit: +0.0 and -0.0 tie, and so do NaNs
+        assert res.sorted_values.view(np.uint64).tolist() == table.values[perm].view(np.uint64).tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_order_is_the_three_key_lexsort(self, data):
+        p = data.draw(st.integers(1, 9), label="p")
+        masks = data.draw(st.lists(st.integers(0, (1 << p) - 1), min_size=1, unique=True))
+        value = st.sampled_from(self.TIES) | st.floats(allow_nan=True, allow_infinity=True)
+        values = data.draw(st.lists(value, min_size=len(masks), max_size=len(masks)))
+        self._assert_three_key_lexsort(p, masks, values)
+
+    @pytest.mark.parametrize("kind", ["short runs", "all equal", "one entry", "no ties"])
+    def test_order_is_the_three_key_lexsort_at_p12(self, kind):
+        rng = np.random.default_rng(12)
+        masks = rng.permutation(1 << 12)
+        values = {
+            "short runs": rng.choice(self.TIES + list(rng.uniform(size=400)), size=masks.size),
+            "all equal": np.full(masks.size, 0.25),
+            "one entry": rng.uniform(size=masks.size),
+            "no ties": rng.uniform(size=masks.size),
+        }[kind]
+        if kind == "one entry":
+            masks, values = masks[:1], values[:1]
+        self._assert_three_key_lexsort(12, masks, values)
+
 
 class TestRidgeRatios:
     def test_worked_scree(self):

@@ -113,13 +113,12 @@ def _descending(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     3-4x at p = 20, when few values tie."""
     perm = np.argsort(-values)
     sorted_values = values[perm]
+    # tied[k]: position k continues the run of position k - 1
     tied = np.zeros(values.size + 1, dtype=bool)
-    # a NaN is followed only by NaNs
     np.equal(sorted_values[1:], sorted_values[:-1], out=tied[1:-1])
-    tied[1:-1] |= np.isnan(sorted_values[:-1])
+    tied[1:-1] |= np.isnan(sorted_values[:-1])  # a NaN is followed only by NaNs
     pos = np.flatnonzero(tied[1:] | tied[:-1])
     if pos.size:
-        # tied[k] says whether position k continues the run of position k - 1
         run = np.cumsum(~tied[pos])
         sub = perm[pos]
         sub_masks = masks[sub]

@@ -15,13 +15,19 @@ times on model 1's graph at p = 10 (`cli_oracle_cold`, a command whose
 wall time is mostly the interpreter's start-up and imports) and three times
 on model 3's graph at p = 24, the dimension cap (`cli_oracle_p24`, the
 command CI runs at the cap, whose time is mostly the d-separation oracle
-and the structure analysis of a 2^24-subset collection).  Each child is
-timed from start to exit, with its peak RSS from `os.wait4`.  On Linux that
-peak covers the forked child too: wait4's `ru_maxrss` is the largest of the
-child and the descendants it reaped (a child whose own forked child touched
-60 MB reads about 70 MB).  Each run is also scaled to perfbench's
-reference host speed (perfbench/speed.py, whose sample runs after each
-child), so that the CLI times compare across files as perfbench's times do.
+and the structure analysis of a 2^24-subset collection).  Each of these
+children is started by a launcher: a small Python process that this script
+starts before it imports numpy, and that reads one argv per line, forks and
+execs it, `os.wait4`s it and writes back its exit code, its wall time from
+fork to exit and its peak RSS.  A child's `ru_maxrss` keeps the high-water
+mark of the process it was forked from, so a child forked from this script
+(numpy and scipy loaded) read 41-48 MB for an `oracle` run at p = 10 that
+peaks at about 30 MB on its own.  On Linux the peak covers the forked child
+too: wait4's `ru_maxrss` is the largest of the child and the descendants
+it reaped (a child whose own forked child touched 60 MB reads about 70 MB).
+Each run is also scaled to perfbench's reference host speed
+(perfbench/speed.py, whose sample runs after each child), so that the CLI
+times compare across files as perfbench's times do.
 The file lands at the repository root, beside the host's core count, the
 Python, numpy and scipy versions and the git commit, so that a later change
 can be compared with it by running the same command.
@@ -40,8 +46,33 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# every child imports adjustkit from this checkout
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+# The launcher: reads one argv per line, its words separated by NUL; runs
+# it with its stdin and stdout on /dev/null, waits for it with wait4 and
+# writes back a line "exit_code wall_seconds ru_maxrss_kb".  It imports
+# only os, sys and time, so a child forked from it starts at a few MB.
+LAUNCHER_CODE = """\
+import os, sys, time
+null = os.open(os.devnull, os.O_RDWR)
+for line in sys.stdin:
+    argv = line.rstrip("\\n").split("\\0")
+    t = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.dup2(null, 0)
+            os.dup2(null, 1)
+            os.execv(argv[0], argv)
+        finally:
+            os._exit(127)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - t
+    print(os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss, flush=True)
+"""
+# for perfbench's speed module, which loads numpy and so is imported only
+# once the launcher has started
 sys.path.insert(0, str(ROOT / "perfbench"))
-import speed  # noqa: E402  perfbench's host-speed sample
 
 WORKLOADS = ("select-p17", "replicate-p10", "oracle-mix")
 SEED = 7
@@ -58,8 +89,6 @@ SELECT_ARMS = {"select_p20": "0", "select_p20_both": "both"}
 ORACLE_RUNS = {"cli_oracle_cold": (1, 10, 5), "cli_oracle_p24": (3, 24, 3)}
 # the file's key for each CLI figure
 CLI_KEYS = (*SELECT_ARMS, *ORACLE_RUNS)
-# every child imports adjustkit from this checkout
-CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def _parse(argv):
@@ -102,27 +131,40 @@ def _workload(name: str, seconds: float) -> dict:
     }
 
 
-def _child(argv: list[str]) -> tuple[int, float]:
-    """Run one child to its exit: its exit code and its peak RSS in MB."""
-    child = subprocess.Popen(argv, env=CHILD_ENV, stdout=subprocess.DEVNULL)
-    # wait4 gives this child's rusage (with its reaped descendants'), not
-    # the maximum over all of this process's children
-    _, status, usage = os.wait4(child.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0
+def _start_launcher() -> subprocess.Popen:
+    """The launcher process (LAUNCHER_CODE).  Start it before numpy is
+    imported: a child's ru_maxrss keeps the high-water mark of the process
+    it was forked from, so a child forked from this one could read no lower
+    than this process's RSS."""
+    return subprocess.Popen([sys.executable, "-c", LAUNCHER_CODE], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, env=CHILD_ENV, text=True)
 
 
-def _child_runs(argv: list[str], runs: int) -> dict:
+def _child(launcher: subprocess.Popen, argv: list[str]) -> tuple[int, float, float]:
+    """Run one child to its exit through the launcher: its exit code, its
+    wall time from fork to exit and its peak RSS in MB (wait4's, so with its
+    reaped descendants')."""
+    launcher.stdin.write("\0".join(argv) + "\n")
+    launcher.stdin.flush()
+    exit_code, wall, maxrss_kb = launcher.stdout.readline().split()
+    return int(exit_code), float(wall), int(maxrss_kb) / 1024.0
+
+
+def _child_runs(launcher: subprocess.Popen, argv: list[str], runs: int) -> dict:
     """Run ``argv`` as a child process ``runs`` times, stopping at a failed
     run: the last exit code, the median wall time from start to exit (the
     host's speed drifts between runs) and the median of the same times scaled
     to the reference host speed, each run's wall and scaled time, and the
     largest of the children's peak RSS (with a forked child's)."""
+    import speed  # perfbench's host-speed sample
+
     host = speed.Speed()
     walls, scaled, rss = [], [], []
     for _ in range(runs):
-        [(exit_code, peak)], [(_, wall, at_ref)] = host.timed(lambda: _child(argv))
+        [(exit_code, wall, peak)], [(_, outer, at_ref)] = host.timed(lambda: _child(launcher, argv))
         walls.append(wall)
-        scaled.append(at_ref)
+        # the launcher's wall, scaled by the factor of the round trip that holds it
+        scaled.append(at_ref * wall / outer)
         rss.append(peak)
         if exit_code:
             break
@@ -142,7 +184,7 @@ def _make_input(code: str, path: Path) -> None:
                    check=True)
 
 
-def _select_p20(arm: str) -> dict:
+def _select_p20(launcher: subprocess.Popen, arm: str) -> dict:
     """`adjustkit select --arm ARM` at p = 20, SELECT_RUNS times (see
     `_child_runs`), and the bytes one run writes."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,12 +196,12 @@ def _select_p20(arm: str) -> dict:
             "save_csv(d, sys.argv[1])\n"), csv)
         argv = [sys.executable, "-m", "adjustkit.cli", "select", "--input", str(csv),
                 "--arm", arm, "--output", str(out)]
-        runs = _child_runs(argv, SELECT_RUNS)
+        runs = _child_runs(launcher, argv, SELECT_RUNS)
         written = sum(f.stat().st_size for f in out.iterdir()) if out.is_dir() else 0
     return {"p": SELECT_P, "n": SELECT_N, "threads": 1, **runs, "bytes_written": written}
 
 
-def _oracle(model: int, p: int, runs: int) -> dict:
+def _oracle(launcher: subprocess.Popen, model: int, p: int, runs: int) -> dict:
     """`adjustkit oracle --output` on the model's graph at p, ``runs`` times
     (see `_child_runs`)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -172,7 +214,7 @@ def _oracle(model: int, p: int, runs: int) -> dict:
             f"open(sys.argv[1], 'w').write(text + 'X{p}\\n')\n"), dag)
         argv = [sys.executable, "-m", "adjustkit.cli", "oracle", "--dag", str(dag),
                 "--output", str(Path(tmp) / "report.json")]
-        return {"p": p, "n": None, "threads": 1, **_child_runs(argv, runs)}
+        return {"p": p, "n": None, "threads": 1, **_child_runs(launcher, argv, runs)}
 
 
 def _git(*args: str) -> str | None:
@@ -185,24 +227,26 @@ def _git(*args: str) -> str | None:
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    import numpy
-    import scipy
+    # Popen's exit closes the launcher's stdin, which ends it, and reaps it
+    with _start_launcher() as launcher:
+        import numpy
+        import scipy
 
-    doc = {
-        "label": args.label,
-        "commit": _git("rev-parse", "HEAD"),
-        # uncommitted changes under src/ mean the numbers are not the commit's
-        "dirty": bool(_git("status", "--porcelain", "--", "src")),
-        "seed": SEED,
-        "seconds": args.seconds,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "cpu_count": os.cpu_count(),
-        "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
-        **{key: _select_p20(arm) for key, arm in SELECT_ARMS.items()},
-        **{key: _oracle(*spec) for key, spec in ORACLE_RUNS.items()},
-    }
+        doc = {
+            "label": args.label,
+            "commit": _git("rev-parse", "HEAD"),
+            # uncommitted changes under src/ mean the numbers are not the commit's
+            "dirty": bool(_git("status", "--porcelain", "--", "src")),
+            "seed": SEED,
+            "seconds": args.seconds,
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
+            **{key: _select_p20(launcher, arm) for key, arm in SELECT_ARMS.items()},
+            **{key: _oracle(launcher, *spec) for key, spec in ORACLE_RUNS.items()},
+        }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"{path.name}: " + ", ".join(

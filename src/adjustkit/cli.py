@@ -17,7 +17,7 @@ import os
 import pickle
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -410,7 +410,15 @@ def cmd_ate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call.
+
+    Building it (four subparsers, about 27 arguments) takes about 1 ms,
+    twice an in-process `oracle` run on a small graph, so a process that
+    calls `main` again reuses it.  `parse_args` leaves a parser as it found
+    it, and nothing changes this one after it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="adjustkit",
         description="Exhaustive sufficient-adjustment-set search for binary treatments.",

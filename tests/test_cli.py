@@ -695,6 +695,75 @@ class TestParser:
         assert err.value.code == 2
 
 
+class TestSharedParser:
+    """`main` builds its parser once per process; each call parses afresh."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser().prog == "adjustkit"
+
+    def test_defaults_do_not_leak_between_calls(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: seen.append(args) or 0)
+        assert main(["simulate", "--models", "1,4", "--seed", "3", "--reps", "2"]) == 0
+        assert main(["simulate"]) == 0
+        assert (seen[0].models, seen[0].seed, seen[0].reps) == ((1, 4), 3, 2)
+        assert vars(seen[1]) == {
+            "command": "simulate", "models": (1,), "n": (400,), "variants": ("mn",),
+            "reps": 1, "seed": 0, "output": None,
+        }
+
+    @pytest.mark.parametrize("refused", [
+        ["oracle", "--dag"],
+        ["oracle", "--bogus"],
+        ["select", "--input", "x.csv", "--arm", "2"],
+        ["simulate", "--reps", "x"],
+        ["frobnicate"],
+    ])
+    def test_refused_call_leaves_no_trace(self, tmp_path, capsys, refused):
+        dag, report = tmp_path / "dag.txt", tmp_path / "report.json"
+        dag.write_text(UNIQUE_MIN_DAG)
+
+        def oracle():
+            assert main(["oracle", "--dag", str(dag), "--output", str(report)]) == 0
+            return capsys.readouterr(), report.read_bytes()
+
+        cli._build_parser.cache_clear()
+        first = oracle()
+        with pytest.raises(SystemExit) as err:
+            main(refused)
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert oracle() == first
+
+    def test_command_looked_up_per_call(self, tmp_path, monkeypatch, capsys):
+        # perfbench's tracer rebinds entries of cli._COMMANDS after the
+        # parser has been built
+        dag = tmp_path / "dag.txt"
+        dag.write_text(UNIQUE_MIN_DAG)
+        assert main(["oracle", "--dag", str(dag)]) == 0
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "oracle", lambda args: seen.append(args.dag) or 7)
+        assert main(["oracle", "--dag", str(dag)]) == 7
+        assert seen == [str(dag)]
+
+    def test_import_builds_no_parser(self, tmp_path):
+        dag = tmp_path / "dag.txt"
+        dag.write_text(UNIQUE_MIN_DAG)
+        script = (
+            "import sys\n"
+            "from adjustkit import cli\n"
+            "print(cli._build_parser.cache_info().misses)\n"
+            "for _ in range(3):\n"
+            "    assert cli.main(['oracle', '--dag', sys.argv[1]]) == 0\n"
+            "print(cli._build_parser.cache_info().misses)\n"
+        )
+        run = _fresh_python("-c", script, str(dag))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[0] == "0"
+        assert run.stdout.splitlines()[-1] == "1"
+
+
 class TestColdStart:
     """scipy is loaded only to fit a copula or to draw a model, so the other
     commands start without it, and the commands that need it load it on

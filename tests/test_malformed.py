@@ -1,0 +1,143 @@
+"""Generated malformed edge lists for `adjustkit oracle`.
+
+Each example mutates a valid p = 4 edge list and runs `cli.main` in this
+process, so every example reuses the process's one parser.  A run must end
+with exit 0, 2 or 3, print one `adjustkit:` line on stderr when it fails,
+and let no exception escape `main`.  The edits that only change the layout
+(CRLF, a byte-order mark, `#` comments, blank lines, extra spaces) must
+give the canonical list's output byte for byte.
+"""
+
+import contextlib
+import functools
+import io
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjustkit.cli import main
+
+CANONICAL = [
+    ["X1", "->", "T"],
+    ["X1", "->", "Y"],
+    ["X2", "->", "Y"],
+    ["X4", "->", "T"],
+    ["X2", "->", "X3"],
+    ["X4", "->", "X3"],
+]
+# X indices stay at most 12 (4096 subsets), so an example runs in milliseconds;
+# X0, X-1 and X25 are the names the parser or the dimension cap refuses
+NAMES = ["Y", "T", "X0", "X-1", "X25", *(f"X{i}" for i in range(1, 13))]
+# text that may land anywhere: a byte-order mark, CRLF, quotes, a comment
+# mark, a line break, a space, an arrow
+INSERTS = ["\ufeff", "\r\n", '"', "'", "#", "\n", " ", "->"]
+# where --output points, relative to the example's directory; "" is no file
+OUTPUTS = [None, "", "report.json", "report.json/", ".", "missing/report.json",
+           "dag.txt/report.json", "a b é.json"]
+
+
+def _text(lines, eol="\n"):
+    return "".join(" ".join(tokens) + eol for tokens in lines)
+
+
+def _run(text, output=None):
+    """exit code, stdout, stderr and the report's bytes (None if not written)
+    of one in-process `oracle` run on ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dag = Path(tmp) / "dag.txt"
+        dag.write_bytes(text.encode("utf-8"))
+        argv = ["oracle", "--dag", str(dag)]
+        if output is not None:
+            # joined as text, so that a trailing "/" stays
+            argv += ["--output", f"{tmp}/{output}" if output else ""]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        report = Path(tmp) / "report.json"
+        written = report.read_bytes() if output == "report.json" and report.is_file() else None
+        return code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue(), written
+
+
+@functools.cache
+def _canonical_run():
+    run = _run(_text(CANONICAL), "report.json")
+    assert run[0] == 0 and run[3] is not None
+    return run
+
+
+def _check_outcome(code, err):
+    assert code in (0, 2, 3)
+    if code:
+        assert err.startswith("adjustkit: ") and err.count("\n") == 1, err
+
+
+@st.composite
+def _mutated(draw):
+    """The canonical list after one to three token edits or insertions."""
+    lines = [list(tokens) for tokens in CANONICAL]
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "rename", "insert", "chain"]))
+        if kind == "insert":
+            text = _text(lines)
+            at = draw(st.integers(0, len(text)))
+            what = draw(st.sampled_from(INSERTS))
+            lines = [line.split(" ") for line in (text[:at] + what + text[at:]).split("\n")]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if not lines[i]:
+            continue
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        if kind == "delete":
+            del lines[i][j]
+        elif kind == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        elif kind == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            if lines[k]:
+                m = draw(st.integers(0, len(lines[k]) - 1))
+                lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        elif kind == "rename":
+            lines[i][j] = draw(st.sampled_from(NAMES))
+        else:  # the line's nodes, and maybe one more, joined by unspaced arrows
+            tail = draw(st.lists(st.sampled_from(NAMES), max_size=1))
+            lines[i] = ["->".join([tok for tok in lines[i] if tok != "->"] + tail)]
+    return "\n".join(" ".join(tokens) for tokens in lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_mutated(), output=st.sampled_from(OUTPUTS))
+def test_mutated_edge_list(text, output):
+    code, _, err, written = _run(text, output)
+    _check_outcome(code, err)
+    # a node outside X1..X24 named outside a comment is never read as another
+    if any(re.search(r"X(0|-1|25)(?!\d)", line.split("#", 1)[0]) for line in text.splitlines()):
+        assert code == 2, text
+    if code == 0 and output == "report.json":
+        assert written is not None
+
+
+@st.composite
+def _relaid(draw):
+    """The canonical list with only its layout changed: the edges, in a drawn
+    order, with spaces, blank lines and `#` comments around them, CRLF line
+    ends and a leading byte-order mark."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    comment = st.sampled_from(["", "#", "# X12 -> T", "#X1->Y->T", " # note"])
+    lines = []
+    for a, arrow, b in draw(st.permutations(CANONICAL)):
+        lines += [draw(space) + draw(comment)] * draw(st.integers(0, 2))
+        gap = space if draw(st.booleans()) else st.just(" ")
+        lines.append(draw(space) + a + draw(gap) + arrow + draw(gap) + b + draw(space)
+                     + draw(comment))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=_relaid())
+def test_relaid_edge_list_gives_the_canonical_report(text):
+    assert _run(text, "report.json") == _canonical_run()

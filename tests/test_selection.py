@@ -1,6 +1,7 @@
 """Ridge-ratio selector: sort order, ratios, cutoff, and end-to-end runs."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,8 +102,8 @@ class TestSortTable:
     def _assert_three_key_lexsort(p, masks, values):
         table = _table(p, masks, values)
         perm = np.lexsort((table.masks, np.bitwise_count(table.masks), -table.values))
-        # the ratios of adjacent inf, NaN or huge values warn; only the order is checked
-        with np.errstate(invalid="ignore", over="ignore"):
+        # the ratio of a huge value to a tiny one overflows; only the order is checked
+        with np.errstate(over="ignore"):
             res = select(table, SelectorConfig())
         assert res.order.tolist() == table.masks[perm].tolist()
         # bit for bit: +0.0 and -0.0 tie, and so do NaNs
@@ -161,6 +162,20 @@ class TestRidgeRatios:
         r = ridge_ratios(np.array([np.inf, 1.0, 0.5]), SelectorConfig(cn=0.5))
         assert r[1] == 1.0
         assert r[2] == pytest.approx(1.0 / 1.5)
+
+    def test_adjacent_nonfinite_values_do_not_warn(self):
+        # inf / inf and NaN pairs are given their 1 without a divide that warns
+        cfg = SelectorConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            two_inf = ridge_ratios(np.array([np.inf, np.inf, 1.0, 0.5]), cfg)
+            nan_run = ridge_ratios(np.array([2.0, 1.0, np.nan, np.nan, np.nan]), cfg)
+            res = select(_table(2, [0, 1, 2, 3], [1.0, np.inf, 0.5, np.inf]), cfg)
+        assert two_inf.tolist() == [0.6, 1.0, 1.0, (0.5 + 0.01) / (1.0 + 0.01)]
+        assert nan_run.tolist() == [0.6, (1.0 + 0.01) / (2.0 + 0.01), 1.0, 1.0, 1.0]
+        assert res.order.tolist() == [1, 3, 0, 2]
+        assert res.tau == 3
+        assert res.selected.masks.tolist() == [2]
 
 
 class TestSelectTail:

@@ -95,15 +95,13 @@ def ridge_ratios(sorted_values: np.ndarray, config: SelectorConfig) -> np.ndarra
     r = np.empty(v.size)
     r[0] = config.c0
     if v.size > 1:
-        num, den = v[1:] + config.cn, v[:-1] + config.cn
+        # inf / inf is NaN only in pairs that are overwritten below
+        with np.errstate(invalid="ignore"):
+            np.divide(v[1:] + config.cn, v[:-1] + config.cn, out=r[1:])
         nonfinite = ~np.isfinite(v)
         if nonfinite.any():
-            # a touched pair gets its 1 without being divided, so inf / inf
-            # cannot warn; a masked divide is about 1.7x slower, hence two paths
-            r[1:] = 1.0
-            np.divide(num, den, out=r[1:], where=~(nonfinite[1:] | nonfinite[:-1]))
-        else:
-            np.divide(num, den, out=r[1:])
+            touched = nonfinite[1:] | nonfinite[:-1]
+            r[1:][touched] = 1.0
     return r
 
 

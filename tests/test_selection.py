@@ -164,7 +164,7 @@ class TestRidgeRatios:
         assert r[2] == pytest.approx(1.0 / 1.5)
 
     def test_adjacent_nonfinite_values_do_not_warn(self):
-        # inf / inf and NaN pairs are given their 1 without a divide that warns
+        # inf / inf and NaN pairs are divided without a warning, then given their 1
         cfg = SelectorConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -7,10 +7,12 @@ Usage, from the root of a source checkout:
 Each perfbench workload runs in its own process twice: with --trace 0 for
 setup_s, op_s, peak_rss_mb and the number of operations, and with --trace 1
 for the per-layer metrics that BENCHMARK.json names.  Then
-`adjustkit select` on a model-1 sample with p = 20 and n = 2000 runs three
-times as a child process with `--arm 0` (`select_p20`) and three times with
+`adjustkit select` on a model-1 sample with n = 2000 runs as a child process:
+at p = 20 three times with `--arm 0` (`select_p20`) and three times with
 `--arm both` (`select_p20_both`, the default, whose second arm is walked,
-selected and written by a child forked after the fit).  `adjustkit oracle --output` runs five
+selected and written by a child forked after the fit), and at p = 22 once
+with `--arm both` (`select_p22_both`, 2^22 subsets per arm and about 1.3 GB
+of output).  `adjustkit oracle --output` runs five
 times on model 1's graph at p = 10 (`cli_oracle_cold`, a command whose
 wall time is mostly the interpreter's start-up and imports) and three times
 on model 3's graph at p = 24, the dimension cap (`cli_oracle_p24`, the
@@ -82,13 +84,17 @@ SHAPES = {
     "replicate-p10": (10, [400, 800]),
     "oracle-mix": ([18, 14], None),
 }
-SELECT_P, SELECT_N, SELECT_RUNS = 20, 2000, 3
-# the file's key for each p = 20 select run and the --arm it passes
-SELECT_ARMS = {"select_p20": "0", "select_p20_both": "both"}
+SELECT_N = 2000
+# the file's key for each select run: (p, the --arm it passes, runs)
+SELECT_RUNS = {
+    "select_p20": (20, "0", 3),
+    "select_p20_both": (20, "both", 3),
+    "select_p22_both": (22, "both", 1),
+}
 # the file's key for each oracle run: (model, p, runs)
 ORACLE_RUNS = {"cli_oracle_cold": (1, 10, 5), "cli_oracle_p24": (3, 24, 3)}
 # the file's key for each CLI figure
-CLI_KEYS = (*SELECT_ARMS, *ORACLE_RUNS)
+CLI_KEYS = (*SELECT_RUNS, *ORACLE_RUNS)
 
 
 def _parse(argv):
@@ -184,21 +190,21 @@ def _make_input(code: str, path: Path) -> None:
                    check=True)
 
 
-def _select_p20(launcher: subprocess.Popen, arm: str) -> dict:
-    """`adjustkit select --arm ARM` at p = 20, SELECT_RUNS times (see
-    `_child_runs`), and the bytes one run writes."""
+def _select(launcher: subprocess.Popen, p: int, arm: str, runs: int) -> dict:
+    """`adjustkit select --arm ARM` on a model-1 sample at p, ``runs`` times
+    (see `_child_runs`), and the bytes one run writes."""
     with tempfile.TemporaryDirectory() as tmp:
         csv, out = Path(tmp) / "m1.csv", Path(tmp) / "out"
         _make_input((
             "from adjustkit.data_model import save_csv\n"
             "from adjustkit.sim_bench import ModelSpec, generate_model\n"
-            f"d = generate_model(ModelSpec(1, n={SELECT_N}, p={SELECT_P}, seed=0)).dataset\n"
+            f"d = generate_model(ModelSpec(1, n={SELECT_N}, p={p}, seed=0)).dataset\n"
             "save_csv(d, sys.argv[1])\n"), csv)
         argv = [sys.executable, "-m", "adjustkit.cli", "select", "--input", str(csv),
                 "--arm", arm, "--output", str(out)]
-        runs = _child_runs(launcher, argv, SELECT_RUNS)
+        timed = _child_runs(launcher, argv, runs)
         written = sum(f.stat().st_size for f in out.iterdir()) if out.is_dir() else 0
-    return {"p": SELECT_P, "n": SELECT_N, "threads": 1, **runs, "bytes_written": written}
+    return {"p": p, "n": SELECT_N, "threads": 1, **timed, "bytes_written": written}
 
 
 def _oracle(launcher: subprocess.Popen, model: int, p: int, runs: int) -> dict:
@@ -244,7 +250,7 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
-            **{key: _select_p20(launcher, arm) for key, arm in SELECT_ARMS.items()},
+            **{key: _select(launcher, *spec) for key, spec in SELECT_RUNS.items()},
             **{key: _oracle(launcher, *spec) for key, spec in ORACLE_RUNS.items()},
         }
     path = ROOT / f"BENCH_{args.label}.json"

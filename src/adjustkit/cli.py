@@ -131,10 +131,7 @@ def _mask_namer(p: int, sep: str, start: str = "", end: str = "") -> Callable:
     return names
 
 
-_ROWS = 4096
-# a list item starts with the ",\n    " that json.dumps(indent=2) puts before it
-_TABLE_ROW, _SCREE_ROW = "%#x,%s%s,%s\n", "%d,%s\n"
-_SET_ITEM, _HEX_ITEM = ",\n    [%s%s]", ',\n    "%#x"'
+_ROWS = 256
 
 
 def _write_selection(outdir: Path, header: dict, result) -> Path:
@@ -145,29 +142,39 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
     ``header`` followed by ``selected_count``, ``selected_sets`` and
     ``selected_masks_hex``, and of one ``f"{mask:#x},{indices},{value!r}"``
     row per table entry.  Only the header goes through ``json.dumps``, whose
-    indented encoder runs in pure Python.  Each row and list item is one
-    %-format that ``map`` applies to columns of ``_ROWS`` rows, so no Python
-    code runs per row, no file is held whole, and ``repr`` runs once per value.
-    A block of CSV rows is joined before it is written; JSON items are not, as
-    joined blocks (450 KB) raised the benchmark's peak RSS by 4-7 MB 1 run in 4.
+    indented encoder runs in pure Python.  The rows and list items are
+    written in blocks of ``_ROWS``: a block is one ``"".join`` over a list
+    that holds its columns (``hex`` of the masks, the two name halves, the
+    values' ``repr``, the row numbers) interleaved with constant separators,
+    so no Python code runs per row, no file is held whole, and ``repr`` runs
+    once per value, for both CSVs.  Blocks of 1,024 rows were faster, but
+    their joined JSON blocks (about 100 KB) raised the benchmark's peak RSS
+    by 5 MB.
     """
     t = header["arm"]
     sel = by_size(result.order[result.tau:])
     sets = _mask_namer(result.selected.p, ",\n      ", "\n      ", "\n    ")
+
+    # a list item starts with the ",\n    " that json.dumps(indent=2) puts
+    # before it; the list's first item has "[" for its comma
+    def set_items(part: np.ndarray) -> str:
+        items = [",\n    [", "", "", "]"] * part.size
+        items[1::4], items[2::4] = sets(part)
+        return "".join(items)
+
+    def hex_items(part: np.ndarray) -> str:
+        return ',\n    "' + '",\n    "'.join(map(hex, part.tolist())) + '"'
+
     # the header's own closing "\n}" is cut off and written after the lists
     head = json.dumps({**header, "selected_count": sel.size}, indent=2)[:-2]
     json_path = outdir / f"selection_arm{t}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(head)
-        for key, item, columns in (
-            ("selected_sets", _SET_ITEM, lambda part: zip(*sets(part))),
-            ("selected_masks_hex", _HEX_ITEM, lambda part: part.tolist()),
-        ):
+        for key, items in (("selected_sets", set_items), ("selected_masks_hex", hex_items)):
             fh.write(f',\n  "{key}": ')
             for lo in range(0, sel.size, _ROWS):
-                items = map(item.__mod__, columns(sel[lo:lo + _ROWS]))
-                fh.write(next(items) if lo else "[" + next(items)[1:])
-                fh.writelines(items)
+                block = items(sel[lo:lo + _ROWS])
+                fh.write(block if lo else "[" + block[1:])
             fh.write("\n  ]" if sel.size else "[]")
         fh.write("\n}\n")
     names = _mask_namer(result.selected.p, " ")
@@ -180,8 +187,16 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
         for lo in range(0, result.order.size, _ROWS):
             masks = result.order[lo:lo + _ROWS]
             values = list(map(repr, result.sorted_values[lo:lo + _ROWS].tolist()))
-            fc.write("".join(map(_TABLE_ROW.__mod__, zip(masks.tolist(), *names(masks), values))))
-            fs.write("".join(map(_SCREE_ROW.__mod__, zip(range(lo + 1, lo + _ROWS + 1), values))))
+            # hex(m) is "%#x" % m
+            rows = ["", ",", "", "", ",", "", "\n"] * masks.size
+            rows[0::7] = map(hex, masks.tolist())
+            rows[2::7], rows[3::7] = names(masks)
+            rows[5::7] = values
+            fc.write("".join(rows))
+            scree = ["", ",", "", "\n"] * masks.size
+            scree[0::4] = map(str, range(lo + 1, lo + masks.size + 1))
+            scree[2::4] = values
+            fs.write("".join(scree))
     return json_path
 
 
@@ -382,7 +397,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for flag in rep.flags:
         print(f"note: {flag}")
     if args.output:
-        Path(args.output).write_text(json.dumps(rep.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(rep.to_dict(), indent=2) + "\n")
         print(f"report -> {args.output}")
     return EXIT_OK
 
@@ -393,7 +409,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         reps=args.reps, seed=args.seed,
     )
     if args.output:
-        Path(args.output).write_text(result.to_csv(), encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(result.to_csv())
         print(f"csv -> {args.output}")
     print(result.render())
     return EXIT_OK
@@ -464,10 +481,12 @@ def _check_flags(args: argparse.Namespace) -> None:
     library function checks: `SelectorConfig`, `CriterionConfig` and
     `run_benchmark` refuse the other values before they do any work."""
     if args.command in ("oracle", "simulate") and args.output:
-        # the file is written last, so its path is checked first
+        # the file is written last, so its path is checked first, as given:
+        # Path drops a trailing separator and a last "." component
         target = Path(args.output)
-        if target.is_dir() or not target.parent.is_dir():
-            raise ValueError(f"--output: {target} is not a file in an existing directory")
+        last = os.path.basename(args.output)
+        if last in ("", ".", "..") or target.is_dir() or not target.parent.is_dir():
+            raise ValueError(f"--output: {args.output} is not a file in an existing directory")
     if args.command == "select":
         if args.threads < 1:
             raise ValueError("--threads must be a positive integer")

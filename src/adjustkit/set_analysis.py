@@ -56,13 +56,15 @@ class AdjustmentCollection:
         for a non-integer mask (bool included) or one outside 0..2^p-1."""
         check_dimension(p)
         arr = np.asarray(masks)
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError("masks must be integers")
-        arr = arr.astype(np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
-            raise ValueError("mask outside the universe")
         member = np.zeros(1 << p, dtype=bool)
-        member[arr] = True
+        if arr.size:
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError("masks must be integers")
+            if arr.min() < 0 or arr.max() >= 1 << p:
+                raise ValueError("mask outside the universe")
+            # indexed as given: numpy casts an index array to intp in buffered
+            # chunks, so a uint32 array gets no whole-size int64 copy
+            member[arr] = True
         return cls(p, member)
 
     @property

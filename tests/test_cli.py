@@ -273,10 +273,12 @@ class TestOutputBytes:
         self._assert_cli_matches_reference(path, out, hints)
 
     @staticmethod
-    def _assert_writer_matches_reference(tmp_path, p, order, tau):
-        """Write a result that keeps ``order`` as it is and cuts it at ``tau``,
-        and compare its files with the reference; return the reference's bytes."""
-        values = np.array([np.inf, 3.0, 0.1 + 0.2, 1e-300] + [0.0] * order.size)
+    def _assert_writer_matches_reference(tmp_path, p, order, tau,
+                                         head=(np.inf, 3.0, 0.1 + 0.2, 1e-300)):
+        """Write a result that keeps ``order`` as it is, with values ``head``
+        and then zeros, and cuts it at ``tau``; compare its files with the
+        reference and return the reference's bytes."""
+        values = np.array([*head] + [0.0] * order.size)
         cfg = SelectorConfig(c0=0.5, cn=0.01)
         result = SelectionResult(order, values[:order.size], tau,
                                  AdjustmentCollection.from_masks(p, order[tau:]), cfg)
@@ -310,6 +312,29 @@ class TestOutputBytes:
         order = rng.choice(np.arange(1, 1 << 13, dtype=np.uint32), 6000, replace=False)
         expected = self._assert_writer_matches_reference(tmp_path, 13, order, 500)
         assert b'"selected_sets": [\n    [\n      ' in expected["selection_arm1.json"]
+
+    @pytest.mark.parametrize("rows", [2 * cli._ROWS, 2 * cli._ROWS + 1])
+    def test_block_edges(self, tmp_path, rows):
+        # the CSVs end on a block's last row or one row past it; the
+        # selection fills exactly one block of JSON items
+        p = (3 * cli._ROWS).bit_length()
+        order = np.random.default_rng(rows).permutation(1 << p)[:rows].astype(np.uint32)
+        expected = self._assert_writer_matches_reference(tmp_path, p, order, rows - cli._ROWS)
+        assert expected["criterion_arm1.csv"].count(b"\n") == rows + 1
+        assert expected["selection_arm1.json"].count(b'"0x') == cli._ROWS
+
+    def test_empty_selection(self, tmp_path):
+        order = np.random.default_rng(5).permutation(1 << 11).astype(np.uint32)
+        expected = self._assert_writer_matches_reference(tmp_path, 11, order, order.size)
+        doc = expected["selection_arm1.json"]
+        assert doc.endswith(b'"selected_sets": [],\n  "selected_masks_hex": []\n}\n')
+
+    def test_extreme_values(self, tmp_path):
+        order = np.random.default_rng(6).permutation(1 << 12).astype(np.uint32)
+        head = (np.nan, -0.0, 5e-324, 1e308, np.inf, -np.inf)
+        expected = self._assert_writer_matches_reference(tmp_path, 12, order, 3, head)
+        scree = expected["scree_arm1.csv"]
+        assert b"\n1,nan\n2,-0.0\n3,5e-324\n4,1e+308\n5,inf\n6,-inf\n" in scree
 
 
 @pytest.mark.parametrize("p", range(1, 13))
@@ -355,7 +380,7 @@ def test_output_file_refused_before_the_sweep(tmp_path, monkeypatch, below, caps
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
-@pytest.mark.parametrize("kind", ["missing parent", "directory"])
+@pytest.mark.parametrize("kind", ["missing parent", "directory", "trailing separator"])
 def test_output_file_refused_before_any_work(tmp_path, monkeypatch, capsys, command, kind):
     def never(*args, **kwargs):
         raise AssertionError("work started")
@@ -363,7 +388,12 @@ def test_output_file_refused_before_any_work(tmp_path, monkeypatch, capsys, comm
     calls = []
     monkeypatch.setattr(sim_bench, "_one_rep", lambda *args: calls.append(args))
     monkeypatch.setattr(cli, "true_collection", never)
-    out = tmp_path / "missing" / "out.csv" if kind == "missing parent" else tmp_path
+    out = {
+        "missing parent": tmp_path / "missing" / "out.csv",
+        "directory": tmp_path,
+        # joined as text: Path would drop the trailing separator
+        "trailing separator": f"{tmp_path}{os.sep}out.csv{os.sep}",
+    }[kind]
     if command == "simulate":
         argv = ["simulate", "--models", "1,4", "--n", "400", "--variants", "mn,gc",
                 "--reps", "20", "--output", str(out)]
@@ -377,6 +407,7 @@ def test_output_file_refused_before_any_work(tmp_path, monkeypatch, capsys, comm
     assert captured.out == ""
     assert calls == []
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestArmFailure:

@@ -44,8 +44,9 @@ def _text(lines, eol="\n"):
 
 
 def _run(text, output=None):
-    """exit code, stdout, stderr and the report's bytes (None if not written)
-    of one in-process `oracle` run on ``text``."""
+    """exit code, stdout, stderr and the bytes of report.json in the run's
+    directory (None if no such file was written) of one in-process `oracle`
+    run on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         dag = Path(tmp) / "dag.txt"
         dag.write_bytes(text.encode("utf-8"))
@@ -57,7 +58,7 @@ def _run(text, output=None):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         report = Path(tmp) / "report.json"
-        written = report.read_bytes() if output == "report.json" and report.is_file() else None
+        written = report.read_bytes() if report.is_file() else None
         return code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue(), written
 
 
@@ -117,6 +118,9 @@ def test_mutated_edge_list(text, output):
         assert code == 2, text
     if code == 0 and output == "report.json":
         assert written is not None
+    # a path whose last component is empty or "." names no file to write
+    if output in ("report.json/", "."):
+        assert code == 2 and written is None, (text, output)
 
 
 @st.composite

@@ -11,7 +11,7 @@ for the per-layer metrics that BENCHMARK.json names.  Then
 at p = 20 three times with `--arm 0` (`select_p20`) and three times with
 `--arm both` (`select_p20_both`, the default, whose second arm is walked,
 selected and written by a child forked after the fit), and at p = 22 once
-with `--arm both` (`select_p22_both`, 2^22 subsets per arm and about 1.3 GB
+with `--arm both` (`select_p22_both`, 2^22 subsets per arm and about 1.2 GB
 of output).  `adjustkit oracle --output` runs five
 times on model 1's graph at p = 10 (`cli_oracle_cold`, a command whose
 wall time is mostly the interpreter's start-up and imports) and three times

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data_model import check_dimension, check_mask
 from .errors import CyclicGraph, InvalidMechanism
-from .set_analysis import AdjustmentCollection, _unpack, _up
+from .set_analysis import AdjustmentCollection, _up
 
 __all__ = [
     "Dag",
@@ -275,7 +275,7 @@ def true_collection(g: Dag) -> AdjustmentCollection:
         built, so this raises nothing.
     """
     reach = _reachable(g, _Y, _T, 0, (1 << g.p) - 1)
-    return AdjustmentCollection(g.p, _unpack(~reach, g.p))
+    return AdjustmentCollection._from_words(g.p, ~reach)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

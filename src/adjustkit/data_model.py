@@ -5,7 +5,8 @@ Bit ``i`` of a mask corresponds to covariate ``X_{i+1}``.  Inside the
 package a subset is a Python int and a list of subsets a uint32 array;
 1-based indices appear only where text is read or written.  A bitset over
 the masks of a sub-cube (`subcube`) is set_analysis's uint64 words, 64 masks
-each, in structure analysis and in the d-separation oracle alike.
+each: an `AdjustmentCollection` is stored as such words over all 2^p masks,
+and the d-separation oracle holds its per-node state in them.
 """
 
 from __future__ import annotations

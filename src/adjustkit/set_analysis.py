@@ -27,28 +27,41 @@ from .data_model import (
 from .errors import ContradictoryHints
 
 # largest collider block `collider_blocks` searches; a block of size k is
-# 2^k slices of the member array
+# 2^k moved copies of the words
 MAX_BLOCK = 3
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AdjustmentCollection:
     """A family of covariate subsets over a universe of size p.
 
-    ``member_array`` is a read-only bool array of length 2^p whose entry m
-    says whether the subset with mask m is a member.  The constructor keeps
-    its own copy of the array it is given.
+    ``words`` is the collection: a read-only membership bitmap packed 64
+    subsets per little-endian uint64 word, bit m % 64 of word m // 64 saying
+    whether the subset with mask m is a member; when p < 6 it is one word
+    whose bits past 2^p are 0.  The constructor packs the bool array of
+    length 2^p it is given, and ``member_array`` unpacks the words again.
     """
 
     p: int
-    member_array: np.ndarray
+    words: np.ndarray
 
-    def __post_init__(self):
-        member = np.array(self.member_array, dtype=bool)
-        if member.shape != (1 << self.p,):
-            raise ValueError(f"member array must have length 2^{self.p}")
-        member.setflags(write=False)
-        object.__setattr__(self, "member_array", member)
+    def __init__(self, p: int, member_array):
+        member = np.asarray(member_array, dtype=bool)
+        if member.shape != (1 << p,):
+            raise ValueError(f"member array must have length 2^{p}")
+        self._hold(p, _pack(member))
+
+    @classmethod
+    def _from_words(cls, p: int, words: np.ndarray) -> "AdjustmentCollection":
+        """The collection of `words`, taken over with the bits past 2^p cleared."""
+        c = cls.__new__(cls)
+        c._hold(p, words & np.uint64((1 << (1 << p)) - 1) if p < 6 else words)
+        return c
+
+    def _hold(self, p: int, words: np.ndarray) -> None:
+        words.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "words", words)
 
     @classmethod
     def from_masks(cls, p: int, masks) -> "AdjustmentCollection":
@@ -68,18 +81,26 @@ class AdjustmentCollection:
         return cls(p, member)
 
     @property
+    def member_array(self) -> np.ndarray:
+        """The words unpacked, on each access, into a read-only bool array of
+        length 2^p whose entry m says whether mask m is a member."""
+        member = _unpack(self.words, self.p)
+        member.setflags(write=False)
+        return member
+
+    @property
     def masks(self) -> np.ndarray:
         """Member masks as an ascending uint32 array, built on each access."""
         return np.flatnonzero(self.member_array).astype(np.uint32)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.member_array))
+        return int(np.bitwise_count(self.words).sum())
 
 
-# The passes below work on the member array packed 64 subsets per uint64
-# word: bit m % 64 of word m // 64 is member[m].  For i < 6 the masks with
-# and without bit i share a word, 2^i bits apart; _WITHOUT[i] marks the bits
-# whose mask lacks bit i.  For i >= 6 they sit in different words.
+# The passes below work on a collection's words: bit m % 64 of word m // 64
+# is member[m].  For i < 6 the masks with and without bit i share a word,
+# 2^i bits apart; _WITHOUT[i] marks the bits whose mask lacks bit i.  For
+# i >= 6 they sit in different words.
 _WITHOUT = tuple(
     np.uint64(sum(1 << m for m in range(64) if not m >> i & 1)) for i in range(6)
 )
@@ -125,8 +146,8 @@ def _down(words: np.ndarray, i: int) -> np.ndarray:
 
 def upward_closure(p: int, bases) -> AdjustmentCollection:
     """All subsets containing at least one of the base masks."""
-    seeds = _pack(AdjustmentCollection.from_masks(p, bases).member_array)
-    return AdjustmentCollection(p, _unpack(_subset_or_transform(seeds, p), p))
+    seeds = AdjustmentCollection.from_masks(p, bases).words
+    return AdjustmentCollection._from_words(p, _subset_or_transform(seeds, p))
 
 
 def _subset_or_transform(words: np.ndarray, p: int) -> np.ndarray:
@@ -151,14 +172,13 @@ def _superset_and_transform(words: np.ndarray, p: int) -> np.ndarray:
 def locally_minimal(c: AdjustmentCollection) -> np.ndarray:
     """Masks of the members with no proper subset in the collection, by
     (size, mask)."""
-    words = _pack(c.member_array)
-    has_sub = _subset_or_transform(words, c.p)
+    has_sub = _subset_or_transform(c.words, c.p)
     # strict[m]: some proper subset of m is a member, i.e. has_sub[m ^ bit]
     # for some bit of m
-    strict = np.zeros_like(words)
+    strict = np.zeros_like(c.words)
     for i in range(c.p):
         strict |= _up(has_sub, i)
-    return by_size(np.flatnonzero(_unpack(words & ~strict, c.p)))
+    return by_size(np.flatnonzero(_unpack(c.words & ~strict, c.p)))
 
 
 def noncollider_indices(c: AdjustmentCollection) -> int:
@@ -173,12 +193,11 @@ def noncollider_indices(c: AdjustmentCollection) -> int:
     # Rule (b) implies rule (a): if A \ {i} has a non-member superset D,
     # then i is not in D (else D contains A and is a member), so D | {i}
     # is a member containing i whose removal of i leaves the non-member D.
-    words = _pack(c.member_array)
-    missing = ~words
+    missing = ~c.words
     out = 0
     for i in range(c.p):
         # bit A, with i in A, of _up(missing, i) says A \ {i} is not a member
-        if np.any(words & _up(missing, i)):
+        if np.any(c.words & _up(missing, i)):
             out |= 1 << i
     return out
 
@@ -218,11 +237,10 @@ def collider_blocks(c: AdjustmentCollection) -> np.ndarray:
     # the proper subset C = B \ A.  And if A qualifies B, then A | {i}
     # qualifies B \ {i} for each i in B, so a block is searched only when
     # every block one index smaller qualified.
-    words = _pack(c.member_array)
     found = []
     blocks = [(i,) for i in range(c.p)]
     for size in range(1, MAX_BLOCK + 1):
-        qualified = [b for b in blocks if _is_collider_block(words, b)]
+        qualified = [b for b in blocks if _is_collider_block(c.words, b)]
         found += [sum(1 << i for i in b) for b in qualified]
         known = set(qualified)
         blocks = [
@@ -290,11 +308,11 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
     n_members = len(c)
     if not n_members:
         flags.append("empty collection")
-    elif not c.member_array[-1]:
-        # The full covariate set is sufficient whenever anything is.
+    elif not int(c.words[-1]) >> ((1 << c.p) - 1) % 64 & 1:
+        # The full covariate set (the top bit) is sufficient whenever anything is.
         flags.append("full set not a member")
     lm = locally_minimal(c)
-    upward_closed = _superset_and_transform(_pack(c.member_array), c.p)
+    upward_closed = _superset_and_transform(c.words, c.p)
     blocks = collider_blocks(c)
     nc = noncollider_indices(c)
     col = int(np.bitwise_or.reduce(blocks))

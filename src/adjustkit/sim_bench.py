@@ -202,10 +202,7 @@ def generate_model(spec: ModelSpec) -> GeneratedModel:
     logistic in X2 + X5; models 4-5 draw correlated normals and push
     them through the F(2,3) quantile per coordinate.
     """
-    seed = spec.seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     n, p = spec.n, spec.p
     if spec.model_id in (1, 2):
         x, t, y = _gen_linear(rng, n, p, spec.model_id)
@@ -232,10 +229,11 @@ def compute_metrics(
     """
     if estimated.p != truth.p:
         raise ValueError("collections live on different dimensions")
-    inter = int(np.count_nonzero(estimated.member_array & truth.member_array))
+    inter = int(np.bitwise_count(estimated.words & truth.words).sum())
     rho = inter / len(truth) if len(truth) else 0.0
     omega = inter / len(estimated) if len(estimated) else 0.0
-    pi = float(estimated.member_array[locally_minimal(truth)].all())
+    minimal = locally_minimal(truth)
+    pi = float(np.all(estimated.words[minimal >> 6] >> (minimal & 63) & 1))
     detected = collider_indices(estimated)
     return MetricsRecord(
         rho=rho,
@@ -265,26 +263,18 @@ class BenchmarkResult:
 
     def render(self) -> str:
         cells = {}
-        keys = []
         for r in self.rows:
             key = (r["model"], r["n"], r["variant"], r["arm"])
-            if key not in cells:
-                cells[key] = {}
-                keys.append(key)
-            cells[key][r["metric"]] = r["value"]
+            cells.setdefault(key, {})[r["metric"]] = r["value"]
         lines = [
             f"{'model':>5} {'n':>6} {'variant':>8} {'arm':>3} "
             f"{'rho':>7} {'omega':>7} {'pi':>7} {'T':>6} {'F':>6}"
         ]
-        for key in keys:
-            m = cells[key]
+        for key, m in cells.items():
+            values = [m.get(name, float("nan")) for name in METRIC_NAMES]
             lines.append(
                 f"{key[0]:>5} {key[1]:>6} {key[2]:>8} {key[3]:>3} "
-                f"{m.get('rho', float('nan')):>7.1f} "
-                f"{m.get('omega', float('nan')):>7.1f} "
-                f"{m.get('pi', float('nan')):>7.1f} "
-                f"{m.get('true_colliders', float('nan')):>6.1f} "
-                f"{m.get('false_colliders', float('nan')):>6.1f}"
+                + " ".join(f"{v:>{w}.1f}" for v, w in zip(values, (7, 7, 7, 6, 6)))
             )
         if any(self.failures.values()):
             parts = [f"{k}: {v}" for k, v in self.failures.items() if v]

@@ -1,11 +1,14 @@
-"""Generated malformed edge lists for `adjustkit oracle`.
+"""Generated malformed inputs: edge lists for `adjustkit oracle` and hints
+files for `adjustkit select --hints`.
 
-Each example mutates a valid p = 4 edge list and runs `cli.main` in this
-process, so every example reuses the process's one parser.  A run must end
-with exit 0, 2 or 3, print one `adjustkit:` line on stderr when it fails,
-and let no exception escape `main`.  The edits that only change the layout
-(CRLF, a byte-order mark, `#` comments, blank lines, extra spaces) must
-give the canonical list's output byte for byte.
+Each example mutates a valid text (a p = 4 edge list, or a hints file for a
+p = 4 CSV) and runs `cli.main` in this process, so every example reuses the
+process's one parser.  A run must end with exit 0, 2 or 3, print one
+`adjustkit:` line on stderr when it fails, and let no exception escape
+`main`.  The edits that only change an edge list's layout (CRLF, a
+byte-order mark, `#` comments, blank lines, extra spaces) must give the
+canonical list's output byte for byte; a `select` run that succeeds must
+write both arms' three files.
 """
 
 import contextlib
@@ -15,10 +18,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit.cli import main
+from adjustkit.data_model import Dataset, save_csv
 
 CANONICAL = [
     ["X1", "->", "T"],
@@ -145,3 +151,76 @@ def _relaid(draw):
 @given(text=_relaid())
 def test_relaid_edge_list_gives_the_canonical_report(text):
     assert _run(text, "report.json") == _canonical_run()
+
+
+HINTS = ["{", '"known_forks"', ":", "[", "3", "]", ",", '"pure_colliders"', ":", "[", "4",
+         "]", "}"]
+# what a token may become: values of the wrong type, outside 1..4, nested
+VALUES = ["true", "1.0", '"3"', "0", "5", "-1", "null", "[[1]]"]
+# an unknown key, a near miss of a known one, and the known key not in HINTS,
+# which with [4] contradicts "pure_colliders"
+KEYS = ['"unknown"', '"Known_forks"', '"pure_noncolliders"']
+SELECT_FILES = sorted(f"{stem}_arm{t}.{ext}" for t in (0, 1)
+                      for stem, ext in (("selection", "json"), ("criterion", "csv"),
+                                        ("scree", "csv")))
+
+
+@pytest.fixture(scope="module")
+def select_input(tmp_path_factory):
+    """A p = 4 CSV, written once for the module, that `select` accepts."""
+    path = tmp_path_factory.mktemp("select") / "p4.csv"
+    rng = np.random.default_rng(0)
+    save_csv(Dataset(x=rng.normal(size=(120, 4)), t=np.tile([0, 1], 60),
+                     y=rng.normal(size=120)), path)
+    return path
+
+
+@st.composite
+def _mutated_hints(draw):
+    """HINTS after one to three token edits, a key inserted, a byte-order
+    mark or a CRLF inserted."""
+    tokens = list(HINTS)
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "value", "key", "insert"]))
+        if kind == "insert":
+            at = draw(st.integers(0, len(tokens)))
+            tokens.insert(at, draw(st.sampled_from(["\ufeff", "\r\n"])))
+            continue
+        # a value goes where one stands, after ":" (for the whole list) or
+        # "[", and a key after "{" or ","; anywhere when the edits left no
+        # such place
+        after = {"value": ":[", "key": "{,"}.get(kind, "")
+        places = [i + 1 for i, tok in enumerate(tokens) if tok in after]
+        at = draw(st.sampled_from(places or range(len(tokens) + 1)))
+        if kind == "key":
+            tokens[at:at] = [draw(st.sampled_from(KEYS)), ":", "[4]", ","]
+        elif kind == "value" and tokens[at:at + 1] == ["["] and "]" in tokens[at:]:
+            tokens[at:tokens.index("]", at) + 1] = [draw(st.sampled_from(VALUES))]
+        elif at < len(tokens):
+            if kind == "delete":
+                del tokens[at]
+            elif kind == "duplicate":
+                tokens.insert(at, tokens[at])
+            elif kind == "swap":
+                k = draw(st.integers(0, len(tokens) - 1))
+                tokens[at], tokens[k] = tokens[k], tokens[at]
+            else:
+                tokens[at] = draw(st.sampled_from(VALUES))
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_mutated_hints())
+def test_mutated_hints(select_input, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        hints = Path(tmp) / "hints.json"
+        hints.write_bytes(text.encode("utf-8"))
+        outdir = Path(tmp) / "out"
+        argv = ["select", "--input", str(select_input), "--hints", str(hints),
+                "--output", str(outdir)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        _check_outcome(code, err.getvalue())
+        if code == 0:
+            assert sorted(f.name for f in outdir.iterdir()) == SELECT_FILES, text

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit.data_model import Dataset, by_size, indices_mask, mask_indices
-from adjustkit.dag_oracle import linear_sem_population, true_collection
+from adjustkit.dag_oracle import Dag, linear_sem_population, true_collection
 from adjustkit import set_analysis
 from adjustkit.errors import ContradictoryHints
 from adjustkit.set_analysis import (
@@ -75,6 +75,43 @@ class TestCollection:
         assert not back.member_array.flags.writeable
         with pytest.raises(ValueError, match="length 2"):
             AdjustmentCollection(2, c.member_array)
+
+
+class TestWordStore:
+    """A collection is its words, however it was built: below p = 6 that is
+    one word whose bits past 2^p are 0, or len, n_members and the upward
+    count would take them for members."""
+
+    @staticmethod
+    def _built(p):
+        rng = np.random.default_rng(p)
+        return {
+            "constructor": AdjustmentCollection(p, rng.random(1 << p) < 0.5),
+            "from_masks": _coll(p, rng.integers(0, 1 << p, 1 << (p - 1))),
+            "true_collection": true_collection(random_design(rng, p)[0]),
+            "upward_closure": upward_closure(p, rng.integers(0, 1 << p, 2)),
+        }
+
+    @pytest.mark.parametrize("how", ["constructor", "from_masks", "true_collection",
+                                     "upward_closure"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_words_as_built(self, p, how):
+        c = self._built(p)[how]
+        assert c.words.dtype == np.dtype("<u8") and c.words.shape == (1,)
+        assert int(c.words[0]) >> (1 << p) == 0
+        ref = AdjustmentCollection(p, c.member_array)
+        assert np.array_equal(c.words, ref.words)
+        assert len(c) == len(ref) and np.array_equal(c.masks, ref.masks)
+        assert structure_report(c).to_dict() == structure_report(ref).to_dict()
+        assert not c.words.flags.writeable and not c.member_array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c.words[0] = 0
+
+    def test_full_collection_below_a_word(self):
+        # ~reach of a graph with no path from Y to T is all ones, padding too
+        c = true_collection(Dag(3, [("X1", "T")]))
+        assert len(c) == 8 and int(c.words[0]) == 0xFF
+        assert structure_report(c).n_upward_closed == 8
 
 
 def _moral_separated(edges, z: set) -> bool:
@@ -194,8 +231,7 @@ class TestAgainstDefinitions:
         assert locally_minimal(c).tolist() == _by_size(minimal)
 
         closed = self._upward_closed(p, members)
-        words = set_analysis._pack(c.member_array)
-        upward = set_analysis._unpack(set_analysis._superset_and_transform(words, p), p)
+        upward = set_analysis._unpack(set_analysis._superset_and_transform(c.words, p), p)
         assert set(np.flatnonzero(upward).tolist()) == closed
         assert mask_indices(noncollider_indices(c)) == self._noncolliders(p, members, closed)
         blocks = collider_blocks(c).tolist()

@@ -191,7 +191,8 @@ def load_csv(path) -> Dataset:
         first = fh.readline()
         if not first:
             raise SchemaError("empty file: header row required")
-        header = [h.strip() for h in next(csv.reader([first]))]
+        # skipinitialspace: a quoted name after ", " is unquoted, as at a line start
+        header = [h.strip() for h in next(csv.reader([first], skipinitialspace=True))]
         if "T" not in header or "Y" not in header:
             raise SchemaError("header must contain columns T and Y")
         t_col, y_col = header.index("T"), header.index("Y")

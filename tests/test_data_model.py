@@ -219,6 +219,16 @@ class TestCsv:
         assert np.array_equal(d.y, [1.5, 3.0])
         assert np.array_equal(d.x[:, 0], [2.0, -4e-3])
 
+    def test_quoted_header_after_spaces(self, tmp_path):
+        # a quoted name after ", " is read without its quotes, as at a line
+        # start (tests/test_malformed.py drew this header)
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("Y,T,X1\n1.5,0,2\n3,1,4\n")
+        spaced.write_text('"Y", "T", "X1"\n1.5, 0, 2\n3, 1, 4\n')
+        got, want = load_csv(spaced), load_csv(plain)
+        for name in ("x", "t", "y"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_hash_in_field_is_not_a_comment(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("T,Y,X1\n0,1,2#3\n1,3,4\n")

@@ -11,7 +11,6 @@ of adjustment sets.  Exit codes: 0 success, 2 invalid input or flags,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import pickle
@@ -23,7 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criterion import VARIANTS, CriterionConfig, CriterionFit, CriterionTable, criterion_fit
+from .criterion import VARIANTS, CriterionConfig, CriterionFit, criterion_fit
 from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
 from .dag_oracle import Dag, true_collection
 from .data_model import by_size, indices_mask, load_csv, mask_indices
@@ -251,27 +250,20 @@ def _fork(work: Callable[[], object]) -> Callable[[], object]:
     return wait
 
 
-def _walked(fit: CriterionFit, i: int, t: int) -> CriterionTable:
-    """Arm ``t``'s table, walked alone from position ``i`` of ``fit``; raises
-    the error of its outcome candidate, or `SingularCovariance` when no
-    value is finite."""
+def _arm(outdir: Path, fit: CriterionFit, i: int, header: dict, sel_cfg: SelectorConfig) -> str:
+    """Walk the arm at position ``i`` of ``fit`` alone, check, select and
+    write it, and return its summary line.
+
+    The check raises the arm's outcome-candidate error from the fit, or
+    `SingularCovariance` when no value is finite.  The header gets the
+    table's size and singular-block count and ``tau`` as its last keys.
+    """
     [table] = fit.tables((i,))
     if isinstance(table, AdjustKitError):
         raise table
     if not np.isfinite(table.values).any():
-        raise SingularCovariance(f"arm {t}: every conditioning block is singular")
-    return table
-
-
-def _select_and_write(
-    outdir: Path, header: dict, table, sel_cfg: SelectorConfig, gate=None
-) -> str | None:
-    """Select one checked arm and, unless ``gate()`` returns False, write its
-    files and return its summary line; the header gets the table's size and
-    singular-block count and ``tau`` as its last keys."""
+        raise SingularCovariance(f"arm {header['arm']}: every conditioning block is singular")
     result = select(table, sel_cfg)
-    if gate is not None and not gate():
-        return None
     header = {
         **header,
         "subsets_evaluated": int(table.values.size),
@@ -287,58 +279,34 @@ def _select_and_write(
 
 
 def _run_arms(outdir: Path, fit: CriterionFit, headers: list, sel_cfg: SelectorConfig) -> None:
-    """Walk, check, select and write every arm of ``fit``; then, in arm order,
-    print each arm's line up to the first arm that failed, and raise that
-    failure.
+    """Run `_arm` for every arm of ``fit``; then, in arm order, print each
+    arm's line up to the first arm that failed, and raise that failure.
 
-    An arm whose table fails its check (`_walked`) stops the arms after it;
-    an arm that passed is selected and written whatever happens to the
-    others.  With two arms, a child forked right after the fit walks,
-    checks, selects and writes arm 1 while this process does arm 0, so each
-    arm's walk, sort and writer run on a core of their own (the writer
-    holds the interpreter lock; a child has its own).  Before its write the
-    child reads one byte from a gate pipe: b"1", sent once arm 0's table has
-    passed its check, or end of file, when this process closes the gate
-    after arm 0 failed it.  The child is reaped whatever happens to arm 0.
-    With one arm, or without ``os.fork``, the arms run here, one after the
-    other.
+    An arm whose outcome candidate failed in the fit stops the arms after
+    it: when that is the first arm, it runs alone and nothing is forked.
+    Every other failure is the failing arm's own, and an arm that passed its
+    check is written whatever happens to the other.  No check needs the other arm's result: a value is
+    singular (+inf) exactly where a pivot of `_lattice_values` falls to its
+    floor, and pivots and floor come from the two arm covariances, never
+    from an outcome candidate, so both arms' tables are singular at the same
+    subsets and "no finite value" holds of both or of neither.  With two
+    arms, a child forked right after the fit runs arm 1 while this process
+    runs arm 0, so each arm's walk, sort and writer run on a core of their
+    own (the writer holds the interpreter lock; a child has its own), and
+    the child is reaped whatever happens to arm 0.  With one arm, or
+    without ``os.fork``, the arms run here, one after the other.
     """
-
-    def walk(i: int) -> object:
-        return _outcome(partial(_walked, fit, i, headers[i]["arm"]))
-
-    def write(i: int, table, gate=None) -> object:
-        # a table that failed its check is its arm's outcome
-        if isinstance(table, Exception):
-            return table
-        return _outcome(partial(_select_and_write, outdir, headers[i], table, sel_cfg, gate))
-
-    outcomes = []
-    if len(headers) == 2 and hasattr(os, "fork"):
-        gate_read, gate_write = os.pipe()
-
-        def arm1() -> object:
-            os.close(gate_write)
-            return write(1, walk(1), gate=lambda: os.read(gate_read, 1) == b"1")
-
-        child = _fork(arm1)
-        os.close(gate_read)
+    arms = [partial(_arm, outdir, fit, i, header, sel_cfg) for i, header in enumerate(headers)]
+    if isinstance(fit.arms[0], AdjustKitError):
+        arms = arms[:1]
+    if len(arms) == 2 and hasattr(os, "fork"):
+        child = _fork(arms[1])
         try:
-            with open(gate_write, "wb", buffering=0) as gate:
-                table = walk(0)
-                if not isinstance(table, Exception):
-                    # a child that has ended closed its end; reaping it says how
-                    with contextlib.suppress(BrokenPipeError):
-                        gate.write(b"1")
-            outcomes.append(write(0, table))
+            outcomes = [_outcome(arms[0])]
         finally:
             outcomes.append(child())
     else:
-        for i in range(len(headers)):
-            table = walk(i)
-            outcomes.append(write(i, table))
-            if isinstance(table, Exception):
-                break
+        outcomes = [_outcome(arm) for arm in arms]
     for line in outcomes:
         if isinstance(line, Exception):
             raise line

@@ -121,9 +121,11 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        # copies, so the arrays made read-only below are the dataset's own and
+        # the caller's stay writeable
+        x = np.array(self.x, dtype=np.float64)
         t = np.asarray(self.t)
-        y = np.asarray(self.y, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("x must be a 2-d array")
         n, p = x.shape
@@ -233,7 +235,7 @@ def load_csv(path) -> Dataset:
     if not finite.all():
         raise SchemaError(f"line {linenos[finite.argmin()]}: non-finite value")
     x = np.ascontiguousarray(data[:, x_cols])
-    return Dataset(x=x, t=t.astype(np.int8), y=data[:, y_col].copy())
+    return Dataset(x=x, t=t.astype(np.int8), y=data[:, y_col])
 
 
 def save_csv(d: Dataset, path) -> None:

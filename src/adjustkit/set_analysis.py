@@ -96,6 +96,11 @@ class AdjustmentCollection:
     def __len__(self) -> int:
         return int(np.bitwise_count(self.words).sum())
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild through the word builder, which
+        # makes the words they restore read-only again
+        return AdjustmentCollection._from_words, (self.p, self.words)
+
 
 # The passes below work on a collection's words: bit m % 64 of word m // 64
 # is member[m].  For i < 6 the masks with and without bit i share a word,

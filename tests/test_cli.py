@@ -437,6 +437,19 @@ class TestArmFailure:
         assert self._run(tmp_path, "both") == (3, self.ARM0_FILES)
         assert "arm 1 has 8 rows" in capsys.readouterr().err
 
+    def test_arm0_fit_error_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        # arm 0's error is known from the fit, so arm 1 is not run
+        d = self._dataset()
+        path = tmp_path / "thin0.csv"
+        save_csv(Dataset(t=1 - d.t, y=d.y, x=d.x), path)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+        out = tmp_path / "run"
+        rc = main(["select", "--input", str(path), "--output", str(out), "--arm", "both"])
+        assert rc == 3 and not out.exists()
+        std = capsys.readouterr()
+        assert "arm 0 has 8 rows" in std.err and "arm 1" not in std.err
+        assert std.out == ""
+
     def test_replication_keeps_the_other_arm(self, monkeypatch):
         d = self._dataset()
         gen = GeneratedModel(
@@ -453,10 +466,10 @@ class TestArmFailure:
 
 class TestForkedWriter:
     """`select --arm both` forks right after the fit: a child walks, checks,
-    selects and writes arm 1 while this process does arm 0, and writes only
-    once arm 0's table has passed its check.  Either side's failure exits as
-    the in-process run does, an arm that passed its check is still written,
-    and no child outlives the run."""
+    selects and writes arm 1 while this process does arm 0, and neither
+    waits for the other.  Either side's failure exits as the in-process run
+    does, an arm that passed its check is still written, and no child
+    outlives the run."""
 
     ARM1_FILES = ["criterion_arm1.csv", "scree_arm1.csv", "selection_arm1.json"]
 
@@ -523,16 +536,15 @@ class TestForkedWriter:
         assert std.err == "adjustkit: arm 1 cannot be cut\n"
         assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
 
-    def test_arm0_check_closes_the_gate(self, tmp_path, forks, monkeypatch, capsys):
-        # arm 1 is walked, checked and selected in the child, but never
-        # written: arm 0's table fails its check, and no directory is made
-        def arm0_singular(positions, tables):
-            if positions == (0,):
-                [table] = tables
-                return (dataclasses.replace(table, values=np.full_like(table.values, np.inf)),)
-            return tables
+    def test_singular_fit_writes_nothing(self, tmp_path, forks, monkeypatch, capsys):
+        # singular subsets are those of the arm covariances, the same for
+        # both arms, so a table with no finite value makes both arms fail
+        # their checks; arm 0's error is reported, and no directory is made
+        def singular(positions, tables):
+            return tuple(dataclasses.replace(table, values=np.full_like(table.values, np.inf))
+                         for table in tables)
 
-        self._walks(monkeypatch, arm0_singular)
+        self._walks(monkeypatch, singular)
         assert self._run(tmp_path, forks) == (3, None)
         std = capsys.readouterr()
         assert std.err == (
@@ -540,9 +552,10 @@ class TestForkedWriter:
         )
         assert std.out == ""
 
-    def test_child_dies_before_the_gate(self, tmp_path, monkeypatch, capsys):
-        # the child ends before it walks; this process waits for that, without
-        # reaping it, so its b"1" meets a gate with no reader (BrokenPipeError)
+    def test_child_dies_in_its_walk(self, tmp_path, monkeypatch, capsys):
+        # the child ends in its walk, without sending an outcome; this process
+        # waits for that, without reaping it, before it runs arm 0, which is
+        # written all the same
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
         parent, real = os.getpid(), CriterionFit.tables

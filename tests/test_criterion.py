@@ -1,8 +1,14 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjustkit import criterion
 from adjustkit.criterion import (
+    VARIANTS,
     CriterionConfig,
     _lattice_values,
     _narrowed,
@@ -494,6 +500,41 @@ class TestCriterionTables:
         d = Dataset(t=d.t, y=y, x=d.x)
         tables = self._assert_per_arm(d, "mn", CriterionConfig())
         assert [table.metadata["h_y"] for table in tables] == [5, 3]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 7),
+        mixing=st.floats(0.0, 3.0),
+        floor=st.sampled_from([1e-10, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]),
+        hints=st.tuples(st.integers(0, 127), st.integers(0, 127)) | st.none(),
+        variant=st.sampled_from(VARIANTS),
+        methods=st.sampled_from([("sir", "sir"), ("save", "sir"), ("sir", "save")]),
+    )
+    def test_arms_singular_alike(self, seed, p, mixing, floor, hints, variant, methods):
+        # a subset is singular where a pivot falls to its floor, and pivots
+        # and floor come from the arm covariances alone: both arms' tables
+        # are +inf at the same subsets, so select's check on one arm tells
+        # the other's.  The full set takes no pivot and is exactly 0.
+        rng = np.random.default_rng(seed)
+        n = 80
+        t = np.tile([0, 1], n // 2)
+        x = rng.normal(size=(n, p)) @ (np.eye(p) + mixing * rng.normal(size=(p, p)))
+        y = x @ rng.normal(size=p) + t + rng.normal(size=n)
+        masks = None
+        if hints is not None:
+            forks, cols = (h & ((1 << p) - 1) for h in hints)
+            masks = prune_hints(p, known_forks=forks, pure_colliders=cols & ~forks)
+        cfg = CriterionConfig(method_y=methods[0], method_t=methods[1], h=3, masks=masks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gc may pool a coordinate
+            fit = criterion_fit(Dataset(t=t, y=y, x=x), (0, 1), variant, cfg)
+        with mock.patch.object(criterion, "MIN_EIGENVALUE", floor):
+            [arm0], [arm1] = fit.tables((0,)), fit.tables((1,))
+        assert np.array_equal(np.isinf(arm0.values), np.isinf(arm1.values))
+        full = (1 << p) - 1
+        if arm0.masks[-1] == full:
+            assert arm0.values[-1] == 0.0 and arm1.values[-1] == 0.0
 
     def test_one_arm_builds_one_outcome_candidate(self, monkeypatch):
         built = []

@@ -133,6 +133,13 @@ class TestDataset:
             d.x[0, 0] = 9.0
         with pytest.raises(ValueError):
             d.y[0] = 9.0
+        # the dataset holds copies: the caller's float64 arrays stay writeable,
+        # and writing to them leaves the dataset as it was
+        x, y = np.zeros((4, 2)), np.zeros(4)
+        d = Dataset(x=x, t=np.array([0, 1, 0, 1]), y=y)
+        assert x.flags.writeable and y.flags.writeable
+        x[0, 0], y[0] = 9.0, 9.0
+        assert not d.x.any() and not d.y.any()
 
     def test_with_x(self):
         d = small_dataset()

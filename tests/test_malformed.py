@@ -1,14 +1,17 @@
-"""Generated malformed inputs: edge lists for `adjustkit oracle` and hints
-files for `adjustkit select --hints`.
+"""Generated malformed inputs: edge lists for `adjustkit oracle`, hints
+files for `adjustkit select --hints`, and CSVs for `adjustkit select` and
+`adjustkit ate`.
 
-Each example mutates a valid text (a p = 4 edge list, or a hints file for a
-p = 4 CSV) and runs `cli.main` in this process, so every example reuses the
-process's one parser.  A run must end with exit 0, 2 or 3, print one
-`adjustkit:` line on stderr when it fails, and let no exception escape
-`main`.  The edits that only change an edge list's layout (CRLF, a
-byte-order mark, `#` comments, blank lines, extra spaces) must give the
-canonical list's output byte for byte; a `select` run that succeeds must
-write both arms' three files.
+Each example mutates a valid text (a p = 4 edge list, a hints file for a
+p = 4 CSV, or a p = 4, n = 40 CSV) and runs `cli.main` in this process, so
+every example reuses the process's one parser.  A run must end with exit 0,
+2 or 3, print one `adjustkit:` line on stderr when it fails, and let no
+exception escape `main`.  The edits that only change an edge list's layout
+(CRLF, a byte-order mark, `#` comments, blank lines, extra spaces) must give
+the canonical list's output byte for byte, and so must the edits that only
+change a CSV's layout (CRLF, a byte-order mark, spaces after commas, a
+quoted header, T written as a float, T and Y moved); a `select` run that
+succeeds must write both arms' three files.
 """
 
 import contextlib
@@ -49,6 +52,14 @@ def _text(lines, eol="\n"):
     return "".join(" ".join(tokens) + eol for tokens in lines)
 
 
+def _main(argv):
+    """exit code, stdout and stderr of one in-process `cli.main` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _run(text, output=None):
     """exit code, stdout, stderr and the bytes of report.json in the run's
     directory (None if no such file was written) of one in-process `oracle`
@@ -60,12 +71,10 @@ def _run(text, output=None):
         if output is not None:
             # joined as text, so that a trailing "/" stays
             argv += ["--output", f"{tmp}/{output}" if output else ""]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = _main(argv)
         report = Path(tmp) / "report.json"
         written = report.read_bytes() if report.is_file() else None
-        return code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue(), written
+        return code, out.replace(tmp, "<tmp>"), err, written
 
 
 @functools.cache
@@ -218,9 +227,128 @@ def test_mutated_hints(select_input, text):
         outdir = Path(tmp) / "out"
         argv = ["select", "--input", str(select_input), "--hints", str(hints),
                 "--output", str(outdir)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        _check_outcome(code, err.getvalue())
+        code, _, err = _main(argv)
+        _check_outcome(code, err)
         if code == 0:
             assert sorted(f.name for f in outdir.iterdir()) == SELECT_FILES, text
+
+
+@functools.cache
+def _canonical_csv():
+    """The rows of a p = 4, n = 40 CSV written by `save_csv`, each a list of
+    fields, the header first."""
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(40, 4))
+    t = np.tile([0, 1], 20)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(Dataset(x=x, t=t, y=x[:, 0] + t + rng.normal(size=40)), path)
+        text = path.read_text(encoding="utf-8")
+    return tuple(tuple(line.split(",")) for line in text.splitlines())
+
+
+def _csv_runs(text):
+    """exit code and stderr of `select --arm both` and of `ate --a0 1 --a1 1`
+    on ``text``, in that order, then the ate run's stdout and the bytes of
+    every file the select run wrote, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_bytes(text.encode("utf-8"))
+        outdir = Path(tmp) / "out"
+        code, _, err = _main(["select", "--input", str(data), "--arm", "both",
+                              "--output", str(outdir)])
+        files = {f.name: f.read_bytes() for f in outdir.iterdir()} if outdir.exists() else {}
+        ate_code, ate_out, ate_err = _main(["ate", "--input", str(data), "--a0", "1",
+                                            "--a1", "1"])
+    return (code, err), (ate_code, ate_err), ate_out, files
+
+
+@functools.cache
+def _canonical_csv_runs():
+    runs = _csv_runs("".join(",".join(row) + "\n" for row in _canonical_csv()))
+    assert runs[0][0] == runs[1][0] == 0 and sorted(runs[3]) == SELECT_FILES
+    return runs
+
+
+# what a field may become, and text that may land anywhere
+CSV_VALUES = ["nan", "inf", "-inf", "1e400", "", '"0.5"', "1e-400", "0x1"]
+CSV_INSERTS = ["\ufeff", "\r\n", '"', " ", ","]
+CSV_NAMES = ["T", "Y", "X0", "X1", "X5", "x1", "t", '"X2"', "X 3"]
+
+
+@st.composite
+def _mutated_csv(draw):
+    """The canonical CSV after one to three edits: a field deleted,
+    duplicated, swapped with another or replaced by a value of CSV_VALUES; T
+    set to 2, 0.5 or 1.0 in a row; a header field renamed, or the header
+    alone reordered; or text of CSV_INSERTS inserted."""
+    rows = [list(row) for row in _canonical_csv()]
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "value", "treatment",
+                                     "rename", "reorder", "insert"]))
+        if kind == "insert":
+            text = "\n".join(",".join(row) for row in rows)
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(CSV_INSERTS)) + text[at:]
+            rows = [line.split(",") for line in text.split("\n")]
+            continue
+        if kind == "reorder":
+            rows[0] = draw(st.permutations(rows[0]))
+            continue
+        i = 0 if kind == "rename" else draw(st.sampled_from(range(len(rows))))
+        if kind == "treatment":
+            # the T column of the canonical header
+            rows[max(i, 1)][:1] = [draw(st.sampled_from(["2", "0.5", "1.0"]))]
+            continue
+        if not rows[i]:
+            continue
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        if kind == "delete":
+            del rows[i][j]
+        elif kind == "duplicate":
+            rows[i].insert(j, rows[i][j])
+        elif kind == "swap":
+            k = draw(st.sampled_from(range(len(rows))))
+            if rows[k]:
+                m = draw(st.integers(0, len(rows[k]) - 1))
+                rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+        else:
+            rows[i][j] = draw(st.sampled_from(CSV_NAMES if kind == "rename" else CSV_VALUES))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_mutated_csv())
+def test_mutated_csv(text):
+    (code, err), (ate_code, ate_err), _, files = _csv_runs(text)
+    _check_outcome(code, err)
+    _check_outcome(ate_code, ate_err)
+    if code == 0:
+        assert sorted(files) == SELECT_FILES, text
+
+
+@st.composite
+def _relaid_csv(draw):
+    """The canonical CSV with only its layout changed: the columns in a drawn
+    order with X1..X4 kept ascending, T written as integers or floats, a
+    quoted header, spaces after commas, CRLF line ends and a leading
+    byte-order mark."""
+    rows = _canonical_csv()
+    order = [2, 3, 4, 5]
+    for col in (0, 1):  # T, then Y, each put anywhere
+        order.insert(draw(st.integers(0, len(order))), col)
+    zero, one = draw(st.sampled_from([("0", "1"), ("0", "1.0"), ("0.0", "1.0")]))
+    quote = draw(st.sampled_from(["", '"']))
+    sep = draw(st.sampled_from([",", ", ", ",  "]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [sep.join(quote + rows[0][c] + quote for c in order)]
+    for row in rows[1:]:
+        row = (one if row[0] == "1" else zero, *row[1:])
+        lines.append(sep.join(row[c] for c in order))
+    return draw(st.sampled_from(["", "\ufeff"])) + eol.join(lines) + eol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(text=_relaid_csv())
+def test_relaid_csv_gives_the_canonical_files(text):
+    assert _csv_runs(text) == _canonical_csv_runs()

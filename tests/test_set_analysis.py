@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from itertools import combinations
 
@@ -108,6 +110,17 @@ class TestWordStore:
         assert not c.words.flags.writeable and not c.member_array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             c.words[0] = 0
+
+    @pytest.mark.parametrize("copied", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_copies_keep_words_read_only(self, p, copied):
+        # a forked child sends its results back pickled
+        for c in self._built(p).values():
+            d = copied(c)
+            assert not d.words.flags.writeable
+            assert d.p == c.p and np.array_equal(d.words, c.words)
+            assert len(d) == len(c) and np.array_equal(d.masks, c.masks)
 
 
 def _moral_separated(edges, z: set) -> bool:

@@ -235,7 +235,7 @@ def test_mutated_hints(select_input, text):
 
 @functools.cache
 def _canonical_csv():
-    """The rows of a p = 4, n = 40 CSV written by `save_csv`, each a list of
+    """The rows of a p = 4, n = 40 CSV written by `save_csv`, each a tuple of
     fields, the header first."""
     rng = np.random.default_rng(1)
     x = rng.normal(size=(40, 4))

@@ -18,7 +18,7 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 - `ate`: the README sets and the empty sets;
 - the demos;
 - the exit-2 and exit-3 cases that `tests/test_cli.py` lists;
-- `criterion_tables` digests: models 1-5 x n in {400, 800} x mn/gc x the
+- `criterion_fit(...).tables()` digests: models 1-5 x n in {400, 800} x mn/gc x the
   four method pairs, both arms, with the selection that `select` makes
   (the metadata's method names compared case-folded); and the same for
   three outcome shapes of model 1 at n = 400 that form other than h
@@ -100,9 +100,9 @@ DIGESTS = """
 import hashlib, json, warnings
 from types import SimpleNamespace
 import numpy as np
-from adjustkit.criterion import CriterionConfig, criterion_tables, population_values
+from adjustkit.criterion import CriterionConfig, criterion_fit, population_values
 from adjustkit.dag_oracle import linear_sem_population
-from adjustkit.data_model import Dataset, enumerate_masks
+from adjustkit.data_model import Dataset, subcube
 from adjustkit.errors import AdjustKitError
 from adjustkit.selection import SelectorConfig, select
 from adjustkit.sim_bench import ModelSpec, generate_model, model_graph
@@ -112,7 +112,7 @@ out = {}
 for model, p in ((1, 10), (3, 10), (3, 14)):
     values = population_values(linear_sem_population(model_graph(model, p)))
     # every field that any tree's `select` reads of a table
-    table = SimpleNamespace(p=p, masks=enumerate_masks(p), values=values, t=0,
+    table = SimpleNamespace(p=p, masks=subcube(0, (1 << p) - 1), values=values, t=0,
                             metadata={"n": 400})
     result = select(table, SelectorConfig.for_sample(400))
     h = hashlib.blake2b(values.tobytes() + result.order.tobytes(), digest_size=16)
@@ -125,7 +125,7 @@ def digest_tables(name, d):
         for my in ("sir", "save"):
             for mt in ("sir", "save"):
                 cfg = CriterionConfig(method_y=my, method_t=mt)
-                for arm, table in zip((0, 1), criterion_tables(d, (0, 1), variant, cfg)):
+                for arm, table in zip((0, 1), criterion_fit(d, (0, 1), variant, cfg).tables()):
                     key = f"{name} {variant} {my}/{mt} arm {arm}"
                     if isinstance(table, AdjustKitError):
                         out[key] = f"{type(table).__name__}: {table}"

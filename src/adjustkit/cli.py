@@ -69,7 +69,8 @@ def _parse_index_list(text: str, p: int, what: str) -> int:
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _load_hint_masks(path: str, p: int) -> np.ndarray:
+def _load_hints(path: str, p: int) -> tuple[int, int]:
+    """The ``(fixed, free)`` universe of a hints file, by `prune_hints`."""
     with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -318,9 +319,9 @@ def cmd_select(args: argparse.Namespace) -> int:
     # output directory is made only when an arm is ready to write, so a
     # rejected run leaves nothing behind
     d = load_csv(args.input)
-    masks = _load_hint_masks(args.hints, d.p) if args.hints else None
+    universe = _load_hints(args.hints, d.p) if args.hints else None
     crit_cfg = CriterionConfig(
-        method_y=args.method_y, method_t=args.method_t, h=args.slices, masks=masks
+        method_y=args.method_y, method_t=args.method_t, h=args.slices, universe=universe
     )
     sel_cfg = SelectorConfig(c0=args.c0, cn=args.cn if args.cn is not None else default_cn(d.n))
     outdir = Path(args.output)

@@ -10,13 +10,14 @@ the ridge-ratio selector.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .copula import transform_dataset
-from .data_model import Dataset, check_dimension, enumerate_masks, subcube
-from .errors import AdjustKitError
+from .data_model import WARN_SUBSET_DIM, Dataset, check_dimension, check_mask, subcube
+from .errors import AdjustKitError, LargeDimension
 from .inverse_regression import (
     MIN_EIGENVALUE,
     check_covariance,
@@ -31,7 +32,6 @@ __all__ = [
     "CriterionTable",
     "criterion_fit",
     "criterion_table",
-    "criterion_tables",
     "population_values",
 ]
 
@@ -62,18 +62,17 @@ class CriterionConfig:
     h : int
         Requested outcome slice count, at least 2.  The methods and h are
         checked here, so that a table is refused before any work.
-    masks : ndarray or None
-        Optional pruned universe: a sub-cube of 0..2^p-1 (some indices in
-        every mask, some in none, the rest free), as the strictly ascending
-        integer masks that `prune_hints` returns, checked by
-        `criterion_tables` through `_checked_masks`; default all 2^p
-        subsets.
+    universe : (int, int) or None
+        Optional pruned universe ``(fixed, free)``, as `prune_hints` returns
+        it: the sub-cube of the masks that hold every index of ``fixed``,
+        any of ``free`` and none of the rest, checked by `criterion_fit`;
+        default all 2^p subsets, ``(0, 2^p - 1)``.
     """
 
     method_y: str = "sir"
     method_t: str = "sir"
     h: int = 5
-    masks: np.ndarray | None = None
+    universe: tuple[int, int] | None = None
 
     def __post_init__(self):
         for name in ("method_y", "method_t"):
@@ -103,25 +102,6 @@ class CriterionTable:
     masks: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-
-def _checked_masks(masks, p: int) -> np.ndarray:
-    """A caller-given universe as uint32; DimensionTooLarge for p > 24, and
-    ValueError unless it is a 1-D integer array inside 0..2^p-1 equal to the
-    ascending sub-cube spanned by the AND and the OR of its masks, the one
-    shape `_lattice_values` walks (an empty array is not)."""
-    check_dimension(p)
-    arr = np.asarray(masks)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("masks must be a 1-D integer array")
-    if arr.size and (arr.min() < 0 or arr.max() >= 1 << p):
-        raise ValueError(f"masks must lie in 0..2^{p}-1")
-    arr = arr.astype(np.uint32)
-    fixed = int(np.bitwise_and.reduce(arr))
-    free = int(np.bitwise_or.reduce(arr)) & ~fixed
-    if arr.size != 1 << free.bit_count() or not np.array_equal(arr, subcube(fixed, free)):
-        raise ValueError("masks must be the ascending sub-cube between their AND and OR")
-    return arr
 
 
 def _narrowed(m: np.ndarray) -> np.ndarray:
@@ -194,11 +174,11 @@ def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
 
 
 def _lattice_values(
-    inv_sigmas: np.ndarray, mys, mt: np.ndarray, masks: np.ndarray
+    inv_sigmas: np.ndarray, mys, mt: np.ndarray, fixed: int, free: int
 ) -> list[np.ndarray]:
-    """Criterion values of ``masks`` (an ascending sub-cube of 0..2^p-1, as
-    `_checked_masks` admits) for each outcome candidate of ``mys``, by one
-    pivot tree.
+    """Criterion values of the sub-cube ``(fixed, free)`` of 0..2^p-1, in
+    the ascending order of `subcube(fixed, free)`, for each outcome
+    candidate of ``mys``, by one pivot tree.
 
     The term of an arm for complement C is minus the Y x T block left after
     pivoting the indices of C out of [[Sigma^{-1}, M_T], [M_Y', 0]].  The
@@ -230,9 +210,8 @@ def _lattice_values(
     aug[:, h_y:, :h_t, 0] = mt
     aug[:, h_y:, h_t:, 0] = inv_sigmas
     floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
-    fixed = int(np.bitwise_and.reduce(masks))
-    free = int(np.bitwise_or.reduce(masks)) & ~fixed
-    outs = [np.empty(masks.size) for _ in mys]
+    n = 1 << free.bit_count()
+    outs = [np.empty(n) for _ in mys]
 
     def walk(aug: np.ndarray, ids: range, k: int) -> None:
         # ids: the batch's node numbers; once the batch's whole walk fits,
@@ -259,7 +238,6 @@ def _lattice_values(
                 ids = range(2 * ids.start, 2 * ids.stop)
             else:
                 aug = aug[..., (~fixed >> k & 1) :: 2]
-        n = masks.size
         for out, top, bottom in zip(outs, rows[:-1], rows[1:]):
             norms = _spectral_norms(aug[:, top:bottom])
             v = norms[0] + norms[1]
@@ -286,8 +264,8 @@ class CriterionFit:
 
     Attributes
     ----------
-    masks : ndarray of uint32
-        The checked universe.
+    universe : (int, int)
+        The checked universe ``(fixed, free)``.
     inv_sigmas : ndarray of shape (2, p, p)
         Both arm covariances, inverted, arm 0 first.
     m_t : ndarray or None
@@ -301,7 +279,7 @@ class CriterionFit:
         ``h_y`` and ``singular_blocks``.
     """
 
-    masks: np.ndarray
+    universe: tuple[int, int]
     inv_sigmas: np.ndarray
     m_t: np.ndarray | None
     arms: tuple
@@ -311,15 +289,31 @@ class CriterionFit:
         """The entries of ``arms`` at ``positions`` (default all of them),
         each built candidate replaced by its `CriterionTable`, from one pivot
         tree over those candidates stacked; `_pivot` is elementwise, so a
-        table is bit-identical whichever arms share its walk."""
+        table is bit-identical whichever arms share its walk.  Raises no
+        error and warns nothing.
+
+        Returns
+        -------
+        tuple
+            One entry per position: its `CriterionTable`, or the
+            `AdjustKitError` that arm's outcome candidate raised (for
+            example `TooFewObservations`).  The tables of one call share
+            one ascending uint32 ``masks`` array, `subcube` of the
+            universe.  A table is deterministic given dataset and config;
+            subsets whose conditioning block is singular (a failed pivot,
+            see `_lattice_values`) carry +inf and are counted in
+            metadata["singular_blocks"].
+        """
         out = [self.arms[i] for i in (range(len(self.arms)) if positions is None else positions)]
         built = [i for i, arm in enumerate(out) if not isinstance(arm, AdjustKitError)]
         if not built:
             return tuple(out)
-        values = _lattice_values(self.inv_sigmas, [out[i][0] for i in built], self.m_t, self.masks)
+        mys = [out[i][0] for i in built]
+        values = _lattice_values(self.inv_sigmas, mys, self.m_t, *self.universe)
+        masks = subcube(*self.universe)
         meta = self.metadata
         for i, v in zip(built, values):
-            out[i] = CriterionTable(p=meta["p"], masks=self.masks, values=v, metadata={
+            out[i] = CriterionTable(p=meta["p"], masks=masks, values=v, metadata={
                 "n": meta["n"],
                 "p": meta["p"],
                 "h_y": out[i][1],
@@ -334,12 +328,43 @@ class CriterionFit:
 def criterion_fit(
     d: Dataset, arms, variant: str = "mn", config: CriterionConfig | None = None
 ) -> CriterionFit:
-    """Every step of `criterion_tables` ahead of the pivot tree, once for
+    """Every step of a criterion table ahead of the pivot tree, once for
     several arms: the universe, the copula (``"gc"``), the moments, both
     arm covariances' checks and inverses, each requested arm's outcome
     candidate and the treatment candidate.  Every error or warning that is
-    not tied to one arm comes from here; `CriterionFit.tables` raises none.
-    Takes and raises as `criterion_tables` does."""
+    not tied to one arm comes from here; `CriterionFit.tables` then walks
+    the universe (all 2^p subsets, or the sub-cube ``config.universe``)
+    for the requested arms.
+
+    Parameters
+    ----------
+    d : Dataset
+    arms : iterable of int
+        Arms for the outcome candidate matrices, each 0 or 1.  Only these
+        arms' candidates are built.
+    variant : str
+        "mn" (raw covariates) or "gc" (covariates replaced by pooled
+        normal scores first).
+    config : CriterionConfig, optional
+
+    Raises
+    ------
+    ValueError
+        For an arm outside {0, 1}, an unknown variant, or a
+        ``config.universe`` that is not two integer masks in 0..2^p-1
+        sharing no bit, before any work.
+    DimensionTooLarge
+        For p > 24, with or without ``config.universe``, before any work.
+    SingularCovariance
+        If an arm covariance fails `check_covariance`, or, once an
+        outcome candidate is built, the whole-sample covariance.
+
+    Warns
+    -----
+    LargeDimension
+        Once, for the full universe from p = 20 upward; a pruned universe
+        does not warn.
+    """
     cfg = config or CriterionConfig()
     arms = tuple(arms)
     if any(t not in (0, 1) for t in arms):
@@ -347,8 +372,24 @@ def criterion_fit(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     p = d.p
-    # the universe first: the dimension cap must stop a run before the sweep
-    masks = enumerate_masks(p) if cfg.masks is None else _checked_masks(cfg.masks, p)
+    # the universe first: the dimension cap must stop a run before any work
+    check_dimension(p)
+    if cfg.universe is None:
+        universe = 0, (1 << p) - 1
+        if p >= WARN_SUBSET_DIM:
+            warnings.warn(
+                f"enumerating 2^{p} subsets; expect heavy memory and runtime",
+                LargeDimension,
+                stacklevel=2,
+            )
+    else:
+        try:
+            fixed, free = (check_mask(m, p) for m in cfg.universe)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"universe must be two masks (fixed, free): {exc}") from None
+        if fixed & free:
+            raise ValueError("universe: fixed and free share a bit")
+        universe = fixed, free
     if variant == "gc":
         d = transform_dataset(d)
     g0, g1, whole = group_moments(d)
@@ -364,59 +405,16 @@ def criterion_fit(
     if not all(isinstance(arm, AdjustKitError) for arm in out):
         m_t = _narrowed(treatment_candidate(d, whole, cfg.method_t))
     meta = {"n": d.n, "p": p, "method_y": cfg.method_y, "method_t": cfg.method_t}
-    return CriterionFit(masks, inv_sigmas, m_t, tuple(out), meta)
-
-
-def criterion_tables(
-    d: Dataset, arms, variant: str = "mn", config: CriterionConfig | None = None
-) -> tuple[CriterionTable | AdjustKitError, ...]:
-    """Evaluate the criterion on every subset of the universe (all 2^p, or
-    the sub-cube of ``config.masks``), for each of several arms' outcome
-    candidates, with one fit (`criterion_fit`) and one pivot tree
-    (`CriterionFit.tables`).
-
-    Parameters
-    ----------
-    d : Dataset
-    arms : iterable of int
-        Arms for the outcome candidate matrices, each 0 or 1.
-    variant : str
-        "mn" (raw covariates) or "gc" (covariates replaced by pooled
-        normal scores first).
-    config : CriterionConfig, optional
-
-    Returns
-    -------
-    tuple
-        One entry per arm of ``arms``: its `CriterionTable`, or the
-        `AdjustKitError` its outcome candidate raised (for example
-        `TooFewObservations`).  Only the requested arms' candidates are
-        built.  A table is deterministic given dataset and config;
-        subsets whose conditioning block is singular (a failed pivot,
-        see `_lattice_values`) carry +inf and are counted in
-        metadata["singular_blocks"].
-
-    Raises
-    ------
-    ValueError
-        For an arm outside {0, 1}, an unknown variant, or a
-        ``config.masks`` that is malformed or not a sub-cube (see
-        `CriterionConfig`), before any work.
-    DimensionTooLarge
-        For p > 24, with or without ``config.masks``, before any work.
-    SingularCovariance
-        If an arm covariance fails `check_covariance`, or, once an
-        outcome candidate is built, the whole-sample covariance.
-    """
-    return criterion_fit(d, arms, variant, config).tables()
+    return CriterionFit(universe, inv_sigmas, m_t, tuple(out), meta)
 
 
 def criterion_table(
     d: Dataset, t: int, variant: str = "mn", config: CriterionConfig | None = None
 ) -> CriterionTable:
-    """The table of arm ``t`` alone: `criterion_tables` for ``(t,)``, with
-    the arm's outcome-candidate error raised instead of returned."""
-    [table] = criterion_tables(d, (t,), variant, config)
+    """The table of arm ``t`` alone: `criterion_fit` for ``(t,)`` and its
+    `CriterionFit.tables`, with the arm's outcome-candidate error raised
+    instead of returned."""
+    [table] = criterion_fit(d, (t,), variant, config).tables()
     if isinstance(table, AdjustKitError):
         raise table
     return table
@@ -427,9 +425,9 @@ def population_values(spec) -> np.ndarray:
     `PopulationSpec`: the table's checks and pivot tree, with the bases
     ``beta_y`` and ``beta_t`` as candidate matrices.  Zero exactly on the
     sufficient adjustment sets of any compatible linear-Gaussian design."""
-    masks = enumerate_masks(spec.p)
+    check_dimension(spec.p)
     inv_sigmas = _inverses(spec.sigma0, spec.sigma1)
     [values] = _lattice_values(
-        inv_sigmas, [_narrowed(spec.beta_y)], _narrowed(spec.beta_t), masks
+        inv_sigmas, [_narrowed(spec.beta_y)], _narrowed(spec.beta_t), 0, (1 << spec.p) - 1
     )
     return values

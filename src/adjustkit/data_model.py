@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import csv
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    EmptyGroup,
-    LargeDimension,
-    SchemaError,
-)
+from .errors import DimensionTooLarge, EmptyGroup, SchemaError
 
 # Hard cap on exhaustive enumeration: 2^24 subsets is the most the
 # dense table machinery is allowed to materialize.
@@ -32,8 +26,9 @@ WARN_SUBSET_DIM = 20
 
 
 def check_dimension(p: int) -> None:
-    """Validate a covariate count destined for exhaustive enumeration; only
-    `enumerate_masks`, which materializes the 2^p masks, warns."""
+    """Validate a covariate count destined for exhaustive enumeration; it
+    raises only (`criterion_fit` warns ``LargeDimension`` for a full universe
+    from p = WARN_SUBSET_DIM upward)."""
     if p < 1:
         raise ValueError(f"need at least one covariate, got p={p}")
     if p > MAX_SUBSET_DIM:
@@ -67,27 +62,19 @@ def mask_indices(mask) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def enumerate_masks(p: int) -> np.ndarray:
-    """Dense array of all 2^p masks, ascending.  Raises ``DimensionTooLarge``
-    for p > 24 and warns ``LargeDimension`` from p = 20 upward."""
-    check_dimension(p)
-    if p >= WARN_SUBSET_DIM:
-        warnings.warn(
-            f"enumerating 2^{p} subsets; expect heavy memory and runtime",
-            LargeDimension,
-            stacklevel=2,
-        )
-    return np.arange(1 << p, dtype=np.uint32)
-
-
 def subcube(fixed: int, free: int) -> np.ndarray:
     """Ascending uint32 array of every mask that holds the bits of ``fixed``
-    and any of those of ``free`` (disjoint from ``fixed``): 2^|free| masks."""
-    out = np.array([fixed], dtype=np.uint32)
+    and any of those of ``free`` (disjoint from ``fixed``): 2^|free| masks,
+    filled in place, one doubling per free bit; ``subcube(0, 2^p - 1)`` is
+    the whole lattice."""
+    out = np.empty(1 << free.bit_count(), dtype=np.uint32)
+    out[0] = fixed
+    n = 1
     for i in range(free.bit_length()):
         if free >> i & 1:
             # the masks so far agree above bit i and lack it: this stays ascending
-            out = np.concatenate((out, out | np.uint32(1 << i)))
+            np.bitwise_or(out[:n], np.uint32(1 << i), out=out[n : 2 * n])
+            n *= 2
     return out
 
 
@@ -122,8 +109,8 @@ class Dataset:
 
     def __post_init__(self):
         # copies, so the arrays made read-only below are the dataset's own and
-        # the caller's stay writeable
-        x = np.array(self.x, dtype=np.float64)
+        # the caller's stay writeable; x is C-contiguous whatever it was given
+        x = np.array(self.x, dtype=np.float64, order="C")
         t = np.asarray(self.t)
         y = np.array(self.y, dtype=np.float64)
         if x.ndim != 2:
@@ -211,6 +198,9 @@ def load_csv(path) -> Dataset:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip(' \t\r\n",'):
                 continue
+            if line.count('"') % 2:
+                # np.loadtxt would join the next line into the quoted field
+                raise SchemaError(f"line {lineno}: unterminated quote")
             if line.count(",") + 1 != len(header):
                 raise SchemaError(f"line {lineno}: expected {len(header)} fields")
             body.append(line)
@@ -234,8 +224,7 @@ def load_csv(path) -> Dataset:
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise SchemaError(f"line {linenos[finite.argmin()]}: non-finite value")
-    x = np.ascontiguousarray(data[:, x_cols])
-    return Dataset(x=x, t=t.astype(np.int8), y=data[:, y_col])
+    return Dataset(x=data[:, x_cols], t=t.astype(np.int8), y=data[:, y_col])
 
 
 def save_csv(d: Dataset, path) -> None:

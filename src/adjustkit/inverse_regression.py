@@ -200,7 +200,7 @@ def outcome_candidate(
     (ndarray, int)
         The `candidate_matrix` of the arm's rows, centered by the arm mean,
         sliced on the arm outcomes, whitened by the arm covariance, which
-        the caller checks first (`criterion_tables` does, for both arms);
+        the caller checks first (`criterion_fit` does, for both arms);
         and the number of slices formed.
 
     Raises

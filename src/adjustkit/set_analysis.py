@@ -21,7 +21,6 @@ from .data_model import (
     check_mask,
     mask_indices,
     split_by_treatment,
-    subcube,
     subset_columns,
 )
 from .errors import ContradictoryHints
@@ -343,13 +342,14 @@ def prune_hints(
     known_forks=0,
     pure_colliders=0,
     pure_noncolliders=0,
-) -> np.ndarray:
+) -> tuple[int, int]:
     """Reduced enumeration universe implied by prior structural knowledge.
 
     Representatives keep every known fork, include every pure non-collider
     (membership of A settles A minus the index), and exclude every pure
     collider (membership of A | {i} follows from A).  Returns that
-    sub-cube, ascending uint32, to feed the criterion table.
+    sub-cube as ``(fixed, free)``: the indices in every mask and those in
+    some, for `CriterionConfig.universe` (`data_model.subcube` lists it).
     """
     check_dimension(p)
     forks, cols, noncols = int(known_forks), int(pure_colliders), int(pure_noncolliders)
@@ -362,7 +362,7 @@ def prune_hints(
     if cols & noncols:
         raise ContradictoryHints("an index cannot be both a pure collider and a pure non-collider")
     fixed_in = forks | noncols
-    return subcube(fixed_in, full & ~(fixed_in | cols))
+    return fixed_in, full & ~(fixed_in | cols)
 
 
 def _nearest_donor_outcome(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import VARIANTS, CriterionConfig, criterion_tables
+from .criterion import VARIANTS, CriterionConfig, criterion_fit
 from .criterion import criterion_table  # noqa: F401  perfbench's tracer wraps this name
 from .data_model import Dataset, indices_mask
 from .dag_oracle import Dag, true_collection
@@ -300,7 +300,7 @@ def _one_rep(model_id, n, variants, arms, seed, rep):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateData)
             try:
-                tables = criterion_tables(gen.dataset, arms, variant, cfg)
+                tables = criterion_fit(gen.dataset, arms, variant, cfg).tables()
             except failures as exc:
                 tables = (exc,) * len(arms)
             for arm, table in zip(arms, tables):

@@ -12,7 +12,7 @@ import pytest
 
 import adjustkit
 from adjustkit import cli, sim_bench
-from adjustkit.cli import _load_hint_masks, _write_selection, main
+from adjustkit.cli import _load_hints, _write_selection, main
 from adjustkit.criterion import CriterionConfig, CriterionFit, criterion_table
 from adjustkit.data_model import Dataset, indices_mask, load_csv, save_csv
 from adjustkit.selection import SelectionResult, SelectorConfig, default_cn, select
@@ -170,15 +170,14 @@ class TestSelect:
         plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")
-        want = _load_hint_masks(str(plain), 5)
-        assert np.array_equal(_load_hint_masks(str(marked), 5), want)
+        assert _load_hints(str(marked), 5) == _load_hints(str(plain), 5) == (0b00100, 0b11010)
 
     @pytest.mark.parametrize("value", [3, None, "12", [1.0], ["1"], [0], [6], [2, True]])
     def test_malformed_hint_values_rejected(self, tmp_path, value):
         hints = tmp_path / "hints.json"
         hints.write_text(json.dumps({"pure_noncolliders": value}))
         with pytest.raises(ValueError, match="pure_noncolliders"):
-            _load_hint_masks(str(hints), 5)
+            _load_hints(str(hints), 5)
 
     def test_threads_flag_changes_no_byte(self, tmp_path):
         path = _model_csv(tmp_path, 2)
@@ -242,10 +241,10 @@ class TestOutputBytes:
 
     def _assert_cli_matches_reference(self, csv_path, out, hints=None):
         d = load_csv(csv_path)
-        masks = _load_hint_masks(str(hints), d.p) if hints else None
+        universe = _load_hints(str(hints), d.p) if hints else None
         sel_cfg = SelectorConfig(cn=default_cn(d.n))
         for t in (0, 1):
-            table = criterion_table(d, t, config=CriterionConfig(masks=masks))
+            table = criterion_table(d, t, config=CriterionConfig(universe=universe))
             result = select(table, sel_cfg)
             header = {
                 "arm": t, "n": d.n, "p": d.p, "variant": "mn", "method_y": "sir",
@@ -600,8 +599,8 @@ class TestForkedWriter:
 
 class TestOracle:
     def test_large_dimension_does_not_warn(self, tmp_path):
-        # only enumerate_masks, which materializes the 2^p masks, warns; the
-        # oracle sweeps packed words and builds no mask array
+        # only criterion_fit, for a full universe, warns; the oracle sweeps
+        # packed words and builds no mask array
         dag = tmp_path / "dag.txt"
         dag.write_text("".join(f"{a} -> {b}\n" for a, b in model_graph(3, 21).edges()))
         run = _fresh_python("-m", "adjustkit.cli", "oracle", "--dag", str(dag))

@@ -14,7 +14,6 @@ from adjustkit.criterion import (
     _narrowed,
     criterion_fit,
     criterion_table,
-    criterion_tables,
     population_values,
 )
 from adjustkit.dag_oracle import PopulationSpec, linear_sem_population, true_collection
@@ -27,8 +26,9 @@ from criterion_reference import SingularBlock, pair_value, schur_complement
 from graph_fixtures import reference_graphs
 
 
-def _every_mask(p):
-    return np.arange(1 << p, dtype=np.uint32)
+def _lattice(p):
+    """The whole lattice of p indices as a (fixed, free) universe."""
+    return 0, (1 << p) - 1
 
 
 def _population(sigma, beta_y, beta_t):
@@ -156,7 +156,7 @@ class TestPivotTree:
         mt = rng.normal(size=(p, w_t))
         sigmas = (_random_pd(rng, p), _random_pd(rng, p))
         inv = np.stack([np.linalg.inv(s) for s in sigmas])
-        got = _lattice_values(inv, [_narrowed(my)], _narrowed(mt), _every_mask(p))[0]
+        got = _lattice_values(inv, [_narrowed(my)], _narrowed(mt), *_lattice(p))[0]
         ref = np.array([pair_value(my, mt, sigmas, mask) for mask in range(1 << p)])
         assert got[-1] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
@@ -171,7 +171,7 @@ class TestPivotTree:
         sigma[0, 1] = sigma[1, 0] = 1.0 - eps
         inv = np.stack([np.linalg.inv(sigma), np.eye(3)])
         m = np.random.default_rng(3).normal(size=(3, width))
-        got = _lattice_values(inv, [m], m, _every_mask(3))[0]
+        got = _lattice_values(inv, [m], m, *_lattice(3))[0]
         assert np.isinf(got[[0b000, 0b100]]).all()
         assert np.isfinite(np.delete(got, [0b000, 0b100])).all()
 
@@ -189,9 +189,9 @@ class TestPivotTree:
         # a smaller level budget splits the tree sooner, down to one node
         # per batch at cells=1; every value must stay bit-identical
         inv, my, mt = self._problem(9, widths)
-        full = _lattice_values(inv, [my], mt, _every_mask(9))[0]
+        full = _lattice_values(inv, [my], mt, *_lattice(9))[0]
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
-        assert np.array_equal(_lattice_values(inv, [my], mt, _every_mask(9))[0], full)
+        assert np.array_equal(_lattice_values(inv, [my], mt, *_lattice(9))[0], full)
 
     @pytest.mark.parametrize("cells", [1, 700, 96 * 1024])
     def test_pruned_masks_equal_full_entries(self, monkeypatch, cells):
@@ -199,7 +199,7 @@ class TestPivotTree:
         # ones and everywhere; two stacked outcome candidates
         inv, my, mt = self._problem(9, "sir")
         mys = [my, my[:, :3]]
-        full = _lattice_values(inv, mys, mt, _every_mask(9))
+        full = _lattice_values(inv, mys, mt, *_lattice(9))
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
         for fixed, free in (
             (0b100000000, 0b000111111),
@@ -211,7 +211,7 @@ class TestPivotTree:
             (0b010110001, 0),
         ):
             masks = subcube(fixed, free)
-            got = _lattice_values(inv, mys, mt, masks)
+            got = _lattice_values(inv, mys, mt, fixed, free)
             for g, f in zip(got, full):
                 assert np.array_equal(g, f[masks])
 
@@ -230,18 +230,18 @@ class TestPivotTree:
 
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
         monkeypatch.setattr(criterion, "_pivot", measured)
-        _lattice_values(inv, [my, my[:, :3]], mt, _every_mask(9))
+        _lattice_values(inv, [my, my[:, :3]], mt, *_lattice(9))
         assert all(size <= cells or nodes == 1 for nodes, size in levels)
 
-    @pytest.mark.filterwarnings("ignore:enumerating 2")
     def test_pinned_bits_prune_the_walk(self, monkeypatch):
         # ten pinned indices at p = 20 leave 1,024 subsets; the walk may pivot
         # at most two children per reachable node and level, not 2^20 leaves
         p = 20
         inv, my, mt = self._problem(p, "sir")
-        masks = prune_hints(
+        universe = prune_hints(
             p, known_forks=0b1010101010 << 10, pure_colliders=0b0101010101
         )
+        masks = subcube(*universe)
         assert masks.size == 1024
         pivoted = []
         step = criterion._pivot
@@ -251,7 +251,7 @@ class TestPivotTree:
             return step(aug, floor)
 
         monkeypatch.setattr(criterion, "_pivot", counting)
-        got = _lattice_values(inv, [my], mt, masks)[0]
+        got = _lattice_values(inv, [my], mt, *universe)[0]
         assert sum(pivoted) <= p * masks.size
         sigmas = [np.linalg.inv(s) for s in inv]
         ref = [pair_value(my, mt, sigmas, int(m)) for m in masks[::97]]
@@ -355,6 +355,9 @@ class TestCriterionTable:
         monkeypatch.setattr(criterion, "_lattice_values", sweep)
         with pytest.raises(DimensionTooLarge):
             criterion_table(self._dataset(p=25), t=0)
+        # population_values builds no mask array and keeps the same cap
+        with pytest.raises(DimensionTooLarge):
+            _population(np.eye(25), np.eye(25)[:, :1], np.eye(25)[:, 1:2])
 
     def test_slice_count_checked_by_config(self):
         with pytest.raises(ValueError, match="h must be at least 2"):
@@ -371,13 +374,15 @@ class TestCriterionTable:
         monkeypatch.setattr(criterion, "transform_dataset", entered)
         monkeypatch.setattr(criterion, "group_moments", entered)
         with pytest.raises(ValueError, match=f"{field} must be 'sir' or 'save'"):
-            criterion_tables(self._dataset(), (0, 1), "gc", CriterionConfig(**{field: method}))
+            criterion_fit(self._dataset(), (0, 1), "gc", CriterionConfig(**{field: method}))
 
     def test_pruned_universe_consistent_with_full(self):
         d = self._dataset()
         full = criterion_table(d, t=0)
-        masks = prune_hints(d.p, known_forks=0b000001)
-        pruned = criterion_table(d, t=0, config=CriterionConfig(masks=masks))
+        universe = prune_hints(d.p, known_forks=0b000001)
+        pruned = criterion_table(d, t=0, config=CriterionConfig(universe=universe))
+        masks = subcube(*universe)
+        assert pruned.masks.dtype == np.uint32
         assert pruned.masks.tolist() == masks.tolist()
         assert np.array_equal(pruned.values, full.values[masks])
 
@@ -388,53 +393,39 @@ class TestCriterionTable:
             raise AssertionError("the sweep was entered")
 
         monkeypatch.setattr(criterion, "_lattice_values", sweep)
-        masks = [1, 2, 1 << 32, (1 << 32) | 1]
         with pytest.raises(DimensionTooLarge):
-            criterion_table(self._dataset(p=33), t=0, config=CriterionConfig(masks=masks))
+            criterion_table(self._dataset(p=33), t=0, config=CriterionConfig(universe=(1 << 32, 3)))
 
     def test_masks_outside_universe_rejected(self):
         d = self._dataset(p=10)
-        masks = np.array([0, 3, 1 << 12])
-        with pytest.raises(ValueError, match="0..2"):
-            criterion_table(d, t=0, config=CriterionConfig(masks=masks))
+        with pytest.raises(ValueError, match="0x1003 out of range for p=10"):
+            criterion_table(d, t=0, config=CriterionConfig(universe=(0, (1 << 12) | 3)))
 
     @pytest.mark.parametrize(
-        "masks",
+        "universe",
         [
-            np.array([], dtype=np.uint32),
-            np.array([0, 1, 2]),
-            np.array([1, 2]),
-            np.array([0, 3]),
-            np.array([0b0011, 0b0111, 0b1011]),
-            np.array([0b0101, 0b0111, 0b1101]),
+            (0b011, 0b110),
+            (1 << 6, 0b11),
+            (-1, 0b11),
+            (0, 3.0),
+            (0, 1, 2),
+            7,
+            np.arange(4),
         ],
+        ids=["overlapping", "bit-at-p", "negative", "float", "triple", "int", "mask-array"],
     )
-    def test_universe_not_a_subcube_rejected(self, monkeypatch, masks):
-        # the pivot tree walks only a sub-cube: anything else, the empty
-        # universe included, is refused before the copula and the moments
+    def test_bad_universe_rejected(self, monkeypatch, universe):
+        # a universe is two disjoint masks below 2^p, so any sub-cube and
+        # only a sub-cube can be asked for; anything else is refused before
+        # the copula, the moments and the sweep
         def entered(*args):
             raise AssertionError("the copula, the moments or the sweep was entered")
 
         for name in ("transform_dataset", "group_moments", "_lattice_values"):
             monkeypatch.setattr(criterion, name, entered)
-        with pytest.raises(ValueError, match="sub-cube"):
-            criterion_table(self._dataset(), t=0, variant="gc", config=CriterionConfig(masks=masks))
-
-    def test_duplicate_masks_rejected(self):
-        d = self._dataset()
-        with pytest.raises(ValueError, match="ascending"):
-            criterion_table(d, t=0, config=CriterionConfig(masks=np.array([3, 3, 1])))
-
-    def test_unsorted_masks_rejected(self):
-        # the pivot tree writes an ascending universe's leaves as one slice
-        d = self._dataset()
-        with pytest.raises(ValueError, match="ascending"):
-            criterion_table(d, t=0, config=CriterionConfig(masks=np.array([5, 3, 1])))
-
-    @pytest.mark.parametrize("masks", [np.array([[0, 1]]), np.array([0.0, 1.0]), [-1, 0]])
-    def test_malformed_masks_rejected(self, masks):
-        with pytest.raises(ValueError):
-            criterion_table(self._dataset(), t=0, config=CriterionConfig(masks=masks))
+        cfg = CriterionConfig(universe=universe)
+        with pytest.raises(ValueError, match="universe"):
+            criterion_table(self._dataset(), t=0, variant="gc", config=cfg)
 
 
 class TestCriterionTables:
@@ -444,7 +435,7 @@ class TestCriterionTables:
 
     @staticmethod
     def _assert_per_arm(d, variant, cfg):
-        tables = criterion_tables(d, (0, 1), variant, cfg)
+        tables = criterion_fit(d, (0, 1), variant, cfg).tables()
         assert len(tables) == 2
         for t, table in enumerate(tables):
             alone = criterion_table(d, t, variant, cfg)
@@ -477,16 +468,16 @@ class TestCriterionTables:
     @pytest.mark.parametrize("variant", ["mn", "gc"])
     def test_pruned_universe(self, variant):
         d = self._dataset()
-        masks = prune_hints(d.p, known_forks=0b000001, pure_colliders=0b010000)
-        tables = self._assert_per_arm(d, variant, CriterionConfig(masks=masks))
-        assert tables[1].masks.tolist() == masks.tolist()
+        universe = prune_hints(d.p, known_forks=0b000001, pure_colliders=0b010000)
+        tables = self._assert_per_arm(d, variant, CriterionConfig(universe=universe))
+        assert tables[1].masks.tolist() == subcube(*universe).tolist()
 
     @pytest.mark.parametrize("cells", [1, 700])
     @pytest.mark.parametrize("method_y", ["sir", "save"])
     def test_walk_budget(self, monkeypatch, cells, method_y):
         d = self._dataset()
         cfg = CriterionConfig(method_y=method_y)
-        full = [table.values for table in criterion_tables(d, (0, 1), "mn", cfg)]
+        full = [table.values for table in criterion_fit(d, (0, 1), "mn", cfg).tables()]
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
         tables = self._assert_per_arm(d, "mn", cfg)
         for table, values in zip(tables, full):
@@ -521,11 +512,11 @@ class TestCriterionTables:
         t = np.tile([0, 1], n // 2)
         x = rng.normal(size=(n, p)) @ (np.eye(p) + mixing * rng.normal(size=(p, p)))
         y = x @ rng.normal(size=p) + t + rng.normal(size=n)
-        masks = None
+        universe = None
         if hints is not None:
             forks, cols = (h & ((1 << p) - 1) for h in hints)
-            masks = prune_hints(p, known_forks=forks, pure_colliders=cols & ~forks)
-        cfg = CriterionConfig(method_y=methods[0], method_t=methods[1], h=3, masks=masks)
+            universe = prune_hints(p, known_forks=forks, pure_colliders=cols & ~forks)
+        cfg = CriterionConfig(method_y=methods[0], method_t=methods[1], h=3, universe=universe)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # gc may pool a coordinate
             fit = criterion_fit(Dataset(t=t, y=y, x=x), (0, 1), variant, cfg)
@@ -545,6 +536,6 @@ class TestCriterionTables:
             return real(d, arm, *args)
 
         monkeypatch.setattr(criterion, "outcome_candidate", counted)
-        [table] = criterion_tables(self._dataset(), (1,))
+        [table] = criterion_fit(self._dataset(), (1,)).tables()
         assert built == [1]
         assert np.array_equal(table.values, criterion_table(self._dataset(), 1).values)

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adjustkit.criterion import CriterionConfig, criterion_fit
 from adjustkit.data_model import (
     Dataset,
     by_size,
     check_dimension,
     check_mask,
-    enumerate_masks,
     indices_mask,
     load_csv,
     mask_indices,
     save_csv,
     split_by_treatment,
+    subcube,
     subset_columns,
 )
 from adjustkit.errors import DimensionTooLarge, EmptyGroup, LargeDimension, SchemaError
@@ -76,23 +77,33 @@ class TestMaskNames:
 
 
 class TestEnumeration:
+    """The whole lattice is the sub-cube ``subcube(0, 2^p - 1)``."""
+
     def test_p2_complete(self):
-        got = [mask_indices(m) for m in enumerate_masks(2).tolist()]
+        got = [mask_indices(m) for m in subcube(0, 0b11).tolist()]
         assert got == [(), (1,), (2,), (1, 2)]
 
     def test_p10_length(self):
-        assert enumerate_masks(10).size == 1024
+        assert np.array_equal(subcube(0, (1 << 10) - 1), np.arange(1024))
 
     def test_p20_warns_once(self):
+        # criterion_fit warns LargeDimension once for the full 2^20-subset
+        # universe, so before select forks; walking it warns nothing, and
+        # neither does a pruned universe at the same p
+        rng = np.random.default_rng(20)
+        d = Dataset(x=rng.normal(size=(200, 20)), t=np.tile([0, 1], 100), y=rng.normal(size=200))
         with pytest.warns(LargeDimension) as record:
-            masks = enumerate_masks(20)
+            fit = criterion_fit(d, (0,))
         assert len(record) == 1
-        assert masks.size == 1 << 20
-        assert masks[:3].tolist() == [0, 1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [table] = fit.tables()
+            criterion_fit(d, (0,), config=CriterionConfig(universe=(1, (1 << 20) - 2)))
+        assert table.masks.size == 1 << 20
+        assert table.masks[:3].tolist() == [0, 1, 2]
 
     def test_dimension_guard(self):
-        # check_dimension raises only; enumerate_masks, which materializes
-        # the 2^p masks, is the one that warns
+        # check_dimension raises only; building the masks warns nothing
         with pytest.raises(DimensionTooLarge):
             check_dimension(25)
         with pytest.raises(ValueError):
@@ -100,11 +111,10 @@ class TestEnumeration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check_dimension(21)
-        with pytest.warns(UserWarning):
-            enumerate_masks(21)
+            assert subcube(0, (1 << 21) - 1).size == 1 << 21
 
     def test_masks_ascending_uint32(self):
-        m = enumerate_masks(6)
+        m = subcube(0, (1 << 6) - 1)
         assert m.dtype == np.uint32
         assert m.size == 64
         assert (np.diff(m.astype(np.int64)) == 1).all()
@@ -140,6 +150,14 @@ class TestDataset:
         assert x.flags.writeable and y.flags.writeable
         x[0, 0], y[0] = 9.0, 9.0
         assert not d.x.any() and not d.y.any()
+
+    def test_x_c_contiguous(self):
+        # a column slice or a Fortran-ordered matrix is copied once, in C order
+        x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        for given in (x, x[:, [2, 0]]):
+            d = Dataset(x=given, t=np.array([0, 1, 0, 1]), y=np.zeros(4))
+            assert d.x.flags.c_contiguous
+            assert np.array_equal(d.x, given)
 
     def test_with_x(self):
         d = small_dataset()
@@ -184,6 +202,7 @@ class TestCsv:
         assert path.read_text().splitlines()[0] == "T,Y,X1,X2,X3"
         back = load_csv(path)
         assert np.array_equal(back.x, d.x)
+        assert back.x.flags.c_contiguous
         assert np.array_equal(back.t, d.t)
         assert np.array_equal(back.y, d.y)
 
@@ -247,6 +266,23 @@ class TestCsv:
         path.write_text("T,Y,X1\n0,1,2\n\n1,3\n0,5,6\n")
         with pytest.raises(SchemaError, match="line 4"):
             load_csv(path)
+
+    def test_unterminated_quote_names_its_line(self, tmp_path):
+        # np.loadtxt would read "5 through the next row as one field and name
+        # no line of the file
+        path = tmp_path / "d.csv"
+        path.write_text('T,Y,X1,X2\n0,1.5,0.25,2\n1,3,4,"5\n0,2,1,1\n')
+        with pytest.raises(SchemaError, match=r"^line 3: unterminated quote$"):
+            load_csv(path)
+
+    def test_doubled_quote_loads(self, tmp_path):
+        # a quoted field holding "" has an even count of quotes: the line scan
+        # passes it, and the parser reads "" as an empty quoted prefix
+        path = tmp_path / "d.csv"
+        path.write_text('T,Y,X1\n0,""1.5,2\n1,3,"4"\n')
+        d = load_csv(path)
+        assert np.array_equal(d.y, [1.5, 3.0])
+        assert np.array_equal(d.x[:, 0], [2.0, 4.0])
 
     def test_byte_order_mark_ignored(self, tmp_path):
         text = "T,Y,X1\n0,1,2\n1,3,4\n"

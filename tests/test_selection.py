@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit.criterion import criterion_table
+from adjustkit.data_model import subcube
 from adjustkit.selection import (
     SelectorConfig,
     default_cn,
@@ -233,7 +234,7 @@ class TestSelectTail:
     def test_pruned_sub_cube(self):
         # a --hints universe: index 1 in every mask, index 5 in none
         p = 6
-        masks = prune_hints(p, known_forks=0b000001, pure_colliders=0b010000)
+        masks = subcube(*prune_hints(p, known_forks=0b000001, pure_colliders=0b010000))
         rng = np.random.default_rng(4)
         res = select(_table(p, masks, rng.uniform(size=masks.size)), SelectorConfig())
         assert masks.size == 1 << 4

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjustkit.data_model import Dataset, by_size, indices_mask, mask_indices
+from adjustkit.data_model import Dataset, by_size, indices_mask, mask_indices, subcube
 from adjustkit.dag_oracle import Dag, linear_sem_population, true_collection
 from adjustkit import set_analysis
 from adjustkit.errors import ContradictoryHints
@@ -465,17 +465,13 @@ class TestColliderCalls:
 
 class TestPruneHints:
     def test_known_fork_halves(self):
-        masks = prune_hints(4, known_forks=0b0001)
-        assert len(masks) == 8
-        assert all(m & 1 for m in masks)
+        assert prune_hints(4, known_forks=0b0001) == (0b0001, 0b1110)
 
     def test_collider_excluded(self):
-        masks = prune_hints(3, pure_colliders=0b100)
-        assert len(masks) == 4
-        assert all(not (m & 0b100) for m in masks)
+        assert prune_hints(3, pure_colliders=0b100) == (0, 0b011)
 
     def test_no_hints_full(self):
-        assert len(prune_hints(4)) == 16
+        assert prune_hints(4) == (0, 0b1111)
 
     def test_contradiction(self):
         with pytest.raises(ContradictoryHints):
@@ -496,7 +492,9 @@ class TestPruneHints:
         )
         keep = forks | noncols
         want = [m for m in range(1 << p) if m & keep == keep and not m & cols]
-        got = prune_hints(p, known_forks=forks, pure_colliders=cols, pure_noncolliders=noncols)
+        got = subcube(*prune_hints(
+            p, known_forks=forks, pure_colliders=cols, pure_noncolliders=noncols
+        ))
         assert got.dtype == np.uint32
         assert got.tolist() == want
 

@@ -113,22 +113,71 @@ def _index_names(first: int, count: int, sep: str) -> list[str]:
     return names
 
 
-def _mask_namer(p: int, sep: str, start: str = "", end: str = "") -> Callable:
-    """A function giving, for an array of masks, the two parts of each name
-    (``start``, the 1-based indices joined by ``sep``, ``end``; "" for mask 0)
-    from tables of about 2^(p/2) entries: ``low[i] + high[m >> k]``, where i is
-    ``m & (2^k - 1)``, plus 2^k for a low name ending in ``sep`` if m >= 2^k."""
-    k = p // 2
+def _split(p: int) -> int:
+    """The bit k at which the writer's lookup tables split a mask: every bit
+    up to p = 8, above that a multiple of 4 near p/2, so the low bits are
+    whole hex digits and no table has more than 2^13 entries."""
+    return p if p <= 8 else (p + 4) // 8 * 4
+
+
+def _halves(masks: np.ndarray, k: int) -> tuple[list[int], list[int]]:
+    """Each mask's index into a low table, ``m & (2^k - 1)`` plus 2^k if
+    ``m >> k`` is not 0, and into a high table, ``m >> k``."""
+    hi = masks >> k
+    return (masks & ((1 << k) - 1) | (hi != 0) << k).tolist(), hi.tolist()
+
+
+def _name_tables(p: int, sep: str, start: str = "", end: str = "") -> tuple[list[str], list[str]]:
+    """The low and high tables of a mask's name (``start``, the 1-based
+    indices joined by ``sep``, ``end``; "" for mask 0), indexed by `_halves`:
+    a low name is followed by ``sep`` when high bits are set."""
+    k = _split(p)
     low, high = _index_names(0, k, sep), _index_names(k, p - k, sep)
     low = [a and start + a + end for a in low] + [start + a + sep if a else start for a in low]
-    high = [a and a + end for a in high]
+    return low, [a and a + end for a in high]
+
+
+def _hex_tables(p: int) -> tuple[list[str], list[str]]:
+    """The low and high tables of ``hex(m)``, indexed by `_halves`: the low
+    digits, zero-padded to k/4 when high bits are set, and ``"0x"`` followed
+    by the high digits, if any."""
+    k = _split(p)
+    low = [f"{i:x}" for i in range(1 << k)] + [f"{i:0{k // 4}x}" for i in range(1 << k)]
+    return low, ["0x", *map(hex, range(1, 1 << (p - k)))]
+
+
+def _mask_namer(p: int, sep: str, start: str = "", end: str = "") -> Callable:
+    """A function giving, for an array of masks, the two parts of each name
+    of `_name_tables`: ``low[i] + high[j]`` with ``(i, j)`` from `_halves`."""
+    k = _split(p)
+    low, high = _name_tables(p, sep, start, end)
 
     def names(masks: np.ndarray) -> tuple[Iterator[str], Iterator[str]]:
-        hi = masks >> k
-        lo = masks & ((1 << k) - 1) | (hi != 0) << k
-        return map(low.__getitem__, lo.tolist()), map(high.__getitem__, hi.tolist())
+        lo, hi = _halves(masks, k)
+        return map(low.__getitem__, lo), map(high.__getitem__, hi)
 
     return names
+
+
+def _row_numberer() -> Callable[[int, int], tuple[list[str], list[str]]]:
+    """A function giving the numbers ``first .. first + count - 1``, each
+    followed by ``","``, in two parts: ``str(r // 1000)`` ("" below 1000) and
+    the last three digits with the comma, from a table of 1,000 entries."""
+    short = [f"{i}," for i in range(1000)]
+    padded = [f"{i:03d}," for i in range(1000)]
+
+    def numbers(first: int, count: int) -> tuple[list[str], list[str]]:
+        heads, tails = [], []
+        r, stop = first, first + count
+        while r < stop:
+            t, i = divmod(r, 1000)
+            n = min(stop - r, 1000 - i)
+            heads += [str(t) if t else ""] * n
+            tails += (padded if t else short)[i:i + n]
+            r += n
+        return heads, tails
+
+    return numbers
 
 
 _ROWS = 256
@@ -144,16 +193,18 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
     row per table entry.  Only the header goes through ``json.dumps``, whose
     indented encoder runs in pure Python.  The rows and list items are
     written in blocks of ``_ROWS``: a block is one ``"".join`` over a list
-    that holds its columns (``hex`` of the masks, the two name halves, the
-    values' ``repr``, the row numbers) interleaved with constant separators,
-    so no Python code runs per row, no file is held whole, and ``repr`` runs
-    once per value, for both CSVs.  Blocks of 1,024 rows were faster, but
-    their joined JSON blocks (about 100 KB) raised the benchmark's peak RSS
-    by 5 MB.
+    that holds its columns interleaved with constant separators.  Every
+    CSV column but the values comes from tables built once per call: the
+    hex and name halves of `_hex_tables` and `_name_tables`, indexed by the
+    block's `_halves`, and the row numbers of `_row_numberer`.  So no Python
+    code, ``hex`` or ``str`` runs per CSV row, no file is held whole, and
+    ``repr`` runs once per value, for both CSVs.  Blocks of 1,024 rows were
+    faster, but their joined JSON blocks (about 100 KB) raised the
+    benchmark's peak RSS by 5 MB.
     """
-    t = header["arm"]
+    t, p = header["arm"], result.selected.p
     sel = by_size(result.order[result.tau:])
-    sets = _mask_namer(result.selected.p, ",\n      ", "\n      ", "\n    ")
+    sets = _mask_namer(p, ",\n      ", "\n      ", "\n    ")
 
     # a list item starts with the ",\n    " that json.dumps(indent=2) puts
     # before it; the list's first item has "[" for its comma
@@ -162,6 +213,7 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
         items[1::4], items[2::4] = sets(part)
         return "".join(items)
 
+    # one join with the separator beats two table lookups per item here
     def hex_items(part: np.ndarray) -> str:
         return ',\n    "' + '",\n    "'.join(map(hex, part.tolist())) + '"'
 
@@ -172,29 +224,36 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
         fh.write(head)
         for key, items in (("selected_sets", set_items), ("selected_masks_hex", hex_items)):
             fh.write(f',\n  "{key}": ')
-            for lo in range(0, sel.size, _ROWS):
-                block = items(sel[lo:lo + _ROWS])
-                fh.write(block if lo else "[" + block[1:])
+            for first in range(0, sel.size, _ROWS):
+                block = items(sel[first:first + _ROWS])
+                fh.write(block if first else "[" + block[1:])
             fh.write("\n  ]" if sel.size else "[]")
         fh.write("\n}\n")
-    names = _mask_namer(result.selected.p, " ")
+    # a row's low piece is its low hex digits, "," and its name's low part;
+    # its high piece is the name's high part and ","
+    k = _split(p)
+    hex_low, hex_high = _hex_tables(p)
+    low, high = _name_tables(p, " ")
+    low = [a + "," + b for a, b in zip(hex_low, low)]
+    high = [a + "," for a in high]
+    numbers = _row_numberer()
     with (
         open(outdir / f"criterion_arm{t}.csv", "w", encoding="utf-8") as fc,
         open(outdir / f"scree_arm{t}.csv", "w", encoding="utf-8") as fs,
     ):
         fc.write("mask_hex,indices,f_value\n")
         fs.write("k,f_value\n")
-        for lo in range(0, result.order.size, _ROWS):
-            masks = result.order[lo:lo + _ROWS]
-            values = list(map(repr, result.sorted_values[lo:lo + _ROWS].tolist()))
-            # hex(m) is "%#x" % m
-            rows = ["", ",", "", "", ",", "", "\n"] * masks.size
-            rows[0::7] = map(hex, masks.tolist())
-            rows[2::7], rows[3::7] = names(masks)
-            rows[5::7] = values
+        for first in range(0, result.order.size, _ROWS):
+            lo, hi = _halves(result.order[first:first + _ROWS], k)
+            values = list(map(repr, result.sorted_values[first:first + _ROWS].tolist()))
+            rows = ["", "", "", "", "\n"] * len(lo)
+            rows[0::5] = map(hex_high.__getitem__, hi)
+            rows[1::5] = map(low.__getitem__, lo)
+            rows[2::5] = map(high.__getitem__, hi)
+            rows[3::5] = values
             fc.write("".join(rows))
-            scree = ["", ",", "", "\n"] * masks.size
-            scree[0::4] = map(str, range(lo + 1, lo + masks.size + 1))
+            scree = ["", "", "", "\n"] * len(lo)
+            scree[0::4], scree[1::4] = numbers(first + 1, len(lo))
             scree[2::4] = values
             fs.write("".join(scree))
     return json_path

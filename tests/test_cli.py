@@ -299,10 +299,18 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("p, tau", [(1, 0), (1, 1), (2, 0), (2, 3)])
     def test_one_and_two_covariates(self, tmp_path, p, tau):
-        # the name tables split the bits at k = p // 2 = 0 and 1
+        # the lookup tables take every bit (k = p), so no mask has high bits
         order = np.random.default_rng(p).permutation(1 << p).astype(np.uint32)
         expected = self._assert_writer_matches_reference(tmp_path, p, order, tau)
         assert (b"    []" in expected["selection_arm1.json"]) == (0 in order[tau:])
+
+    @pytest.mark.parametrize("p, tau", [(3, 0), (3, 5), (9, 0), (9, 300)])
+    def test_around_the_first_split(self, tmp_path, p, tau):
+        # p = 3 has no high bits (k = p); p = 9 is the first p whose masks
+        # are split, at k = 4, into one high bit and one low hex digit
+        order = np.random.default_rng(p + tau).permutation(1 << p).astype(np.uint32)
+        expected = self._assert_writer_matches_reference(tmp_path, p, order, tau)
+        assert (b'"0x100"' in expected["selection_arm1.json"]) == (256 in order[tau:])
 
     def test_pruned_universe_without_empty_set(self, tmp_path):
         # 6,000 of the 8,191 nonempty masks at p = 13, 5,500 selected: both
@@ -336,8 +344,9 @@ class TestOutputBytes:
         assert b"\n1,nan\n2,-0.0\n3,5e-324\n4,1e+308\n5,inf\n6,-inf\n" in scree
 
 
-@pytest.mark.parametrize("p", range(1, 13))
+@pytest.mark.parametrize("p", range(1, 17))
 def test_mask_namer_matches_subset_indices(p):
+    # the tables split at k = p up to p = 8, then at k = 4, 8 and 12
     masks = np.arange(1 << p, dtype=np.uint32)
     indices = [_names(m, p) for m in range(1 << p)]
     csv = cli._mask_namer(p, " ")(masks)
@@ -346,6 +355,40 @@ def test_mask_namer_matches_subset_indices(p):
     item = len('{\n  "s": [\n    ')
     assert ["[%s%s]" % pair for pair in zip(*sets)] == [
         json.dumps({"s": [list(i)]}, indent=2)[item:-len("\n  ]\n}")] for i in indices]
+
+
+
+def _table_masks(p):
+    """Every mask up to p = 14; above that the masks on either side of the
+    split and 1,000 random ones."""
+    if p <= 14:
+        return np.arange(1 << p, dtype=np.uint32)
+    k = cli._split(p)
+    rng = np.random.default_rng(p)
+    edges = [0, (1 << k) - 1, 1 << k, (1 << p) - 1]
+    return np.array(edges + rng.integers(0, 1 << p, 1000).tolist(), dtype=np.uint32)
+
+
+@pytest.mark.parametrize("p", range(1, 25))
+def test_lookup_tables_join_to_hex_and_names(p):
+    masks = _table_masks(p)
+    lo, hi = cli._halves(masks, cli._split(p))
+    hex_low, hex_high = cli._hex_tables(p)
+    assert [hex_high[j] + hex_low[i] for i, j in zip(lo, hi)] == list(map(hex, masks.tolist()))
+    low, high = cli._name_tables(p, " ")
+    assert [low[i] + high[j] for i, j in zip(lo, hi)] == [
+        " ".join(map(str, _names(m, p))) for m in masks.tolist()]
+
+
+@pytest.mark.parametrize("first, count", [
+    (1, cli._ROWS), (900, cli._ROWS), (1, 2500), (999_900, cli._ROWS),
+    ((1 << 24) - cli._ROWS + 1, cli._ROWS),
+])
+def test_row_numbers(first, count):
+    # the ranges cross 999 -> 1000, several thousands and 999,999 ->
+    # 1,000,000, and the last ends at 2^24, the last row at the cap
+    heads, tails = cli._row_numberer()(first, count)
+    assert list(map(str.__add__, heads, tails)) == [f"{r}," for r in range(first, first + count)]
 
 
 @pytest.mark.parametrize("case", ["select --output file", "select --input dir", "oracle --dag dir"])

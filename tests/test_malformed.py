@@ -1,6 +1,6 @@
 """Generated malformed inputs: edge lists for `adjustkit oracle`, hints
-files for `adjustkit select --hints`, and CSVs for `adjustkit select` and
-`adjustkit ate`.
+files for `adjustkit select --hints`, CSVs for `adjustkit select` and
+`adjustkit ate`, and flag values for `select`, `ate` and `simulate`.
 
 Each example mutates a valid text (a p = 4 edge list, a hints file for a
 p = 4 CSV, or a p = 4, n = 40 CSV) and runs `cli.main` in this process, so
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjustkit.cli import main
+from adjustkit.cli import _build_parser, main
 from adjustkit.data_model import Dataset, save_csv
 
 CANONICAL = [
@@ -352,3 +352,62 @@ def _relaid_csv(draw):
 @given(text=_relaid_csv())
 def test_relaid_csv_gives_the_canonical_files(text):
     assert _csv_runs(text) == _canonical_csv_runs()
+
+
+# each flag's values: the usual ones, edge values and values of the wrong
+# type or outside the choices, which the parser itself refuses
+SELECT_FLAGS = {
+    "--variant": ["mn", "gc", "MN", ""],
+    "--method-y": ["sir", "save", "pca"],
+    "--method-t": ["sir", "save", ""],
+    "--slices": ["2", "5", "1", "0", "-3", "60", "1000000000", "2.5", "x"],
+    "--c0": ["0.6", "0", "1", "0.999", "1.5", "-0.1", "nan", "inf", "-inf", "1e-300", "x"],
+    "--cn": ["0.01", "1e-300", "1e300", "0", "-1", "nan", "inf", "-inf", "", "x"],
+    "--arm": ["0", "1", "both", "2"],
+    # accepted and ignored, so a large count starts nothing
+    "--threads": ["1", "2", "0", "-1", "64", "x"],
+}
+ATE_FLAGS = {
+    flag: ["", "1", "1,2", "4", "3,4,1,2", "1,1", "0", "5", "-1", "1,,2", " 2 ", "1.5", "x"]
+    for flag in ("--a0", "--a1")
+}
+SIMULATE_FLAGS = {
+    "--models": ["1", "5", "2,4", "1,1", "0", "6", "", ",", "-1", "x"],
+    "--n": ["40", "100", "40,100", "12", "1", "0", "-40", "", "1e2", "x"],
+    "--variants": ["mn", "gc", "mn,gc", "gc,gc", "", "MN", " gc ", "x"],
+    "--seed": ["0", "7", "-1", "18446744073709551616", "x"],
+}
+FLAGS = {"select": SELECT_FLAGS, "ate": ATE_FLAGS, "simulate": SIMULATE_FLAGS}
+
+
+@st.composite
+def _drawn_flags(draw):
+    """A command and up to four of its flags, each once, with drawn values."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(list(FLAGS[command])), unique=True, max_size=4)):
+        argv += [flag, draw(st.sampled_from(FLAGS[command][flag]), label=flag)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_drawn_flags())
+def test_drawn_flags(select_input, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "simulate":
+            argv += ["--reps", "1"]
+        else:
+            argv += ["--input", str(select_input)]
+        if argv[0] == "select":
+            argv += ["--output", str(Path(tmp) / "out")]
+        try:
+            code, _, err = _main(argv)
+        except SystemExit as exc:
+            # a value of the wrong type or outside the choices: argparse
+            # prints its usage and an error line and exits 2, as
+            # test_cli.TestParser pins; only the parser may end a run so
+            assert exc.code == 2
+            with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+                _build_parser().parse_args(argv)
+            return
+        _check_outcome(code, err)

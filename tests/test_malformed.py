@@ -3,10 +3,12 @@ files for `adjustkit select --hints`, CSVs for `adjustkit select` and
 `adjustkit ate`, and flag values for `select`, `ate` and `simulate`.
 
 Each example mutates a valid text (a p = 4 edge list, a hints file for a
-p = 4 CSV, or a p = 4, n = 40 CSV) and runs `cli.main` in this process, so
-every example reuses the process's one parser.  A run must end with exit 0,
-2 or 3, print one `adjustkit:` line on stderr when it fails, and let no
-exception escape `main`.  The edits that only change an edge list's layout
+p = 4 CSV, or a p = 4, n = 40 CSV), or draws flag values, and runs
+`cli.main` in this process, so every example reuses the process's one
+parser.  A run must end with exit 0, 2 or 3, print one `adjustkit:` line on
+stderr when it fails, and let no exception escape `main`; the one exception
+is a flag value that argparse itself refuses, which exits through
+`SystemExit(2)` after its usage text, as `test_cli.TestParser` pins.  The edits that only change an edge list's layout
 (CRLF, a byte-order mark, `#` comments, blank lines, extra spaces) must give
 the canonical list's output byte for byte, and so must the edits that only
 change a CSV's layout (CRLF, a byte-order mark, spaces after commas, a
@@ -394,12 +396,11 @@ def _drawn_flags(draw):
 @given(argv=_drawn_flags())
 def test_drawn_flags(select_input, argv):
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] == "simulate":
-            argv += ["--reps", "1"]
-        else:
-            argv += ["--input", str(select_input)]
-        if argv[0] == "select":
-            argv += ["--output", str(Path(tmp) / "out")]
+        argv = argv + {
+            "select": ["--input", str(select_input), "--output", str(Path(tmp) / "out")],
+            "ate": ["--input", str(select_input)],
+            "simulate": ["--reps", "1"],
+        }[argv[0]]
         try:
             code, _, err = _main(argv)
         except SystemExit as exc:

@@ -9,8 +9,8 @@ registered in the repository and a killed run leaves only that directory.
 The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 
 - `select`: mn, gc, SAVE x SAVE and `--hints` at p = 10, and the p = 17,
-  n = 4000 model-1 input, alone and with a known fork and two pure
-  colliders as `--hints`;
+  n = 4000 model-1 input, alone, with a known fork and two pure colliders
+  as `--hints`, and SAVE x SAVE (both arms each time);
 - `oracle`: the README graph, two graphs of at most six covariates (whose
   members are listed), the complete DAG at p = 12, model 3's graph at
   p = 16 and model 1's graph at p = 18, each with its JSON report;
@@ -33,7 +33,7 @@ stderr and its exit code are compared as bytes.  Only the file and line of
 a Python warning are masked in stderr, since they name the tree and a line
 of source.  The inputs are written once, by this checkout.  Every
 difference is printed; the exit code is 1 when there is one.  It starts
-about 110 processes and takes about a minute, so it is not part of the
+about 110 processes and takes a minute or two, so it is not part of the
 test suite.  No network access is used; REV must be in the local history.
 """
 
@@ -175,6 +175,9 @@ def _runs() -> list[tuple[str, list[str], dict]]:
         ("select-p17-hints", [*select, f"{INPUTS}/m1p17.csv", "--hints", "hints.json",
                               "--output", "out"],
          {"hints.json": '{"known_forks": [17], "pure_colliders": [1, 9]}'}),
+        # the only run whose walk splits about a dozen levels deep
+        ("select-p17-save", [*select, f"{INPUTS}/m1p17.csv", "--method-y", "save",
+                             "--method-t", "save", "--output", "out"], {}),
         ("simulate", [*cli, "simulate", "--models", "1,4", "--n", "400", "--variants", "mn,gc",
                       "--reps", "2", "--output", "sim.csv"], {}),
         ("ate-readme", [*cli, "ate", "--input", m1, "--a0", "2,3", "--a1", "2,3"], {}),

@@ -18,7 +18,7 @@ import sys
 import warnings
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -146,19 +146,6 @@ def _hex_tables(p: int) -> tuple[list[str], list[str]]:
     return low, ["0x", *map(hex, range(1, 1 << (p - k)))]
 
 
-def _mask_namer(p: int, sep: str, start: str = "", end: str = "") -> Callable:
-    """A function giving, for an array of masks, the two parts of each name
-    of `_name_tables`: ``low[i] + high[j]`` with ``(i, j)`` from `_halves`."""
-    k = _split(p)
-    low, high = _name_tables(p, sep, start, end)
-
-    def names(masks: np.ndarray) -> tuple[Iterator[str], Iterator[str]]:
-        lo, hi = _halves(masks, k)
-        return map(low.__getitem__, lo), map(high.__getitem__, hi)
-
-    return names
-
-
 def _row_numberer() -> Callable[[int, int], tuple[list[str], list[str]]]:
     """A function giving the numbers ``first .. first + count - 1``, each
     followed by ``","``, in two parts: ``str(r // 1000)`` ("" below 1000) and
@@ -194,23 +181,26 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
     indented encoder runs in pure Python.  The rows and list items are
     written in blocks of ``_ROWS``: a block is one ``"".join`` over a list
     that holds its columns interleaved with constant separators.  Every
-    CSV column but the values comes from tables built once per call: the
-    hex and name halves of `_hex_tables` and `_name_tables`, indexed by the
-    block's `_halves`, and the row numbers of `_row_numberer`.  So no Python
-    code, ``hex`` or ``str`` runs per CSV row, no file is held whole, and
-    ``repr`` runs once per value, for both CSVs.  Blocks of 1,024 rows were
-    faster, but their joined JSON blocks (about 100 KB) raised the
-    benchmark's peak RSS by 5 MB.
+    CSV column but the values, and every JSON set, comes from tables built
+    once per call: the hex and name halves of `_hex_tables` and
+    `_name_tables`, indexed by the block's `_halves`, and the row numbers of
+    `_row_numberer`.  So no Python code, ``hex`` or ``str`` runs per CSV
+    row, no file is held whole, and ``repr`` runs once per value, for both
+    CSVs.  Blocks of 1,024 rows were faster, but their joined JSON blocks
+    (about 100 KB) raised the benchmark's peak RSS by 5 MB.
     """
     t, p = header["arm"], result.selected.p
     sel = by_size(result.order[result.tau:])
-    sets = _mask_namer(p, ",\n      ", "\n      ", "\n    ")
+    k = _split(p)
+    set_low, set_high = _name_tables(p, ",\n      ", "\n      ", "\n    ")
 
     # a list item starts with the ",\n    " that json.dumps(indent=2) puts
     # before it; the list's first item has "[" for its comma
     def set_items(part: np.ndarray) -> str:
+        lo, hi = _halves(part, k)
         items = [",\n    [", "", "", "]"] * part.size
-        items[1::4], items[2::4] = sets(part)
+        items[1::4] = map(set_low.__getitem__, lo)
+        items[2::4] = map(set_high.__getitem__, hi)
         return "".join(items)
 
     # one join with the separator beats two table lookups per item here
@@ -231,7 +221,6 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
         fh.write("\n}\n")
     # a row's low piece is its low hex digits, "," and its name's low part;
     # its high piece is the name's high part and ","
-    k = _split(p)
     hex_low, hex_high = _hex_tables(p)
     low, high = _name_tables(p, " ")
     low = [a + "," + b for a, b in zip(hex_low, low)]

@@ -37,8 +37,9 @@ __all__ = [
 
 # numbers in one level of the pivot tree's walk, over both arm covariances,
 # whose block rows are the stacked outcome candidates of every requested
-# arm: about 2,400 subsets at the leaves for two SIR outcome candidates
-# against a SIR treatment candidate
+# arm; a batch whose next level would pass it is walked as two halves, so
+# 2,048 subsets at the leaves for two SIR outcome candidates against a SIR
+# treatment candidate
 STATE_CELLS = 96 * 1024
 
 # candidate-matrix estimators: sliced inverse regression, sliced average
@@ -118,11 +119,12 @@ def _pivot(aug: np.ndarray, floor: np.ndarray) -> np.ndarray:
     the block [[Z, M_Y'], [M_T, S]] over the k undecided indices, M_Y' being
     the stacked outcome candidates and the last row and column index k-1;
     the node axis is last so that every operation runs along long
-    contiguous rows.  A node either drops the index (bit 0)
-    or pivots on it (bit 1, a rank-1 update), so node j becomes nodes 2j and
-    2j+1.  A pivot at or below ``floor`` (per arm) is replaced by NaN, which
-    fills the pivoted node and all of its subtree.  Elementwise arithmetic
-    only: a node's numbers do not depend on the batch it is computed in.
+    contiguous rows.  A node either pivots on the index (bit 0, a rank-1
+    update: the index leaves the subset) or keeps it in the subset (bit 1,
+    its row and column dropped), so node j becomes nodes 2j and 2j+1.  A
+    pivot at or below ``floor`` (per arm) is replaced by NaN, which fills
+    the pivoted node and all of its subtree.  Elementwise arithmetic only:
+    a node's numbers do not depend on the batch it is computed in.
     """
     two, r, c, b = aug.shape
     d = aug[:, -1, -1]
@@ -131,8 +133,8 @@ def _pivot(aug: np.ndarray, floor: np.ndarray) -> np.ndarray:
     col = aug[:, :-1, -1]
     kept = aug[:, :-1, :-1]
     out = np.empty((two, r - 1, c - 1, b, 2))
-    out[..., 0] = kept
-    pivoted = out[..., 1]
+    out[..., 1] = kept
+    pivoted = out[..., 0]
     np.multiply(col[:, :, None], row[:, None], out=pivoted)
     np.subtract(kept, pivoted, out=pivoted)
     return out.reshape(two, r - 1, c - 1, 2 * b)
@@ -161,18 +163,6 @@ def _spectral_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(top, 0.0))
 
 
-def _walk_cells(h_y: int, h_t: int, k: int, b: int, leaves: int) -> int:
-    """Numbers, over both arm covariances, in the largest level of the
-    pivot-tree walk below ``b`` nodes with ``k`` undecided indices and
-    ``leaves`` requested leaves, where ``h_y`` counts the rows of the stacked
-    outcome candidates of every requested arm: the level with j undecided
-    indices holds at most b * 2^(k-j) nodes, and at most 2 * leaves before
-    a pinned index's other child is dropped."""
-    return max(
-        2 * (h_y + j) * (h_t + j) * min(b << (k - j), 2 * leaves) for j in range(k + 1)
-    )
-
-
 def _lattice_values(
     inv_sigmas: np.ndarray, mys, mt: np.ndarray, fixed: int, free: int
 ) -> list[np.ndarray]:
@@ -185,19 +175,18 @@ def _lattice_values(
     outcome candidates are stacked as rows, [[Sigma^{-1}, M_T], [M_Y(0)';
     M_Y(1)', 0]], and each one's spectral norms are taken on its own row
     slice of the Y x T block; `_pivot` is elementwise, so every candidate's
-    values are bit-identical to those of a walk of its own.  Indices
-    are decided top bit first.  At a free index node j's children are 2j
-    (skip) and 2j+1 (pivot); at an index pinned by the sub-cube every node
-    keeps the one child its masks agree on (skip if the index is in every
-    mask, pivot if in none) and its number.  A leaf's number is then its
-    complement's free bits, read as one number, so leaf c is mask n-1-c of
-    the n requested.  The tree is walked
-    breadth-first in batches of nodes, depth-first between batches: once a
-    node's whole subtree fits in STATE_CELLS numbers, batches of as many
-    nodes as fit are finished to their leaves; above that depth a batch is
-    halved when its next level would exceed STATE_CELLS.  No level then
+    values are bit-identical to those of a walk of its own.  Indices are
+    decided top bit first.  At a free index node j's children are 2j (pivot)
+    and 2j+1 (keep); at an index pinned by the sub-cube every node keeps the
+    one child its masks agree on (keep if the index is in every mask, pivot
+    if in none) and its number.  A leaf's number is then its mask's free
+    bits, read as one number: its rank in the sub-cube.  The tree is walked
+    breadth-first in batches of nodes, depth-first between batches: a batch
+    of more than one node whose next level would hold more than STATE_CELLS
+    numbers is walked as two halves, one after the other.  No level then
     holds more than STATE_CELLS numbers (a single node's next level aside),
-    for any p and candidate width.
+    for any p and candidate width; a split level stays alive while its
+    halves are walked.
     A pivot d on index i with d <= MIN_EIGENVALUE * Sigma^{-1}[i, i] (a
     scale-free ratio) marks every subset below it singular: NaN in the
     tree, +inf in the result.
@@ -210,39 +199,27 @@ def _lattice_values(
     aug[:, h_y:, :h_t, 0] = mt
     aug[:, h_y:, h_t:, 0] = inv_sigmas
     floor = MIN_EIGENVALUE * np.diagonal(inv_sigmas, axis1=1, axis2=2)
-    n = 1 << free.bit_count()
-    outs = [np.empty(n) for _ in mys]
+    outs = [np.empty(1 << free.bit_count()) for _ in mys]
 
     def walk(aug: np.ndarray, ids: range, k: int) -> None:
-        # ids: the batch's node numbers; once the batch's whole walk fits,
-        # so do those of its descendants
-        fits = False
+        # ids: the batch's node numbers
         while k:
             two, r, c, b = aug.shape
-            if not fits:
-                leaves = b << (free & ((1 << k) - 1)).bit_count()
-                need = _walk_cells(h_y, h_t, k, b, leaves)
-                fits = need <= STATE_CELLS
-                # as many nodes as fit whole; above that depth, halve a
-                # batch whose next level would not fit
-                fit = b * STATE_CELLS // need
-                if not fit and two * (r - 1) * (c - 1) * 2 * b > STATE_CELLS:
-                    fit = b // 2
-                if 0 < fit < b:
-                    for s in range(0, b, fit):
-                        walk(aug[..., s : s + fit], ids[s : s + fit], k)
-                    return
+            if b > 1 and two * (r - 1) * (c - 1) * 2 * b > STATE_CELLS:
+                walk(aug[..., : b // 2], ids[: b // 2], k)
+                walk(aug[..., b // 2 :], ids[b // 2 :], k)
+                return
             k -= 1
             aug = _pivot(aug, floor[:, k])
             if free >> k & 1:
                 ids = range(2 * ids.start, 2 * ids.stop)
             else:
-                aug = aug[..., (~fixed >> k & 1) :: 2]
+                aug = aug[..., (fixed >> k & 1) :: 2]
         for out, top, bottom in zip(outs, rows[:-1], rows[1:]):
             norms = _spectral_norms(aug[:, top:bottom])
             v = norms[0] + norms[1]
             v[np.isnan(v)] = np.inf
-            out[n - ids.stop : n - ids.start] = v[::-1]
+            out[ids.start : ids.stop] = v
 
     walk(aug, range(1), p)
     return outs

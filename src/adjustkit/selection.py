@@ -141,10 +141,12 @@ def select(table, config: SelectorConfig | None = None) -> SelectionResult:
     tau is the argmin of `ridge_ratios` (first index on ties) and the
     selected collection is order[tau:]; tau = 0 selects every subset, the
     reading of a constantly-zero criterion.  The default config is
-    `SelectorConfig.for_sample` of the table's metadata["n"].  ValueError for
-    an empty table or a kept mask outside 0..2^p-1.
+    `SelectorConfig.for_sample` of metadata["n"].  ValueError for an empty
+    table, a kept mask outside 0..2^p-1, or no config and no metadata["n"].
     """
-    cfg = config or SelectorConfig.for_sample(table.metadata.get("n", 2))
+    if config is None and "n" not in table.metadata:
+        raise ValueError('no config and no metadata["n"] to derive one from')
+    cfg = config or SelectorConfig.for_sample(table.metadata["n"])
     if len(table.masks) == 0:
         raise ValueError("empty criterion table")
     perm, sorted_values = _descending(table.masks, table.values)

@@ -346,14 +346,21 @@ class TestOutputBytes:
 
 @pytest.mark.parametrize("p", range(1, 17))
 def test_mask_namer_matches_subset_indices(p):
-    # the tables split at k = p up to p = 8, then at k = 4, 8 and 12
+    # `_name_tables` looked up through `_halves`, as the writer does for the
+    # CSV names and the JSON sets; the tables split at k = p up to p = 8,
+    # then at k = 4, 8 and 12
     masks = np.arange(1 << p, dtype=np.uint32)
     indices = [_names(m, p) for m in range(1 << p)]
-    csv = cli._mask_namer(p, " ")(masks)
-    assert list(map("".join, zip(*csv))) == [" ".join(map(str, i)) for i in indices]
-    sets = cli._mask_namer(p, ",\n      ", "\n      ", "\n    ")(masks)
+    lo, hi = cli._halves(masks, cli._split(p))
+
+    def names(*args):
+        low, high = cli._name_tables(p, *args)
+        return [low[i] + high[j] for i, j in zip(lo, hi)]
+
+    assert names(" ") == [" ".join(map(str, i)) for i in indices]
+    sets = names(",\n      ", "\n      ", "\n    ")
     item = len('{\n  "s": [\n    ')
-    assert ["[%s%s]" % pair for pair in zip(*sets)] == [
+    assert ["[%s]" % name for name in sets] == [
         json.dumps({"s": [list(i)]}, indent=2)[item:-len("\n  ]\n}")] for i in indices]
 
 

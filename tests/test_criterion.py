@@ -216,10 +216,17 @@ class TestPivotTree:
                 assert np.array_equal(g, f[masks])
 
     @pytest.mark.parametrize("cells", [700, 5000])
-    def test_stacked_rows_stay_within_the_budget(self, monkeypatch, cells):
+    @pytest.mark.parametrize(
+        "universe",
+        [(0, 0b111111111), (0b100000001, 0b011101110), (0b000000010, 0b111111100)],
+        ids=["full", "pinned-ends", "pinned-low"],
+    )
+    @pytest.mark.parametrize("widths", ["sir", "save"])
+    def test_stacked_rows_stay_within_the_budget(self, monkeypatch, widths, universe, cells):
         # the level budget counts the rows of every stacked outcome candidate:
-        # only a batch of one node may pivot into a level above it
-        inv, my, mt = self._problem(9, "sir")
+        # only a batch of one node may pivot into a level above it, also at a
+        # pinned index, where the pivot doubles the batch before half is kept
+        inv, my, mt = self._problem(9, widths)
         levels = []
         step = criterion._pivot
 
@@ -230,7 +237,7 @@ class TestPivotTree:
 
         monkeypatch.setattr(criterion, "STATE_CELLS", cells)
         monkeypatch.setattr(criterion, "_pivot", measured)
-        _lattice_values(inv, [my, my[:, :3]], mt, *_lattice(9))
+        _lattice_values(inv, [my, my[:, :3]], mt, *universe)
         assert all(size <= cells or nodes == 1 for nodes, size in levels)
 
     def test_pinned_bits_prune_the_walk(self, monkeypatch):

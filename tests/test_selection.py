@@ -95,6 +95,15 @@ class TestSortTable:
         with pytest.raises(ValueError):
             select(_table(2, [], []))
 
+    def test_default_config_needs_n(self):
+        # the ridge constant comes from n, so a table without one is refused
+        # unless a config is given, not scored with a made-up n
+        table = _table(2, [0b00, 0b01, 0b10], [3.0, 1.0, 2.0])
+        del table.metadata["n"]
+        with pytest.raises(ValueError, match=r'metadata\["n"\]'):
+            select(table)
+        assert select(table, SelectorConfig()).order.tolist() == [0b00, 0b10, 0b01]
+
     # values that tie often or sort specially: exact zeros of both signs,
     # the singular +inf, NaN, and a few plain values
     TIES = [0.0, -0.0, math.inf, math.nan, 0.5, 1.0, 2.5e-9]

@@ -175,7 +175,7 @@ def _runs() -> list[tuple[str, list[str], dict]]:
         ("select-p17-hints", [*select, f"{INPUTS}/m1p17.csv", "--hints", "hints.json",
                               "--output", "out"],
          {"hints.json": '{"known_forks": [17], "pure_colliders": [1, 9]}'}),
-        # the only run whose walk splits about a dozen levels deep
+        # the only run whose walk splits ten levels deep (five for SIR at p = 17)
         ("select-p17-save", [*select, f"{INPUTS}/m1p17.csv", "--method-y", "save",
                              "--method-t", "save", "--output", "out"], {}),
         ("simulate", [*cli, "simulate", "--models", "1,4", "--n", "400", "--variants", "mn,gc",

@@ -25,7 +25,11 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
   slices: y rounded and clipped to {-1, 0, 1}, y zeroed with probability
   0.7 (quantile slices merge) and y constant in arm 1 (one slice);
 - population-table digests for the graphs of models 1 and 3, whose exact
-  zeros tie, so the tie-breaking of the sort shows in their order.
+  zeros tie, so the tie-breaking of the sort shows in their order;
+- copula digests (`transform_dataset(...).x` and `fit_copula`'s `a`, `b` and
+  `degenerate`) on tied inputs, one per tie path of the scorer: model 1's
+  covariates rounded to one decimal, model 3's two binary columns, a column
+  constant in the treated arm and a column of -0.0, 0.0 and 1.0.
 
 Each run has its own working directory and names its inputs by the same
 relative path in both trees, so every file it writes, its stdout, its
@@ -100,6 +104,7 @@ DIGESTS = """
 import hashlib, json, warnings
 from types import SimpleNamespace
 import numpy as np
+from adjustkit.copula import fit_copula, transform_dataset
 from adjustkit.criterion import CriterionConfig, criterion_fit, population_values
 from adjustkit.dag_oracle import linear_sem_population
 from adjustkit.data_model import Dataset, subcube
@@ -154,6 +159,26 @@ for shape, y in (
     ("constant in arm 1", np.where(d.t == 1, 1.0, d.y)),
 ):
     digest_tables(f"model 1 n 400 y {shape}", Dataset(x=d.x, t=d.t, y=y))
+
+
+def digest_copula(name, x, t):
+    data = Dataset(x=x, t=t, y=np.zeros(t.size))
+    tf = fit_copula(data)
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (transform_dataset(data).x, tf.a, tf.b, tf.degenerate):
+        h.update(arr.dtype.str.encode() + arr.tobytes())
+    out[f"copula {name}"] = h.hexdigest()
+
+
+digest_copula("rounded", np.round(d.x, 1), d.t)
+m3 = generate_model(ModelSpec(3, n=400, seed=0)).dataset
+digest_copula("model 3 binary", m3.x[:, 5:7], m3.t)
+x = d.x.copy()
+x[d.t == 1, 2] = 0.5
+digest_copula("constant in arm 1", x, d.t)
+x = d.x.copy()
+x[:, 4] = np.random.default_rng(3).choice([-0.0, 0.0, 1.0], size=d.n)
+digest_copula("signed zeros", x, d.t)
 print(json.dumps(out))
 """
 

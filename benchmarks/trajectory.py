@@ -17,7 +17,11 @@ times on model 1's graph at p = 10 (`cli_oracle_cold`, a command whose
 wall time is mostly the interpreter's start-up and imports) and three times
 on model 3's graph at p = 24, the dimension cap (`cli_oracle_p24`, the
 command CI runs at the cap, whose time is mostly the d-separation oracle
-and the structure analysis of a 2^24-subset collection).  Each of these
+and the structure analysis of a 2^24-subset collection).  `adjustkit
+simulate` runs three times over the paper's simulation grid (`cli_simulate`:
+models 1-5, n 400 and 800, variants mn and gc, both arms, 10 replications
+per cell, so 400 criterion tables of 2^10 subsets on one thread, with their
+copula transforms, selections and recovery metrics).  Each of these
 children is started by a launcher: a small Python process that this script
 starts before it imports numpy, and that reads one argv per line, forks and
 execs it, `os.wait4`s it and writes back its exit code, its wall time from
@@ -93,8 +97,12 @@ SELECT_RUNS = {
 }
 # the file's key for each oracle run: (model, p, runs)
 ORACLE_RUNS = {"cli_oracle_cold": (1, 10, 5), "cli_oracle_p24": (3, 24, 3)}
+# the simulate run's flags and its number of runs
+SIMULATE_FLAGS = ["--models", "1,2,3,4,5", "--n", "400,800", "--variants", "mn,gc",
+                  "--reps", "10"]
+SIMULATE_RUNS = 3
 # the file's key for each CLI figure
-CLI_KEYS = (*SELECT_RUNS, *ORACLE_RUNS)
+CLI_KEYS = (*SELECT_RUNS, *ORACLE_RUNS, "cli_simulate")
 
 
 def _parse(argv):
@@ -223,6 +231,14 @@ def _oracle(launcher: subprocess.Popen, model: int, p: int, runs: int) -> dict:
         return {"p": p, "n": None, "threads": 1, **_child_runs(launcher, argv, runs)}
 
 
+def _simulate(launcher: subprocess.Popen) -> dict:
+    """`adjustkit simulate` with SIMULATE_FLAGS, SIMULATE_RUNS times (see
+    `_child_runs`); it writes only its table to stdout."""
+    argv = [sys.executable, "-m", "adjustkit.cli", "simulate", *SIMULATE_FLAGS]
+    return {"p": 10, "n": [400, 800], "threads": 1,
+            **_child_runs(launcher, argv, SIMULATE_RUNS)}
+
+
 def _git(*args: str) -> str | None:
     try:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
@@ -252,6 +268,7 @@ def main(argv=None) -> int:
             "workloads": {name: _workload(name, args.seconds) for name in WORKLOADS},
             **{key: _select(launcher, *spec) for key, spec in SELECT_RUNS.items()},
             **{key: _oracle(launcher, *spec) for key, spec in ORACLE_RUNS.items()},
+            "cli_simulate": _simulate(launcher),
         }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

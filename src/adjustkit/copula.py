@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 # ndtri(0.975), written out as the same double: scipy.special is imported only
-# in _arm_scores, so a command that fits no copula never loads scipy
+# in _scores, so a command that fits no copula never loads scipy
 TRUNCATION = 1.959963984540054
 MIN_SURVIVORS = 10
 
@@ -50,39 +50,84 @@ class CopulaTransform:
     degenerate: np.ndarray
 
 
-def _arm_scores(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """One arm's score function at every row of x, shape (n, p).
+def _scores(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both arms' score functions at every row of x, each of shape (n, p).
 
-    Each column of the arm is sorted once.  A value scores Phi^{-1} of the
-    midrank, over n_s + 1, of the largest arm value <= it (or of the minimum).
+    A value scores Phi^{-1} of the midrank, over n_s + 1, of the largest
+    value of the arm <= it (or of the arm's minimum).  One argsort per column
+    orders all n rows; the tie runs of the sorted column and each arm's
+    running count give every midrank and every lookup, so values enter only
+    through comparisons.  Tied values share one score, which is why the
+    unstable default sort is enough.
     """
     from scipy.special import ndtri
 
-    arm = np.sort(x[rows], axis=0)
-    n_s = arm.shape[0]
-    out = np.empty(x.shape)
-    for i in range(x.shape[1]):
-        col = arm[:, i]
-        below = np.searchsorted(col, col, "left")
-        counts = np.searchsorted(col, col, "right") - below
-        scores = ndtri((below + (counts + 1) / 2.0) / (n_s + 1))
-        idx = np.searchsorted(col, x[:, i], "right") - 1
-        out[:, i] = scores[np.maximum(idx, 0)]
-    return out
+    n, p = x.shape
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1)
+    treated = t[order] == 1
+    order += np.arange(0, p * n, n)[:, None]  # flat positions in xt
+    sx = xt.take(order)
+    start = np.empty((p, n), dtype=bool)  # a tie run starts here
+    start[:, 0] = True
+    np.not_equal(sx[:, 1:], sx[:, :-1], out=start[:, 1:])
+    del xt, sx
+    end = np.empty((p, n), dtype=bool)  # a tie run ends here
+    end[:, -1] = True
+    end[:, :-1] = start[:, 1:]
+    out = []
+    for arm in (~treated, treated):
+        count = np.cumsum(arm, axis=1)  # arm rows up to here
+        n_s = int(count[0, -1])
+        # the arm's values at or below each position's value, and below it:
+        # the count is nondecreasing, so its value at the end of the run is a
+        # running minimum from the right, and its value before the run's
+        # start a running maximum from the left
+        upto = np.where(end, count, n)[:, ::-1]
+        np.minimum.accumulate(upto, axis=1, out=upto)
+        upto = upto[:, ::-1]
+        below = count
+        below -= arm
+        below *= start
+        np.maximum.accumulate(below, axis=1, out=below)
+        own = np.flatnonzero(arm)
+        lo = below.take(own)
+        scores = ndtri((lo + (upto.take(own) - lo + 1) / 2.0) / (n_s + 1))
+        # a row looks up the arm's last value at or below it, or its first
+        upto -= 1
+        np.maximum(upto, 0, out=upto)
+        upto += np.arange(0, p * n_s, n_s)[:, None]
+        s = np.empty((p, n))
+        s.put(order, scores.take(upto))
+        out.append(s.T)
+    return out[0], out[1]
 
 
-def _pool(s0: np.ndarray, s1: np.ndarray) -> tuple[float, float, str | None]:
-    """Truncated least-squares fit s0 ~ a * s1 + b; reason is set on fall-back."""
+def _pool(s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Truncated least-squares fits s0 ~ a * s1 + b, one per column of the
+    (n, p) score arrays; a column's reason is set where it falls back to
+    (1, 0)."""
+    s0, s1 = s0.T, s1.T
     keep = (np.abs(s0) < TRUNCATION) & (np.abs(s1) < TRUNCATION)
-    if keep.sum() < MIN_SURVIVORS:
-        return 1.0, 0.0, f"only {int(keep.sum())} observations inside the truncation band"
-    u = s1[keep]
-    v = s0[keep]
-    var_u = np.var(u)
-    if var_u == 0.0:
-        return 1.0, 0.0, "pooling regressor has zero variance"
-    a = float(np.cov(u, v, ddof=0)[0, 1] / var_u)
-    return a, float(v.mean() - a * u.mean()), None
+    survivors = np.count_nonzero(keep, axis=1)
+    p = keep.shape[0]
+    a, b, reasons = np.ones(p), np.zeros(p), [None] * p
+    for i in range(p):
+        if survivors[i] < MIN_SURVIVORS:
+            reasons[i] = f"only {int(survivors[i])} observations inside the truncation band"
+            continue
+        u = s1[i, keep[i]]
+        var_u = np.var(u)
+        if var_u == 0.0:
+            reasons[i] = "pooling regressor has zero variance"
+            continue
+        # np.cov(u, v, ddof=0)[0, 1], step for step, without its checks
+        uv = np.stack((u, s0[i, keep[i]]))
+        mean = uv.mean(axis=1)
+        uv -= mean[:, None]
+        a[i] = np.dot(uv, uv.T)[0, 1] * (1 / u.size) / var_u
+        b[i] = mean[1] - a[i] * mean[0]
+    return a, b, reasons
 
 
 def fit_copula(d: Dataset) -> CopulaTransform:
@@ -90,14 +135,14 @@ def fit_copula(d: Dataset) -> CopulaTransform:
 
     Issues one DegeneratePooling warning per coordinate that falls back.
     """
-    rows0, rows1 = split_by_treatment(d)
-    s0, s1 = _arm_scores(d.x, rows0), _arm_scores(d.x, rows1)
-    a, b, reasons = zip(*(_pool(s0[:, i], s1[:, i]) for i in range(d.p)))
+    split_by_treatment(d)  # EmptyGroup before any work
+    s0, s1 = _scores(d.x, d.t)
+    a, b, reasons = _pool(s0, s1)
     for i, reason in enumerate(reasons):
         if reason:
             warnings.warn(f"coordinate {i + 1}: {reason}", DegeneratePooling)
     degenerate = np.array([reason is not None for reason in reasons])
-    return CopulaTransform(s0, s1, np.array(a), np.array(b), degenerate)
+    return CopulaTransform(s0, s1, a, b, degenerate)
 
 
 def transform_dataset(d: Dataset) -> Dataset:

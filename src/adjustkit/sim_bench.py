@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,7 +109,11 @@ def model_graph(model_id: int, p: int = 10) -> Dag:
     raise UnknownModel(f"model {model_id} has no DAG over X")
 
 
+@lru_cache(maxsize=16)
 def _truth(model_id: int, p: int) -> tuple[AdjustmentCollection, int]:
+    """The model's sufficient-set collection and true-collider mask, built
+    once per (model, p) and shared by every replication: a collection's
+    words are read-only."""
     if model_id in (1, 2, 3):
         coll = true_collection(model_graph(model_id, p))
         colliders = indices_mask(p, (4,) if model_id in (1, 2) else ())
@@ -117,6 +122,16 @@ def _truth(model_id: int, p: int) -> tuple[AdjustmentCollection, int]:
     # both coordinates is sufficient, nothing else is
     coll = upward_closure(p, [indices_mask(p, (1, 2))])
     return coll, 0
+
+
+@lru_cache(maxsize=16)
+def _minimal(truth: AdjustmentCollection) -> np.ndarray:
+    """`locally_minimal(truth)`, read-only, computed once per collection:
+    a collection hashes by identity and its words are read-only, so a
+    memoized truth's members are found once, not in every metrics call."""
+    minimal = locally_minimal(truth)
+    minimal.setflags(write=False)
+    return minimal
 
 
 def _gen_linear(rng, n: int, p: int, model_id: int) -> tuple[np.ndarray, ...]:
@@ -193,7 +208,8 @@ def generate_model(spec: ModelSpec) -> GeneratedModel:
     -------
     GeneratedModel
         Dataset plus the exact sufficient-set collection (identical for
-        both arms in all five models) and the mask of the true colliders.
+        both arms in all five models, and one shared read-only object for
+        every draw of a model at one p) and the mask of the true colliders.
 
     Notes
     -----
@@ -232,7 +248,7 @@ def compute_metrics(
     inter = int(np.bitwise_count(estimated.words & truth.words).sum())
     rho = inter / len(truth) if len(truth) else 0.0
     omega = inter / len(estimated) if len(estimated) else 0.0
-    minimal = locally_minimal(truth)
+    minimal = _minimal(truth)
     pi = float(np.all(estimated.words[minimal >> 6] >> (minimal & 63) & 1))
     detected = collider_indices(estimated)
     return MetricsRecord(

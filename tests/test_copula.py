@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from adjustkit.copula import TRUNCATION, _arm_scores, _pool, fit_copula, transform_dataset
+import copula_reference as ref
+from adjustkit.copula import TRUNCATION, _pool, _scores, fit_copula, transform_dataset
 from adjustkit.data_model import Dataset, split_by_treatment
 from adjustkit.errors import DegeneratePooling, EmptyGroup
 from adjustkit.sim_bench import ModelSpec, generate_model
@@ -23,7 +26,7 @@ def _dataset(x, t=None, y=None):
 def _own_scores(d, arm):
     """Arm ``arm``'s scores of column 1 at the arm's own rows."""
     rows = split_by_treatment(d)[arm]
-    return _arm_scores(d.x, rows)[rows, 0]
+    return _scores(d.x, d.t)[arm][rows, 0]
 
 
 class TestNormalScores:
@@ -58,10 +61,16 @@ class TestNormalScores:
             assert 0.7 <= s.var() <= 1.1
 
 
+def _pool_one(s0, s1):
+    """`_pool` of one coordinate, given as two score vectors."""
+    (a,), (b,), (reason,) = _pool(s0[:, None], s1[:, None])
+    return a, b, reason
+
+
 class TestPoolTransforms:
     def test_exact_affine_recovery(self):
         s1 = np.linspace(-1.4, 0.4, 40)
-        a, b, reason = _pool(2.0 * s1 + 1.0, s1)
+        a, b, reason = _pool_one(2.0 * s1 + 1.0, s1)
         assert a == pytest.approx(2.0, abs=1e-12)
         assert b == pytest.approx(1.0, abs=1e-12)
         assert reason is None
@@ -69,14 +78,26 @@ class TestPoolTransforms:
     def test_few_survivors_falls_back(self):
         s1 = np.full(30, 3.0)  # outside the truncation band
         s1[:5] = 0.0
-        a, b, reason = _pool(s1.copy(), s1)
+        a, b, reason = _pool_one(s1.copy(), s1)
         assert (a, b) == (1.0, 0.0)
         assert reason == "only 5 observations inside the truncation band"
 
     def test_zero_variance_regressor(self):
-        a, b, reason = _pool(np.linspace(-1, 1, 24), np.zeros(24))
+        a, b, reason = _pool_one(np.linspace(-1, 1, 24), np.zeros(24))
         assert (a, b) == (1.0, 0.0)
         assert reason == "pooling regressor has zero variance"
+
+    def test_columns_pool_on_their_own(self):
+        # three coordinates, each with its own survivors: one fit, one band
+        # fall-back and one zero-variance fall-back
+        s1 = np.linspace(-1.4, 0.4, 40)
+        s0 = np.stack([2.0 * s1 + 1.0, np.full(40, 3.0), np.linspace(-1, 1, 40)], axis=1)
+        a, b, reasons = _pool(s0, np.stack([s1, s1, np.zeros(40)], axis=1))
+        assert a[0] == pytest.approx(2.0, abs=1e-12)
+        assert b[0] == pytest.approx(1.0, abs=1e-12)
+        assert (a[1:].tolist(), b[1:].tolist()) == ([1.0, 1.0], [0.0, 0.0])
+        assert reasons == [None, "only 0 observations inside the truncation band",
+                           "pooling regressor has zero variance"]
 
     def test_single_arm_rejected(self):
         d = _dataset(np.zeros((12, 1)), t=np.zeros(12, dtype=int))
@@ -225,6 +246,11 @@ def _reference_inputs():
     t = np.zeros(30, dtype=int)
     t[[4, 17]] = 1  # a 2-row treated arm
     yield _dataset(rng.normal(size=(30, 3)), t=t)
+    x = rng.normal(size=(60, 3))
+    x[:, 0] = rng.choice([-0.0, 0.0, 1.0, -1.5], size=60)  # -0.0 and 0.0 tie
+    x[:, 1] = np.where(rng.random(60) < 0.5, -0.0, 0.0)  # all tied
+    x[:, 2] = np.round(x[:, 2])
+    yield _dataset(x)
 
 
 @pytest.mark.parametrize("d", list(_reference_inputs()))
@@ -237,4 +263,67 @@ def test_matches_knot_table_reference(d):
     assert np.array_equal(out, x)
     assert np.array_equal(tf.a, a)
     assert np.array_equal(tf.b, b)
+    assert np.array_equal(tf.degenerate, degenerate)
+
+
+def _view(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _tied_inputs(draw):
+    """Datasets whose columns tie within and across arms: wide magnitudes,
+    draws from a small pool, binary, constant and signed-zero columns; an
+    arm may hold a single row or two."""
+    n0, n1 = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    n, p = n0 + n1, draw(st.integers(1, 4))
+    wide = st.builds(lambda s, m, e: s * m * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                     st.sampled_from([1.0, 1.5, 2.0, 7.25, 9.875]), st.integers(-300, 300))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["wide", "pool", "binary", "constant", "zeros"]))
+        if kind == "wide":
+            values = st.lists(wide, min_size=n, max_size=n)
+        elif kind == "pool":
+            values = st.lists(st.sampled_from(draw(st.lists(wide, min_size=1, max_size=4))),
+                              min_size=n, max_size=n)
+        elif kind == "binary":
+            values = st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)
+        elif kind == "constant":
+            values = st.lists(st.just(draw(wide)), min_size=n, max_size=n)
+        else:
+            values = st.lists(st.sampled_from([-0.0, 0.0, 2.0]), min_size=n, max_size=n)
+        columns.append(draw(values))
+    t = np.array(draw(st.permutations([0] * n0 + [1] * n1)))
+    return _dataset(np.array(columns).T, t=t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tied_inputs())
+def test_scores_match_per_column_reference(d):
+    """The one-argsort scorer and the batched pooling equal the per-column
+    reference bit for bit."""
+    s0, s1, a, b, degenerate, x = ref.transform(d)
+    got0, got1 = _scores(d.x, d.t)
+    assert np.array_equal(_view(got0), _view(s0))
+    assert np.array_equal(_view(got1), _view(s1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePooling)
+        tf = fit_copula(d)
+        out = transform_dataset(d).x
+    assert np.array_equal(_view(tf.a), _view(a))
+    assert np.array_equal(_view(tf.b), _view(b))
+    assert np.array_equal(tf.degenerate, degenerate)
+    assert np.array_equal(_view(out), _view(x))
+
+
+@pytest.mark.parametrize("d", list(_reference_inputs()))
+def test_matches_per_column_reference(d):
+    s0, s1, a, b, degenerate, x = ref.transform(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePooling)
+        tf = fit_copula(d)
+        out = transform_dataset(d).x
+    for got, want in ((tf.scores0, s0), (tf.scores1, s1), (tf.a, a), (tf.b, b), (out, x)):
+        assert np.array_equal(_view(got), _view(want))
     assert np.array_equal(tf.degenerate, degenerate)

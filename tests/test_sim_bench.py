@@ -127,6 +127,55 @@ class TestGeneration:
         assert np.var(y5) > np.var(y4) + 10
 
 
+class TestTruthMemo:
+    @pytest.mark.parametrize("mid", [1, 2, 3, 4, 5])
+    def test_one_read_only_truth_per_model(self, mid):
+        a = generate_model(ModelSpec(mid, n=400, seed=1))
+        b = generate_model(ModelSpec(mid, n=800, seed=2))
+        assert a.truth is b.truth
+        with pytest.raises(ValueError):
+            a.truth.words[0] = 0
+
+    @pytest.mark.parametrize("p", [10, 12])
+    @pytest.mark.parametrize("mid", [1, 2, 3, 4, 5])
+    def test_metrics_match_a_fresh_truth(self, mid, p):
+        gm = generate_model(ModelSpec(mid, n=400, p=p, seed=3))
+        if mid in (1, 2, 3):
+            fresh = true_collection(model_graph(mid, p))
+        else:
+            fresh = upward_closure(p, [indices_mask(p, (1, 2))])
+        assert fresh is not gm.truth
+        assert np.array_equal(fresh.words, gm.truth.words)
+        rng = np.random.default_rng(mid * 100 + p)
+        lost = locally_minimal(fresh)[-1]
+        estimates = [
+            fresh,
+            AdjustmentCollection.from_masks(p, fresh.masks[fresh.masks != lost]),
+            AdjustmentCollection.from_masks(p, []),
+            AdjustmentCollection(p, rng.random(1 << p) < 0.3),
+            upward_closure(p, rng.integers(0, 1 << p, size=3)),
+        ]
+        for est in estimates:
+            assert (compute_metrics(est, gm.truth, gm.colliders)
+                    == compute_metrics(est, fresh, gm.colliders))
+
+    def test_minimal_members_found_once_per_truth(self, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return locally_minimal(c)
+
+        monkeypatch.setattr(sim_bench, "locally_minimal", counted)
+        sim_bench._minimal.cache_clear()
+        gm = generate_model(ModelSpec(3, n=400, seed=0))
+        for seed in range(4):
+            est = generate_model(ModelSpec(3, n=400, seed=seed)).truth
+            compute_metrics(est, gm.truth, gm.colliders)
+        assert calls == [gm.truth]
+        sim_bench._minimal.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def model1():
     gm = generate_model(ModelSpec(1, n=400, seed=0))

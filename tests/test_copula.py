@@ -315,15 +315,3 @@ def test_scores_match_per_column_reference(d):
     assert np.array_equal(_view(tf.b), _view(b))
     assert np.array_equal(tf.degenerate, degenerate)
     assert np.array_equal(_view(out), _view(x))
-
-
-@pytest.mark.parametrize("d", list(_reference_inputs()))
-def test_matches_per_column_reference(d):
-    s0, s1, a, b, degenerate, x = ref.transform(d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneratePooling)
-        tf = fit_copula(d)
-        out = transform_dataset(d).x
-    for got, want in ((tf.scores0, s0), (tf.scores1, s1), (tf.a, a), (tf.b, b), (out, x)):
-        assert np.array_equal(_view(got), _view(want))
-    assert np.array_equal(tf.degenerate, degenerate)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data_model import check_dimension, check_mask
 from .errors import CyclicGraph, InvalidMechanism
-from .set_analysis import AdjustmentCollection, _up
+from .set_analysis import AdjustmentCollection, _spread, _up
 
 __all__ = [
     "Dag",
@@ -273,9 +273,33 @@ def true_collection(g: Dag) -> AdjustmentCollection:
     AdjustmentCollection
         Membership over all 2**p subsets; `Dag` caps p at 24 when it is
         built, so this raises nothing.
+
+    Notes
+    -----
+    Only the X nodes joined to Y and T by edges, whatever their direction,
+    lie on a Y-T path or below one, so the sweep runs over the sub-cube of
+    those nodes and the collection repeats it over the others.
     """
-    reach = _reachable(g, _Y, _T, 0, (1 << g.p) - 1)
-    return AdjustmentCollection._from_words(g.p, ~reach)
+    keep = _yt_component(g)
+    member = ~_reachable(g, _Y, _T, 0, keep)
+    if keep.bit_count() < 6:
+        member &= np.uint64((1 << (1 << keep.bit_count())) - 1)
+    return AdjustmentCollection._from_words(g.p, _spread(member, g.p, keep))
+
+
+def _yt_component(g: Dag) -> int:
+    """Mask of the X nodes in the skeleton component that holds Y and T; 0
+    when Y and T lie in different components."""
+    seen, stack = {_Y}, [_Y]
+    while stack:
+        v = stack.pop()
+        for w in g._parents[v] | g._children[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if _T not in seen:
+        return 0
+    return sum(1 << (v - 2) for v in seen if v >= 2)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

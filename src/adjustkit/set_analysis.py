@@ -148,6 +148,63 @@ def _down(words: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
+def _leaves(words: np.ndarray, i: int) -> bool:
+    """Whether removing index i from some member holding it gives a
+    non-member; on the complement's words, whether adding i to some member
+    lacking it does."""
+    if i < 6:
+        return bool((words & _up(~words, i)).any())
+    # the masks without i and with i, as the two halves of each block
+    halves = words.reshape(-1, 2, 1 << (i - 6))
+    return bool((halves[:, 1] & ~halves[:, 0]).any())
+
+
+def _spread(words: np.ndarray, p: int, keep: int) -> np.ndarray:
+    """The words over p indices of the collection that `words` packs over
+    the indices of `keep` (bit r of a mask there standing for the r-th index
+    of `keep`): mask m is a member when its part in `keep` is, whatever its
+    other bits.  Each index outside `keep` is inserted, lowest first: below
+    bit 6 by repeating each run of 2^i entries of the bool form, from bit 6
+    on by repeating each run of 2^(i-6) words."""
+    low = [i for i in range(min(p, 6)) if not keep >> i & 1]
+    if low:
+        member = _unpack(words, keep.bit_count())
+        for i in low:
+            member = np.repeat(member.reshape(-1, 1 << i), 2, axis=0).ravel()
+        words = _pack(member)
+    for i in range(6, p):
+        if not keep >> i & 1:
+            words = np.repeat(words.reshape(-1, 1 << (i - 6)), 2, axis=0).ravel()
+    return words
+
+
+def _squeeze(words: np.ndarray, p: int, keep: int) -> np.ndarray:
+    """The inverse of `_spread`: the words over the indices of `keep` of
+    the masks of `words` that hold no other index.  Each index outside
+    `keep` is dropped, highest first, by keeping the half without it."""
+    n = p
+    for i in reversed(range(6, p)):
+        if not keep >> i & 1:
+            words = words.reshape(-1, 2, 1 << (i - 6))[:, 0].ravel()
+            n -= 1
+    low = [i for i in reversed(range(min(p, 6))) if not keep >> i & 1]
+    if low:
+        member = _unpack(words, n)
+        for i in low:
+            member = member.reshape(-1, 2, 1 << i)[:, 0].ravel()
+        words = _pack(member)
+    return words
+
+
+def _deposit(masks: np.ndarray, keep: int) -> np.ndarray:
+    """Masks over the indices of `keep` moved to those indices: bit r goes
+    to the r-th index of `keep`.  The move keeps sizes and order."""
+    out = np.zeros_like(masks)
+    for r, i in enumerate(i for i in range(keep.bit_length()) if keep >> i & 1):
+        out |= (masks >> r & 1) << i
+    return out
+
+
 def upward_closure(p: int, bases) -> AdjustmentCollection:
     """All subsets containing at least one of the base masks."""
     seeds = AdjustmentCollection.from_masks(p, bases).words
@@ -197,13 +254,7 @@ def noncollider_indices(c: AdjustmentCollection) -> int:
     # Rule (b) implies rule (a): if A \ {i} has a non-member superset D,
     # then i is not in D (else D contains A and is a member), so D | {i}
     # is a member containing i whose removal of i leaves the non-member D.
-    missing = ~c.words
-    out = 0
-    for i in range(c.p):
-        # bit A, with i in A, of _up(missing, i) says A \ {i} is not a member
-        if np.any(c.words & _up(missing, i)):
-            out |= 1 << i
-    return out
+    return sum(1 << i for i in range(c.p) if _leaves(c.words, i))
 
 
 def _is_collider_block(words: np.ndarray, block: tuple[int, ...]) -> bool:
@@ -240,19 +291,22 @@ def collider_blocks(c: AdjustmentCollection) -> np.ndarray:
     # Only A disjoint from B can qualify: if A meets B, then A | B = A | C for
     # the proper subset C = B \ A.  And if A qualifies B, then A | {i}
     # qualifies B \ {i} for each i in B, so a block is searched only when
-    # every block one index smaller qualified.
-    found = []
-    blocks = [(i,) for i in range(c.p)]
-    for size in range(1, MAX_BLOCK + 1):
-        qualified = [b for b in blocks if _is_collider_block(c.words, b)]
-        found += [sum(1 << i for i in b) for b in qualified]
+    # every block one index smaller qualified.  {i} qualifies when adding i
+    # to some member takes it out of the collection: `_leaves` on the
+    # complement.
+    missing = ~c.words
+    qualified = [(i,) for i in range(c.p) if _leaves(missing, i)]
+    found = [1 << i for (i,) in qualified]
+    for size in range(2, MAX_BLOCK + 1):
         known = set(qualified)
         blocks = [
             b + (j,)
             for b in qualified
             for j in range(b[-1] + 1, c.p)
-            if all(sub in known for sub in combinations(b + (j,), size))
+            if all(sub in known for sub in combinations(b + (j,), size - 1))
         ]
+        qualified = [b for b in blocks if _is_collider_block(c.words, b)]
+        found += [sum(1 << i for i in b) for b in qualified]
     return by_size(found)
 
 
@@ -315,10 +369,22 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
     elif not int(c.words[-1]) >> ((1 << c.p) - 1) % 64 & 1:
         # The full covariate set (the top bit) is sufficient whenever anything is.
         flags.append("full set not a member")
-    lm = locally_minimal(c)
-    upward_closed = _superset_and_transform(c.words, c.p)
-    blocks = collider_blocks(c)
+    # An index is free when flipping it never moves a mask into or out of
+    # the collection: it is neither a non-collider nor a one-index collider
+    # block.  A free index is in no locally minimal member, non-collider or
+    # collider block, and whether A is upward-closed depends only on the
+    # other indices, so the rest is read off the collection over those.
     nc = noncollider_indices(c)
+    missing = ~c.words
+    keep = nc | sum(1 << i for i in range(c.p) if not nc >> i & 1 and _leaves(missing, i))
+    core = c
+    if 0 < keep < (1 << c.p) - 1:
+        core = AdjustmentCollection._from_words(keep.bit_count(), _squeeze(c.words, c.p, keep))
+    lm = locally_minimal(core)
+    upward_closed = _superset_and_transform(core.words, core.p)
+    blocks = collider_blocks(core)
+    if core is not c:
+        lm, blocks = _deposit(lm, keep), _deposit(blocks, keep)
     col = int(np.bitwise_or.reduce(blocks))
     if col & nc:
         flags.append("collider and non-collider evidence overlap")
@@ -328,7 +394,7 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
         locally_minimal=lm,
         intersection=int(np.bitwise_and.reduce(lm)) if lm.size else None,
         unique_minimal=int(lm[0]) if lm.size == 1 else None,
-        n_upward_closed=int(np.bitwise_count(upward_closed).sum()),
+        n_upward_closed=int(np.bitwise_count(upward_closed).sum()) << (c.p - core.p),
         noncolliders=nc,
         collider_blocks=blocks,
         colliders=col,

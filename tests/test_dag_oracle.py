@@ -98,6 +98,27 @@ def _random_dags(draw, max_p):
     return Dag(p, [e for e, c in zip(pairs, coins) if c < prob])
 
 
+@st.composite
+def _split_dags(draw, max_p):
+    """A DAG whose X nodes are drawn into three parts: up to four beside Y
+    and T, the rest either in an X-X part of their own or on no edge.  Edges
+    run forward along a random order of each part, so Y and T may end up
+    apart too."""
+    p = draw(st.integers(1, max_p))
+    names = [f"X{k}" for k in range(1, p + 1)]
+    roles = draw(st.lists(st.sampled_from("yxi"), min_size=p, max_size=p))
+    near = [n for n, r in zip(names, roles) if r == "y"][:4]
+    side = [n for n, r in zip(names, roles) if r == "x" or (r == "y" and n not in near)]
+    edges = []
+    for part in (["Y", "T", *near], side):
+        order = draw(st.permutations(part))
+        prob = draw(st.floats(0.0, 0.9))
+        pairs = list(itertools.combinations(order, 2))
+        coins = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+        edges += [e for e, c in zip(pairs, coins) if c < prob]
+    return Dag(p, edges)
+
+
 class TestDagBasics:
     def test_cycle_rejected(self):
         with pytest.raises(CyclicGraph):
@@ -314,6 +335,41 @@ class TestTrueCollection:
         member = true_collection(g).member_array
         expect = [path_dsep(g, "Y", "T", _labels(m, g.p)) for m in range(1 << g.p)]
         assert member.tolist() == expect, g.edges()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_split_dags(max_p=9))
+    def test_matches_path_enumeration_off_the_component(self, g):
+        # the sweep holds only the X nodes joined to Y and T; the others,
+        # isolated or in a part of their own, are repeated in afterwards
+        member = true_collection(g).member_array
+        expect = [path_dsep(g, "Y", "T", _labels(m, g.p)) for m in range(1 << g.p)]
+        assert member.tolist() == expect, g.edges()
+
+    def test_every_x_off_the_component(self):
+        # the edge T -> Y is a path no set blocks
+        for edges in ([("T", "Y")], [("T", "Y"), ("X1", "X2"), ("X3", "X2")]):
+            for p in (3, 8):
+                assert len(true_collection(Dag(p, edges))) == 0, (p, edges)
+
+    def test_y_and_t_apart(self):
+        # Y's part and T's part share no node, so every subset is sufficient
+        for p in (4, 7):
+            g = Dag(p, [("X1", "Y"), ("X2", "X1"), ("T", "X3"), ("X3", "X4")])
+            assert len(true_collection(g)) == 1 << p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 6, 7, 9, 11])
+    def test_confounders_with_the_rest_off(self, p):
+        # each hub confounds T and Y, so a member holds every hub; X1 -> X3
+        # is a part of its own and every other X touches nothing.  From
+        # p = 9 on, off indices lie below, between and above kept ones past
+        # bit 6, so whole words are repeated in between differing ones.
+        hubs = {2, p} | ({7} if p >= 7 else set()) | ({10} if p >= 11 else set())
+        edges = [e for h in sorted(hubs) for e in ((f"X{h}", "T"), (f"X{h}", "Y"))]
+        if p >= 4:
+            edges += [("X1", "X3")]
+        coll = true_collection(Dag(p, edges))
+        need = sum(1 << (h - 1) for h in hubs)
+        assert coll.masks.tolist() == [m for m in range(1 << p) if m & need == need]
 
     def test_dense_design_member_count(self):
         # 154 was counted with an independent per-mask d-separation loop;

@@ -91,7 +91,8 @@ class TestWordStore:
             "constructor": AdjustmentCollection(p, rng.random(1 << p) < 0.5),
             "from_masks": _coll(p, rng.integers(0, 1 << p, 1 << (p - 1))),
             "true_collection": true_collection(random_design(rng, p)[0]),
-            # no path joins Y and T, so ~reach is all ones, padding too
+            # Y touches no edge, so the sweep holds no index and every
+            # mask is a member
             "true_collection_full": true_collection(Dag(p, [("X1", "T")])),
             "upward_closure": upward_closure(p, rng.integers(0, 1 << p, 2)),
         }
@@ -254,6 +255,79 @@ class TestAgainstDefinitions:
             union |= b
         assert rep.colliders == collider_indices(c) == union
         assert rep.refined_colliders == union & ~rep.noncolliders
+
+
+def _packed_ranks(masks, keep):
+    """Each mask's bits inside `keep`, moved down to their ranks in `keep`."""
+    out = np.zeros_like(masks)
+    for r, i in enumerate(mask_indices(keep)):
+        out |= (masks >> (i - 1) & 1) << r
+    return out
+
+
+_FREE = {
+    "any": lambda f, p: f,
+    "none": lambda f, p: 0,
+    "all": lambda f, p: (1 << p) - 1,
+    "low": lambda f, p: f & 0b111111,
+    "high": lambda f, p: f & ~0b111111,
+}
+
+
+@st.composite
+def _collections_with_free_indices(draw):
+    """(p, free, member): a bitmap read at `m & ~free` for every mask m, so
+    flipping an index of `free` never changes membership."""
+    p = draw(st.integers(1, 10))
+    free = _FREE[draw(st.sampled_from(sorted(_FREE)))](draw(st.integers(0, (1 << p) - 1)), p)
+    fill = draw(st.sampled_from(["empty", "full", "sparse", "half", "dense", "closure"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if fill == "closure":
+        bitmap = upward_closure(p, rng.integers(0, 1 << p, 3)).member_array
+    else:
+        density = {"empty": 0.0, "full": 1.0, "sparse": 0.1, "half": 0.5, "dense": 0.9}[fill]
+        bitmap = rng.random(1 << p) < density if 0 < density < 1 else np.full(1 << p, density > 0)
+    return p, free, bitmap[np.arange(1 << p) & ~free]
+
+
+class TestFreeIndices:
+    """The report reads a collection with free indices off the collection
+    over the other indices; it must give what the passes give on the whole."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_collections_with_free_indices())
+    def test_report_matches_the_whole_collection(self, args):
+        p, free, member = args
+        c = AdjustmentCollection(p, member)
+        rep = structure_report(c)
+        for got, expect in ((rep.locally_minimal, locally_minimal(c)),
+                            (rep.collider_blocks, collider_blocks(c))):
+            assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
+        assert rep.noncolliders == noncollider_indices(c)
+        upward = set_analysis._superset_and_transform(c.words, p)
+        assert rep.n_upward_closed == int(np.bitwise_count(upward).sum())
+        assert rep.n_members == len(c) == int(member.sum())
+        assert not free & (rep.noncolliders | rep.colliders)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(0, (1 << p) - 1), st.integers(0, 2**32 - 1))))
+    def test_spread_and_squeeze(self, args):
+        p, keep, seed = args
+        small = np.random.default_rng(seed).random(1 << keep.bit_count()) < 0.5
+        words = set_analysis._pack(small)
+        spread = set_analysis._spread(words, p, keep)
+        assert spread.shape == (max(1, (1 << p) >> 6),)
+        if p < 6:
+            assert int(spread[0]) >> (1 << p) == 0
+        expect = small[_packed_ranks(np.arange(1 << p), keep)]
+        assert np.array_equal(set_analysis._unpack(spread, p), expect)
+        assert np.array_equal(set_analysis._squeeze(spread, p, keep), words)
+        # on any words, squeezing keeps the masks inside `keep`, in order
+        big = np.random.default_rng(seed + 1).random(1 << p) < 0.5
+        inside = np.flatnonzero(np.arange(1 << p) & ~keep == 0)
+        squeezed = set_analysis._squeeze(set_analysis._pack(big), p, keep)
+        assert np.array_equal(squeezed, set_analysis._pack(big[inside]))
 
 
 class TestLocallyMinimal:

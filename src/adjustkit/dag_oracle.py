@@ -277,8 +277,8 @@ def true_collection(g: Dag) -> AdjustmentCollection:
     Notes
     -----
     Only the X nodes joined to Y and T by edges, whatever their direction,
-    lie on a Y-T path or below one, so the sweep runs over the sub-cube of
-    those nodes and the collection repeats it over the others.
+    lie on a Y-T path or below a node of one, so the sweep runs over the
+    sub-cube of those nodes and the collection repeats it over the others.
     """
     keep = _yt_component(g)
     member = ~_reachable(g, _Y, _T, 0, keep)

@@ -118,7 +118,7 @@ for model, p in ((1, 10), (3, 10), (3, 14)):
     values = population_values(linear_sem_population(model_graph(model, p)))
     # every field that any tree's `select` reads of a table
     table = SimpleNamespace(p=p, masks=subcube(0, (1 << p) - 1), values=values, t=0,
-                            metadata={"n": 400})
+                            universe=(0, (1 << p) - 1), metadata={"n": 400})
     result = select(table, SelectorConfig.for_sample(400))
     h = hashlib.blake2b(values.tobytes() + result.order.tobytes(), digest_size=16)
     h.update(repr(result.tau).encode() + result.selected.member_array.tobytes())

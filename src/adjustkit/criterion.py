@@ -85,24 +85,29 @@ class CriterionConfig:
 
 @dataclass(frozen=True)
 class CriterionTable:
-    """Criterion values over an enumerated subset universe.
+    """Criterion values over a subset universe: the universe and its values.
 
     Attributes
     ----------
     p : int
-    masks : ndarray of uint32
-        Ascending subset masks covered by the table.
+    universe : (int, int)
+        The fit's sub-cube ``(fixed, free)``.
     values : ndarray of float
-        f̂ aligned with masks; nonnegative, +inf marks a singular block.
+        f̂ of each rank, aligned with `masks`; nonnegative, +inf marks a singular block.
     metadata : dict
         n, p, slice counts, the config's estimator methods ("sir" or
         "save"), singular-block count.
     """
 
     p: int
-    masks: np.ndarray
+    universe: tuple[int, int]
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def masks(self) -> np.ndarray:
+        """`subcube` of the universe, built on each access."""
+        return subcube(*self.universe)
 
 
 def _narrowed(m: np.ndarray) -> np.ndarray:
@@ -274,9 +279,8 @@ class CriterionFit:
         tuple
             One entry per position: its `CriterionTable`, or the
             `AdjustKitError` that arm's outcome candidate raised (for
-            example `TooFewObservations`).  The tables of one call share
-            one ascending uint32 ``masks`` array, `subcube` of the
-            universe.  A table is deterministic given dataset and config;
+            example `TooFewObservations`), which holds the fit's universe
+            and its values.  A table is deterministic given dataset and config;
             subsets whose conditioning block is singular (a failed pivot,
             see `_lattice_values`) carry +inf and are counted in
             metadata["singular_blocks"].
@@ -287,10 +291,9 @@ class CriterionFit:
             return tuple(out)
         mys = [out[i][0] for i in built]
         values = _lattice_values(self.inv_sigmas, mys, self.m_t, *self.universe)
-        masks = subcube(*self.universe)
         meta = self.metadata
         for i, v in zip(built, values):
-            out[i] = CriterionTable(p=meta["p"], masks=masks, values=v, metadata={
+            out[i] = CriterionTable(p=meta["p"], universe=self.universe, values=v, metadata={
                 "n": meta["n"],
                 "p": meta["p"],
                 "h_y": out[i][1],

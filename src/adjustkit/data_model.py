@@ -3,10 +3,10 @@
 Covariate subsets are bitmasks over the columns of the design matrix.
 Bit ``i`` of a mask corresponds to covariate ``X_{i+1}``.  Inside the
 package a subset is a Python int and a list of subsets a uint32 array;
-1-based indices appear only where text is read or written.  A bitset over
-the masks of a sub-cube (`subcube`) is set_analysis's uint64 words, 64 masks
-each: an `AdjustmentCollection` is stored as such words over all 2^p masks,
-and the d-separation oracle holds its per-node state in them.
+1-based indices appear only where text is read or written.  A universe is
+a sub-cube ``(fixed, free)``, whose mask of rank r is ``fixed | deposit(r,
+free)``; set_analysis's uint64 words are a bitset over its masks, 64 per
+word, for `AdjustmentCollection` and the d-separation oracle's node state.
 """
 
 from __future__ import annotations
@@ -62,20 +62,25 @@ def mask_indices(mask) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def subcube(fixed: int, free: int) -> np.ndarray:
-    """Ascending uint32 array of every mask that holds the bits of ``fixed``
-    and any of those of ``free`` (disjoint from ``fixed``): 2^|free| masks,
-    filled in place, one doubling per free bit; ``subcube(0, 2^p - 1)`` is
-    the whole lattice."""
-    out = np.empty(1 << free.bit_count(), dtype=np.uint32)
-    out[0] = fixed
-    n = 1
-    for i in range(free.bit_length()):
-        if free >> i & 1:
-            # the masks so far agree above bit i and lack it: this stays ascending
-            np.bitwise_or(out[:n], np.uint32(1 << i), out=out[n : 2 * n])
-            n *= 2
+def deposit(ranks: np.ndarray, keep: int) -> np.ndarray:
+    """Bit r of each rank moved to the r-th index of ``keep``, in the ranks'
+    dtype: one pass per run of consecutive indices, or ``ranks`` itself when
+    ``keep`` is 2^k - 1.  The one rank-to-mask map; it keeps order and sizes."""
+    if not keep & (keep + 1):
+        return ranks
+    out, r = np.zeros_like(ranks), 0
+    while keep:  # the lowest run left, indices low..low+width-1, takes bits r..r+width-1
+        low = (keep & -keep).bit_length() - 1
+        width = (keep >> low ^ (keep >> low) + 1).bit_length() - 1
+        out |= (ranks >> r & (1 << width) - 1) << low
+        r, keep = r + width, keep & -1 << (low + width)
     return out
+
+
+def subcube(fixed: int, free: int) -> np.ndarray:
+    """The masks of ranks 0..2^|free|-1 in the sub-cube ``(fixed, free)``, an
+    ascending uint32 array; ``subcube(0, 2^p - 1)`` is the whole lattice."""
+    return np.uint32(fixed) | deposit(np.arange(1 << free.bit_count(), dtype=np.uint32), free)
 
 
 def by_size(masks) -> np.ndarray:

@@ -19,6 +19,7 @@ from .data_model import (
     by_size,
     check_dimension,
     check_mask,
+    deposit,
     mask_indices,
     split_by_treatment,
     subset_columns,
@@ -196,15 +197,6 @@ def _squeeze(words: np.ndarray, p: int, keep: int) -> np.ndarray:
     return words
 
 
-def _deposit(masks: np.ndarray, keep: int) -> np.ndarray:
-    """Masks over the indices of `keep` moved to those indices: bit r goes
-    to the r-th index of `keep`.  The move keeps sizes and order."""
-    out = np.zeros_like(masks)
-    for r, i in enumerate(i for i in range(keep.bit_length()) if keep >> i & 1):
-        out |= (masks >> r & 1) << i
-    return out
-
-
 def upward_closure(p: int, bases) -> AdjustmentCollection:
     """All subsets containing at least one of the base masks."""
     seeds = AdjustmentCollection.from_masks(p, bases).words
@@ -377,14 +369,9 @@ def structure_report(c: AdjustmentCollection) -> StructureReport:
     nc = noncollider_indices(c)
     missing = ~c.words
     keep = nc | sum(1 << i for i in range(c.p) if not nc >> i & 1 and _leaves(missing, i))
-    core = c
-    if 0 < keep < (1 << c.p) - 1:
-        core = AdjustmentCollection._from_words(keep.bit_count(), _squeeze(c.words, c.p, keep))
-    lm = locally_minimal(core)
+    core = AdjustmentCollection._from_words(keep.bit_count(), _squeeze(c.words, c.p, keep))
+    lm, blocks = deposit(locally_minimal(core), keep), deposit(collider_blocks(core), keep)
     upward_closed = _superset_and_transform(core.words, core.p)
-    blocks = collider_blocks(core)
-    if core is not c:
-        lm, blocks = _deposit(lm, keep), _deposit(blocks, keep)
     col = int(np.bitwise_or.reduce(blocks))
     if col & nc:
         flags.append("collider and non-collider evidence overlap")

@@ -266,14 +266,15 @@ def test_criterion_08_ridge_ratio_unit_vector():
     from types import SimpleNamespace
 
     tab = SimpleNamespace(
-        p=2, masks=np.arange(4, dtype=np.uint32), values=np.array([1.0, 0.9, 0.001, 0.0005])
+        p=2, masks=np.arange(4, dtype=np.uint32), values=np.array([1.0, 0.9, 0.001, 0.0005]),
+        universe=(0, 2**2 - 1),
     )
     res = select(tab, cfg)
     assert np.array_equal(ridge_ratios(res.sorted_values, cfg), ratios)
     assert res.tau == 2
 
     zero_tab = SimpleNamespace(
-        p=3, masks=np.arange(8, dtype=np.uint32), values=np.zeros(8)
+        p=3, masks=np.arange(8, dtype=np.uint32), values=np.zeros(8), universe=(0, 2**3 - 1)
     )
     flat = select(zero_tab, cfg)
     assert flat.tau == 0

@@ -10,6 +10,7 @@ from adjustkit.data_model import (
     by_size,
     check_dimension,
     check_mask,
+    deposit,
     indices_mask,
     load_csv,
     mask_indices,
@@ -118,6 +119,49 @@ class TestEnumeration:
         assert m.dtype == np.uint32
         assert m.size == 64
         assert (np.diff(m.astype(np.int64)) == 1).all()
+
+
+def _deposit_one_bit_at_a_time(rank: int, keep: int) -> int:
+    """Bit r of ``rank`` moved to the r-th index of ``keep``, one bit at a time."""
+    mask, r = 0, 0
+    for i in range(keep.bit_length()):
+        if keep >> i & 1:
+            mask |= (rank >> r & 1) << i
+            r += 1
+    return mask
+
+
+# keeps over 24 indices: none, a low run 2^k - 1, one high bit, alternating
+# bits, and sets holding both bit 0 and bit 23
+KEEPS = (
+    st.just(0)
+    | st.integers(1, 24).map(lambda k: (1 << k) - 1)
+    | st.integers(0, 23).map(lambda i: 1 << i)
+    | st.sampled_from([0x555555, 0xAAAAAA])
+    | st.integers(0, (1 << 24) - 1).map(lambda m: m | 1 | 1 << 23)
+)
+
+
+class TestDeposit:
+    """`deposit` is the one map from the ranks of a sub-cube to its masks."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_one_bit_at_a_time(self, data):
+        keep = data.draw(KEEPS, label="keep")
+        dtype = data.draw(st.sampled_from([np.uint32, np.int64]), label="dtype")
+        rank = st.integers(0, (1 << keep.bit_count()) - 1)
+        ranks = np.array(data.draw(st.lists(rank, max_size=20), label="ranks"), dtype=dtype)
+        got = deposit(ranks, keep)
+        assert got.dtype == dtype
+        assert got.tolist() == [_deposit_one_bit_at_a_time(r, keep) for r in ranks.tolist()]
+
+    def test_low_run_is_the_identity(self):
+        # keep = 2^k - 1 moves no bit, so the input comes back uncopied
+        ranks = np.arange(8, dtype=np.uint32)
+        assert deposit(ranks, 0b111) is ranks
+        zero = ranks[:1]
+        assert deposit(zero, 0) is zero
 
 
 class TestDataset:

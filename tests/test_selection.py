@@ -21,10 +21,12 @@ from adjustkit.set_analysis import prune_hints
 from adjustkit.sim_bench import ModelSpec, generate_model
 
 
-def _table(p, masks, values, n=400):
+def _table(p, universe, values, n=400):
+    """A table over the sub-cube ``universe = (fixed, free)``, its values in
+    the ascending order of `subcube(fixed, free)`."""
     return SimpleNamespace(
         p=p,
-        masks=np.asarray(masks, dtype=np.uint32),
+        universe=universe,
         values=np.asarray(values, dtype=np.float64),
         metadata={"n": n},
     )
@@ -68,54 +70,61 @@ class TestSortTable:
     """How `select` orders a table: descending value, then cardinality, then mask."""
 
     def test_descending_values(self):
-        # p=2 table: f(empty)=3, f({1})=1, f({2})=2
-        res = select(_table(2, [0b00, 0b01, 0b10], [3.0, 1.0, 2.0]))
-        assert res.order.tolist() == [0b00, 0b10, 0b01]
-        assert res.sorted_values.tolist() == [3.0, 2.0, 1.0]
+        # p=2 table: f(empty)=3, f({1})=1, f({2})=2, f({1,2})=0.5
+        res = select(_table(2, (0, 0b11), [3.0, 1.0, 2.0, 0.5]))
+        assert res.order.tolist() == [0b00, 0b10, 0b01, 0b11]
+        assert res.sorted_values.tolist() == [3.0, 2.0, 1.0, 0.5]
 
     def test_all_equal_breaks_by_cardinality_then_mask(self):
-        res = select(_table(2, [0b00, 0b01, 0b10, 0b11], [1.0] * 4))
+        res = select(_table(2, (0, 0b11), [1.0] * 4))
         assert res.order.tolist() == [0b00, 0b01, 0b10, 0b11]
 
     def test_tie_prefers_smaller_set(self):
-        # {1,2} and {3} share a value; the singleton sorts first
-        res = select(_table(3, [0b011, 0b100], [0.5, 0.5]))
-        assert res.order.tolist() == [0b100, 0b011]
+        # {1,2} and {3} share the top value; the singleton sorts first
+        values = np.zeros(8)
+        values[[0b011, 0b100]] = 0.5
+        res = select(_table(3, (0, 0b111), values))
+        assert res.order[:2].tolist() == [0b100, 0b011]
 
     def test_values_track_masks(self):
         rng = np.random.default_rng(5)
         masks = np.arange(16, dtype=np.uint32)
         values = rng.uniform(size=16)
-        res = select(_table(4, masks, values))
+        res = select(_table(4, (0, 0b1111), values))
         lookup = dict(zip(masks.tolist(), values.tolist()))
         assert all(lookup[m] == v for m, v in zip(res.order.tolist(), res.sorted_values.tolist()))
         assert np.all(np.diff(res.sorted_values) <= 0)
 
     def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            select(_table(2, [], []))
+        # the values must be one per mask of the universe
+        for values in ([], [1.0, 2.0], [1.0] * 5):
+            with pytest.raises(ValueError, match="values for 2\\^2 subsets"):
+                select(_table(2, (0, 0b11), values))
 
     def test_default_config_needs_n(self):
         # the ridge constant comes from n, so a table without one is refused
         # unless a config is given, not scored with a made-up n
-        table = _table(2, [0b00, 0b01, 0b10], [3.0, 1.0, 2.0])
+        table = _table(2, (0, 0b11), [3.0, 1.0, 2.0, 0.5])
         del table.metadata["n"]
         with pytest.raises(ValueError, match=r'metadata\["n"\]'):
             select(table)
-        assert select(table, SelectorConfig()).order.tolist() == [0b00, 0b10, 0b01]
+        assert select(table, SelectorConfig()).order.tolist() == [0b00, 0b10, 0b01, 0b11]
 
     # values that tie often or sort specially: exact zeros of both signs,
     # the singular +inf, NaN, and a few plain values
     TIES = [0.0, -0.0, math.inf, math.nan, 0.5, 1.0, 2.5e-9]
 
     @staticmethod
-    def _assert_three_key_lexsort(p, masks, values):
-        table = _table(p, masks, values)
-        perm = np.lexsort((table.masks, np.bitwise_count(table.masks), -table.values))
+    def _assert_three_key_lexsort(p, universe, values):
+        # `select` sorts ranks; this sorts the masks themselves
+        table = _table(p, universe, values)
+        masks = subcube(*universe)
+        perm = np.lexsort((masks, np.bitwise_count(masks), -table.values))
         # the ratio of a huge value to a tiny one overflows; only the order is checked
         with np.errstate(over="ignore"):
             res = select(table, SelectorConfig())
-        assert res.order.tolist() == table.masks[perm].tolist()
+        assert res.order.dtype == np.uint32
+        assert res.order.tolist() == masks[perm].tolist()
         # bit for bit: +0.0 and -0.0 tie, and so do NaNs
         assert res.sorted_values.view(np.uint64).tolist() == table.values[perm].view(np.uint64).tolist()
 
@@ -123,24 +132,25 @@ class TestSortTable:
     @given(st.data())
     def test_order_is_the_three_key_lexsort(self, data):
         p = data.draw(st.integers(1, 9), label="p")
-        masks = data.draw(st.lists(st.integers(0, (1 << p) - 1), min_size=1, unique=True))
+        free = data.draw(st.integers(0, (1 << p) - 1), label="free")
+        fixed = data.draw(st.integers(0, (1 << p) - 1), label="fixed") & ~free
+        size = 1 << free.bit_count()
         value = st.sampled_from(self.TIES) | st.floats(allow_nan=True, allow_infinity=True)
-        values = data.draw(st.lists(value, min_size=len(masks), max_size=len(masks)))
-        self._assert_three_key_lexsort(p, masks, values)
+        values = data.draw(st.lists(value, min_size=size, max_size=size), label="values")
+        self._assert_three_key_lexsort(p, (fixed, free), values)
 
     @pytest.mark.parametrize("kind", ["short runs", "all equal", "one entry", "no ties"])
     def test_order_is_the_three_key_lexsort_at_p12(self, kind):
         rng = np.random.default_rng(12)
-        masks = rng.permutation(1 << 12)
+        size = 1 << 12
         values = {
-            "short runs": rng.choice(self.TIES + list(rng.uniform(size=400)), size=masks.size),
-            "all equal": np.full(masks.size, 0.25),
-            "one entry": rng.uniform(size=masks.size),
-            "no ties": rng.uniform(size=masks.size),
+            "short runs": rng.choice(self.TIES + list(rng.uniform(size=400)), size=size),
+            "all equal": np.full(size, 0.25),
+            "one entry": rng.uniform(size=1),
+            "no ties": rng.uniform(size=size),
         }[kind]
-        if kind == "one entry":
-            masks, values = masks[:1], values[:1]
-        self._assert_three_key_lexsort(12, masks, values)
+        universe = (int(rng.integers(size)), 0) if kind == "one entry" else (0, size - 1)
+        self._assert_three_key_lexsort(12, universe, values)
 
 
 class TestRidgeRatios:
@@ -180,7 +190,7 @@ class TestRidgeRatios:
             warnings.simplefilter("error")
             two_inf = ridge_ratios(np.array([np.inf, np.inf, 1.0, 0.5]), cfg)
             nan_run = ridge_ratios(np.array([2.0, 1.0, np.nan, np.nan, np.nan]), cfg)
-            res = select(_table(2, [0, 1, 2, 3], [1.0, np.inf, 0.5, np.inf]), cfg)
+            res = select(_table(2, (0, 0b11), [1.0, np.inf, 0.5, np.inf]), cfg)
         assert two_inf.tolist() == [0.6, 1.0, 1.0, (0.5 + 0.01) / (1.0 + 0.01)]
         assert nan_run.tolist() == [0.6, (1.0 + 0.01) / (2.0 + 0.01), 1.0, 1.0, 1.0]
         assert res.order.tolist() == [1, 3, 0, 2]
@@ -193,59 +203,61 @@ class TestSelectTail:
 
     def test_worked_cutoff(self):
         cfg = SelectorConfig(c0=0.6, cn=0.01)
-        masks = np.array([0b00, 0b10, 0b01, 0b11], dtype=np.uint32)
-        values = np.array([1.0, 0.9, 0.001, 0.0005])
-        res = select(_table(2, masks, values), cfg)
-        assert res.order.tolist() == masks.tolist()
+        # values of masks 0b00, 0b01, 0b10, 0b11, sorted as 0b00, 0b10, 0b01, 0b11
+        order = np.array([0b00, 0b10, 0b01, 0b11], dtype=np.uint32)
+        values = np.array([1.0, 0.001, 0.9, 0.0005])
+        res = select(_table(2, (0, 0b11), values), cfg)
+        assert res.order.tolist() == order.tolist()
         assert res.tau == 2
         assert res.selected.masks.tolist() == [0b01, 0b11]
         r = ridge_ratios(res.sorted_values, cfg)
         assert r[0] == cfg.c0
-        assert r.size == masks.size
+        assert r.size == order.size
         assert np.argmin(r) == res.tau
 
     def test_zero_table_selects_everything(self):
-        res = select(_table(3, np.arange(8), np.zeros(8)), SelectorConfig())
+        res = select(_table(3, (0, 0b111), np.zeros(8)), SelectorConfig())
         assert res.tau == 0
         assert len(res.selected) == 8
 
     def test_two_level_table_cuts_at_the_jump(self):
         cfg = SelectorConfig(c0=0.6, cn=0.01)
-        res = select(_table(8, np.arange(200), np.r_[np.ones(100), np.zeros(100)]), cfg)
+        res = select(_table(8, (0, 0xFF), np.r_[np.ones(100), np.zeros(156)]), cfg)
         assert res.tau == 100
-        assert len(res.selected) == 100
-        assert all(res.sorted_values[k] == 0.0 for k in range(res.tau, 200))
+        assert len(res.selected) == 156
+        assert all(res.sorted_values[k] == 0.0 for k in range(res.tau, 256))
 
     def test_ties_break_to_the_earliest_index(self):
-        # with cn = 1 the ratios are [c0, 2/4, 1/2]: a tie at 0.5
+        # with cn = 1 the ratios are [c0, 2/4, 1/2, 1/1]: a tie at 0.5
         cfg = SelectorConfig(c0=0.6, cn=1.0)
-        res = select(_table(2, np.arange(3), [3.0, 1.0, 0.0]), cfg)
-        assert ridge_ratios(res.sorted_values, cfg).tolist() == [0.6, 0.5, 0.5]
+        res = select(_table(2, (0, 0b11), [3.0, 1.0, 0.0, 0.0]), cfg)
+        assert ridge_ratios(res.sorted_values, cfg).tolist() == [0.6, 0.5, 0.5, 1.0]
         assert res.tau == 1
 
     def test_c0_floors_a_flat_scree(self):
         # every empirical ratio stays above c0, so the cut never moves
         cfg = SelectorConfig(c0=0.6, cn=1.0)
-        res = select(_table(2, np.arange(3), [1.0, 0.9, 0.8]), cfg)
+        res = select(_table(2, (0, 0b11), [1.0, 0.9, 0.8, 0.7]), cfg)
         assert res.tau == 0
-        assert len(res.selected) == 3
+        assert len(res.selected) == 4
 
     def test_selected_is_the_order_tail(self):
         rng = np.random.default_rng(9)
-        res = select(_table(4, np.arange(16), rng.uniform(size=16)), SelectorConfig())
+        res = select(_table(4, (0, 0b1111), rng.uniform(size=16)), SelectorConfig())
         assert res.selected.masks.tolist() == sorted(res.order[res.tau:].tolist())
 
     def test_mask_outside_the_universe(self):
-        # the cut keeps mask 4, which lies past 0..2^2-1
+        # a free bit at index p: the cut keeps mask 4, which lies past 0..2^2-1
         with pytest.raises(ValueError, match="mask outside the universe"):
-            select(_table(2, [0, 4], [1.0, 0.0]), SelectorConfig())
+            select(_table(2, (0, 0b100), [1.0, 0.0]), SelectorConfig())
 
     def test_pruned_sub_cube(self):
         # a --hints universe: index 1 in every mask, index 5 in none
         p = 6
-        masks = subcube(*prune_hints(p, known_forks=0b000001, pure_colliders=0b010000))
+        universe = prune_hints(p, known_forks=0b000001, pure_colliders=0b010000)
+        masks = subcube(*universe)
         rng = np.random.default_rng(4)
-        res = select(_table(p, masks, rng.uniform(size=masks.size)), SelectorConfig())
+        res = select(_table(p, universe, rng.uniform(size=masks.size)), SelectorConfig())
         assert masks.size == 1 << 4
         assert np.array_equal(np.sort(res.order), masks)
         assert res.selected.p == p
@@ -256,11 +268,10 @@ class TestSelectTail:
     def test_joint_rescaling_keeps_the_cut(self, scale):
         # multiplying values and cn by the same factor cancels in every ratio
         values = np.array([1.0, 0.9, 0.001, 0.0005])
-        masks = np.arange(4, dtype=np.uint32)
         base = SelectorConfig(c0=0.6, cn=0.01)
         scaled = SelectorConfig(c0=0.6, cn=0.01 * scale)
-        r0 = select(_table(2, masks, values), base)
-        r1 = select(_table(2, masks, values * scale), scaled)
+        r0 = select(_table(2, (0, 0b11), values), base)
+        r1 = select(_table(2, (0, 0b11), values * scale), scaled)
         assert r1.tau == r0.tau == 2
         assert np.array_equal(r1.selected.masks, r0.selected.masks)
 

@@ -16,6 +16,8 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
   p = 16 and model 1's graph at p = 18, each with its JSON report;
 - `simulate`: models 1 and 4, n = 400, mn and gc, 2 reps, CSV and table;
 - `ate`: the README sets and the empty sets;
+- reruns: `select` at p = 10 (both arms) and `oracle` on the README graph,
+  each run twice into the same output, the second over the first's files;
 - the demos;
 - the exit-2 and exit-3 cases that `tests/test_cli.py` lists;
 - `criterion_fit(...).tables()` digests: models 1-5 x n in {400, 800} x mn/gc x the
@@ -33,7 +35,8 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 
 Each run has its own working directory and names its inputs by the same
 relative path in both trees, so every file it writes, its stdout, its
-stderr and its exit code are compared as bytes.  Only the file and line of
+stderr and its exit code are compared as bytes, and so is the listing of
+its directory, hidden names included, so a part file left behind shows.  Only the file and line of
 a Python warning are masked in stderr, since they name the tree and a line
 of source.  The inputs are written once, by this checkout.  Every
 difference is printed; the exit code is 1 when there is one.  It starts
@@ -183,8 +186,9 @@ print(json.dumps(out))
 """
 
 
-def _runs() -> list[tuple[str, list[str], dict]]:
-    """(name, argv after the interpreter, files to write first) of each run."""
+def _runs() -> list[tuple[str, list[str], dict, int]]:
+    """(name, argv after the interpreter, files to write first, times to run
+    it in the same directory) of each run."""
     cli = ["-m", "adjustkit.cli"]
     m1, m4, effect = f"{INPUTS}/m1.csv", f"{INPUTS}/m4.csv", f"{INPUTS}/effect.csv"
     select = [*cli, "select", "--input"]
@@ -245,7 +249,13 @@ def _runs() -> list[tuple[str, list[str], dict]]:
     for i, flags in enumerate([["--a0", "4"], ["--a0", "x"], ["--a1", "0"], ["--a1", "1,"],
                                ["--a1", "1.0"], ["--a1", "1,,2"]]):
         runs.append((f"exit-ate{i}", [*cli, "ate", "--input", effect, *flags], {}))
-    return runs
+    # a rerun replaces the first run's files and must leave nothing else
+    reruns = [
+        ("rerun-select", [*select, m1, "--output", "out"], {}, 2),
+        ("rerun-oracle-readme", [*cli, "oracle", "--dag", "g.txt", "--output", "r.json"],
+         {"g.txt": README_DAG}, 2),
+    ]
+    return [(*run, 1) for run in runs] + reruns
 
 
 def _python(tree: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -255,17 +265,23 @@ def _python(tree: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProce
                           timeout=600)
 
 
-def _observe(tree: Path, work: Path, name: str, argv: list[str], files: dict) -> dict:
-    """What one run left behind: exit code, stdout, masked stderr and files."""
+def _observe(tree: Path, work: Path, name: str, argv: list[str], files: dict,
+             times: int) -> dict:
+    """What ``times`` runs in one directory left behind: their exit codes,
+    stdout, masked stderr, the directory's listing and the files written."""
     cwd = work / name
     cwd.mkdir(parents=True)
     for fname, text in files.items():
         (cwd / fname).write_text(text, encoding="utf-8")
-    proc = _python(tree, argv, cwd)
-    stderr = WARNING_SITE.sub(r"\1:<line>:", proc.stderr.decode("utf-8", "replace"))
+    procs = [_python(tree, argv, cwd) for _ in range(times)]
+    stderr = b"".join(proc.stderr for proc in procs).decode("utf-8", "replace")
+    entries = sorted(cwd.rglob("*"))
     written = {str(p.relative_to(cwd)): p.read_bytes()
-               for p in sorted(cwd.rglob("*")) if p.is_file() and p.name not in files}
-    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": stderr.encode(),
+               for p in entries if p.is_file() and p.name not in files}
+    return {"exit code": [proc.returncode for proc in procs],
+            "stdout": b"".join(proc.stdout for proc in procs),
+            "stderr": WARNING_SITE.sub(r"\1:<line>:", stderr).encode(),
+            "listing": "".join(f"{p.relative_to(cwd)}\n" for p in entries).encode(),
             "files": written}
 
 
@@ -279,7 +295,7 @@ def _first_difference(a: bytes, b: bytes) -> str:
 
 def _compare(name: str, ours: dict, theirs: dict) -> list[str]:
     out = []
-    for key in ("exit code", "stdout", "stderr"):
+    for key in ("exit code", "stdout", "stderr", "listing"):
         if ours[key] != theirs[key]:
             detail = (f"{ours[key]} vs {theirs[key]}" if key == "exit code"
                       else _first_difference(ours[key], theirs[key]))
@@ -322,10 +338,10 @@ def main(argv=None) -> int:
             return 1
         trees = {"here": ROOT, "there": other}
         differences, checks = [], 0
-        for name, run_argv, files in _runs():
-            seen = {label: _observe(tree, base / label, name, run_argv, files)
+        for name, run_argv, files, times in _runs():
+            seen = {label: _observe(tree, base / label, name, run_argv, files, times)
                     for label, tree in trees.items()}
-            checks += 3 + len(seen["here"]["files"])
+            checks += 4 + len(seen["here"]["files"])
             differences += _compare(name, seen["here"], seen["there"])
         digests = {label: _digests(tree, base) for label, tree in trees.items()}
         for key in sorted(digests["here"].keys() | digests["there"].keys()):

@@ -16,9 +16,10 @@ import os
 import pickle
 import sys
 import warnings
+from contextlib import contextmanager, suppress
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -170,9 +171,66 @@ def _row_numberer() -> Callable[[int, int], tuple[list[str], list[str]]]:
 _ROWS = 256
 
 
+def _part(path: Path) -> Path:
+    """The hidden name, beside ``path``, that its file is written under."""
+    return path.with_name(f".{path.name}.part")
+
+
+def _discard(paths: Iterable[Path]) -> None:
+    """Unlink each of ``paths`` that exists; an error here would only hide
+    the one being reported."""
+    for path in paths:
+        with suppress(OSError):
+            os.unlink(path)
+
+
+@contextmanager
+def _replacing(*targets: Path) -> Iterator[list[TextIO]]:
+    """Yield a new file open for writing for each target, under its `_part`
+    name, and put them all in place once all are complete.
+
+    A stale part, left by a killed run, is unlinked and the part made new
+    (``"x"``), so no part is truncated and none is written through a link.
+    When the block ends, every part is closed; then, target by target, the
+    old file is unlinked, if there is one, and the part renamed to the
+    target.  On any exception, one from an unlink or a rename included,
+    every part is closed and unlinked, and the exception goes on.  So each
+    output is complete or absent, and an existing one is never truncated or
+    renamed over.  On ext4 a truncating rewrite of a file that an earlier
+    run wrote cost about 3x the unlink and rename, and `os.replace` of a
+    part as much as the rewrite; this fits ext4's ``auto_da_alloc``
+    heuristic, which flushes a file that replaces another.
+    """
+    parts = [_part(path) for path in targets]
+    files = []
+    try:
+        for part in parts:
+            part.unlink(missing_ok=True)
+            files.append(open(part, "x", encoding="utf-8"))
+        yield files
+        for fh in files:
+            fh.close()
+        for target, part in zip(targets, parts):
+            target.unlink(missing_ok=True)
+            os.rename(part, target)
+    except BaseException:
+        for fh in files:
+            with suppress(OSError):
+                fh.close()
+        _discard(parts)
+        raise
+
+
+def _arm_paths(outdir: Path, t: int) -> tuple[Path, Path, Path]:
+    """Arm ``t``'s JSON, criterion CSV and scree CSV in ``outdir``."""
+    return (outdir / f"selection_arm{t}.json", outdir / f"criterion_arm{t}.csv",
+            outdir / f"scree_arm{t}.csv")
+
+
 def _write_selection(outdir: Path, header: dict, result) -> Path:
     """Write one arm's ``selection_arm{t}.json``, ``criterion_arm{t}.csv`` and
-    ``scree_arm{t}.csv``.
+    ``scree_arm{t}.csv``, through one `_replacing`, so the three are put in
+    place together and only once all three are complete.
 
     The bytes are those of ``json.dumps(doc, indent=2)``, where ``doc`` is
     ``header`` followed by ``selected_count``, ``selected_sets`` and
@@ -209,8 +267,15 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
 
     # the header's own closing "\n}" is cut off and written after the lists
     head = json.dumps({**header, "selected_count": sel.size}, indent=2)[:-2]
-    json_path = outdir / f"selection_arm{t}.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
+    # a row's low piece is its low hex digits, "," and its name's low part;
+    # its high piece is the name's high part and ","
+    hex_low, hex_high = _hex_tables(p)
+    low, high = _name_tables(p, " ")
+    low = [a + "," + b for a, b in zip(hex_low, low)]
+    high = [a + "," for a in high]
+    numbers = _row_numberer()
+    paths = _arm_paths(outdir, t)
+    with _replacing(*paths) as (fh, fc, fs):
         fh.write(head)
         for key, items in (("selected_sets", set_items), ("selected_masks_hex", hex_items)):
             fh.write(f',\n  "{key}": ')
@@ -219,17 +284,6 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
                 fh.write(block if first else "[" + block[1:])
             fh.write("\n  ]" if sel.size else "[]")
         fh.write("\n}\n")
-    # a row's low piece is its low hex digits, "," and its name's low part;
-    # its high piece is the name's high part and ","
-    hex_low, hex_high = _hex_tables(p)
-    low, high = _name_tables(p, " ")
-    low = [a + "," + b for a, b in zip(hex_low, low)]
-    high = [a + "," for a in high]
-    numbers = _row_numberer()
-    with (
-        open(outdir / f"criterion_arm{t}.csv", "w", encoding="utf-8") as fc,
-        open(outdir / f"scree_arm{t}.csv", "w", encoding="utf-8") as fs,
-    ):
         fc.write("mask_hex,indices,f_value\n")
         fs.write("k,f_value\n")
         for first in range(0, result.order.size, _ROWS):
@@ -245,7 +299,7 @@ def _write_selection(outdir: Path, header: dict, result) -> Path:
             scree[0::4], scree[1::4] = numbers(first + 1, len(lo))
             scree[2::4] = values
             fs.write("".join(scree))
-    return json_path
+    return paths[0]
 
 
 def _outcome(work: Callable[[], object]) -> object:
@@ -256,7 +310,7 @@ def _outcome(work: Callable[[], object]) -> object:
         return exc
 
 
-def _fork(work: Callable[[], object]) -> Callable[[], object]:
+def _fork(work: Callable[[], object], leftovers: Iterable[Path] = ()) -> Callable[[], object]:
     """Start ``work()`` in a child made by ``os.fork`` and return a function
     that waits for the child, reaps it and gives ``_outcome(work)``.
 
@@ -264,7 +318,8 @@ def _fork(work: Callable[[], object]) -> Callable[[], object]:
     way in.  Its outcome comes back pickled over a pipe, and it ends with
     ``os._exit``, so no buffer, ``atexit`` hook or ``finally`` of this process
     runs twice.  A child that ends without sending an outcome gives a
-    ``ChildProcessError``.
+    ``ChildProcessError``, after the paths in ``leftovers`` (the part files
+    that such a child may have left) are unlinked.
     """
     sys.stdout.flush()
     sys.stderr.flush()
@@ -293,6 +348,7 @@ def _fork(work: Callable[[], object]) -> Callable[[], object]:
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
+            _discard(leftovers)
             return ChildProcessError(f"the forked child ended with exit code {code}")
         return pickle.loads(data)
 
@@ -342,14 +398,16 @@ def _run_arms(outdir: Path, fit: CriterionFit, headers: list, sel_cfg: SelectorC
     arms, a child forked right after the fit runs arm 1 while this process
     runs arm 0, so each arm's walk, sort and writer run on a core of their
     own (the writer holds the interpreter lock; a child has its own), and
-    the child is reaped whatever happens to arm 0.  With one arm, or
+    the child is reaped whatever happens to arm 0.  A child that dies
+    without an outcome cannot clean up, so this process unlinks arm 1's
+    part files for it.  With one arm, or
     without ``os.fork``, the arms run here, one after the other.
     """
     arms = [partial(_arm, outdir, fit, i, header, sel_cfg) for i, header in enumerate(headers)]
     if isinstance(fit.arms[0], AdjustKitError):
         arms = arms[:1]
     if len(arms) == 2 and hasattr(os, "fork"):
-        child = _fork(arms[1])
+        child = _fork(arms[1], [_part(path) for path in _arm_paths(outdir, headers[1]["arm"])])
         try:
             outcomes = [_outcome(arms[0])]
         finally:
@@ -414,7 +472,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for flag in rep.flags:
         print(f"note: {flag}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _replacing(Path(args.output)) as (fh,):
             fh.write(json.dumps(rep.to_dict(), indent=2) + "\n")
         print(f"report -> {args.output}")
     return EXIT_OK
@@ -426,7 +484,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         reps=args.reps, seed=args.seed,
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _replacing(Path(args.output)) as (fh,):
             fh.write(result.to_csv())
         print(f"csv -> {args.output}")
     print(result.render())

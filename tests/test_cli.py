@@ -1,8 +1,11 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import builtins
 import dataclasses
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +462,17 @@ def test_output_file_refused_before_any_work(tmp_path, monkeypatch, capsys, comm
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.fixture(params=["forked", "in-process"])
+def forks(request, monkeypatch):
+    """The os.fork calls made, or None when os.fork is missing."""
+    if request.param == "in-process":
+        monkeypatch.delattr(os, "fork")
+        return None
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or fork())
+    return calls
+
+
 class TestArmFailure:
     """An arm whose outcome candidate cannot be built fails on its own: arm 1
     below has 8 rows, fewer than the 2h = 10 that h = 5 slices need."""
@@ -521,16 +535,6 @@ class TestForkedWriter:
     outlives the run."""
 
     ARM1_FILES = ["criterion_arm1.csv", "scree_arm1.csv", "selection_arm1.json"]
-
-    @pytest.fixture(params=["forked", "in-process"])
-    def forks(self, request, monkeypatch):
-        """The os.fork calls made, or None when os.fork is missing."""
-        if request.param == "in-process":
-            monkeypatch.delattr(os, "fork")
-            return None
-        calls, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or fork())
-        return calls
 
     def _run(self, tmp_path, forks, blocked=None):
         data = _model_csv(tmp_path, 1, n=200)
@@ -645,6 +649,157 @@ class TestForkedWriter:
         blocked = tmp_path / "run" / "selection_arm0.json"
         assert std.err == f"adjustkit: [Errno 21] Is a directory: '{blocked}'\n"
         assert std.out == ""
+
+
+def _entries(directory):
+    """Every entry of ``directory``, hidden ones included: name -> (inode, bytes)."""
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in sorted(directory.iterdir())}
+
+
+def _no_space():
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _failing_writes(monkeypatch, name, fail, after):
+    """Make the CLI's writes to the part file of ``name`` call ``fail()``
+    once ``after`` of them have gone through, in this process and in any
+    child forked after this."""
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > after:
+                fail()
+            return self.fh.write(text)
+
+        def close(self):
+            self.fh.close()
+
+    def opener(file, *args, **kwargs):
+        fh = builtins.open(file, *args, **kwargs)
+        return Failing(fh) if Path(str(file)).name == f".{name}.part" else fh
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+
+
+class TestCompleteOrAbsent:
+    """Each output is written under a hidden part name (``.NAME.part``) and
+    put in place once complete: the old file is unlinked and the part
+    renamed to its name.  A rerun writes the same bytes and leaves only the
+    documented names; a failed one leaves the earlier complete files of the
+    failing arm or command as they were, and no part file."""
+
+    SELECT_FILES = sorted(TestArmFailure.ARM0_FILES + TestForkedWriter.ARM1_FILES)
+
+    @staticmethod
+    def _select(tmp_path):
+        data = tmp_path / "data.csv"
+        if not data.exists():
+            _model_csv(tmp_path, 1, n=200)
+        rc = main(["select", "--input", str(data), "--arm", "both",
+                   "--output", str(tmp_path / "run")])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return rc
+
+    def test_select_rerun(self, tmp_path, forks):
+        assert self._select(tmp_path) == 0
+        out = tmp_path / "run"
+        first = _entries(out)
+        assert sorted(first) == self.SELECT_FILES
+        (out / ".criterion_arm0.csv.part").write_text("stale")
+        assert self._select(tmp_path) == 0
+        again = _entries(out)
+        assert sorted(again) == self.SELECT_FILES
+        for name, (inode, data) in again.items():
+            assert data == first[name][1] and inode != first[name][0], name
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_write_fails_over_an_earlier_run(self, tmp_path, forks, monkeypatch, capsys, arm):
+        # the header and two blocks of 256 rows reach the criterion CSV's
+        # part, then the disk is full
+        assert self._select(tmp_path) == 0
+        capsys.readouterr()
+        before = _entries(tmp_path / "run")
+        _failing_writes(monkeypatch, f"criterion_arm{arm}.csv", _no_space, after=3)
+        assert self._select(tmp_path) == 2
+        std = capsys.readouterr()
+        assert std.err == "adjustkit: [Errno 28] No space left on device\n"
+        if arm == 0:
+            assert std.out == ""
+        else:
+            assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
+        after = _entries(tmp_path / "run")
+        assert sorted(after) == self.SELECT_FILES
+        for name, (inode, data) in after.items():
+            assert data == before[name][1], name
+            assert (inode == before[name][0]) == (f"arm{arm}." in name), name
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_child_killed_mid_write(self, tmp_path, monkeypatch, capsys, earlier):
+        # the forked child kills itself inside its criterion CSV, so it
+        # sends no outcome; this process unlinks the child's part files
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        out, before = tmp_path / "run", {}
+        if earlier:
+            assert self._select(tmp_path) == 0
+            before = _entries(out)
+        capsys.readouterr()
+        parent = os.getpid()
+
+        def kill():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _failing_writes(monkeypatch, "criterion_arm1.csv", kill, after=3)
+        assert self._select(tmp_path) == 2
+        std = capsys.readouterr()
+        assert std.err == "adjustkit: the forked child ended with exit code -9\n"
+        assert std.out.startswith("arm 0: ") and "arm 1" not in std.out
+        after = _entries(out)
+        assert sorted(after) == (self.SELECT_FILES if earlier else TestArmFailure.ARM0_FILES)
+        for name in TestForkedWriter.ARM1_FILES:
+            assert after.get(name) == before.get(name), name
+        json.loads(after["selection_arm0.json"][1])
+        scree = after["scree_arm0.csv"][1].decode().splitlines()
+        assert len(scree) == 1 + (1 << 10) and scree[-1].startswith(f"{1 << 10},")
+
+    @pytest.mark.parametrize("command", ["oracle", "simulate"])
+    def test_file_rerun(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        out.mkdir()
+        if command == "oracle":
+            (tmp_path / "dag.txt").write_text(UNIQUE_MIN_DAG)
+            argv, name = ["oracle", "--dag", str(tmp_path / "dag.txt")], "report.json"
+        else:
+            argv = ["simulate", "--models", "1", "--n", "400", "--reps", "1"]
+            name = "sim.csv"
+        argv += ["--output", str(out / name)]
+        assert main(argv) == 0
+        first = _entries(out)
+        (out / f".{name}.part").write_text("stale")
+        assert main(argv) == 0
+        again = _entries(out)
+        assert sorted(again) == [name]
+        assert again[name][1] == first[name][1] and again[name][0] != first[name][0]
+
+    def test_oracle_write_fails_over_a_report(self, tmp_path, monkeypatch, capsys):
+        dag, report = tmp_path / "dag.txt", tmp_path / "report.json"
+        dag.write_text(UNIQUE_MIN_DAG)
+        argv = ["oracle", "--dag", str(dag), "--output", str(report)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = _entries(tmp_path)
+        _failing_writes(monkeypatch, "report.json", _no_space, after=0)
+        assert main(argv) == 2
+        std = capsys.readouterr()
+        assert std.err == "adjustkit: [Errno 28] No space left on device\n"
+        assert "report ->" not in std.out
+        assert _entries(tmp_path) == before
 
 
 class TestOracle:

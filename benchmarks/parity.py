@@ -36,9 +36,9 @@ The same fixed set of runs is made with each tree's `src/` on PYTHONPATH:
 Each run has its own working directory and names its inputs by the same
 relative path in both trees, so every file it writes, its stdout, its
 stderr and its exit code are compared as bytes, and so is the listing of
-its directory, hidden names included, so a part file left behind shows.  Only the file and line of
-a Python warning are masked in stderr, since they name the tree and a line
-of source.  The inputs are written once, by this checkout.  Every
+its directory, hidden names included, so a part file left behind shows.
+Only the file and line of a Python warning are masked in stderr, since
+they name the tree and a line of source.  The inputs are written once, by this checkout.  Every
 difference is printed; the exit code is 1 when there is one.  It starts
 about 110 processes and takes a minute or two, so it is not part of the
 test suite.  No network access is used; REV must be in the local history.

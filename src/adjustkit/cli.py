@@ -400,8 +400,8 @@ def _run_arms(outdir: Path, fit: CriterionFit, headers: list, sel_cfg: SelectorC
     own (the writer holds the interpreter lock; a child has its own), and
     the child is reaped whatever happens to arm 0.  A child that dies
     without an outcome cannot clean up, so this process unlinks arm 1's
-    part files for it.  With one arm, or
-    without ``os.fork``, the arms run here, one after the other.
+    part files for it.  With one arm, or without ``os.fork``, the arms run
+    here, one after the other.
     """
     arms = [partial(_arm, outdir, fit, i, header, sel_cfg) for i, header in enumerate(headers)]
     if isinstance(fit.arms[0], AdjustKitError):

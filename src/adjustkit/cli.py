@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import pickle
+import stat
 import sys
 import warnings
 from contextlib import contextmanager, suppress
@@ -184,40 +185,65 @@ def _discard(paths: Iterable[Path]) -> None:
             os.unlink(path)
 
 
+def _regular_or_absent(path: Path) -> bool:
+    """Whether ``path`` names a regular file, not through a link, or
+    nothing."""
+    try:
+        return stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 @contextmanager
 def _replacing(*targets: Path) -> Iterator[list[TextIO]]:
-    """Yield a new file open for writing for each target, under its `_part`
-    name, and put them all in place once all are complete.
+    """Yield a file open for writing for each target and, once all are
+    complete, put in place those written under their `_part` name.
 
-    A stale part, left by a killed run, is unlinked and the part made new
-    (``"x"``), so no part is truncated and none is written through a link.
-    When the block ends, every part is closed; then, target by target, the
-    old file is unlinked, if there is one, and the part renamed to the
-    target.  On any exception, one from an unlink or a rename included,
-    every part is closed and unlinked, and the exception goes on.  So each
-    output is complete or absent, and an existing one is never truncated or
+    A target that is a regular file, not a link, or is absent, is written
+    under its part name.  A stale part, left by a killed run, is unlinked
+    and the part made new (``"x"``), so no part is truncated and none is
+    written through a link.  Any other target, such as ``/dev/null``, a
+    pipe, a link (such as ``/dev/stdout``) or a directory, is opened as it
+    is with ``"w"``: being complete or absent means nothing for a device or
+    a pipe, a link is written through rather than replaced, and a directory
+    fails there, before any target is touched.  When the block ends, every
+    file is closed; then the first part's target is unlinked, the other
+    parts are put in place (old file unlinked, part renamed), and the first
+    part renamed last, so that while the first target exists every other
+    one comes from the same run.  On
+    any exception, one from an unlink or a rename included, every file is
+    closed and every part unlinked, and the exception goes on.  So each
+    regular output is complete or absent, and none is ever truncated or
     renamed over.  On ext4 a truncating rewrite of a file that an earlier
     run wrote cost about 3x the unlink and rename, and `os.replace` of a
     part as much as the rewrite; this fits ext4's ``auto_da_alloc``
     heuristic, which flushes a file that replaces another.
     """
-    parts = [_part(path) for path in targets]
+    parts = [_part(path) if _regular_or_absent(path) else None for path in targets]
+    placed = [(target, part) for target, part in zip(targets, parts) if part]
     files = []
     try:
-        for part in parts:
-            part.unlink(missing_ok=True)
-            files.append(open(part, "x", encoding="utf-8"))
+        for target, part in zip(targets, parts):
+            if part:
+                part.unlink(missing_ok=True)
+                files.append(open(part, "x", encoding="utf-8"))
+            else:
+                files.append(open(target, "w", encoding="utf-8"))
         yield files
         for fh in files:
             fh.close()
-        for target, part in zip(targets, parts):
-            target.unlink(missing_ok=True)
-            os.rename(part, target)
+        if placed:
+            (first, first_part), *rest = placed
+            first.unlink(missing_ok=True)
+            for target, part in rest:
+                target.unlink(missing_ok=True)
+                os.rename(part, target)
+            os.rename(first_part, first)
     except BaseException:
         for fh in files:
             with suppress(OSError):
                 fh.close()
-        _discard(parts)
+        _discard(part for _, part in placed)
         raise
 
 
@@ -230,7 +256,8 @@ def _arm_paths(outdir: Path, t: int) -> tuple[Path, Path, Path]:
 def _write_selection(outdir: Path, header: dict, result) -> Path:
     """Write one arm's ``selection_arm{t}.json``, ``criterion_arm{t}.csv`` and
     ``scree_arm{t}.csv``, through one `_replacing`, so the three are put in
-    place together and only once all three are complete.
+    place only once all three are complete, the JSON last: while an arm's
+    JSON exists, its two CSVs come from the same run.
 
     The bytes are those of ``json.dumps(doc, indent=2)``, where ``doc`` is
     ``header`` followed by ``selected_count``, ``selected_sets`` and
@@ -310,7 +337,7 @@ def _outcome(work: Callable[[], object]) -> object:
         return exc
 
 
-def _fork(work: Callable[[], object], leftovers: Iterable[Path] = ()) -> Callable[[], object]:
+def _fork(work: Callable[[], object]) -> Callable[[], object]:
     """Start ``work()`` in a child made by ``os.fork`` and return a function
     that waits for the child, reaps it and gives ``_outcome(work)``.
 
@@ -318,8 +345,7 @@ def _fork(work: Callable[[], object], leftovers: Iterable[Path] = ()) -> Callabl
     way in.  Its outcome comes back pickled over a pipe, and it ends with
     ``os._exit``, so no buffer, ``atexit`` hook or ``finally`` of this process
     runs twice.  A child that ends without sending an outcome gives a
-    ``ChildProcessError``, after the paths in ``leftovers`` (the part files
-    that such a child may have left) are unlinked.
+    ``ChildProcessError``.
     """
     sys.stdout.flush()
     sys.stderr.flush()
@@ -348,7 +374,6 @@ def _fork(work: Callable[[], object], leftovers: Iterable[Path] = ()) -> Callabl
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
-            _discard(leftovers)
             return ChildProcessError(f"the forked child ended with exit code {code}")
         return pickle.loads(data)
 
@@ -407,11 +432,13 @@ def _run_arms(outdir: Path, fit: CriterionFit, headers: list, sel_cfg: SelectorC
     if isinstance(fit.arms[0], AdjustKitError):
         arms = arms[:1]
     if len(arms) == 2 and hasattr(os, "fork"):
-        child = _fork(arms[1], [_part(path) for path in _arm_paths(outdir, headers[1]["arm"])])
+        child = _fork(arms[1])
         try:
             outcomes = [_outcome(arms[0])]
         finally:
             outcomes.append(child())
+        if isinstance(outcomes[1], ChildProcessError):
+            _discard(_part(path) for path in _arm_paths(outdir, headers[1]["arm"]))
     else:
         outcomes = [_outcome(arm) for arm in arms]
     for line in outcomes:

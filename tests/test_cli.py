@@ -738,6 +738,48 @@ class TestCompleteOrAbsent:
             assert data == before[name][1], name
             assert (inode == before[name][0]) == (f"arm{arm}." in name), name
 
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_blocked_csv_over_an_earlier_run(self, tmp_path, forks, capsys, arm):
+        # a directory at the criterion CSV's name fails its open, before any
+        # of the arm's files is touched
+        assert self._select(tmp_path) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        blocked = out / f"criterion_arm{arm}.csv"
+        blocked.unlink()
+        blocked.mkdir()
+        before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir() if p.is_file()}
+        assert self._select(tmp_path) == 2
+        std = capsys.readouterr()
+        assert std.err == f"adjustkit: [Errno 21] Is a directory: '{blocked}'\n"
+        assert sorted(p.name for p in out.iterdir()) == self.SELECT_FILES
+        assert blocked.is_dir()
+        for name in before:
+            inode, data = before[name]
+            assert (out / name).read_bytes() == data, name
+            assert ((out / name).stat().st_ino == inode) == (f"arm{arm}." in name), name
+
+    def test_rename_fails_after_the_json_is_unlinked(self, tmp_path, monkeypatch, capsys):
+        # an arm's JSON is unlinked first and renamed last: when a CSV's
+        # rename fails, the arm has no JSON beside CSVs of two runs
+        data = _model_csv(tmp_path, 1, n=200)
+        out = tmp_path / "run"
+        argv = ["select", "--input", str(data), "--arm", "0", "--output", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        scree = _entries(out)["scree_arm0.csv"]
+        real = os.rename
+
+        def rename(src, dst):
+            if Path(dst).name == "criterion_arm0.csv":
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"adjustkit: [Errno 18] {os.strerror(errno.EXDEV)}\n"
+        assert _entries(out) == {"scree_arm0.csv": scree}
+
     @pytest.mark.parametrize("earlier", [False, True])
     def test_child_killed_mid_write(self, tmp_path, monkeypatch, capsys, earlier):
         # the forked child kills itself inside its criterion CSV, so it
@@ -786,6 +828,38 @@ class TestCompleteOrAbsent:
         again = _entries(out)
         assert sorted(again) == [name]
         assert again[name][1] == first[name][1] and again[name][0] != first[name][0]
+
+    def test_oracle_writes_through_a_fifo(self, tmp_path, capsys):
+        # a pipe at the name is opened and written as it is, not replaced
+        dag, fifo, report = tmp_path / "dag.txt", tmp_path / "fifo", tmp_path / "report.json"
+        dag.write_text(UNIQUE_MIN_DAG)
+        assert main(["oracle", "--dag", str(dag), "--output", str(report)]) == 0
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            assert main(["oracle", "--dag", str(dag), "--output", str(fifo)]) == 0
+            piped = reader.communicate(timeout=30)[0]
+        finally:
+            reader.kill()
+            reader.wait()
+        assert piped == report.read_bytes()
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dag.txt", "fifo", "report.json"]
+
+    def test_oracle_writes_through_a_link(self, tmp_path, capsys):
+        # a symbolic link at the name, such as /dev/stdout, is written
+        # through and stays a link
+        dag, report = tmp_path / "dag.txt", tmp_path / "report.json"
+        dag.write_text(UNIQUE_MIN_DAG)
+        assert main(["oracle", "--dag", str(dag), "--output", str(report)]) == 0
+        out = tmp_path / "run"
+        out.mkdir()
+        target, link = tmp_path / "target.json", out / "report.json"
+        target.write_text("earlier")
+        link.symlink_to(target)
+        assert main(["oracle", "--dag", str(dag), "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == report.read_bytes()
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
     def test_oracle_write_fails_over_a_report(self, tmp_path, monkeypatch, capsys):
         dag, report = tmp_path / "dag.txt", tmp_path / "report.json"
